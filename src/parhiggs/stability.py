@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .exact_core import DomainError, q_matrix_rank, rat_to_str
@@ -29,6 +30,7 @@ __all__ = [
     "SpTripleModel",
     "WeightedFiltration",
     "StabilityReport",
+    "MAX_VERDICT_RANK",
     "invariant_subsets",
     "arrow_feasibility_violations",
     "stability_verdict",
@@ -121,14 +123,61 @@ class SpTripleModel:
 
 # ------------------------------------------------------------ stability ----
 
+# A verdict tabulates all 2^n coordinate subsets, so it holds a list of that
+# length; past this rank the table alone would need gigabytes.
+MAX_VERDICT_RANK = 20
+
+
+def _invariant_masks(m: DecomposableHiggsModel) -> list[int]:
+    """Bitmasks of the proper nonempty index sets closed under the arrows.
+
+    req[mask] is the set of arrow targets the members of mask point at, built
+    by doubling the table once per index (req[mask | 1<<k] = req[mask] |
+    need[k] for masks below 1<<k); mask is closed iff req[mask] lies in it.
+    """
+    if m.n > MAX_VERDICT_RANK:
+        raise DomainError("rank_too_large", n=m.n, limit=MAX_VERDICT_RANK)
+    need = [0] * m.n
+    for (i, j) in m.arrows:
+        need[j] |= 1 << i
+    req = [0]
+    for bits in need:
+        req += [r | bits for r in req]
+    full = (1 << m.n) - 1
+    return [mask for mask in range(1, full) if not req[mask] & ~mask]
+
+
+def _subset_table(m: DecomposableHiggsModel) -> tuple[list[int], int, list[int]]:
+    """(masks, den, sums): the invariant masks, and for every mask the
+    parabolic degree of its coordinate subbundle times the common
+    denominator den of the summands' pardegs, tabulated by doubling."""
+    masks = _invariant_masks(m)
+    pds = m.pardegs()
+    den = lcm(*(p.denominator for p in pds))
+    sums = [0]
+    for p in pds:
+        nk = p.numerator * (den // p.denominator)
+        sums += [x + nk for x in sums]
+    return masks, den, sums
+
+
+def _mask_tuple(mask: int) -> tuple[int, ...]:
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def _lex_before(a: int, b: int) -> bool:
+    """Does the sorted index tuple of mask a precede that of mask b?
+
+    Both agree below their lowest differing index p.  The one holding p
+    comes first unless the other one ends there, i.e. has no index above p.
+    """
+    low = (a ^ b) & -(a ^ b)
+    return b >= low << 1 if a & low else a < low << 1
+
+
 def invariant_subsets(m: DecomposableHiggsModel) -> list[tuple[int, ...]]:
     """Proper nonempty index sets closed under the arrows, lexicographic."""
-    out = []
-    for bits in range(1, (1 << m.n) - 1):
-        if all(not (bits >> j & 1) or (bits >> i & 1) for (i, j) in m.arrows):
-            out.append(tuple(k for k in range(m.n) if bits >> k & 1))
-    out.sort()
-    return out
+    return sorted(_mask_tuple(mask) for mask in _invariant_masks(m))
 
 
 def arrow_feasibility_violations(m: DecomposableHiggsModel) -> list[Arrow]:
@@ -185,28 +234,39 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     stable: every invariant subset has strictly smaller parabolic slope;
     unstable: a subset beats the total slope (witness = first maximizer);
     polystable: the arrow graph splits into standalone-stable pieces of equal
-    slope; strictly_semistable: equality occurs without that splitting.
+    slope; strictly_semistable: equality occurs without that splitting
+    (witness = first subset of equal slope).  Ranks above MAX_VERDICT_RANK
+    are refused with rank_too_large, as in invariant_subsets and
+    alpha_stability_check_gl.
     """
     if m.n == 0:
         raise DomainError("empty_model")
-    mu = m.sub_pardeg(range(m.n)) / m.n
-    subs = invariant_subsets(m)
-    slopes = [(s, m.sub_pardeg(s) / len(s)) for s in subs]
-    over = [t for t in slopes if t[1] > mu]
-    if over:
-        best = max(sl for _, sl in over)
-        witness = next(s for s, sl in over if sl == best)
-        return StabilityReport("unstable", witness, mu)
-    equal = [s for s, sl in slopes if sl == mu]
-    if not equal:
+    n = m.n
+    masks, den, sums = _subset_table(m)
+    total = sums[-1]
+    mu = Fraction(total, den * n)
+    # Slopes compared by cross-multiplying.  best: the first maximizer above
+    # mu so far; tie: the first subset of slope mu while none is above it.
+    best = tie = None
+    best_sum, best_size = total, n
+    for mask in masks:
+        size = mask.bit_count()
+        gap = sums[mask] * best_size - best_sum * size
+        if gap > 0 or (gap == 0 and best is not None and _lex_before(mask, best)):
+            best, best_sum, best_size = mask, sums[mask], size
+        elif gap == 0 and best is None and (tie is None or _lex_before(mask, tie)):
+            tie = mask
+    if best is not None:
+        return StabilityReport("unstable", _mask_tuple(best), mu)
+    if tie is None:
         return StabilityReport("stable", None, mu)
-    comps = _undirected_components(m.n, m.arrows)
+    comps = _undirected_components(n, m.arrows)
     if len(comps) > 1 and all(
-            m.sub_pardeg(c) / len(c) == mu
+            sum(sums[1 << k] for k in c) * n == total * len(c)
             and stability_verdict(_restrict(m, c)).verdict == "stable"
             for c in comps):
         return StabilityReport("polystable", None, mu)
-    return StabilityReport("strictly_semistable", equal[0], mu)
+    return StabilityReport("strictly_semistable", _mask_tuple(tie), mu)
 
 
 # --------------------------------------------------- Toledo, Milnor-Wood ----
@@ -415,14 +475,19 @@ def alpha_stability_check_gl(m: DecomposableHiggsModel, alpha: Fraction
     Returns (ok, failing subset or None).
     """
     alpha = Fraction(alpha)
-    full = list(range(m.n))
-    for s in invariant_subsets(m):
-        lam = (Fraction(0), Fraction(1))
-        val = pardeg_of_reduction_gl(m, [list(s), full], lam)
-        ranks = lam[-1] * m.n + (lam[0] - lam[1]) * len(s)
-        if val - alpha * ranks < 0:
-            return False, s
-    return True, None
+    masks, den, sums = _subset_table(m)
+    total = sums[-1]
+    # pardeg_of_reduction_gl(m, [S, full], (0, 1)) = pardeg E - pardeg W_S,
+    # so the test reads (total - sums[S]) / den >= alpha (n - |S|)
+    a, b = alpha.numerator, alpha.denominator
+    first = None
+    for mask in masks:
+        if (total - sums[mask]) * b < a * den * (m.n - mask.bit_count()) and (
+                first is None or _lex_before(mask, first)):
+            first = mask
+    if first is None:
+        return True, None
+    return False, _mask_tuple(first)
 
 
 def sp_filtration_degree(m: DecomposableHiggsModel,

@@ -490,6 +490,20 @@ def test_cap_flag_overrides_env_variable(capsys, monkeypatch):
     assert payload["count"] == 16
 
 
+def test_hitchin_above_rank_limit_is_refused_promptly():
+    # run in a child so a regression to a 2^40 loop fails on the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "parhiggs.cli", "hitchin", "--k", "40",
+         "--g", "2", "--s", "1"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                 PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 2, proc.stderr
+    payload = json.loads(proc.stdout)
+    validate(payload, "error")
+    assert payload == {"error": "rank_too_large", "n": 40, "limit": 20}
+
+
 # --------------------------------------------------------------------------
 # console-script wiring
 

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parhiggs.exact_core import DomainError
 from parhiggs.parbun import ParabolicLineBundle, pardeg
 from parhiggs.stability import (
+    MAX_VERDICT_RANK,
     DecomposableHiggsModel,
     SpTripleModel,
     WeightedFiltration,
@@ -129,6 +132,162 @@ def test_feasibility_warnings():
     m = DecomposableHiggsModel(surf, lines(surf, (0, 0), (3, 0)),
                                frozenset({(0, 1), (1, 0)}))
     assert arrow_feasibility_violations(m) == [(0, 1)]
+
+
+# ------------------------------------------- differential and properties ----
+
+def _components(n, arrows):
+    """Connected components of the arrow graph, ignoring direction."""
+    comps, seen = [], set()
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, stack = set(), [start]
+        while stack:
+            k = stack.pop()
+            if k not in comp:
+                comp.add(k)
+                stack += [b if a == k else a for (a, b) in arrows if k in (a, b)]
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def brute_verdict(oracles, pds, arrows):
+    """(verdict, witness, slope) from Fraction sums over the oracle's
+    closed subsets, which come in lexicographic order."""
+    n = len(pds)
+    mu = sum(pds, F(0)) / n
+    slopes = [(s, sum((pds[k] for k in s), F(0)) / len(s))
+              for s in oracles.closed_subsets(n, sorted(arrows))]
+    top = max((sl for _, sl in slopes), default=mu)
+    if top > mu:
+        return "unstable", next(s for s, sl in slopes if sl == top), mu
+    ties = [s for s, sl in slopes if sl == mu]
+    if not ties:
+        return "stable", None, mu
+
+    def piece_stable(c):
+        pos = {k: t for t, k in enumerate(c)}
+        sub = [(pos[i], pos[j]) for (i, j) in arrows if i in pos and j in pos]
+        return brute_verdict(oracles, [pds[k] for k in c], sub)[0] == "stable"
+
+    comps = _components(n, arrows)
+    if len(comps) > 1 and all(
+            sum((pds[k] for k in c), F(0)) / len(c) == mu and piece_stable(c)
+            for c in comps):
+        return "polystable", None, mu
+    return "strictly_semistable", ties[0], mu
+
+
+def rand_tie_prone_model(rng, n):
+    """Small degrees and half weights, so equal slopes are common."""
+    g, s = rng.choice(HYP)
+    surf = standard_surface(g, s)
+    summands = tuple(ParabolicLineBundle(
+        rng.randint(-1, 1), {x: F(rng.randrange(0, 2), 2) for x in surf.labels()})
+        for _ in range(n))
+    p = rng.choice((0.0, 0.1, 0.25, 0.5))
+    arrows = frozenset((i, j) for i in range(n) for j in range(n)
+                       if i != j and rng.random() < p)
+    return DecomposableHiggsModel(surf, summands, arrows)
+
+
+def test_verdict_matches_brute_force(oracles):
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(400):
+        m = rand_tie_prone_model(rng, rng.randint(1, 10))
+        r = stability_verdict(m)
+        assert (r.verdict, r.witness, r.slope) == \
+            brute_verdict(oracles, m.pardegs(), m.arrows)
+        seen.add(r.verdict)
+    assert seen == {"stable", "unstable", "strictly_semistable", "polystable"}
+
+
+def test_alpha_check_matches_reduction_degrees(oracles):
+    """The closed form against the old route: every invariant two-step
+    reduction through pardeg_of_reduction_gl, first failure returned."""
+    rng = random.Random(909)
+    fails = 0
+    for _ in range(150):
+        m = rand_tie_prone_model(rng, rng.randint(1, 6))
+        full = list(range(m.n))
+        subs = oracles.closed_subsets(m.n, sorted(m.arrows))
+        # alpha at some quotient's slope, so the boundary case occurs
+        pick = rng.choice(subs) if subs else None
+        alpha = F(0) if pick is None else \
+            (m.sub_pardeg(full) - m.sub_pardeg(pick)) / (m.n - len(pick))
+        want = next(((False, s) for s in subs if pardeg_of_reduction_gl(
+            m, [list(s), full], (F(0), F(1))) - alpha * (m.n - len(s)) < 0),
+            (True, None))
+        assert alpha_stability_check_gl(m, alpha) == want
+        fails += not want[0]
+    assert 20 < fails < 130
+
+
+@st.composite
+def models(draw, max_n=5):
+    g, s = draw(st.sampled_from(HYP))
+    surf = standard_surface(g, s)
+    n = draw(st.integers(1, max_n))
+    summands = tuple(ParabolicLineBundle(
+        draw(st.integers(-3, 3)),
+        {x: F(draw(st.integers(0, 3)), 4) for x in surf.labels()})
+        for _ in range(n))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    arrows = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return DecomposableHiggsModel(surf, summands, frozenset(arrows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(models())
+def test_two_step_reduction_degree_is_quotient_pardeg(m):
+    full = list(range(m.n))
+    total = m.sub_pardeg(full)
+    for sub in invariant_subsets(m):
+        assert pardeg_of_reduction_gl(m, [list(sub), full], (F(0), F(1))) \
+            == total - m.sub_pardeg(sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(max_n=7), st.randoms(use_true_random=False))
+def test_verdict_is_invariant_under_permuting_summands(m, rng):
+    perm = list(range(m.n))
+    rng.shuffle(perm)                       # new index t holds old perm[t]
+    back = {old: new for new, old in enumerate(perm)}
+    pm = DecomposableHiggsModel(
+        m.surface, tuple(m.summands[k] for k in perm),
+        frozenset((back[i], back[j]) for (i, j) in m.arrows))
+    r, pr = stability_verdict(m), stability_verdict(pm)
+    assert (pr.verdict, pr.slope) == (r.verdict, r.slope)
+    if r.witness is None:
+        assert pr.witness is None
+        return
+    # the witnesses may differ, but both are invariant and of equal slope
+    moved = tuple(sorted(perm[t] for t in pr.witness))
+    assert moved in invariant_subsets(m)
+    assert m.sub_pardeg(moved) / len(moved) == \
+        m.sub_pardeg(r.witness) / len(r.witness)
+
+
+# ------------------------------------------------------------ rank bound ----
+
+def test_rank_above_limit_is_refused_before_enumeration():
+    surf = standard_surface(2, 1)
+    n = MAX_VERDICT_RANK + 1
+    m = DecomposableHiggsModel(surf, lines(surf, *[(0, 0)] * n))
+    for call in (stability_verdict, invariant_subsets,
+                 lambda model: alpha_stability_check_gl(model, F(0))):
+        with pytest.raises(DomainError) as e:
+            call(m)
+        assert e.value.payload() == {"error": "rank_too_large", "n": n,
+                                     "limit": MAX_VERDICT_RANK}
+
+
+def test_rank_at_limit_still_gets_a_verdict():
+    m = hitchin_model(MAX_VERDICT_RANK, 2, 1)
+    assert stability_verdict(m).verdict == "stable"
 
 
 # ------------------------------------------------------ Toledo and MW ----
