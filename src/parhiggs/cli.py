@@ -452,7 +452,7 @@ def _cmd_roots(args, cap) -> CommandOutput:
 
 def _cmd_s1_report(args, cap) -> CommandOutput:
     group = _parse_group(args.group, args.n)
-    report = comp.s1_reduction_report(group, args.g)
+    report = comp.s1_reduction_report(group, args.g, cap=cap)
     return CommandOutput(comp.s1_report_to_json(report))
 
 

@@ -4,10 +4,13 @@ For each Hermitian-type group the moduli space of maximal polystable objects
 splits into pieces indexed by discrete topological invariants: Stiefel-Whitney
 style classes w1 (dimension 2g+s-1 over Z_2) and w2 (dimension s), parabolic
 structures with a bounded degree, and square-root classes at the maximal
-degree.  This module materializes those invariant tuples by brute-force
-enumeration, compares the totals against the closed-form count formulas, and
-renders the three summary tables.  All counts are lower bounds ("minimum
-components"); exactness is not claimed.
+degree.  One case table holds, per group row and mode, the published cases as
+products of those factors, plus the published total.  Counts read it: a
+case's closed form is the product of its factor sizes, and its enumerated
+count materializes the invariant tuples (the enumeration cap is checked
+against the case sizes first).  The three summary tables print the published
+totals.  All counts are lower bounds ("minimum components"); exactness is not
+claimed.
 
 Modes:
   * ``max_union``      -- all maximal objects, union over parabolic weights;
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .exact_core import DomainError
 from .orbifold import parity
@@ -301,39 +304,48 @@ class ComponentCountReport:
                               total=self.total_enumerated)
 
 
-_E7_NOTE = ("count uses the H^1_V invariants only; further invariants "
-            "beyond these may exist")
-_SO023_FIXED_NOTE = ("case-by-case enumeration gives 2^{2g+s-1}-1 choices of "
-                     "nonzero w1, one fewer than the published table formula "
-                     "2^{2g+s-1}+(4g-3+2s); both are reported")
-_SO02N_IDENTITY_NOTE = ("2^s * 2^{2g+s-1} = 2^{2g+2s-1}: the per-case product "
-                        "and the table entry agree")
-
-
-def _pow2(e: int) -> int:
-    return 1 << e
-
-
-def _require_surface(g: int, s: int) -> None:
-    require_hyperbolic(standard_surface(g, s))
-
-
 def _require_marked(g: int, s: int) -> None:
     if s < 1:
         raise DomainError("needs_marked_points", g=g, s=s)
-    _require_surface(g, s)
+    if g < 0 or 2 * g - 2 + s <= 0:
+        # build the surface only to raise its own error
+        require_hyperbolic(standard_surface(g, s))
+
+
+def _check_cap(needed: int, cap: int | None) -> None:
+    if cap is not None and needed > cap:
+        raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
 
 
 # --------------------------------------------------------------------------
-# Sp(2n,R) enumeration
+# factors: the discrete invariants a case ranges over
 
 
-def _w1_vectors(g: int, s: int) -> list[tuple[int, ...]]:
-    return list(product((0, 1), repeat=2 * g + s - 1))
+_Sizes = dict[str, int]
 
 
-def _w2_vectors(s: int) -> list[tuple[int, ...]]:
-    return list(product((0, 1), repeat=s))
+def _factor_sizes(g: int, s: int) -> _Sizes:
+    """Number of values of each factor at (g, s), from h1 = dim H^1_V =
+    2g+s-1 and h2 = dim H^2_V = s (plus g and s themselves)."""
+    h1, h2 = 2 * g + s - 1, s
+    big, tor = 1 << h1, 1 << (h1 - h2 + 1)
+    return {
+        "g": g, "s": s,
+        "w1": big,              # w1 in H^1_V
+        "w1_nonzero": big - 1,  # nonzero w1
+        "w2": 1 << h2,          # w2 in H^2_V
+        "alpha": 1,             # the fixed weight vector
+        "torsion": tor,         # the 2^{2g} torsion classes
+        "degrees": h1 - 1,      # sub-maximal degrees 0 .. 2g-3+s
+        "so_degrees": 2 * h1 - 1,  # SO0(2,3): pardeg(M) in 0 .. 4g-4+2s
+        "roots": big,           # square roots at the maximal degree
+        "roots_fixed": tor,     # ... at a fixed weight assignment
+    }
+
+
+_VECTOR_FACTORS = ("w1", "w2", "torsion")
+_DEGREE_FACTORS = ("degrees", "so_degrees")
+_ROOT_FACTORS = ("roots", "roots_fixed")
 
 
 def _alpha_bits(s: int, par: str) -> tuple[int, ...]:
@@ -343,74 +355,186 @@ def _alpha_bits(s: int, par: str) -> tuple[int, ...]:
     return (1,) + (0,) * (s - 1)
 
 
-def _pair_tuples(w1s, w2s) -> list[InvariantTuple]:
-    return [InvariantTuple("w1_w2", w1=a, w2=b) for a in w1s for b in w2s]
+def _factor_values(name: str, z: _Sizes, parity: str | None):
+    if name in _VECTOR_FACTORS:  # size 2^k: every vector of Z_2^k
+        return list(product((0, 1), repeat=z[name].bit_length() - 1))
+    if name == "w1_nonzero":  # lexicographic order puts the zero vector first
+        return _factor_values("w1", z, parity)[1:]
+    if name == "alpha":
+        return [_alpha_bits(z["s"], parity)]
+    return range(z[name])
 
 
-def _degree_tuples(parabolics, g: int, s: int) -> list[InvariantTuple]:
-    degrees = range(2 * g - 2 + s)  # sub-maximal: 0 .. 2g-3+s
-    return [InvariantTuple("parabolic_degree", parabolic=p, degree=d)
-            for p in parabolics for d in degrees]
+def _materialize(factors: tuple[str, ...], z: _Sizes, parity: str | None
+                 ) -> list:
+    """Every invariant of one case, lexicographic over its factors.
 
-
-def _root_tuples(count: int) -> list[InvariantTuple]:
-    return [InvariantTuple("square_root", root_index=i) for i in range(count)]
-
-
-def _sp_case_tuples(n: int, g: int, s: int, mode: CountMode
-                    ) -> list[tuple[str, list[InvariantTuple]]]:
-    """The per-case invariant enumerations for Sp(2n,R).
-
-    Case split: nonzero w1 crossed with w2; then for w1 = 0 either a
-    parabolic line with sub-maximal degree (n = 2 only) or, at the maximal
-    degree, a square root.  For n = 1 and n >= 3 the degree case is absent
-    and the w1/w2 pairs include w1 = 0.  Punctured mode keeps only the
-    square-root classes.
+    Two factors give an ``InvariantTuple``: w1 x w2 (or the fixed weight
+    vector), or a parabolic structure x a degree.  One factor gives root
+    indices as ``square_root`` tuples and any other values bare.
     """
-    w1s = _w1_vectors(g, s)
-    w2s = _w2_vectors(s)
-    nonzero_w1 = w1s[1:]  # lexicographic order puts the zero vector first
-    roots_union = _pow2(2 * g + s - 1)
-    roots_fixed = _pow2(2 * g)
+    first = _factor_values(factors[0], z, parity)
+    if len(factors) == 2:
+        second = _factor_values(factors[1], z, parity)
+        if factors[1] in _DEGREE_FACTORS:
+            return [InvariantTuple("parabolic_degree", parabolic=p, degree=d)
+                    for p in first for d in second]
+        return [InvariantTuple("w1_w2", w1=a, w2=b)
+                for a in first for b in second]
+    if factors[0] in _ROOT_FACTORS:
+        return [InvariantTuple("square_root", root_index=i) for i in first]
+    return list(first)
 
-    if mode.variant == "max_union":
-        if n == 1:
-            return [("square_roots", _root_tuples(roots_union))]
-        if n == 2:
-            return [
-                ("w1_nonzero_pairs", _pair_tuples(nonzero_w1, w2s)),
-                ("w1_zero_submaximal", _degree_tuples(w2s, g, s)),
-                ("square_roots", _root_tuples(roots_union)),
-            ]
-        return [
-            ("w1_w2_pairs", _pair_tuples(w1s, w2s)),
-            ("square_roots", _root_tuples(roots_union)),
-        ]
 
-    if mode.variant == "max_fixed_alpha":
-        alpha = _alpha_bits(s, mode.parity)
-        fixed_w2 = [alpha]
-        if n == 1:
-            if mode.parity == "odd":
-                return []
-            return [("square_roots", _root_tuples(roots_fixed))]
-        if n == 2:
-            cases = [
-                ("w1_nonzero", _pair_tuples(nonzero_w1, fixed_w2)),
-                ("submaximal_degrees", _degree_tuples([alpha], g, s)),
-            ]
-            if mode.parity == "even":
-                cases.append(("square_roots", _root_tuples(roots_fixed)))
-            return cases
-        cases = [("w1_values", _pair_tuples(w1s, fixed_w2))]
-        if mode.parity == "even":
-            cases.append(("square_roots", _root_tuples(roots_fixed)))
-        return cases
+# --------------------------------------------------------------------------
+# the case table
 
-    if mode.variant == "punctured":
-        return [("square_roots", _root_tuples(roots_union))]
 
-    raise DomainError("mode_not_enumerable", variant=mode.variant)
+class _Entry(NamedTuple):
+    """The case analysis of one group row in one mode.
+
+    ``cases`` are (label, factors) pairs in their published order; a case's
+    closed form is the product of its factor sizes.  ``total`` is the
+    published total where it is its own formula, else None (the sum of the
+    cases).  No cases means no maximal objects.
+    """
+
+    cases: tuple[tuple[str, tuple[str, ...]], ...]
+    total: Callable[[_Sizes], int] | None = None
+    notes: tuple[str, ...] = ()
+
+
+_SP2, _SP4, _SP2N = "Sp(2,R)=SL(2,R)", "Sp(4,R)", "Sp(2n,R), for n>=3"
+_SU, _SO_STAR = "SU(n,n)", "SO*(2n), for n: even"
+_SO023, _SO02N, _E7 = "SO0(2,3)", "SO0(2,n), for n>=4", "E7^{-25}"
+_ROWS = (_SP2, _SP4, _SP2N, _SU, _SO_STAR, _SO023, _SO02N, _E7)
+_KD = "nonparabolic_kd_twisted_s1"
+
+_ROOTS = ("square_roots", ("roots",))
+_ROOTS_FIXED = ("square_roots", ("roots_fixed",))
+_SP4_FIXED_CASES = (("w1_nonzero", ("w1_nonzero", "alpha")),
+                    ("submaximal_degrees", ("alpha", "degrees")))
+_W1_VALUES_FIXED = ("w1_values", ("w1", "alpha"))
+_ONLY_ROOTS = _Entry((_ROOTS,))
+_NO_MAXIMAL = _Entry((), notes=("no maximal polystable objects for odd "
+                                "weight assignments",))
+_SO_STAR_FIXED = _Entry((("single_class", ("alpha",)),))
+_SO023_FIXED = _Entry((("w1_nonzero", ("w1_nonzero",)),
+                       ("w1_zero_degree_classes", ("so_degrees",))),
+                      total=lambda z: z["w1"] + z["so_degrees"],
+                      notes=("case-by-case enumeration gives 2^{2g+s-1}-1 "
+                             "choices of nonzero w1, one fewer than the "
+                             "published table formula 2^{2g+s-1}+(4g-3+2s); "
+                             "both are reported",))
+_SO02N_FIXED = _Entry((("w1_values", ("w1",)),))
+
+# Keyed by (row, mode): the mode is the variant, or the parity for
+# max_fixed_alpha.  A missing key is a mode the group has no count for.
+# Sp(2n,R): nonzero w1 crossed with w2; then for w1 = 0 either a parabolic
+# line with sub-maximal degree (n = 2 only) or, at the maximal degree, a
+# square root.  For n = 1 and n >= 3 the degree case is absent and the
+# w1/w2 pairs include w1 = 0.  Punctured mode keeps only the square roots.
+# The K(D)-twisted counts (s = 1) lose the parabolic structure choice of the
+# degree case.
+_TABLE: dict[tuple[str, str], _Entry] = {
+    (_SP2, "max_union"): _ONLY_ROOTS,
+    (_SP2, "even"): _Entry((_ROOTS_FIXED,)),
+    (_SP2, "odd"): _NO_MAXIMAL,
+    (_SP2, "punctured"): _ONLY_ROOTS,
+    (_SP4, "max_union"): _Entry(
+        (("w1_nonzero_pairs", ("w1_nonzero", "w2")),
+         ("w1_zero_submaximal", ("w2", "degrees")), _ROOTS),
+        total=lambda z: ((z["w2"] + 1) * z["w1"]
+                         + z["w2"] * (z["degrees"] - 1))),
+    (_SP4, "even"): _Entry(_SP4_FIXED_CASES + (_ROOTS_FIXED,)),
+    (_SP4, "odd"): _Entry(_SP4_FIXED_CASES),
+    (_SP4, "punctured"): _ONLY_ROOTS,
+    (_SP4, _KD): _Entry(
+        (("w1_nonzero", ("w1_nonzero", "w2")),
+         ("submaximal_degrees", ("degrees",)), _ROOTS),
+        notes=("forgetting the parabolic structure recovers the classical "
+               "K(D)-twisted count 3*2^{2g}+2g-3",)),
+    (_SP2N, "max_union"): _Entry((("w1_w2_pairs", ("w1", "w2")), _ROOTS)),
+    (_SP2N, "even"): _Entry((_W1_VALUES_FIXED, _ROOTS_FIXED)),
+    (_SP2N, "odd"): _Entry((_W1_VALUES_FIXED,)),
+    (_SP2N, "punctured"): _ONLY_ROOTS,
+    (_SU, "max_union"): _Entry((("w1_values", ("w1",)),)),
+    (_SU, "even"): _Entry((("w1_torsion_classes", ("torsion",)),)),
+    (_SU, "odd"): _NO_MAXIMAL,
+    (_SO_STAR, "max_union"): _Entry((("w2_values", ("w2",)),)),
+    (_SO_STAR, "even"): _SO_STAR_FIXED,
+    (_SO_STAR, "odd"): _SO_STAR_FIXED,
+    (_SO023, "max_union"): _Entry(
+        (("w1_nonzero_pairs", ("w1_nonzero", "w2")),
+         ("w1_zero_degree_classes", ("w2", "so_degrees")))),
+    (_SO023, "even"): _SO023_FIXED,
+    (_SO023, "odd"): _SO023_FIXED,
+    (_SO023, _KD): _Entry(
+        (("w1_nonzero", ("w1_nonzero", "w2")),
+         ("w1_zero_degree_classes", ("so_degrees",))),
+        notes=("displayed K(D)-twisted count simplifies to "
+               "2^{2g+1}+4g-3; the prose's 3*2^{2g}+4g-3 does not match "
+               "it and is recorded, not reconciled",)),
+    (_SO02N, "max_union"): _Entry(
+        (("w1_w2_pairs", ("w1", "w2")),),
+        total=lambda z: 1 << (2 * z["g"] + 2 * z["s"] - 1),
+        notes=("2^s * 2^{2g+s-1} = 2^{2g+2s-1}: the per-case product and "
+               "the table entry agree",)),
+    (_SO02N, "even"): _SO02N_FIXED,
+    (_SO02N, "odd"): _SO02N_FIXED,
+    (_E7, "max_union"): _Entry(
+        (("w1_values", ("w1",)),),
+        notes=("count uses the H^1_V invariants only; further invariants "
+               "beyond these may exist",)),
+}
+
+# Closed-surface (non-parabolic) maximal counts, read at s = 1.
+_CLOSED_SURFACE: dict[str, Callable[[_Sizes], int]] = {
+    _SP2: lambda z: z["torsion"],
+    _SP4: lambda z: 3 * z["torsion"] + 4 * z["g"] - 4,
+    _SP2N: lambda z: 3 * z["torsion"],
+    _SU: lambda z: z["torsion"],
+    _SO_STAR: lambda z: 1,
+    _SO023: lambda z: 2 * z["torsion"] + 8 * z["g"] - 4,
+    _SO02N: lambda z: 2 * z["torsion"],
+    _E7: lambda z: z["torsion"],
+}
+
+
+_SP_ROWS = (_SP2, _SP4, _SP2N)
+_FAMILY_ROWS = {"SUnn": _SU, "SOstar2n": _SO_STAR, "E7minus25": _E7}
+
+
+def _row(group: GroupDescriptor) -> str:
+    fam = group.family
+    if fam == "Sp2nR":
+        return _SP_ROWS[min(group.n, 3) - 1]
+    if fam == "SO0_2n":
+        return _SO023 if group.n == 3 else _SO02N
+    if fam == "split":
+        raise DomainError("unsupported_group_for_counting",
+                          group=group.display())
+    return _FAMILY_ROWS[fam]
+
+
+def _entry(row: str, mode: CountMode) -> _Entry | None:
+    return _TABLE.get((row, mode.parity or mode.variant))
+
+
+def _closed_forms(entry: _Entry, z: _Sizes) -> tuple[list[int], int]:
+    """Each case's closed form (the product of its factor sizes) and the
+    published total."""
+    sizes = []
+    for _, factors in entry.cases:
+        size = 1
+        for name in factors:
+            size *= z[name]
+        sizes.append(size)
+    return sizes, entry.total(z) if entry.total else sum(sizes)
+
+
+# --------------------------------------------------------------------------
+# Sp(2n,R) enumeration
 
 
 def enumerate_invariants_sp(n: int, g: int, s: int, mode: CountMode,
@@ -418,118 +542,21 @@ def enumerate_invariants_sp(n: int, g: int, s: int, mode: CountMode,
     """Materialize every topological invariant tuple for Sp(2n,R).
 
     Deterministic: cases in their published order, tuples lexicographic
-    within each case.  ``cap`` bounds the number of materialized tuples.
+    within each case.  ``cap`` bounds the number of materialized tuples and
+    is checked before any is built.
     """
     if n < 1:
         raise DomainError("group_needs_rank", family="Sp2nR")
     _require_marked(g, s)
-    cases = _sp_case_tuples(n, g, s, mode)
-    needed = sum(len(ts) for _, ts in cases)
-    if cap is not None and needed > cap:
-        raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
+    entry = _entry(_SP_ROWS[min(n, 3) - 1], mode)
+    if entry is None or mode.variant == _KD:
+        raise DomainError("mode_not_enumerable", variant=mode.variant)
+    z = _factor_sizes(g, s)
+    _check_cap(sum(_closed_forms(entry, z)[0]), cap)
     out: list[InvariantTuple] = []
-    for _, tuples in cases:
-        out.extend(tuples)
+    for _, factors in entry.cases:
+        out.extend(_materialize(factors, z, mode.parity))
     return tuple(out)
-
-
-# --------------------------------------------------------------------------
-# closed forms
-
-
-def _sp_closed_cases(n: int, g: int, s: int, mode: CountMode
-                     ) -> tuple[list[tuple[str, int]], int]:
-    """Per-case closed forms plus the published total for Sp(2n,R)."""
-    big = _pow2(2 * g + s - 1)
-    tor = _pow2(2 * g)
-    two_s = _pow2(s)
-
-    if mode.variant == "max_union":
-        if n == 1:
-            return [("square_roots", big)], big
-        if n == 2:
-            cases = [("w1_nonzero_pairs", two_s * (big - 1)),
-                     ("w1_zero_submaximal", two_s * (2 * g - 2 + s)),
-                     ("square_roots", big)]
-            total = (two_s + 1) * big + two_s * (2 * g - 3 + s)
-            return cases, total
-        return ([("w1_w2_pairs", two_s * big), ("square_roots", big)],
-                (two_s + 1) * big)
-
-    if mode.variant == "max_fixed_alpha":
-        if n == 1:
-            if mode.parity == "odd":
-                return [], 0
-            return [("square_roots", tor)], tor
-        if n == 2:
-            cases = [("w1_nonzero", big - 1),
-                     ("submaximal_degrees", 2 * g - 2 + s)]
-            total = big + (2 * g - 3 + s)
-            if mode.parity == "even":
-                cases.append(("square_roots", tor))
-                total += tor
-            return cases, total
-        cases = [("w1_values", big)]
-        total = big
-        if mode.parity == "even":
-            cases.append(("square_roots", tor))
-            total += tor
-        return cases, total
-
-    if mode.variant == "punctured":
-        return [("square_roots", big)], big
-
-    raise DomainError("mode_not_enumerable", variant=mode.variant)
-
-
-def _table_921_value(group: GroupDescriptor, g: int) -> int:
-    """Closed-surface (non-parabolic) maximal component counts."""
-    tor = _pow2(2 * g)
-    if group.family == "Sp2nR":
-        if group.n == 1:
-            return tor
-        if group.n == 2:
-            return 3 * tor + 4 * g - 4
-        return 3 * tor
-    if group.family == "SUnn":
-        return tor
-    if group.family == "SOstar2n":
-        return 1
-    if group.family == "SO0_2n":
-        if group.n == 3:
-            return _pow2(2 * g + 1) + 8 * g - 4
-        return _pow2(2 * g + 1)
-    if group.family == "E7minus25":
-        return tor
-    raise DomainError("unsupported_group_for_counting", group=group.display())
-
-
-def _kd_twisted_cases(group: GroupDescriptor, g: int
-                      ) -> tuple[list[tuple[str, int]], int, tuple[str, ...]]:
-    """K(D)-twisted counts at one puncture (Sp(4,R) and SO0(2,3) only).
-
-    Relative to the parabolic s=1 count, the degree case loses its factor of
-    2 (no parabolic structure choice on the line bundle).
-    """
-    tor = _pow2(2 * g)
-    if group.family == "Sp2nR" and group.n == 2:
-        cases = [("w1_nonzero", 2 * (tor - 1)),
-                 ("submaximal_degrees", 2 * g - 1),
-                 ("square_roots", tor)]
-        total = 3 * tor + 2 * g - 3
-        notes = ("forgetting the parabolic structure recovers the classical "
-                 "K(D)-twisted count 3*2^{2g}+2g-3",)
-        return cases, total, notes
-    if group.family == "SO0_2n" and group.n == 3:
-        cases = [("w1_nonzero", 2 * (tor - 1)),
-                 ("w1_zero_degree_classes", 4 * g - 1)]
-        total = _pow2(2 * g + 1) + 4 * g - 3
-        notes = ("displayed K(D)-twisted count simplifies to "
-                 "2^{2g+1}+4g-3; the prose's 3*2^{2g}+4g-3 does not match "
-                 "it and is recorded, not reconciled",)
-        return cases, total, notes
-    raise DomainError("unsupported_mode_for_group", group=group.display(),
-                      mode="nonparabolic_kd_twisted_s1")
 
 
 # --------------------------------------------------------------------------
@@ -547,120 +574,41 @@ def _report(group, g, s, mode, pairs, total_closed, verdict=None, notes=()):
         notes=tuple(notes))
 
 
-def _sp_report(group, g, s, mode, cap):
-    enum_cases = _sp_case_tuples(group.n, g, s, mode)
-    needed = sum(len(ts) for _, ts in enum_cases)
-    if cap is not None and needed > cap:
-        raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
-    closed_cases, total_closed = _sp_closed_cases(group.n, g, s, mode)
-    if not closed_cases:
-        return _report(group, g, s, mode, [], 0,
-                       verdict="no_maximal_objects",
-                       notes=("no maximal polystable objects for odd weight "
-                              "assignments",))
-    pairs = []
-    for (label, tuples), (closed_label, closed) in zip(enum_cases, closed_cases):
-        assert label == closed_label
-        pairs.append((label, len(tuples), closed))
-    return _report(group, g, s, mode, pairs, total_closed)
-
-
-def _hermitian_report(group, g, s, mode):
-    big = _pow2(2 * g + s - 1)
-    tor = _pow2(2 * g)
-    two_s = _pow2(s)
-    fam = group.family
-
-    if mode.variant == "max_union":
-        if fam == "SUnn":
-            enum = len(_w1_vectors(g, s))
-            return _report(group, g, s, mode, [("w1_values", enum, big)], big)
-        if fam == "SOstar2n":
-            enum = len(_w2_vectors(s))
-            return _report(group, g, s, mode, [("w2_values", enum, two_s)],
-                           two_s)
-        if fam == "SO0_2n" and group.n == 3:
-            enum_pairs = len(_pair_tuples(_w1_vectors(g, s)[1:],
-                                          _w2_vectors(s)))
-            degree_values = 4 * g - 3 + 2 * s  # pardeg(M) in 0 .. 4g-4+2s
-            enum_deg = len(_w2_vectors(s)) * degree_values
-            pairs = [("w1_nonzero_pairs", enum_pairs, two_s * (big - 1)),
-                     ("w1_zero_degree_classes", enum_deg,
-                      two_s * degree_values)]
-            total = two_s * (big - 1) + two_s * degree_values
-            return _report(group, g, s, mode, pairs, total)
-        if fam == "SO0_2n":
-            enum = len(_pair_tuples(_w1_vectors(g, s), _w2_vectors(s)))
-            total = _pow2(2 * g + 2 * s - 1)
-            assert two_s * big == total
-            return _report(group, g, s, mode,
-                           [("w1_w2_pairs", enum, two_s * big)], total,
-                           notes=(_SO02N_IDENTITY_NOTE,))
-        if fam == "E7minus25":
-            enum = len(_w1_vectors(g, s))
-            return _report(group, g, s, mode, [("w1_values", enum, big)], big,
-                           notes=(_E7_NOTE,))
-
-    if mode.variant == "max_fixed_alpha":
-        if fam == "SUnn":
-            if mode.parity == "odd":
-                return _report(group, g, s, mode, [], 0,
-                               verdict="no_maximal_objects",
-                               notes=("no maximal polystable objects for odd "
-                                      "weight assignments",))
-            enum = len(list(product((0, 1), repeat=2 * g)))
-            return _report(group, g, s, mode,
-                           [("w1_torsion_classes", enum, tor)], tor)
-        if fam == "SOstar2n":
-            return _report(group, g, s, mode, [("single_class", 1, 1)], 1)
-        if fam == "SO0_2n" and group.n == 3:
-            degree_values = 4 * g - 3 + 2 * s
-            enum_nonzero = len(_w1_vectors(g, s)) - 1
-            pairs = [("w1_nonzero", enum_nonzero, big - 1),
-                     ("w1_zero_degree_classes", degree_values, degree_values)]
-            total_printed = big + degree_values
-            return _report(group, g, s, mode, pairs, total_printed,
-                           notes=(_SO023_FIXED_NOTE,))
-        if fam == "SO0_2n":
-            enum = len(_w1_vectors(g, s))
-            return _report(group, g, s, mode, [("w1_values", enum, big)], big)
-        if fam == "E7minus25":
-            raise DomainError("unsupported_mode_for_group",
-                              group=group.display(), mode=mode.variant)
-
-    # punctured counts are only stated for the Sp family
-    raise DomainError("unsupported_mode_for_group", group=group.display(),
-                      mode=mode.variant)
-
-
 def count_components(group: GroupDescriptor, g: int, s: int, mode: CountMode,
                      cap: int | None = None) -> ComponentCountReport:
     """Count connected components (lower bound) per group, mode and (g, s).
 
     The per-case breakdown follows the published case analysis; enumerated
     counts come from materializing the invariant tuples, closed forms from
-    the count formulas.  ``match`` compares the totals.
+    the products of the factor sizes.  ``match`` compares the enumerated
+    total with the published one.  ``cap`` bounds the enumeration and is
+    checked against the case sizes before anything is materialized.
     """
-    if group.family == "split":
-        raise DomainError("unsupported_group_for_counting",
-                          group=group.display())
-
-    if mode.variant in ("nonparabolic_s1", "nonparabolic_kd_twisted_s1"):
-        if s != 1:
-            raise DomainError("nonparabolic_modes_need_single_point", s=s)
-        _require_marked(g, s)
-        if mode.variant == "nonparabolic_s1":
-            value = _table_921_value(group, g)
-            return _report(group, g, s, mode,
-                           [("closed_surface_classes", value, value)], value)
-        cases, total, notes = _kd_twisted_cases(group, g)
-        pairs = [(label, v, v) for label, v in cases]
-        return _report(group, g, s, mode, pairs, total, notes=notes)
-
+    row = _row(group)
+    if mode.variant.startswith("nonparabolic") and s != 1:
+        raise DomainError("nonparabolic_modes_need_single_point", s=s)
     _require_marked(g, s)
-    if group.family == "Sp2nR":
-        return _sp_report(group, g, s, mode, cap)
-    return _hermitian_report(group, g, s, mode)
+    z = _factor_sizes(g, s)
+    if mode.variant == "nonparabolic_s1":
+        value = _CLOSED_SURFACE[row](z)
+        return _report(group, g, s, mode,
+                       [("closed_surface_classes", value, value)], value)
+    entry = _entry(row, mode)
+    if entry is None:
+        raise DomainError("unsupported_mode_for_group", group=group.display(),
+                          mode=mode.variant)
+    sizes, total = _closed_forms(entry, z)
+    if mode.variant == _KD:  # counted, not enumerated, like the closed surface
+        enumerated = sizes
+    else:
+        _check_cap(sum(sizes), cap)
+        enumerated = [len(_materialize(factors, z, mode.parity))
+                      for _, factors in entry.cases]
+    pairs = [(label, enum, size) for (label, _), enum, size
+             in zip(entry.cases, enumerated, sizes)]
+    return _report(group, g, s, mode, pairs, total,
+                   verdict=None if entry.cases else "no_maximal_objects",
+                   notes=entry.notes)
 
 
 # --------------------------------------------------------------------------
@@ -672,7 +620,7 @@ def teichmuller_count(group: GroupDescriptor, g: int, s: int) -> int:
     if not is_split(group):
         raise DomainError("not_split", group=group.display())
     _require_marked(g, s)
-    return _pow2(2 * g + s - 1)
+    return _factor_sizes(g, s)["w1"]
 
 
 def strubel_count(g: int, m: int) -> int:
@@ -709,73 +657,48 @@ class ComponentTable:
 
 _DASH = "-"
 
+# Teichmuller cells: "{}" takes the Sp(2,R) total of the table's mode (a
+# dash where that is empty); any other text is printed as it stands.
+_TEICHMULLER_CELLS = {_SP2: "{}", _SP4: "{}", _SP2N: "{}",
+                      _SU: "- ({} if n=1)", _SO023: "1"}
 
-def _cell(value: int | None) -> str:
-    return _DASH if value is None else str(value)
+
+def _table(title: str, key: str, z: _Sizes, footnotes=()) -> ComponentTable:
+    split_total = _closed_forms(_TABLE[(_SP2, key)], z)[1]
+    rows = []
+    for label in _ROWS:
+        entry = _TABLE.get((label, key))
+        if entry is None:
+            continue
+        count = str(_closed_forms(entry, z)[1]) if entry.cases else _DASH
+        teich = _TEICHMULLER_CELLS.get(label, _DASH)
+        if "{}" in teich:
+            teich = teich.format(split_total) if split_total else _DASH
+        rows.append(TableRow(label, count, teich))
+    return ComponentTable(title, tuple(rows), footnotes)
 
 
 def emit_tables(g: int, s: int) -> tuple[ComponentTable, ComponentTable,
                                          ComponentTable]:
     """Instantiate the three component-count tables at (g, s).
 
-    Dashes mark empty or undefined cells (e.g. the odd-parity Sp(2,R) row:
-    no maximal objects).  The SO0(2,3) fixed-parity rows print the published
-    formula; the one-smaller enumerated total is flagged in a footnote.
+    Count cells are the case table's published totals.  Dashes mark empty
+    or undefined cells (e.g. the odd-parity Sp(2,R) row: no maximal
+    objects).  The SO0(2,3) fixed-parity rows print the published formula;
+    the one-smaller enumerated total is flagged in a footnote.
     """
     _require_marked(g, s)
-    big = _pow2(2 * g + s - 1)
-    tor = _pow2(2 * g)
-    two_s = _pow2(s)
-
-    def rows_max() -> tuple[TableRow, ...]:
-        return (
-            TableRow("Sp(2,R)=SL(2,R)", _cell(big), _cell(big)),
-            TableRow("Sp(4,R)",
-                     _cell((two_s + 1) * big + two_s * (2 * g - 3 + s)),
-                     _cell(big)),
-            TableRow("Sp(2n,R), for n>=3", _cell((two_s + 1) * big),
-                     _cell(big)),
-            TableRow("SU(n,n)", _cell(big), f"{_DASH} ({big} if n=1)"),
-            TableRow("SO*(2n), for n: even", _cell(two_s), _DASH),
-            TableRow("SO0(2,3)",
-                     _cell(two_s * (big - 1) + two_s * (4 * g - 3 + 2 * s)),
-                     "1"),
-            TableRow("SO0(2,n), for n>=4", _cell(_pow2(2 * g + 2 * s - 1)),
-                     _DASH),
-            TableRow("E7^{-25}", _cell(big), _DASH),
-        )
-
-    def rows_fixed(par: str) -> tuple[TableRow, ...]:
-        even = par == "even"
-        sp2 = TableRow("Sp(2,R)=SL(2,R)", _cell(tor) if even else _DASH,
-                       _cell(tor) if even else _DASH)
-        sp4_total = big + (2 * g - 3 + s) + (tor if even else 0)
-        sp2n_total = big + (tor if even else 0)
-        return (
-            sp2,
-            TableRow("Sp(4,R)", _cell(sp4_total), _cell(tor) if even else _DASH),
-            TableRow("Sp(2n,R), for n>=3", _cell(sp2n_total),
-                     _cell(tor) if even else _DASH),
-            TableRow("SU(n,n)", _cell(tor) if even else _DASH,
-                     f"{_DASH} ({tor} if n=1)" if even else _DASH),
-            TableRow("SO*(2n), for n: even", "1", _DASH),
-            TableRow("SO0(2,3)", _cell(big + (4 * g - 3 + 2 * s)), "1"),
-            TableRow("SO0(2,n), for n>=4", _cell(big), _DASH),
-        )
-
+    z = _factor_sizes(g, s)
     fixed_footnote = ("SO0(2,3) prints the published formula "
                       "2^{2g+s-1}+(4g-3+2s); the case-by-case enumeration "
-                      "gives one fewer (see the count report).")
-    table1 = ComponentTable(
-        "Table 1: minimum components of the maximal moduli (all weights)",
-        rows_max())
-    table2 = ComponentTable(
-        "Table 2: minimum components at a fixed even weight assignment",
-        rows_fixed("even"), footnotes=(fixed_footnote,))
-    table3 = ComponentTable(
-        "Table 3: minimum components at a fixed odd weight assignment",
-        rows_fixed("odd"), footnotes=(fixed_footnote,))
-    return table1, table2, table3
+                      "gives one fewer (see the count report).",)
+    return (
+        _table("Table 1: minimum components of the maximal moduli "
+               "(all weights)", "max_union", z),
+        _table("Table 2: minimum components at a fixed even weight "
+               "assignment", "even", z, fixed_footnote),
+        _table("Table 3: minimum components at a fixed odd weight "
+               "assignment", "odd", z, fixed_footnote))
 
 
 def tables_markdown(tables: tuple[ComponentTable, ...], g: int, s: int) -> str:
@@ -821,21 +744,25 @@ class S1ReductionReport:
     notes: tuple[str, ...] = ()
 
 
-def s1_reduction_report(group: GroupDescriptor, g: int) -> S1ReductionReport:
+def s1_reduction_report(group: GroupDescriptor, g: int,
+                        cap: int | None = None) -> S1ReductionReport:
     """Reduce the parabolic count at s=1 and compare with the closed-surface
-    catalog (and, where stated, the K(D)-twisted count)."""
-    parabolic = count_components(group, g, 1, CountMode.max_union())
-    table_value = _table_921_value(group, g)
+    catalog (and, where stated, the K(D)-twisted count).  ``cap`` bounds the
+    parabolic enumeration as in :func:`count_components`."""
+    parabolic = count_components(group, g, 1, CountMode.max_union(), cap=cap)
+    row = _row(group)
+    z = _factor_sizes(g, 1)
+    table_value = _CLOSED_SURFACE[row](z)
 
     notes: list[str] = []
     kd_count: int | None = None
     kd_cases: tuple[tuple[str, int], ...] = ()
-    if (group.family == "Sp2nR" and group.n == 2) or \
-            (group.family == "SO0_2n" and group.n == 3):
-        cases, total, kd_notes = _kd_twisted_cases(group, g)
-        kd_count = total
-        kd_cases = tuple(cases)
-        notes.extend(kd_notes)
+    kd = _TABLE.get((row, _KD))
+    if kd is not None:
+        sizes, kd_count = _closed_forms(kd, z)
+        kd_cases = tuple((label, size) for (label, _), size
+                         in zip(kd.cases, sizes))
+        notes.extend(kd.notes)
     else:
         notes.append("no K(D)-twisted case analysis is stated for this "
                      "group; only the closed-surface count is compared")

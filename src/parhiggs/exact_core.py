@@ -8,21 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
-    "Rational",
     "DomainError",
     "rat_from_str",
     "rat_to_str",
-    "rational_sum",
     "Z2Matrix",
     "z2_rank",
     "z2_solution_set",
     "q_matrix_rank",
 ]
-
-Rational = Fraction
 
 
 class DomainError(ValueError):
@@ -53,11 +49,6 @@ def rat_from_str(s: str | int) -> Fraction:
 def rat_to_str(x: Fraction | int) -> str:
     """Serialize exactly as "p/q", or "n" when the denominator is 1."""
     return str(Fraction(x))
-
-
-def rational_sum(xs: Iterable[Fraction | int]) -> Fraction:
-    """Exact sum in lowest terms; the empty sum is 0."""
-    return sum((Fraction(x) for x in xs), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Base geometry: a genus-g surface with s marked points and isotropy orders.
 
-Carries the degree bookkeeping for the line bundles K, xi = O(D) and K(D),
-and the Riemann-Roch count used by the Teichmüller-dimension formula.
+Carries deg K(D) = 2g - 2 + s and the Riemann-Roch count used by the
+Teichmüller-dimension formula.
 """
 
 from __future__ import annotations
@@ -13,14 +13,10 @@ from .exact_core import DomainError
 __all__ = [
     "MarkedPoint",
     "MarkedSurface",
-    "FormalLineBundle",
     "standard_surface",
     "deg_kd",
     "h0_twisted_power",
     "require_hyperbolic",
-    "canonical_bundle",
-    "divisor_bundle",
-    "kd_bundle",
     "surface_to_json",
     "surface_from_json",
 ]
@@ -67,13 +63,6 @@ class MarkedSurface:
         return 2 * self.genus - 2 + self.s > 0
 
 
-@dataclass(frozen=True)
-class FormalLineBundle:
-    """A line bundle remembered only by its degree."""
-
-    degree: int
-
-
 def standard_surface(genus: int, s: int, order: int = 2) -> MarkedSurface:
     """Surface with points labelled x1..xs, all of the same isotropy order."""
     return MarkedSurface(genus, tuple(MarkedPoint(f"x{i+1}", order) for i in range(s)))
@@ -88,18 +77,6 @@ def require_hyperbolic(surface: MarkedSurface) -> None:
 def deg_kd(surface: MarkedSurface) -> int:
     """deg K(D) = 2g - 2 + s."""
     return 2 * surface.genus - 2 + surface.s
-
-
-def canonical_bundle(surface: MarkedSurface) -> FormalLineBundle:
-    return FormalLineBundle(2 * surface.genus - 2)
-
-
-def divisor_bundle(surface: MarkedSurface) -> FormalLineBundle:
-    return FormalLineBundle(surface.s)
-
-
-def kd_bundle(surface: MarkedSurface) -> FormalLineBundle:
-    return FormalLineBundle(deg_kd(surface))
 
 
 def h0_twisted_power(surface: MarkedSurface, m: int) -> int:

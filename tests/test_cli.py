@@ -11,6 +11,7 @@ byte-for-byte.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -502,6 +503,43 @@ def test_hitchin_above_rank_limit_is_refused_promptly():
     payload = json.loads(proc.stdout)
     validate(payload, "error")
     assert payload == {"error": "rank_too_large", "n": 40, "limit": 20}
+
+
+def _limit_address_space():
+    # a regression that materializes past the cap fails with MemoryError
+    # instead of exhausting the host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv,needed", [
+    # SO0(2,3) at (12,12): 2^12 (2^35 - 1) nonzero-w1 pairs and
+    # 2^12 * 69 degree classes
+    (["components", "--group", "so0-23", "--g", "12", "--s", "12"],
+     2 ** 12 * (2 ** 35 - 1) + 2 ** 12 * 69),
+    # Sp(4,R) at (12,1): 2 (2^24 - 1) pairs, 2 * 23 degrees, 2^24 roots
+    (["s1-report", "--group", "sp4", "--g", "12"],
+     2 * (2 ** 24 - 1) + 2 * 23 + 2 ** 24),
+], ids=["components-so0-23", "s1-report-sp4"])
+def test_default_cap_refuses_large_counts_promptly(argv, needed):
+    proc = subprocess.run(
+        [sys.executable, "-m", "parhiggs.cli", *argv],
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                 PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 2, proc.stderr
+    payload = json.loads(proc.stdout)
+    validate(payload, "error")
+    assert payload == {"error": "enumeration_cap_exceeded",
+                       "needed": needed, "cap": DEFAULT_CAP}
+
+
+def test_s1_report_honours_cap_flag(capsys):
+    code, payload = run_json(
+        capsys, ["s1-report", "--group", "sp4", "--g", "2", "--cap", "10"])
+    assert code == 2
+    assert payload == {"error": "enumeration_cap_exceeded",
+                       "needed": 52, "cap": 10}
 
 
 # --------------------------------------------------------------------------

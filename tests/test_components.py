@@ -28,7 +28,9 @@ from parhiggs.components import (
     tables_markdown,
     teichmuller_count,
 )
+from parhiggs.components import _factor_sizes
 from parhiggs.exact_core import DomainError
+from parhiggs.vcoh import v_cohomology_ranks
 
 MAX = CountMode.max_union()
 EVEN = CountMode.fixed_parity("even")
@@ -197,6 +199,75 @@ def test_enumeration_cap():
     assert payload["needed"] == 52
     with pytest.raises(DomainError):
         count_components(sp2nr(2), 2, 1, MAX, cap=10)
+
+
+CAP = 10 ** 6
+
+
+def test_cap_is_checked_before_materializing_every_family():
+    # (g, s) = (12, 12): h1 = 35, h2 = 12; 2g-2+s = 34, 4g-3+2s = 69
+    big, w2, tor = 2 ** 35, 2 ** 12, 2 ** 24
+    needed = {
+        (sp2nr(1), MAX): big,
+        (sp2nr(1), EVEN): tor,
+        (sp2nr(1), ODD): 0,
+        (sp2nr(1), PUNCT): big,
+        (sp2nr(2), MAX): w2 * (big - 1) + w2 * 34 + big,
+        (sp2nr(2), EVEN): (big - 1) + 34 + tor,
+        (sp2nr(2), ODD): (big - 1) + 34,
+        (sp2nr(2), PUNCT): big,
+        (sp2nr(3), MAX): w2 * big + big,
+        (sp2nr(3), EVEN): big + tor,
+        (sp2nr(3), ODD): big,
+        (sp2nr(3), PUNCT): big,
+        (sunn(2), MAX): big,
+        (sunn(2), EVEN): tor,
+        (sunn(2), ODD): 0,
+        (so_star_2n(2), MAX): w2,
+        (so_star_2n(2), EVEN): 1,
+        (so_star_2n(2), ODD): 1,
+        (so0_2n(3), MAX): w2 * (big - 1) + w2 * 69,
+        (so0_2n(3), EVEN): (big - 1) + 69,
+        (so0_2n(3), ODD): (big - 1) + 69,
+        (so0_2n(4), MAX): w2 * big,
+        (so0_2n(4), EVEN): big,
+        (so0_2n(4), ODD): big,
+        (e7_minus25(), MAX): big,
+    }
+    for (group, mode), want in needed.items():
+        if want <= CAP:
+            report = count_components(group, 12, 12, mode, cap=CAP)
+            assert report.total_enumerated == want
+            continue
+        with pytest.raises(DomainError) as e:
+            count_components(group, 12, 12, mode, cap=CAP)
+        assert e.value.payload() == {"error": "enumeration_cap_exceeded",
+                                     "needed": want, "cap": CAP}
+        if group.family == "Sp2nR":
+            with pytest.raises(DomainError) as e:
+                enumerate_invariants_sp(group.n, 12, 12, mode, cap=CAP)
+            assert e.value.payload()["needed"] == want
+
+
+def test_s1_reduction_report_honours_cap():
+    with pytest.raises(DomainError) as e:
+        s1_reduction_report(sp2nr(2), 2, cap=10)
+    assert e.value.payload() == {"error": "enumeration_cap_exceeded",
+                                 "needed": 52, "cap": 10}
+    assert s1_reduction_report(sp2nr(2), 2, cap=52).parabolic_count == 52
+
+
+def test_factor_sizes_follow_v_cohomology_ranks():
+    for g in range(5):
+        for s in range(1, 6):
+            ranks, _ = v_cohomology_ranks(g, s, "order2")
+            z = _factor_sizes(g, s)
+            assert z["w1"] == z["roots"] == 2 ** ranks.h1
+            assert z["w1_nonzero"] == 2 ** ranks.h1 - 1
+            assert z["w2"] == 2 ** ranks.h2
+            assert z["torsion"] == z["roots_fixed"] == 2 ** (2 * g)
+            assert z["degrees"] == 2 * g - 2 + s
+            assert z["so_degrees"] == 4 * g - 3 + 2 * s
 
 
 # --------------------------------------------------------------------------

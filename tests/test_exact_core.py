@@ -9,7 +9,6 @@ from parhiggs.exact_core import (
     q_matrix_rank,
     rat_from_str,
     rat_to_str,
-    rational_sum,
     z2_rank,
     z2_solution_set,
 )
@@ -23,12 +22,6 @@ def test_rational_serialization_round_trip():
     assert rat_from_str("-4") == Fraction(-4)
     with pytest.raises(DomainError):
         rat_from_str("1/0")
-
-
-def test_rational_sum():
-    assert rational_sum([]) == 0
-    assert rational_sum([Fraction(1, 2), Fraction(1, 2)]) == 1
-    assert rational_sum([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]) == 1
 
 
 def test_rational_sum_exactness_random():

@@ -195,58 +195,75 @@ def section_components():
         print(f"SO0(2,3) fixed ({g},{s}): enumerated {enum} printed {printed}")
 
 
+def table_cells(g: int, s: int):
+    """Every printed table cell at (g,s): three dicts, row label -> count
+    (None for an empty row), in printed row order."""
+    p = lambda e: 2 ** e
+    t1 = {
+        "Sp(2,R)": p(2 * g + s - 1),
+        "Sp(4,R)": (2 ** s + 1) * p(2 * g + s - 1) + 2 ** s * (2 * g - 3 + s),
+        "Sp(2n,R) n>=3": (2 ** s + 1) * p(2 * g + s - 1),
+        "SU(n,n)": p(2 * g + s - 1),
+        "SO*(2n) n even": 2 ** s,
+        "SO0(2,3)": 2 ** s * (p(2 * g + s - 1) - 1) + 2 ** s * (4 * g - 3 + 2 * s),
+        "SO0(2,n) n>=4": p(2 * g + 2 * s - 1),
+        "E7(-25)": p(2 * g + s - 1),
+    }
+    t2 = {
+        "Sp(2,R)": p(2 * g),
+        "Sp(4,R)": p(2 * g + s - 1) + (2 * g - 3 + s) + p(2 * g),
+        "Sp(2n,R) n>=3": p(2 * g + s - 1) + p(2 * g),
+        "SU(n,n)": p(2 * g),
+        "SO*(2n) n even": 1,
+        "SO0(2,3)": p(2 * g + s - 1) + (4 * g - 3 + 2 * s),
+        "SO0(2,n) n>=4": p(2 * g + s - 1),
+    }
+    t3 = {
+        "Sp(2,R)": None,
+        "Sp(4,R)": p(2 * g + s - 1) + (2 * g - 3 + s),
+        "Sp(2n,R) n>=3": p(2 * g + s - 1),
+        "SU(n,n)": None,
+        "SO*(2n) n even": 1,
+        "SO0(2,3)": p(2 * g + s - 1) + (4 * g - 3 + 2 * s),
+        "SO0(2,n) n>=4": p(2 * g + s - 1),
+    }
+    return t1, t2, t3
+
+
 def section_tables():
     """Every printed table cell instantiated at the golden (g,s) pairs."""
-    def rows(g, s):
-        p = lambda e: 2 ** e
-        t1 = {
-            "Sp(2,R)": p(2 * g + s - 1),
-            "Sp(4,R)": (2 ** s + 1) * p(2 * g + s - 1) + 2 ** s * (2 * g - 3 + s),
-            "Sp(2n,R) n>=3": (2 ** s + 1) * p(2 * g + s - 1),
-            "SU(n,n)": p(2 * g + s - 1),
-            "SO*(2n) n even": 2 ** s,
-            "SO0(2,3)": 2 ** s * (p(2 * g + s - 1) - 1) + 2 ** s * (4 * g - 3 + 2 * s),
-            "SO0(2,n) n>=4": p(2 * g + 2 * s - 1),
-            "E7(-25)": p(2 * g + s - 1),
-        }
-        t2 = {
-            "Sp(2,R)": p(2 * g),
-            "Sp(4,R)": p(2 * g + s - 1) + (2 * g - 3 + s) + p(2 * g),
-            "Sp(2n,R) n>=3": p(2 * g + s - 1) + p(2 * g),
-            "SU(n,n)": p(2 * g),
-            "SO*(2n) n even": 1,
-            "SO0(2,3)": p(2 * g + s - 1) + (4 * g - 3 + 2 * s),
-            "SO0(2,n) n>=4": p(2 * g + s - 1),
-        }
-        t3 = {
-            "Sp(2,R)": None,
-            "Sp(4,R)": p(2 * g + s - 1) + (2 * g - 3 + s),
-            "Sp(2n,R) n>=3": p(2 * g + s - 1),
-            "SU(n,n)": None,
-            "SO*(2n) n even": 1,
-            "SO0(2,3)": p(2 * g + s - 1) + (4 * g - 3 + 2 * s),
-            "SO0(2,n) n>=4": p(2 * g + s - 1),
-        }
-        return t1, t2, t3
-
     for (g, s) in [(2, 1), (2, 2), (0, 3), (1, 2)]:
-        t1, t2, t3 = rows(g, s)
+        t1, t2, t3 = table_cells(g, s)
         print(f"--- tables at (g,s)=({g},{s})")
         print(" T1:", t1)
         print(" T2:", t2)
         print(" T3:", t3)
 
 
+def s1_values(g: int):
+    """Parabolic s=1, K(D)-twisted and closed-surface counts at genus g,
+    for the two groups with a stated K(D)-twisted case analysis."""
+    return {
+        "Sp(4,R)": {
+            "parabolic": 2 * (2 ** (2 * g) - 1) + 2 * (2 * g - 1) + 2 ** (2 * g),
+            "kd_twisted": 2 * (2 ** (2 * g) - 1) + (2 * g - 1) + 2 ** (2 * g),
+            "table": 3 * 2 ** (2 * g) + 4 * g - 4,
+        },
+        "SO0(2,3)": {
+            "parabolic": 2 * (2 ** (2 * g) - 1) + 2 * (4 * g - 1),
+            "kd_twisted": 2 * (2 ** (2 * g) - 1) + (4 * g - 1),
+            "table": 2 ** (2 * g + 1) + 8 * g - 4,
+        },
+    }
+
+
 def section_s1():
     for g in [2, 3]:
-        par_sp4 = 2 * (2 ** (2 * g) - 1) + 2 * (2 * g - 1) + 2 ** (2 * g)
-        kd_sp4 = 2 * (2 ** (2 * g) - 1) + (2 * g - 1) + 2 ** (2 * g)
-        tab_sp4 = 3 * 2 ** (2 * g) + 4 * g - 4
-        par_so = 2 * (2 ** (2 * g) - 1) + 2 * (4 * g - 1)
-        kd_so = 2 * (2 ** (2 * g) - 1) + (4 * g - 1)
-        tab_so = 2 ** (2 * g + 1) + 8 * g - 4
-        print(f"s=1 g={g}: Sp4 par {par_sp4} kd {kd_sp4} table {tab_sp4}; "
-              f"SO0(2,3) par {par_so} kd {kd_so} table {tab_so}")
+        v = s1_values(g)
+        sp4, so = v["Sp(4,R)"], v["SO0(2,3)"]
+        print(f"s=1 g={g}: Sp4 par {sp4['parabolic']} kd {sp4['kd_twisted']} "
+              f"table {sp4['table']}; SO0(2,3) par {so['parabolic']} "
+              f"kd {so['kd_twisted']} table {so['table']}")
     print("strubel(2,1):", 2 ** (2 * 2 + 1 - 1), " strubel(0,3):", 2 ** 2,
           " strubel(1,2):", 2 ** 3)
 
