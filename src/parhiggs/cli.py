@@ -22,29 +22,27 @@ from fractions import Fraction
 
 from . import components as comp
 from . import dimension as dim
-from .exact_core import DomainError, rat_to_str
+from .codec import JsonShapeError, from_json, to_json
+from .exact_core import DomainError
 from .orbifold import (
     VLineBundle,
     kawasaki_euler,
     pic_v_structure,
     square_root_types,
     vline_degree,
-    vline_to_json,
     z2_character_count,
     z2_character_enumerate,
 )
-from .parbun import bundle_from_json, line_from_json, pardeg, parslope
+from .parbun import ParabolicBundle, ParabolicLineBundle, pardeg, parslope
 from .stability import (
+    DecomposableHiggsModel,
+    SpTripleModel,
     arrow_feasibility_violations,
     general_mw_interval,
     hitchin_model,
     hitchin_sp_triple,
     is_maximal,
     milnor_wood_bound,
-    model_from_json,
-    model_to_json,
-    sp_triple_from_json,
-    sp_triple_to_json,
     stability_verdict,
     toledo,
 )
@@ -74,22 +72,12 @@ class CommandOutput:
 # serialization helpers
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return rat_to_str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _dump(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+    return json.dumps(to_json(payload), sort_keys=True, indent=2)
 
 
 def _inline(value) -> str:
-    converted = _jsonable(value)
+    converted = to_json(value)
     if isinstance(converted, str):
         return converted
     return json.dumps(converted, sort_keys=True, separators=(",", ":"))
@@ -144,10 +132,11 @@ def _parse_bits(text: str, length: int, what: str) -> tuple[int, ...]:
     return bits
 
 
-def _load_json(text: str, what: str) -> dict:
+def _load_json(text: str, what: str, cls):
+    """The --what argument read as an instance of cls."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return from_json(cls, json.loads(text))
+    except (json.JSONDecodeError, JsonShapeError) as exc:
         raise DomainError("bad_json_argument", field=what,
                           detail=str(exc)) from exc
 
@@ -201,7 +190,11 @@ def _resolve_cap(args) -> int:
     if args.cap is not None:
         cap = args.cap
     else:
-        cap = int(os.environ.get("PARHIGGS_CAP", DEFAULT_CAP))
+        text = os.environ.get("PARHIGGS_CAP", str(DEFAULT_CAP))
+        try:
+            cap = int(text)
+        except ValueError:
+            raise DomainError("bad_cap", cap=text) from None
     if cap <= 0:
         raise DomainError("bad_cap", cap=cap)
     return cap
@@ -216,9 +209,9 @@ def _cmd_pardeg(args, cap) -> CommandOutput:
     if (args.line is None) == (args.bundle is None):
         raise DomainError("need_exactly_one_of", fields=["line", "bundle"])
     if args.line is not None:
-        line = line_from_json(_load_json(args.line, "line"))
+        line = _load_json(args.line, "line", ParabolicLineBundle)
         return CommandOutput({"pardeg": pardeg(line, surface)})
-    bundle = bundle_from_json(_load_json(args.bundle, "bundle"))
+    bundle = _load_json(args.bundle, "bundle", ParabolicBundle)
     return CommandOutput({"pardeg": pardeg(bundle, surface),
                           "parslope": parslope(bundle, surface),
                           "rank": bundle.rank})
@@ -228,19 +221,17 @@ def _cmd_stability(args, cap) -> CommandOutput:
     if (args.model is None) == (args.triple is None):
         raise DomainError("need_exactly_one_of", fields=["model", "triple"])
     if args.model is not None:
-        model = model_from_json(_load_json(args.model, "model"))
+        model = _load_json(args.model, "model", DecomposableHiggsModel)
     else:
-        triple = sp_triple_from_json(_load_json(args.triple, "triple"))
+        triple = _load_json(args.triple, "triple", SpTripleModel)
         model = triple.to_decomposable()
-    report = stability_verdict(model)
-    payload = report.to_json()
-    payload["feasibility_violations"] = [list(a) for a in sorted(
-        arrow_feasibility_violations(model))]
-    return CommandOutput(payload)
+    return CommandOutput(dict(
+        to_json(stability_verdict(model)),
+        feasibility_violations=arrow_feasibility_violations(model)))
 
 
 def _cmd_toledo(args, cap) -> CommandOutput:
-    triple = sp_triple_from_json(_load_json(args.triple, "triple"))
+    triple = _load_json(args.triple, "triple", SpTripleModel)
     surface = triple.surface
     bound = milnor_wood_bound(triple.n, surface.genus, surface.s)
     return CommandOutput({"toledo": toledo(triple), "bound": bound,
@@ -263,7 +254,7 @@ def _cmd_hitchin(args, cap) -> CommandOutput:
     model = hitchin_model(args.k, args.g, args.s)
     report = stability_verdict(model)
     payload = {
-        "model": model_to_json(model),
+        "model": model,
         "pardegs": [pardeg(l, model.surface) for l in model.summands],
         "total_pardeg": sum((pardeg(l, model.surface)
                              for l in model.summands), Fraction(0)),
@@ -271,7 +262,7 @@ def _cmd_hitchin(args, cap) -> CommandOutput:
     }
     if args.triple:
         triple = hitchin_sp_triple(args.k, args.g, args.s)
-        payload["sp_triple"] = sp_triple_to_json(triple)
+        payload["sp_triple"] = triple
         payload["toledo"] = toledo(triple)
         payload["bound"] = milnor_wood_bound(triple.n, args.g, args.s)
         payload["is_maximal"] = is_maximal(triple)
@@ -319,18 +310,10 @@ def _cmd_components(args, cap) -> CommandOutput:
     if args.emit_tables:
         trailer = comp.tables_markdown(comp.emit_tables(args.g, args.s),
                                        args.g, args.s)
-    return CommandOutput(comp.report_to_json(report),
+    return CommandOutput(to_json(report),
                          markdown=_components_markdown(report),
                          csv=_components_csv(report),
                          trailer=trailer)
-
-
-def _tables_payload(tables) -> dict:
-    return {"tables": [
-        {"title": t.title,
-         "rows": [{"label": r.label, "count": r.count,
-                   "teichmuller": r.teichmuller} for r in t.rows],
-         "footnotes": list(t.footnotes)} for t in tables]}
 
 
 def _tables_csv(tables) -> str:
@@ -345,9 +328,8 @@ def _tables_csv(tables) -> str:
 
 def _cmd_tables(args, cap) -> CommandOutput:
     tables = comp.emit_tables(args.g, args.s)
-    payload = dict(_tables_payload(tables), genus=args.g,
-                   marked_points=args.s)
-    return CommandOutput(payload,
+    return CommandOutput({"tables": tables, "genus": args.g,
+                          "marked_points": args.s},
                          markdown=comp.tables_markdown(tables, args.g, args.s),
                          csv=_tables_csv(tables),
                          default_format="markdown")
@@ -358,11 +340,7 @@ def _parse_flag_spec(text: str, n: int, s: int):
         return dim.full_flag_multiplicities(n, s)
     if text == "trivial":
         return ((n,),) * s
-    spec = _load_json(text, "flags")
-    if not isinstance(spec, list):
-        raise DomainError("bad_json_argument", field="flags",
-                          detail="expected a list of multiplicity lists")
-    return [tuple(int(k) for k in point) for point in spec]
+    return _load_json(text, "flags", tuple[tuple[int, ...], ...])
 
 
 _DIMS_REQUIRED = {"paradim": "n", "sparadim": "n", "complex": "dim_c",
@@ -385,14 +363,12 @@ def _cmd_dims(args, cap) -> CommandOutput:
     if args.formula == "complex":
         data = dim.complex_group_data(args.name, args.dim_c)
         report = dim.dim_complex_group(data, args.g, args.s)
-        payload = dict(dim.dim_report_to_json(report), formula="complex",
-                       group=data.name)
+        payload = dict(to_json(report), formula="complex", group=data.name)
         return CommandOutput(payload)
     data = dim.lie_catalog(args.lie_group)
     report = dim.teichmuller_dimension(data, args.g, args.s,
                                        rk_m_c=args.rk_mc)
-    payload = dict(dim.dim_report_to_json(report), formula="teich",
-                   group=data.name)
+    payload = dict(to_json(report), formula="teich", group=data.name)
     return CommandOutput(payload)
 
 
@@ -432,9 +408,7 @@ def _cmd_characters(args, cap) -> CommandOutput:
     surface = _build_surface(args.g, args.s, args.orders)
     payload = {"count": z2_character_count(surface)}
     if args.enumerate:
-        characters = z2_character_enumerate(surface, cap=cap)
-        payload["characters"] = [{"ab": list(ch.ab), "sigma": list(ch.sigma)}
-                                 for ch in characters]
+        payload["characters"] = z2_character_enumerate(surface, cap=cap)
     return CommandOutput(payload)
 
 
@@ -443,7 +417,7 @@ def _cmd_roots(args, cap) -> CommandOutput:
     vline = _vline_from_args(args, surface)
     family = square_root_types(vline, surface)
     return CommandOutput({
-        "types": [vline_to_json(t) for t in family.types],
+        "types": family.types,
         "type_count": len(family.types),
         "torsion_multiplicity": family.torsion_multiplicity,
         "total": family.total,
@@ -453,7 +427,7 @@ def _cmd_roots(args, cap) -> CommandOutput:
 def _cmd_s1_report(args, cap) -> CommandOutput:
     group = _parse_group(args.group, args.n)
     report = comp.s1_reduction_report(group, args.g, cap=cap)
-    return CommandOutput(comp.s1_report_to_json(report))
+    return CommandOutput(to_json(report))
 
 
 # --------------------------------------------------------------------------

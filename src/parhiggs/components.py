@@ -57,10 +57,6 @@ __all__ = [
     "strubel_count",
     "S1ReductionReport",
     "s1_reduction_report",
-    "group_to_json",
-    "mode_to_json",
-    "report_to_json",
-    "s1_report_to_json",
 ]
 
 
@@ -627,14 +623,12 @@ def strubel_count(g: int, m: int) -> int:
     """Component count 2^{2g+m-1} for maximal Sp(2n,R) surface-group
     representations with m >= 1 boundary components, independent of n.
 
-    Computed by the punctured-mode enumeration: over the glued surface H^2
-    vanishes, so only one line bundle lives over each affine cell and the
-    square-root classes are all that remain.
+    Read from the punctured Sp(2,R) entry of the case table: over the glued
+    surface H^2 vanishes, so only one line bundle lives over each affine
+    cell and the square-root classes are all that remain.
     """
-    if m < 1:
-        raise DomainError("needs_marked_points", g=g, s=m)
-    tuples = enumerate_invariants_sp(1, g, m, CountMode.punctured())
-    return len(tuples)
+    _require_marked(g, m)
+    return _closed_forms(_TABLE[(_SP2, "punctured")], _factor_sizes(g, m))[1]
 
 
 # --------------------------------------------------------------------------
@@ -780,56 +774,3 @@ def s1_reduction_report(group: GroupDescriptor, g: int,
         kd_twisted_cases=kd_cases,
         table_count=table_value,
         notes=tuple(notes))
-
-
-# --------------------------------------------------------------------------
-# JSON
-
-
-def group_to_json(group: GroupDescriptor) -> dict:
-    obj = {"family": group.family, "display": group.display()}
-    if group.n is not None:
-        obj["n"] = group.n
-    if group.name is not None:
-        obj["name"] = group.name
-    return obj
-
-
-def mode_to_json(mode: CountMode) -> dict:
-    obj = {"variant": mode.variant}
-    if mode.parity is not None:
-        obj["parity"] = mode.parity
-    return obj
-
-
-def report_to_json(report: ComponentCountReport) -> dict:
-    return {
-        "group": group_to_json(report.group),
-        "genus": report.genus,
-        "marked_points": report.marked_points,
-        "mode": mode_to_json(report.mode),
-        "cases": [{"label": c.label, "enumerated": c.enumerated,
-                   "closed_form": c.closed_form} for c in report.cases],
-        "total_enumerated": report.total_enumerated,
-        "total_closed_form": report.total_closed_form,
-        "match": report.match,
-        "count_kind": report.count_kind,
-        "verdict": report.verdict,
-        "notes": list(report.notes),
-    }
-
-
-def s1_report_to_json(report: S1ReductionReport) -> dict:
-    return {
-        "group": group_to_json(report.group),
-        "genus": report.genus,
-        "parabolic_count": report.parabolic_count,
-        "parabolic_cases": [{"label": c.label, "enumerated": c.enumerated,
-                             "closed_form": c.closed_form}
-                            for c in report.parabolic_cases],
-        "kd_twisted_count": report.kd_twisted_count,
-        "kd_twisted_cases": [{"label": label, "count": value}
-                             for label, value in report.kd_twisted_cases],
-        "table_count": report.table_count,
-        "notes": list(report.notes),
-    }

@@ -31,7 +31,6 @@ __all__ = [
     "teichmuller_dimension",
     "sl_kr_parabolic_dimension",
     "full_flag_multiplicities",
-    "dim_report_to_json",
 ]
 
 
@@ -168,17 +167,6 @@ class DimReport:
             raise DomainError("real_complex_mismatch",
                               complex=self.complex_dimension,
                               real=self.real_dimension)
-
-
-def dim_report_to_json(report: DimReport) -> dict:
-    return {
-        "complex_dimension": report.complex_dimension,
-        "real_dimension": report.real_dimension,
-        "summands": [{"label": x.label, "complex_dim": x.complex_dim,
-                      "real_dim": x.real_dim} for x in report.summands],
-        "statement_real": report.statement_real,
-        "notes": list(report.notes),
-    }
 
 
 # --------------------------------------------------------------------------

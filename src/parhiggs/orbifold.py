@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact_core import DomainError, rat_from_str, rat_to_str
+from .exact_core import DomainError
 from .parbun import ParabolicLineBundle
 from .surface import MarkedSurface
 
@@ -44,8 +44,6 @@ __all__ = [
     "equivariance_check",
     "par_to_orb_local",
     "orb_to_par_local",
-    "vline_to_json",
-    "vline_from_json",
     "laurent_to_json",
     "laurent_from_json",
 ]
@@ -233,7 +231,7 @@ def kawasaki_euler(l: VLineBundle, surf: MarkedSurface) -> int:
     chi = 1 - surf.genus + vline_degree(l, surf) - sum(
         (Fraction(l.residue(p.label), p.order) for p in surf.points), Fraction(0))
     if chi.denominator != 1:
-        raise DomainError("non_integral_euler", value=str(chi))
+        raise DomainError("non_integral_euler", value=chi)
     return int(chi)
 
 
@@ -245,7 +243,7 @@ def parity(alpha: Mapping[str, Fraction]) -> str:
         if w == Fraction(1, 2):
             half += 1
         elif w != 0:
-            raise DomainError("weight_not_half_integral", label=lbl, weight=str(w))
+            raise DomainError("weight_not_half_integral", label=lbl, weight=w)
     return "even" if half % 2 == 0 else "odd"
 
 
@@ -266,7 +264,7 @@ def parabolic_line_to_vline(line: ParabolicLineBundle, surf: MarkedSurface
         b = line.weight(p.label) * p.order
         if b.denominator != 1:
             raise DomainError("weight_not_orbifold", label=p.label,
-                              weight=str(line.weight(p.label)), order=p.order)
+                              weight=line.weight(p.label), order=p.order)
         if b:
             iso[p.label] = int(b)
     return VLineBundle(line.degree, iso)
@@ -380,13 +378,13 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
     for w in weights:
         w = Fraction(w)
         if not 0 <= w < 1:
-            raise DomainError("weight_out_of_range", weight=str(w))
+            raise DomainError("weight_out_of_range", weight=w)
         if (w * m).denominator != 1:
-            raise DomainError("weight_not_in_denominator", weight=str(w), m=m)
+            raise DomainError("weight_not_in_denominator", weight=w, m=m)
         ks.append(int(w * m))
     if any(a > b for a, b in zip(ks, ks[1:])):
         raise DomainError("weights_not_nondecreasing",
-                          weights=[str(Fraction(w)) for w in weights])
+                          weights=[Fraction(w) for w in weights])
     return ks
 
 
@@ -457,29 +455,27 @@ def orb_to_par_local(chart: LocalChart, mat: LaurentMatrix,
 
 
 # ---------------------------------------------------------------- JSON ----
-
-def vline_to_json(l: VLineBundle) -> dict:
-    return {"desing": l.desing_degree,
-            "isotropy": {lbl: b for lbl, b in sorted(l.isotropy.items())}}
-
-
-def vline_from_json(obj: dict) -> VLineBundle:
-    return VLineBundle(int(obj["desing"]),
-                       {str(k): int(v) for k, v in obj.get("isotropy", {}).items()})
-
+# Hand-written: m lives outside the matrix and terms are {"deg", "coef"}
+# objects.  The codec is imported here, not at the top, because it imports
+# the components module, which imports this one.
 
 def laurent_to_json(mat: LaurentMatrix, m: int) -> dict:
+    from .codec import to_json
     return {"m": m,
             "form": mat.form,
             "window": list(mat.window),
-            "entries": [[[{"deg": d, "coef": rat_to_str(c)} for d, c in e]
+            "entries": [[[{"deg": d, "coef": to_json(c)} for d, c in e]
                          for e in row] for row in mat.entries]}
 
 
 def laurent_from_json(obj: dict) -> tuple[int, LaurentMatrix]:
+    from .codec import decoder
+    integer, rational = decoder(int), decoder(Fraction)
     rows = tuple(
-        tuple(tuple((int(t["deg"]), rat_from_str(t["coef"])) for t in e)
+        tuple(tuple((integer(t["deg"]), rational(t["coef"])) for t in e)
               for e in row)
         for row in obj["entries"])
-    mat = LaurentMatrix(len(rows), rows, tuple(obj["window"]), obj["form"])
-    return int(obj["m"]), mat
+    lo, hi = obj["window"]
+    mat = LaurentMatrix(len(rows), rows, (integer(lo), integer(hi)),
+                        decoder(str)(obj["form"]))
+    return integer(obj["m"]), mat

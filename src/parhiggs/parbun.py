@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact_core import DomainError, rat_from_str, rat_to_str
+from .exact_core import DomainError
 from .surface import MarkedSurface
 
 __all__ = [
@@ -27,17 +27,13 @@ __all__ = [
     "par_direct_sum",
     "residue_class",
     "is_parabolic_map",
-    "bundle_to_json",
-    "bundle_from_json",
-    "line_to_json",
-    "line_from_json",
 ]
 
 
 def _check_weight(w: Fraction) -> Fraction:
     w = Fraction(w)
     if not 0 <= w < 1:
-        raise DomainError("weight_out_of_range", weight=str(w))
+        raise DomainError("weight_out_of_range", weight=w)
     return w
 
 
@@ -55,8 +51,7 @@ class ParabolicFlag:
             raise DomainError("bad_flag_multiplicity", mult=self.multiplicities)
         ws = [_check_weight(w) for w in self.weights]
         if any(a >= b for a, b in zip(ws, ws[1:])):
-            raise DomainError("flag_weights_not_increasing",
-                              weights=[str(w) for w in ws])
+            raise DomainError("flag_weights_not_increasing", weights=ws)
         object.__setattr__(self, "weights", tuple(ws))
 
     @property
@@ -278,34 +273,3 @@ def is_parabolic_map(src: ParabolicBundle, dst: ParabolicBundle,
                 if ai > aj or (strongly and ai == aj):
                     return False
     return True
-
-
-# ---------------------------------------------------------------- JSON ----
-
-def line_to_json(l: ParabolicLineBundle) -> dict:
-    return {"degree": l.degree,
-            "weights": {x: rat_to_str(w) for x, w in sorted(l.weight_at.items())}}
-
-
-def line_from_json(obj: dict) -> ParabolicLineBundle:
-    return ParabolicLineBundle(int(obj["degree"]),
-                               {x: rat_from_str(w)
-                                for x, w in obj.get("weights", {}).items()})
-
-
-def bundle_to_json(b: ParabolicBundle) -> dict:
-    return {
-        "rank": b.rank,
-        "degree": b.degree,
-        "flags": {x: {"mult": list(fl.multiplicities),
-                      "weights": [rat_to_str(w) for w in fl.weights]}
-                  for x, fl in sorted(b.flag_at.items())},
-    }
-
-
-def bundle_from_json(obj: dict) -> ParabolicBundle:
-    flags = {}
-    for x, fl in obj.get("flags", {}).items():
-        flags[x] = ParabolicFlag(tuple(int(k) for k in fl["mult"]),
-                                 tuple(rat_from_str(w) for w in fl["weights"]))
-    return ParabolicBundle(int(obj["rank"]), int(obj["degree"]), flags)

@@ -20,10 +20,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact_core import DomainError, q_matrix_rank, rat_to_str
-from .parbun import ParabolicLineBundle, line_from_json, line_to_json, par_dual, pardeg
-from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface, \
-    surface_from_json, surface_to_json
+from .codec import from_json
+from .exact_core import DomainError, q_matrix_rank
+from .parbun import ParabolicLineBundle, par_dual, pardeg
+from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface
 
 __all__ = [
     "DecomposableHiggsModel",
@@ -47,9 +47,6 @@ __all__ = [
     "alpha_stability_check_gl",
     "sp_filtration_degree",
     "sp_support_membership",
-    "model_to_json",
-    "model_from_json",
-    "sp_triple_to_json",
     "sp_triple_from_json",
 ]
 
@@ -197,11 +194,6 @@ class StabilityReport:
     verdict: str                      # stable | strictly_semistable | unstable | polystable
     witness: tuple[int, ...] | None
     slope: Fraction
-
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict,
-                "witness": list(self.witness) if self.witness is not None else None,
-                "slope": rat_to_str(self.slope)}
 
 
 def _undirected_components(n: int, arrows: frozenset[Arrow]) -> list[tuple[int, ...]]:
@@ -535,29 +527,6 @@ def sp_support_membership(m: SpTripleModel,
 
 # ---------------------------------------------------------------- JSON ----
 
-def model_to_json(m: DecomposableHiggsModel) -> dict:
-    return {"surface": surface_to_json(m.surface),
-            "summands": [line_to_json(l) for l in m.summands],
-            "arrows": sorted([i, j] for (i, j) in m.arrows)}
-
-
-def model_from_json(obj: dict) -> DecomposableHiggsModel:
-    return DecomposableHiggsModel(
-        surface_from_json(obj["surface"]),
-        tuple(line_from_json(l) for l in obj["summands"]),
-        frozenset((int(i), int(j)) for i, j in obj.get("arrows", [])))
-
-
-def sp_triple_to_json(m: SpTripleModel) -> dict:
-    return {"surface": surface_to_json(m.surface),
-            "v_summands": [line_to_json(l) for l in m.v_summands],
-            "beta": sorted([i, j] for (i, j) in m.beta_arrows),
-            "gamma": sorted([i, j] for (i, j) in m.gamma_arrows)}
-
-
-def sp_triple_from_json(obj: dict) -> SpTripleModel:
-    return SpTripleModel(
-        surface_from_json(obj["surface"]),
-        tuple(line_from_json(l) for l in obj["v_summands"]),
-        frozenset((int(i), int(j)) for i, j in obj.get("beta", [])),
-        frozenset((int(i), int(j)) for i, j in obj.get("gamma", [])))
+def sp_triple_from_json(obj) -> SpTripleModel:
+    """An Sp(2n,R) triple read from its JSON form by the codec."""
+    return from_json(SpTripleModel, obj)

@@ -17,8 +17,6 @@ __all__ = [
     "deg_kd",
     "h0_twisted_power",
     "require_hyperbolic",
-    "surface_to_json",
-    "surface_from_json",
 ]
 
 
@@ -89,19 +87,3 @@ def h0_twisted_power(surface: MarkedSurface, m: int) -> int:
     if m < 1:
         raise DomainError("bad_twist_power", m=m)
     return (2 * m + 1) * (surface.genus - 1) + m * surface.s
-
-
-def surface_to_json(surface: MarkedSurface) -> dict:
-    return {
-        "genus": surface.genus,
-        "points": [{"label": p.label, "order": p.order} for p in surface.points],
-    }
-
-
-def surface_from_json(obj: dict) -> MarkedSurface:
-    try:
-        pts = tuple(MarkedPoint(str(p["label"]), int(p.get("order", 2)))
-                    for p in obj.get("points", []))
-        return MarkedSurface(int(obj["genus"]), pts)
-    except (KeyError, TypeError) as exc:
-        raise DomainError("bad_surface_json") from exc

@@ -22,12 +22,8 @@ import pytest
 
 from parhiggs import components as comp
 from parhiggs.cli import DEFAULT_CAP, main
-from parhiggs.stability import (
-    hitchin_model,
-    hitchin_sp_triple,
-    model_to_json,
-    sp_triple_to_json,
-)
+from parhiggs.codec import to_json
+from parhiggs.stability import hitchin_model, hitchin_sp_triple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = REPO_ROOT / "schemas"
@@ -38,8 +34,8 @@ BUNDLE_JSON = json.dumps({
     "degree": 1,
     "flags": {"x1": {"mult": [1, 1], "weights": ["1/4", "3/4"]}},
 })
-TRIPLE_JSON = json.dumps(sp_triple_to_json(hitchin_sp_triple(2, 2, 1)))
-MODEL_JSON = json.dumps(model_to_json(hitchin_model(2, 2, 1)))
+TRIPLE_JSON = json.dumps(to_json(hitchin_sp_triple(2, 2, 1)))
+MODEL_JSON = json.dumps(to_json(hitchin_model(2, 2, 1)))
 
 
 def run(capsys, argv):
@@ -405,6 +401,31 @@ ERROR_CASES = [
       "--bundle", BUNDLE_JSON], "need_exactly_one_of"),
     ("stability-neither", ["stability"], "need_exactly_one_of"),
     ("bad-json", ["stability", "--model", "{oops"], "bad_json_argument"),
+    ("line-empty-object",
+     ["pardeg", "--g", "1", "--s", "1", "--line", "{}"], "bad_json_argument"),
+    ("line-list", ["pardeg", "--g", "1", "--s", "1", "--line", "[]"],
+     "bad_json_argument"),
+    ("line-float-degree",
+     ["pardeg", "--g", "1", "--s", "1", "--line", '{"degree": 1.7}'],
+     "bad_json_argument"),
+    ("line-bool-degree",
+     ["pardeg", "--g", "1", "--s", "1", "--line", '{"degree": true}'],
+     "bad_json_argument"),
+    ("triple-short-arrow",
+     ["stability", "--triple",
+      json.dumps(dict(json.loads(TRIPLE_JSON), beta=[[0]]))],
+     "bad_json_argument"),
+    ("triple-long-arrow",
+     ["stability", "--triple",
+      json.dumps(dict(json.loads(TRIPLE_JSON), beta=[[0, 0, 1]]))],
+     "bad_json_argument"),
+    ("model-no-surface",
+     ["stability", "--model",
+      json.dumps({k: v for k, v in json.loads(MODEL_JSON).items()
+                  if k != "surface"})], "bad_json_argument"),
+    ("flags-string-multiplicity",
+     ["dims", "--formula", "sparadim", "--n", "2", "--g", "2", "--s", "1",
+      "--flags", '[[1,"a"]]'], "bad_json_argument"),
     ("mw-one-rank",
      ["mw", "--n", "2", "--g", "2", "--s", "1", "--rk-plus", "1"],
      "need_both_or_neither"),
@@ -459,6 +480,30 @@ def test_domain_errors_exit_two_with_error_object(capsys, argv, error_code):
     validate(payload, "error")
 
 
+@pytest.mark.parametrize(
+    "argv", [argv for _, argv, err in ERROR_CASES if err == "bad_json_argument"],
+    ids=[case_id for case_id, _, err in ERROR_CASES
+         if err == "bad_json_argument"])
+def test_bad_json_argument_names_its_flag(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    validate(payload, "error")
+    # the flag is the argument just before the JSON text
+    flag = next(a for a, b in zip(argv, argv[1:]) if b[:1] in "{[")
+    assert payload["field"] == flag.removeprefix("--")
+
+
+def test_rationals_in_error_payloads_are_written_as_p_over_q(capsys):
+    code, payload = run_json(
+        capsys, ["pardeg", "--g", "1", "--s", "1", "--line",
+                 '{"degree": 0, "weights": {"x1": "3/2"}}'])
+    assert code == 2
+    assert payload == {"error": "weight_out_of_range", "weight": "3/2"}
+
+
 def test_not_hyperbolic_error_payload(capsys):
     code, payload = run_json(capsys, ["characters", "--g", "0", "--s", "1"])
     assert code == 2
@@ -480,6 +525,14 @@ def test_cap_env_variable_is_honoured(capsys, monkeypatch):
         capsys, ["characters", "--g", "1", "--s", "3", "--enumerate"])
     assert code == 2
     assert payload["error"] == "enumeration_cap_exceeded"
+
+
+def test_cap_env_variable_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("PARHIGGS_CAP", "abc")
+    code, payload = run_json(capsys, ["characters", "--g", "1", "--s", "3"])
+    assert code == 2
+    assert payload == {"error": "bad_cap", "cap": "abc"}
+    validate(payload, "error")
 
 
 def test_cap_flag_overrides_env_variable(capsys, monkeypatch):

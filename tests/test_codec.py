@@ -1,0 +1,255 @@
+"""The JSON codec: round trips, strictness on input, and schema validity."""
+
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from referencing import Registry, Resource
+
+from parhiggs.codec import JsonShapeError, from_json, to_json
+from parhiggs.components import (
+    CountMode,
+    count_components,
+    emit_tables,
+    s1_reduction_report,
+    so0_2n,
+    sp2nr,
+    sunn,
+)
+from parhiggs.dimension import (
+    DimReport,
+    complex_group_data,
+    dim_complex_group,
+    lie_catalog,
+    teichmuller_dimension,
+)
+from parhiggs.orbifold import (
+    VLineBundle,
+    laurent_from_json,
+    laurent_matrix,
+    laurent_to_json,
+    z2_character_enumerate,
+)
+from parhiggs.parbun import ParabolicBundle, ParabolicFlag, ParabolicLineBundle
+from parhiggs.stability import (
+    DecomposableHiggsModel,
+    SpTripleModel,
+    StabilityReport,
+    hitchin_model,
+    hitchin_sp_triple,
+    stability_verdict,
+)
+from parhiggs.surface import MarkedPoint, MarkedSurface, standard_surface
+
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
+REGISTRY = Registry().with_resources(
+    (doc["$id"], Resource.from_contents(doc))
+    for doc in (json.loads(p.read_text()) for p in SCHEMA_DIR.glob("*.json")))
+
+
+def check_schema(payload, ref: str) -> None:
+    """Validate payload against the schema at ref, e.g. "roots#/$defs/x"."""
+    name, _, pointer = ref.partition("#")
+    target = f"parhiggs/{name}.schema.json" + (f"#{pointer}" if pointer else "")
+    jsonschema.Draft202012Validator({"$ref": target},
+                                    registry=REGISTRY).validate(payload)
+
+
+# ---------------------------------------------------------- strategies ----
+
+LABELS = st.sampled_from(["x1", "x2", "x3", "p", "q"])
+WEIGHTS = st.fractions(min_value=0, max_value=Fraction(11, 12),
+                       max_denominator=12)
+SURFACES = st.builds(
+    MarkedSurface, genus=st.integers(0, 4),
+    points=st.lists(st.builds(MarkedPoint, label=LABELS,
+                              order=st.integers(2, 6)),
+                    max_size=4, unique_by=lambda p: p.label).map(tuple))
+LINES = st.builds(ParabolicLineBundle, degree=st.integers(-9, 9),
+                  weight_at=st.dictionaries(LABELS, WEIGHTS, max_size=3))
+
+
+def flags(rank: int):
+    """Flags of the given rank: k distinct weights, the last step taking the
+    rank left over."""
+    return st.lists(WEIGHTS, min_size=1, max_size=rank, unique=True).map(
+        lambda ws: ParabolicFlag((1,) * (len(ws) - 1) + (rank - len(ws) + 1,),
+                                 tuple(sorted(ws))))
+
+
+BUNDLES = st.integers(1, 4).flatmap(lambda r: st.builds(
+    ParabolicBundle, rank=st.just(r), degree=st.integers(-9, 9),
+    flag_at=st.dictionaries(LABELS, flags(r), max_size=3)))
+
+
+def arrows(n: int):
+    return st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+
+
+def symmetric(pairs):
+    return frozenset(pairs | {(j, i) for (i, j) in pairs})
+
+
+MODELS = st.integers(1, 4).flatmap(lambda n: st.builds(
+    DecomposableHiggsModel, SURFACES,
+    st.lists(LINES, min_size=n, max_size=n).map(tuple), arrows(n)))
+TRIPLES = st.integers(1, 4).flatmap(lambda n: st.builds(
+    SpTripleModel, SURFACES, st.lists(LINES, min_size=n, max_size=n).map(tuple),
+    arrows(n).map(symmetric), arrows(n).map(symmetric)))
+VLINES = st.builds(VLineBundle, desing_degree=st.integers(-9, 9),
+                   isotropy=st.dictionaries(LABELS, st.integers(0, 5), max_size=3))
+
+
+# --------------------------------------------------------- round trips ----
+
+ROUND_TRIPS = [
+    (MarkedSurface, SURFACES),
+    (ParabolicLineBundle, LINES),
+    (ParabolicBundle, BUNDLES),
+    (DecomposableHiggsModel, MODELS),
+    (SpTripleModel, TRIPLES),
+    (VLineBundle, VLINES),
+]
+
+
+@pytest.mark.parametrize("cls,values", ROUND_TRIPS,
+                         ids=[cls.__name__ for cls, _ in ROUND_TRIPS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_round_trip(cls, values, data):
+    x = data.draw(values)
+    text = json.dumps(to_json(x))
+    assert from_json(cls, json.loads(text)) == x
+
+
+def test_reports_round_trip():
+    report = stability_verdict(hitchin_model(4, 2, 1))
+    assert from_json(StabilityReport, to_json(report)) == report
+    unstable = StabilityReport("unstable", (0, 2), Fraction(-3, 2))
+    assert from_json(StabilityReport, to_json(unstable)) == unstable
+    dims = teichmuller_dimension(lie_catalog("Sp(4,R)"), 2, 1, rk_m_c=3)
+    assert from_json(DimReport, to_json(dims)) == dims
+
+
+def test_laurent_pair_round_trips():
+    rng = random.Random(8)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        terms = {(i, j): [(d, Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                          for d in rng.sample(range(-1, 9), rng.randint(1, 3))]
+                 for i in range(n) for j in range(n) if rng.random() < 0.5}
+        mat = laurent_matrix(n, terms, (-1, 8), rng.choice(["dw/w", "dz/z"]))
+        m = rng.randint(1, 6)
+        text = json.dumps(laurent_to_json(mat, m))
+        assert laurent_from_json(json.loads(text)) == (m, mat)
+
+
+# ------------------------------------------------------------- writing ----
+
+def test_written_form():
+    line = ParabolicLineBundle(-1, {"x2": Fraction(1, 3), "x1": Fraction(0)})
+    assert to_json(line) == {"degree": -1, "weights": {"x1": "0", "x2": "1/3"}}
+    assert list(to_json(line)["weights"]) == ["x1", "x2"]
+    assert to_json({(1, 0), (0, 1)}) == [[0, 1], [1, 0]]
+    assert to_json(VLineBundle(3, {"x1": 1})) == {"desing": 3,
+                                                  "isotropy": {"x1": 1}}
+    assert to_json(sunn(2)) == {"family": "SUnn", "n": 2, "display": "SU(2,2)"}
+    assert to_json(CountMode.fixed_parity("odd")) == {
+        "variant": "max_fixed_alpha", "parity": "odd"}
+    assert to_json(s1_reduction_report(so0_2n(3), 2)).get("kd_twisted_cases") \
+        == [{"label": "w1_nonzero", "count": 30},   # (2^4 - 1) * 2^1
+            {"label": "w1_zero_degree_classes", "count": 7}]  # 0 .. 4g-4+2s
+
+
+# ---------------------------------------------------- strictness on input ----
+
+LINE = {"degree": 1, "weights": {"x1": "1/2"}}
+
+
+@pytest.mark.parametrize("obj,at", [
+    ({}, "$"),                                        # degree is required
+    ([], "$"),
+    ({"degree": 1.7}, "$.degree"),
+    ({"degree": True}, "$.degree"),
+    ({"degree": "1"}, "$.degree"),
+    ({"degree": 1, "weights": {"x1": 0.5}}, "$.weights"),
+    ({"degree": 1, "weights": ["1/2"]}, "$.weights"),
+    ({"degree": 1, "weight": {}}, "$"),               # unknown key
+])
+def test_malformed_line_is_refused(obj, at):
+    with pytest.raises(JsonShapeError) as err:
+        from_json(ParabolicLineBundle, obj)
+    assert err.value.code == "bad_json"
+    assert err.value.info["at"] == at
+
+
+@pytest.mark.parametrize("change,at", [
+    ({"beta": [[0]]}, "$.beta"),
+    ({"beta": [[0, 0, 1]]}, "$.beta"),
+    ({"gamma": [[0, "0"]]}, "$.gamma"),
+    ({"v_summands": [dict(LINE, degree=None)]}, "$.v_summands.degree"),
+    ({"surface": {"genus": 1, "points": [{"label": 1}]}},
+     "$.surface.points.label"),
+])
+def test_malformed_triple_is_refused(change, at):
+    obj = dict(to_json(hitchin_sp_triple(2, 2, 1)), **change)
+    with pytest.raises(JsonShapeError) as err:
+        from_json(SpTripleModel, obj)
+    assert err.value.info["at"] == at
+
+
+def test_optional_keys_are_those_with_defaults():
+    surface = {"genus": 1}
+    assert from_json(MarkedSurface, surface) == MarkedSurface(1)
+    model = from_json(DecomposableHiggsModel,
+                      {"surface": surface, "summands": [{"degree": 0}]})
+    assert model.arrows == frozenset() and model.summands[0].weight_at == {}
+    with pytest.raises(JsonShapeError):
+        from_json(DecomposableHiggsModel, {"summands": []})
+    with pytest.raises(JsonShapeError):
+        from_json(ParabolicFlag, {"mult": [1]})
+
+
+def test_non_json_types_are_a_programming_error():
+    with pytest.raises(TypeError):
+        from_json(float, 1.5)
+
+
+# -------------------------------------------------------------- schemas ----
+
+def test_cli_output_types_match_their_schemas():
+    report = stability_verdict(hitchin_model(3, 2, 1))
+    check_schema(dict(to_json(report), feasibility_violations=[]), "stability")
+    check_schema(to_json(hitchin_model(4, 1, 2)), "hitchin#/properties/model")
+    check_schema(to_json(hitchin_sp_triple(4, 1, 2)),
+                 "hitchin#/properties/sp_triple")
+    check_schema(to_json(standard_surface(2, 3)), "common#/$defs/surface")
+    for mode in (CountMode.max_union(), CountMode.fixed_parity("even"),
+                 CountMode.fixed_parity("odd"), CountMode.punctured()):
+        check_schema(to_json(count_components(sp2nr(2), 2, 2, mode)),
+                     "components")
+    check_schema(to_json(s1_reduction_report(sp2nr(2), 2)), "s1_report")
+    check_schema({"tables": to_json(emit_tables(1, 2)), "genus": 1,
+                  "marked_points": 2}, "tables")
+    for report in (teichmuller_dimension(lie_catalog("SL(3,R)"), 2, 1),
+                   dim_complex_group(complex_group_data("G", 3), 2, 1)):
+        check_schema(dict(to_json(report), formula="teich", group="G"), "dims")
+    for character in z2_character_enumerate(standard_surface(1, 2)):
+        check_schema(to_json(character),
+                     "characters#/properties/characters/items")
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=LINES, model=MODELS, vline=VLINES)
+def test_generated_values_match_their_schemas(line, model, vline):
+    check_schema(to_json(line), "common#/$defs/parabolicLine")
+    check_schema(to_json(model), "hitchin#/properties/model")
+    check_schema(to_json(model.surface), "common#/$defs/surface")
+    payload = to_json(vline)
+    if all(payload["isotropy"].values()):   # residue 0 is never stored
+        check_schema(payload, "roots#/properties/types/items")

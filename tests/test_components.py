@@ -1,9 +1,13 @@
 """Component-count tests: enumerations against closed forms and the tables."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from parhiggs.codec import to_json
 from parhiggs.components import (
     ComponentCountReport,
     CountMode,
@@ -13,12 +17,8 @@ from parhiggs.components import (
     e7_minus25,
     emit_tables,
     enumerate_invariants_sp,
-    group_to_json,
     is_split,
-    mode_to_json,
-    report_to_json,
     s1_reduction_report,
-    s1_report_to_json,
     so0_2n,
     so_star_2n,
     sp2nr,
@@ -31,6 +31,7 @@ from parhiggs.components import (
 from parhiggs.components import _factor_sizes
 from parhiggs.exact_core import DomainError
 from parhiggs.vcoh import v_cohomology_ranks
+from test_cli import REPO_ROOT, _limit_address_space
 
 MAX = CountMode.max_union()
 EVEN = CountMode.fixed_parity("even")
@@ -487,6 +488,31 @@ def test_strubel_counts():
             strubel_count(1, 2)
 
 
+@pytest.mark.parametrize("g,m,code", [
+    (2, 0, "needs_marked_points"),
+    (0, 1, "not_hyperbolic"),
+    (0, 2, "not_hyperbolic"),
+    (-1, 3, "bad_genus"),
+])
+def test_strubel_count_errors(g, m, code):
+    with pytest.raises(DomainError) as err:
+        strubel_count(g, m)
+    assert err.value.code == code
+
+
+def test_strubel_count_reads_the_case_table():
+    # a child limited to 1 GiB: materializing the 2^31 tuples would fail
+    proc = subprocess.run(
+        [sys.executable, "-c", "from parhiggs.components import strubel_count;"
+                               "print(strubel_count(14, 4))"],
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                 PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 2 ** 31
+
+
 def test_s1_reduction_sp4():
     report = s1_reduction_report(sp2nr(2), 2)
     assert report.parabolic_count == 52
@@ -538,21 +564,21 @@ def test_nonparabolic_modes():
 
 def test_report_json_shape():
     report = count_components(sp2nr(2), 2, 1, MAX)
-    obj = report_to_json(report)
-    assert obj["group"] == group_to_json(sp2nr(2))
+    obj = to_json(report)
+    assert obj["group"] == to_json(sp2nr(2))
     assert obj["group"]["display"] == "Sp(4,R)"
-    assert obj["mode"] == mode_to_json(MAX) == {"variant": "max_union"}
+    assert obj["mode"] == to_json(MAX) == {"variant": "max_union"}
     assert obj["total_enumerated"] == 52
     assert obj["match"] is True
     assert obj["cases"][0] == {"label": "w1_nonzero_pairs",
                                "enumerated": 30, "closed_form": 30}
     assert obj["count_kind"] == "minimum components"
-    odd = report_to_json(count_components(sp2nr(1), 2, 1, ODD))
+    odd = to_json(count_components(sp2nr(1), 2, 1, ODD))
     assert odd["verdict"] == "no_maximal_objects"
 
 
 def test_s1_report_json_shape():
-    obj = s1_report_to_json(s1_reduction_report(sp2nr(2), 2))
+    obj = to_json(s1_reduction_report(sp2nr(2), 2))
     assert obj["parabolic_count"] == 52
     assert obj["kd_twisted_count"] == 49
     assert obj["table_count"] == 52

@@ -2,6 +2,7 @@
 
 import pytest
 
+from parhiggs.codec import to_json
 from parhiggs.dimension import (
     DimReport,
     DimSummand,
@@ -9,7 +10,6 @@ from parhiggs.dimension import (
     complex_group_data,
     dim_complex_group,
     dim_parabolic_gl,
-    dim_report_to_json,
     dim_strongly_parabolic_gl,
     full_flag_multiplicities,
     lie_catalog,
@@ -205,7 +205,7 @@ def test_dim_report_consistency_check():
 
 def test_dim_report_json():
     report = teichmuller_dimension(lie_catalog("SL(2,R)"), 2, 1)
-    obj = dim_report_to_json(report)
+    obj = to_json(report)
     assert obj["real_dimension"] == 8
     assert obj["summands"] == [
         {"label": "exponent_1", "complex_dim": 4, "real_dim": 8}]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError
 from parhiggs.orbifold import (
     LaurentMatrix,
@@ -23,9 +24,7 @@ from parhiggs.orbifold import (
     pic_v_structure,
     square_root_types,
     vline_degree,
-    vline_from_json,
     vline_tensor,
-    vline_to_json,
     vline_to_parabolic_line,
     z2_character_count,
     z2_character_enumerate,
@@ -328,4 +327,4 @@ def test_laurent_json_round_trip():
     _, psi = rand_par_matrix(rng, 3, 2)
     assert laurent_from_json(laurent_to_json(psi, 2)) == (2, psi)
     l = VLineBundle(-2, {"x1": 1, "x3": 2})
-    assert vline_from_json(vline_to_json(l)) == l
+    assert from_json(VLineBundle, to_json(l)) == l

@@ -3,17 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError
 from parhiggs.parbun import (
     ParabolicBundle,
     ParabolicFlag,
     ParabolicLineBundle,
     ResidueBlockPattern,
-    bundle_from_json,
-    bundle_to_json,
     is_parabolic_map,
-    line_from_json,
-    line_to_json,
     line_to_bundle,
     par_direct_sum,
     par_dual,
@@ -194,10 +191,10 @@ def test_json_round_trips():
     rng = random.Random(31)
     for _ in range(30):
         b = rand_bundle(rng, surf)
-        assert bundle_from_json(bundle_to_json(b)) == b
+        assert from_json(ParabolicBundle, to_json(b)) == b
         l = rand_line(rng, surf)
-        assert line_from_json(line_to_json(l)) == l
-    assert bundle_to_json(ParabolicBundle(1, 2, {"x1": ParabolicFlag((1,), (H,))})) \
+        assert from_json(ParabolicLineBundle, to_json(l)) == l
+    assert to_json(ParabolicBundle(1, 2, {"x1": ParabolicFlag((1,), (H,))})) \
         == {"rank": 1, "degree": 2, "flags": {"x1": {"mult": [1], "weights": ["1/2"]}}}
 
 

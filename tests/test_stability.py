@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError
 from parhiggs.parbun import ParabolicLineBundle, pardeg
 from parhiggs.stability import (
@@ -21,15 +22,12 @@ from parhiggs.stability import (
     invariant_subsets,
     is_maximal,
     milnor_wood_bound,
-    model_from_json,
-    model_to_json,
     pardeg_of_reduction_gl,
     relative_degree,
     sp_dual,
     sp_filtration_degree,
     sp_support_membership,
     sp_triple_from_json,
-    sp_triple_to_json,
     stability_verdict,
     toledo,
 )
@@ -551,7 +549,7 @@ def test_model_json_round_trip():
     m = DecomposableHiggsModel(
         surf, tuple(rand_line(rng, surf.labels()) for _ in range(3)),
         frozenset({(0, 1), (2, 0)}))
-    back = model_from_json(model_to_json(m))
+    back = from_json(DecomposableHiggsModel, to_json(m))
     assert back == m
     t = hitchin_sp_triple(4, 2, 1)
-    assert sp_triple_from_json(sp_triple_to_json(t)) == t
+    assert sp_triple_from_json(to_json(t)) == t

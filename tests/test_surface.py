@@ -1,5 +1,6 @@
 import pytest
 
+from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError
 from parhiggs.surface import (
     MarkedPoint,
@@ -8,8 +9,6 @@ from parhiggs.surface import (
     h0_twisted_power,
     require_hyperbolic,
     standard_surface,
-    surface_from_json,
-    surface_to_json,
 )
 
 
@@ -53,8 +52,8 @@ def test_surface_validation():
 
 def test_surface_json_round_trip():
     surf = MarkedSurface(2, (MarkedPoint("p", 2), MarkedPoint("q", 3)))
-    assert surface_from_json(surface_to_json(surf)) == surf
-    assert surface_to_json(surf) == {
+    assert from_json(MarkedSurface, to_json(surf)) == surf
+    assert to_json(surf) == {
         "genus": 2,
         "points": [{"label": "p", "order": 2}, {"label": "q", "order": 3}],
     }

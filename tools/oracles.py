@@ -12,33 +12,6 @@ import itertools
 from fractions import Fraction
 
 
-# ---------------------------------------------------------------- GF(2) ----
-
-def gf2_span_size(rows: list[int]) -> int:
-    span = {0}
-    for r in rows:
-        span |= {v ^ r for v in span}
-    return len(span)
-
-
-def gf2_solutions_bruteforce(rows: list[list[int]], b: list[int]) -> list[tuple[int, ...]]:
-    n = len(rows[0]) if rows else 0
-    out = []
-    for x in itertools.product((0, 1), repeat=n):
-        if all(sum(r[j] * x[j] for j in range(n)) % 2 == bi for r, bi in zip(rows, b)):
-            out.append(x)
-    return sorted(out)
-
-
-def section_gf2():
-    rows = [0b110, 0b011, 0b101]  # bit j = column j
-    size = gf2_span_size(rows)
-    rank = size.bit_length() - 1
-    print("z2 rank of {110,011,101}:", rank)
-    print("solutions of [1 1]x=[0]:", gf2_solutions_bruteforce([[1, 1]], [0]))
-    print("solutions of [1]x=[1] over 1 col, m=[0]:", gf2_solutions_bruteforce([[0]], [1]))
-
-
 # ---------------------------------------------------- invariant subsets ----
 
 def closed_subsets(n: int, arrows: list[tuple[int, int]]) -> list[tuple[int, ...]]:
