@@ -103,18 +103,20 @@ def _generic_csv(payload: dict) -> str:
 # argument helpers
 
 
-def _parse_orders(text: str | None, s: int) -> tuple[int, ...]:
-    if text is None:
-        return (2,) * s
-    orders = tuple(int(x) for x in text.split(",") if x.strip())
-    if len(orders) != s:
-        raise DomainError("orders_length_mismatch", expected=s,
-                          got=len(orders))
-    return orders
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers given to --what."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise DomainError("bad_integer_list", field=what, value=text) from None
 
 
 def _build_surface(g: int, s: int, orders_text: str | None) -> MarkedSurface:
-    orders = _parse_orders(orders_text, s)
+    orders = (2,) * s if orders_text is None \
+        else _parse_ints(orders_text, "orders")
+    if len(orders) != s:
+        raise DomainError("orders_length_mismatch", expected=s,
+                          got=len(orders))
     points = tuple(MarkedPoint(f"x{i + 1}", order)
                    for i, order in enumerate(orders))
     surface = MarkedSurface(g, points)
@@ -122,14 +124,6 @@ def _build_surface(g: int, s: int, orders_text: str | None) -> MarkedSurface:
     # hyperbolic range every downstream formula is stated for
     require_hyperbolic(surface)
     return surface
-
-
-def _parse_bits(text: str, length: int, what: str) -> tuple[int, ...]:
-    bits = tuple(int(x) for x in text.split(",") if x.strip())
-    if len(bits) != length:
-        raise DomainError("bits_length_mismatch", field=what,
-                          expected=length, got=len(bits))
-    return bits
 
 
 def _load_json(text: str, what: str, cls):
@@ -381,8 +375,11 @@ def _cmd_vcoh(args, cap) -> CommandOutput:
 
 
 def _vline_from_args(args, surface) -> VLineBundle:
-    bits = _parse_bits(args.isotropy, surface.s, "isotropy") \
+    bits = _parse_ints(args.isotropy, "isotropy") \
         if args.isotropy else (0,) * surface.s
+    if len(bits) != surface.s:
+        raise DomainError("bits_length_mismatch", field="isotropy",
+                          expected=surface.s, got=len(bits))
     isotropy = {label: bit for label, bit in zip(surface.labels(), bits)}
     return VLineBundle(args.desing_degree, isotropy)
 
@@ -443,8 +440,15 @@ def _add_surface_flags(sub, with_orders=True):
                                           "(default: all 2)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as an error object, not usage text."""
+
+    def error(self, message):
+        raise DomainError("bad_argument", detail=message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parhiggs",
         description="Exact invariants of parabolic G-Higgs bundle moduli.")
     common = argparse.ArgumentParser(add_help=False)
@@ -455,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"enumeration cap (default {DEFAULT_CAP}, or "
                              "PARHIGGS_CAP)")
     subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=lambda **kw: argparse.ArgumentParser(
+                                 parser_class=lambda **kw: _Parser(
                                      parents=[common], **kw))
 
     sub = subs.add_parser("pardeg", help="parabolic degree of a line/bundle")
@@ -553,15 +557,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-
-    try:
+        args = _build_parser().parse_args(argv)
         cap = _resolve_cap(args)
         output = args.handler(args, cap)
+    except SystemExit as exc:      # --help
+        return int(exc.code) if exc.code else 0
     except DomainError as err:
         print(_dump(err.payload()))
         return 2

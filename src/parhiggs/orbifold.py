@@ -227,12 +227,9 @@ def pic_v_structure(surf: MarkedSurface) -> PicVStructure:
 
 
 def kawasaki_euler(l: VLineBundle, surf: MarkedSurface) -> int:
-    """Orbifold Euler characteristic 1 - g + deg - sum b_i/k_i (an integer)."""
-    chi = 1 - surf.genus + vline_degree(l, surf) - sum(
-        (Fraction(l.residue(p.label), p.order) for p in surf.points), Fraction(0))
-    if chi.denominator != 1:
-        raise DomainError("non_integral_euler", value=chi)
-    return int(chi)
+    """Euler characteristic 1 - g + deg - sum b_i/k_i = 1 - g + desing_degree."""
+    _check_isotropy(l, surf)
+    return 1 - surf.genus + l.desing_degree
 
 
 def parity(alpha: Mapping[str, Fraction]) -> str:
@@ -299,22 +296,19 @@ Term = tuple[int, Fraction]
 _FORMS = ("dw/w", "dz/z")
 
 
-def _clean_terms(terms, window) -> tuple[Term, ...]:
-    lo, hi = window
+def _clean_terms(terms) -> tuple[Term, ...]:
     acc: dict[int, Fraction] = {}
     for d, c in terms:
-        acc[int(d)] = acc.get(int(d), Fraction(0)) + Fraction(c)
-    out = tuple((d, c) for d, c in sorted(acc.items()) if c)
-    for d, _ in out:
-        if not lo <= d <= hi:
-            raise DomainError("term_outside_window", degree=d, window=list(window))
-    return out
+        d, c = int(d), Fraction(c)
+        acc[d] = acc[d] + c if d in acc else c
+    return tuple(sorted((d, c) for d, c in acc.items() if c))
 
 
 @dataclass(frozen=True)
 class LaurentMatrix:
-    """Square matrix of truncated Laurent polynomials with a stated window
-    and a logarithmic-form flag (dw/w on the weighted side, dz/z upstairs)."""
+    """Square matrix of truncated Laurent polynomials in a window, with form
+    dw/w (weighted side) or dz/z (upstairs).  Entries are checked, not rebuilt:
+    one that laurent_matrix would change is refused (terms_not_canonical)."""
 
     n: int
     entries: tuple[tuple[tuple[Term, ...], ...], ...]
@@ -330,9 +324,15 @@ class LaurentMatrix:
         object.__setattr__(self, "window", (int(lo), int(hi)))
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise DomainError("bad_matrix_shape", n=self.n)
-        rows = tuple(tuple(_clean_terms(e, self.window) for e in row)
-                     for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+        for i, j in itertools.product(range(self.n), repeat=2):
+            prev = lo - 1
+            for d, c in self.entries[i][j]:
+                if type(d) is int and not lo <= d <= hi:
+                    raise DomainError("term_outside_window", degree=d,
+                                      window=list(self.window))
+                if type(d) is not int or d <= prev or type(c) is not Fraction or not c:
+                    raise DomainError("terms_not_canonical", entry=[i, j])
+                prev = d
 
     def entry(self, i: int, j: int) -> tuple[Term, ...]:
         return self.entries[i][j]
@@ -342,18 +342,17 @@ class LaurentMatrix:
 
 
 def laurent_zero(n: int, window: tuple[int, int], form: str) -> LaurentMatrix:
-    empty = tuple(tuple(() for _ in range(n)) for _ in range(n))
-    return LaurentMatrix(n, empty, window, form)
+    return laurent_matrix(n, {}, window, form)
 
 
 def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
                    window: tuple[int, int], form: str) -> LaurentMatrix:
-    """Build from a sparse {(i,j): [(deg, coef), ...]} description."""
+    """Build from sparse {(i,j): [(deg, coef), ...]} terms, each entry normalized."""
     rows = [[() for _ in range(n)] for _ in range(n)]
     for (i, j), ts in terms.items():
         if not (0 <= i < n and 0 <= j < n):
             raise DomainError("entry_out_of_range", entry=[i, j], n=n)
-        rows[i][j] = tuple((int(d), Fraction(c)) for d, c in ts)
+        rows[i][j] = _clean_terms(ts)
     return LaurentMatrix(n, tuple(tuple(r) for r in rows), window, form)
 
 
@@ -363,13 +362,12 @@ def equivariance_check(mat: LaurentMatrix, chart: LocalChart) -> bool:
     if mat.n != chart.n:
         raise DomainError("size_mismatch", matrix=mat.n, chart=chart.n)
     k = chart.exponents
-    for i in range(mat.n):
-        for j in range(mat.n):
-            terms = mat.entry(i, j)
-            if k[i] < k[j] and terms:
-                return False
-            if any((d - (k[i] - k[j])) % chart.m for d, _ in terms):
-                return False
+    for i, j in itertools.product(range(mat.n), repeat=2):
+        terms = mat.entry(i, j)
+        if k[i] < k[j] and terms:
+            return False
+        if any((d - (k[i] - k[j])) % chart.m for d, _ in terms):
+            return False
     return True
 
 
@@ -388,6 +386,8 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
     return ks
 
 
+# Rows from both maps are canonical as built: d -> m*d + k_i - k_j and (equivariance
+# checked) e -> (e - k_i + k_j)/m increase strictly, m >= 1 scales, window applied.
 def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
                      window: tuple[int, int] | None = None
                      ) -> tuple[LocalChart, LaurentMatrix]:
@@ -471,10 +471,9 @@ def laurent_to_json(mat: LaurentMatrix, m: int) -> dict:
 def laurent_from_json(obj: dict) -> tuple[int, LaurentMatrix]:
     from .codec import decoder
     integer, rational = decoder(int), decoder(Fraction)
-    rows = tuple(
-        tuple(tuple((integer(t["deg"]), rational(t["coef"])) for t in e)
-              for e in row)
-        for row in obj["entries"])
+    rows = tuple(tuple(_clean_terms((integer(t["deg"]), rational(t["coef"]))
+                                    for t in e) for e in row)
+                 for row in obj["entries"])
     lo, hi = obj["window"]
     mat = LaurentMatrix(len(rows), rows, (integer(lo), integer(hi)),
                         decoder(str)(obj["form"]))

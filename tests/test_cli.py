@@ -467,6 +467,12 @@ ERROR_CASES = [
     ("dims-unknown-lie-group",
      ["dims", "--formula", "teich", "--lie-group", "G2", "--g", "2",
       "--s", "1"], "unknown_group_name"),
+    ("orders-not-integer",
+     ["characters", "--g", "1", "--s", "2", "--orders", "2,x"],
+     "bad_integer_list"),
+    ("isotropy-not-integer",
+     ["orbifold", "--g", "1", "--s", "2", "--desing-degree", "0",
+      "--isotropy", "a,b"], "bad_integer_list"),
 ]
 
 
@@ -494,6 +500,41 @@ def test_bad_json_argument_names_its_flag(capsys, argv):
     # the flag is the argument just before the JSON text
     flag = next(a for a, b in zip(argv, argv[1:]) if b[:1] in "{[")
     assert payload["field"] == flag.removeprefix("--")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["characters", "--g", "1", "--s", "2", "--orders", "2,x"], "orders"),
+    (["roots", "--g", "1", "--s", "2", "--desing-degree", "0",
+      "--isotropy", "1,1.5"], "isotropy"),
+])
+def test_bad_integer_list_names_its_flag(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": "bad_integer_list",
+                                        "field": flag, "value": argv[-1]}
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["characters", "--g", "1", "--s", "3", "--cap", "abc"],
+     "argument --cap: invalid int value: 'abc'"),
+    (["characters", "--g", "x", "--s", "3"],
+     "argument --g: invalid int value: 'x'"),
+    (["characters", "--g", "1"], "the following arguments are required: --s"),
+    (["characters", "--g", "1", "--s", "3", "--format", "xml"], "--format"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_rejected_arguments_give_an_error_object(capsys, argv, detail):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    validate(payload, "error")
+    assert payload["error"] == "bad_argument"
+    assert detail in payload["detail"]
 
 
 def test_rationals_in_error_payloads_are_written_as_p_over_q(capsys):

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 
 from parhiggs.components import (
     CountMode,
@@ -12,6 +13,7 @@ from parhiggs.components import (
     so0_2n,
     sp2nr,
 )
+from parhiggs.orbifold import laurent_matrix, orb_to_par_local, par_to_orb_local
 from parhiggs.parbun import ParabolicLineBundle
 from parhiggs.stability import DecomposableHiggsModel, invariant_subsets
 from parhiggs.surface import standard_surface
@@ -74,3 +76,39 @@ def test_s1_values_match_s1_reduction_report(oracles):
             assert report.parabolic_count == want["parabolic"]
             assert report.kd_twisted_count == want["kd_twisted"]
             assert report.table_count == want["table"]
+
+
+def _as_dicts(mat):
+    return {(i, j): dict(mat.entry(i, j))
+            for i in range(mat.n) for j in range(mat.n) if mat.entry(i, j)}
+
+
+def _raw_terms(rng, degrees):
+    """Unsorted terms drawn from degrees, with repeats and zero coefficients."""
+    return [(rng.choice(degrees), F(rng.randint(-3, 3), rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 5))]
+
+
+def test_local_dictionary_matches_direct_substitution(oracles):
+    rng = random.Random(1995)
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.choice((2, 3, 4, 6))
+        ks = sorted(rng.randrange(m) for _ in range(n))
+        weights = tuple(F(k, m) for k in ks)
+        lower = [(i, j) for i in range(n) for j in range(n) if ks[i] >= ks[j]]
+
+        w_terms = {ij: _raw_terms(rng, range(-1, 9))
+                   for ij in rng.sample(lower, rng.randint(0, len(lower)))}
+        psi = laurent_matrix(n, w_terms, (-1, 8), "dw/w")
+        window = rng.choice([None, (-1, 3 * m), (2, 5 * m)])
+        chart, up = par_to_orb_local(m, weights, psi, window)
+        assert _as_dicts(up) == oracles.par_to_orb_terms(
+            m, ks, w_terms, window or (-1, 8 * m))
+
+        z_terms = {(i, j): _raw_terms(rng, range(ks[i] - ks[j], 8 * m, m))
+                   for i, j in rng.sample(lower, rng.randint(0, len(lower)))}
+        z = laurent_matrix(n, z_terms, (-1, 8 * m), "dz/z")
+        window = rng.choice([None, (-1, 3), (1, 5)])
+        _, down = orb_to_par_local(chart, z, window)
+        assert _as_dicts(down) == oracles.orb_to_par_terms(
+            m, ks, z_terms, window or (-1, 8))

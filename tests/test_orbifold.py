@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError
@@ -226,9 +228,58 @@ def test_laurent_matrix_normalization():
     assert m.entry(0, 0) == ((2, F(3)),)
     with pytest.raises(DomainError):
         laurent_matrix(1, {(0, 0): [(9, F(1))]}, (-1, 8), "dw/w")
+    # terms that cancel leave nothing outside the window
+    assert laurent_matrix(1, {(0, 0): [(9, F(1)), (9, F(-1))]},
+                          (-1, 8), "dw/w").is_zero()
     with pytest.raises(DomainError):
         laurent_matrix(1, {}, (-1, 8), "dx")
     assert laurent_zero(2, (-1, 8), "dz/z").is_zero()
+
+
+@pytest.mark.parametrize("entry", [
+    ((3, F(1)), (2, F(1))),          # unsorted
+    ((2, F(1)), (2, F(2))),          # duplicate degree
+    ((2, F(0)),),                    # zero coefficient
+    ((2, 1),),                       # int coefficient
+    ((F(2), F(1)),),                 # Fraction degree
+    (("2", F(1)),),                  # string degree
+])
+def test_laurent_constructor_refuses_non_canonical_entries(entry):
+    rows = (((), ()), ((), entry))
+    with pytest.raises(DomainError) as e:
+        LaurentMatrix(2, rows, (-1, 8), "dw/w")
+    assert e.value.payload() == {"error": "terms_not_canonical", "entry": [1, 1]}
+
+
+@pytest.mark.parametrize("terms,degree", [
+    (((9, F(1)),), 9),
+    (((-2, F(1)), (0, F(1))), -2),
+    (((0, F(1)), (9, F(1))), 9),
+])
+def test_laurent_constructor_refuses_terms_outside_window(terms, degree):
+    with pytest.raises(DomainError) as e:
+        LaurentMatrix(1, ((terms,),), (-1, 8), "dw/w")
+    assert e.value.payload() == {"error": "term_outside_window",
+                                 "degree": degree, "window": [-1, 8]}
+
+
+def test_reversed_window_is_reported_before_terms_outside_it():
+    with pytest.raises(DomainError) as e:
+        laurent_matrix(1, {(0, 0): [(9, F(1))]}, (8, -1), "dw/w")
+    assert e.value.code == "bad_window"
+    with pytest.raises(DomainError) as e:
+        LaurentMatrix(1, ((((9, F(1)),),),), (8, -1), "dw/w")
+    assert e.value.code == "bad_window"
+
+
+def test_laurent_from_json_normalizes_terms():
+    obj = {"m": 2, "form": "dz/z", "window": [-1, 16],
+           "entries": [[[{"deg": 5, "coef": "1/2"}, {"deg": 3, "coef": 0},
+                         {"deg": 5, "coef": "1/2"}, {"deg": 1, "coef": -1}]]]}
+    m, mat = laurent_from_json(obj)
+    assert m == 2
+    assert mat.entry(0, 0) == ((1, F(-1)), (5, F(1)))
+    assert all(type(c) is Fraction for _, c in mat.entry(0, 0))
 
 
 def test_forward_worked_example():
@@ -320,6 +371,42 @@ def test_round_trip_both_directions():
                 weights, down = orb_to_par_local(chart, mat)
                 chart2, up2 = par_to_orb_local(m, weights, down)
                 assert chart2 == chart and up2 == mat
+
+
+def _rebuilt(mat):
+    terms = {(i, j): mat.entry(i, j) for i in range(mat.n) for j in range(mat.n)}
+    return laurent_matrix(mat.n, terms, mat.window, mat.form)
+
+
+def _grouped(triples):
+    terms = {}
+    for ij, d, c in triples:
+        terms.setdefault(ij, []).append((d, c))
+    return terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_local_maps_return_canonical_matrices(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.sampled_from((1, 2, 3, 4, 6)))
+    ks = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    lower = st.sampled_from([(i, j) for i in range(n) for j in range(n)
+                             if ks[i] >= ks[j]])
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    w_terms = _grouped(data.draw(st.lists(
+        st.tuples(lower, st.integers(-1, 8), coefs), max_size=12)))
+    psi = laurent_matrix(n, w_terms, (-1, 8), "dw/w")
+    chart, up = par_to_orb_local(m, tuple(F(k, m) for k in ks), psi)
+    # repr also tells an int coefficient from an equal Fraction
+    assert repr(_rebuilt(up)) == repr(up)
+
+    z_terms = _grouped(((i, j), m * t + ks[i] - ks[j], c) for (i, j), t, c in
+                       data.draw(st.lists(st.tuples(lower, st.integers(0, 7), coefs),
+                                          max_size=12)))
+    z = laurent_matrix(n, z_terms, (-1, 8 * m), "dz/z")
+    _, down = orb_to_par_local(chart, z)
+    assert repr(_rebuilt(down)) == repr(down)
 
 
 def test_laurent_json_round_trip():

@@ -329,15 +329,50 @@ def section_dims():
 
 # ------------------------------------------------------- local example ----
 
+def _substitute(entries, window, degree, coef):
+    """{(i, j): {degree(i, j, d): sum of coef(c)}} over the (deg, coef) terms
+    of each entry, with zero coefficients, empty entries and degrees outside
+    the window left out."""
+    lo, hi = window
+    out = {}
+    for (i, j), terms in entries.items():
+        acc: dict[int, Fraction] = {}
+        for d, c in terms:
+            e = degree(i, j, d)
+            acc[e] = acc.get(e, Fraction(0)) + coef(Fraction(c))
+        acc = {e: c for e, c in acc.items() if c and lo <= e <= hi}
+        if acc:
+            out[(i, j)] = acc
+    return out
+
+
+def par_to_orb_terms(m: int, ks, entries, window):
+    """Entries {(i, j): [(deg, coef), ...]} of psi(w) dw/w, by direct
+    substitution w = z^m: c w^d becomes m c z^{m d + k_i - k_j}."""
+    return _substitute(entries, window,
+                       lambda i, j, d: m * d + ks[i] - ks[j], lambda c: m * c)
+
+
+def orb_to_par_terms(m: int, ks, entries, window):
+    """The inverse substitution on an equivariant matrix in z: c z^e becomes
+    (c/m) w^{(e - k_i + k_j)/m}; a non-integral exponent is a ValueError."""
+    def degree(i, j, e):
+        d, r = divmod(e - ks[i] + ks[j], m)
+        if r:
+            raise ValueError(f"z^{e} in entry ({i}, {j}) is not equivariant")
+        return d
+    return _substitute(entries, window, degree, lambda c: c / m)
+
+
 def section_local():
     # n=2, m=2, k=(0,1): parabolic lower-left entry psi(w) = w  (dw/w form)
-    m, ki, kj = 2, 1, 0
-    terms = {1: Fraction(1)}   # w^1
-    z_terms = {ki - kj + m * e: m * c for e, c in terms.items()}
-    print("par->orb lower-left (w |-> terms):", sorted(z_terms.items()))
+    m, ks = 2, (0, 1)
+    z_terms = par_to_orb_terms(m, ks, {(1, 0): [(1, 1)]}, (-1, 8 * m))
+    print("par->orb lower-left (w |-> terms):", sorted(z_terms[(1, 0)].items()))
     # inverse: z^3 coefficient 2 -> w^{(3-1)/2}=w^1 coefficient 2/2=1
-    back = {(3 - (ki - kj)) // m: Fraction(2, m)}
-    print("orb->par back:", sorted(back.items()))
+    back = orb_to_par_terms(m, ks, {(1, 0): list(z_terms[(1, 0)].items())},
+                            (-1, 8))
+    print("orb->par back:", sorted(back[(1, 0)].items()))
 
 
 def section_sp_filtration():
