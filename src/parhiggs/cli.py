@@ -247,11 +247,11 @@ def _cmd_mw(args, cap) -> CommandOutput:
 def _cmd_hitchin(args, cap) -> CommandOutput:
     model = hitchin_model(args.k, args.g, args.s)
     report = stability_verdict(model)
+    pds = model.pardegs()
     payload = {
         "model": model,
-        "pardegs": [pardeg(l, model.surface) for l in model.summands],
-        "total_pardeg": sum((pardeg(l, model.surface)
-                             for l in model.summands), Fraction(0)),
+        "pardegs": pds,
+        "total_pardeg": sum(pds, Fraction(0)),
         "verdict": report.verdict,
     }
     if args.triple:

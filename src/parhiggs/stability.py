@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -213,13 +214,6 @@ def _undirected_components(n: int, arrows: frozenset[Arrow]) -> list[tuple[int, 
     return [tuple(sorted(v)) for v in sorted(comps.values())]
 
 
-def _restrict(m: DecomposableHiggsModel, subset: Sequence[int]) -> DecomposableHiggsModel:
-    pos = {k: t for t, k in enumerate(subset)}
-    keep = frozenset((pos[i], pos[j]) for (i, j) in m.arrows
-                     if i in pos and j in pos)
-    return DecomposableHiggsModel(m.surface, tuple(m.summands[k] for k in subset), keep)
-
-
 def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     """Slope verdict over the invariant coordinate subbundles.
 
@@ -238,26 +232,28 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     total = sums[-1]
     mu = Fraction(total, den * n)
     # Slopes compared by cross-multiplying.  best: the first maximizer above
-    # mu so far; tie: the first subset of slope mu while none is above it.
-    best = tie = None
+    # mu so far; ties: the subsets of slope mu while none is above it.
+    best, ties = None, []
     best_sum, best_size = total, n
     for mask in masks:
         size = mask.bit_count()
         gap = sums[mask] * best_size - best_sum * size
         if gap > 0 or (gap == 0 and best is not None and _lex_before(mask, best)):
             best, best_sum, best_size = mask, sums[mask], size
-        elif gap == 0 and best is None and (tie is None or _lex_before(mask, tie)):
-            tie = mask
+        elif gap == 0 and best is None:
+            ties.append(mask)
     if best is not None:
         return StabilityReport("unstable", _mask_tuple(best), mu)
-    if tie is None:
+    if not ties:
         return StabilityReport("stable", None, mu)
-    comps = _undirected_components(n, m.arrows)
+    # Nothing beats mu, so a tie meets each component in a closed set of
+    # slope mu; a piece is stable alone iff no tie cuts it properly.
+    comps = [sum(1 << k for k in c) for c in _undirected_components(n, m.arrows)]
     if len(comps) > 1 and all(
-            sum(sums[1 << k] for k in c) * n == total * len(c)
-            and stability_verdict(_restrict(m, c)).verdict == "stable"
-            for c in comps):
+            sums[c] * n == total * c.bit_count() for c in comps) and all(
+            t & c in (0, c) for t in ties for c in comps):
         return StabilityReport("polystable", None, mu)
+    tie = reduce(lambda a, b: b if _lex_before(b, a) else a, ties)
     return StabilityReport("strictly_semistable", _mask_tuple(tie), mu)
 
 
@@ -424,14 +420,13 @@ def _check_index_steps(n: int, index_steps: Sequence[Sequence[int]]) -> list[tup
     return steps
 
 
-def _point_flag_filtration(m: DecomposableHiggsModel, x: str) -> WeightedFiltration:
-    """The flag of the decomposable bundle at x as an increasing filtration:
-    step j spans the summand directions of the j smallest weights, carrying
-    those weights (low-weight steps first, so the weights increase)."""
-    wts = [l.weight(x) for l in m.summands]
-    levels = sorted(set(wts))
-    index_steps = [[k for k, w in enumerate(wts) if w <= lv] for lv in levels]
-    return coordinate_filtration(m.n, index_steps, levels)
+def _first_steps(steps: Sequence[tuple[int, ...]]) -> dict[int, int]:
+    """index -> the first filtration step that holds it."""
+    level = {}
+    for t, st in enumerate(steps):
+        for k in st:
+            level.setdefault(k, t)
+    return level
 
 
 def pardeg_of_reduction_gl(m: DecomposableHiggsModel,
@@ -439,21 +434,11 @@ def pardeg_of_reduction_gl(m: DecomposableHiggsModel,
                            weights: Sequence[Fraction]) -> Fraction:
     """Parabolic degree of the weighted coordinate reduction.
 
-    la_k deg E + sum_{i<k} (la_i - la_{i+1}) deg W_i, plus one relative-degree
-    pairing against the weighted flag filtration at each marked point.
+    Its degree part and its pairing with the weighted flag at each marked
+    point add up to sum_k la_{a(k)} pardeg L_k: sp_filtration_degree at
+    alpha = 0.
     """
-    steps = _check_index_steps(m.n, index_steps)
-    lam = [Fraction(w) for w in weights]
-    if len(lam) != len(steps):
-        raise DomainError("bad_filtration_shape")
-    degs = [l.degree for l in m.summands]
-    total = lam[-1] * sum(degs[k] for k in steps[-1])
-    for i in range(len(steps) - 1):
-        total += (lam[i] - lam[i + 1]) * sum(degs[k] for k in steps[i])
-    red = coordinate_filtration(m.n, steps, lam)
-    for x in m.surface.labels():
-        total += relative_degree(red, _point_flag_filtration(m, x))
-    return total
+    return sp_filtration_degree(m, index_steps, weights, Fraction(0))
 
 
 def alpha_stability_check_gl(m: DecomposableHiggsModel, alpha: Fraction
@@ -486,18 +471,21 @@ def sp_filtration_degree(m: DecomposableHiggsModel,
                          index_steps: Sequence[Sequence[int]],
                          weights: Sequence[Fraction],
                          alpha: Fraction) -> Fraction:
-    """sum_j (la_j - la_{j+1}) (pardeg V_j - alpha rk V_j), la trailing 0."""
+    """sum_j (la_j - la_{j+1}) (pardeg V_j - alpha rk V_j), la trailing 0.
+
+    Summed by parts: sum_k la_{a(k)} (pardeg L_k - alpha), a(k) the first
+    step that holds k.
+    """
     steps = _check_index_steps(m.n, index_steps)
     lam = [Fraction(w) for w in weights]
     if len(lam) != len(steps):
         raise DomainError("bad_filtration_shape")
     if any(a >= b for a, b in zip(lam, lam[1:])):
         raise DomainError("filtration_weights_not_increasing")
-    lam.append(Fraction(0))
     alpha = Fraction(alpha)
-    return sum(((lam[j] - lam[j + 1])
-                * (m.sub_pardeg(st) - alpha * len(st))
-                for j, st in enumerate(steps)), Fraction(0))
+    first = _first_steps(steps)
+    return sum((lam[first[k]] * (p - alpha) for k, p in enumerate(m.pardegs())),
+               Fraction(0))
 
 
 def sp_support_membership(m: SpTripleModel,
@@ -512,10 +500,7 @@ def sp_support_membership(m: SpTripleModel,
     lam = [Fraction(w) for w in weights]
     if len(lam) != len(steps):
         raise DomainError("bad_filtration_shape")
-    level = {}
-    for t, st in enumerate(steps):
-        for k in st:
-            level.setdefault(k, t)
+    level = _first_steps(steps)
     for (i, j) in m.beta_arrows:
         if lam[level[i]] + lam[level[j]] > 0:
             return False

@@ -51,12 +51,6 @@ class MarkedSurface:
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.points)
 
-    def order_of(self, label: str) -> int:
-        for p in self.points:
-            if p.label == label:
-                return p.order
-        raise DomainError("unknown_point", label=label)
-
     def is_hyperbolic(self) -> bool:
         return 2 * self.genus - 2 + self.s > 0
 

@@ -13,13 +13,27 @@ from parhiggs.components import (
     so0_2n,
     sp2nr,
 )
+from parhiggs.exact_core import DomainError
 from parhiggs.orbifold import laurent_matrix, orb_to_par_local, par_to_orb_local
 from parhiggs.parbun import ParabolicLineBundle
-from parhiggs.stability import DecomposableHiggsModel, invariant_subsets
+from parhiggs.stability import (
+    DecomposableHiggsModel,
+    WeightedFiltration,
+    general_mw_interval,
+    hitchin_model,
+    invariant_subsets,
+    milnor_wood_bound,
+    pardeg_of_reduction_gl,
+    relative_degree,
+    sp_filtration_degree,
+)
 from parhiggs.surface import standard_surface
 
 HYPERBOLIC = [(g, s) for g in range(5) for s in range(1, 5)
               if 2 * g - 2 + s > 0]
+# the closed hyperbolic surfaces too
+HYPERBOLIC_ALL = [(g, s) for g in range(5) for s in range(5)
+                  if 2 * g - 2 + s > 0]
 SP_MODES = {"max_union": CountMode.max_union(),
             "fixed_even": CountMode.fixed_parity("even"),
             "fixed_odd": CountMode.fixed_parity("odd"),
@@ -44,7 +58,10 @@ def test_oracle_script_runs_clean(oracles):
     proc = subprocess.run([sys.executable, oracles.__file__],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "== subsets ==" in proc.stdout
+    sections = [name[8:] for name in dir(oracles) if name.startswith("section_")]
+    assert sections
+    for name in sections:
+        assert f"== {name} ==" in proc.stdout
 
 
 def test_sp_cases_match_count_components(oracles):
@@ -112,3 +129,94 @@ def test_local_dictionary_matches_direct_substitution(oracles):
         _, down = orb_to_par_local(chart, z, window)
         assert _as_dicts(down) == oracles.orb_to_par_terms(
             m, ks, z_terms, window or (-1, 8))
+
+
+def test_hitchin_pardegs_match_hitchin_model(oracles):
+    for g, s in HYPERBOLIC_ALL:
+        for k in range(2, 13):
+            assert hitchin_model(k, g, s).pardegs() == \
+                oracles.hitchin_pardegs(k, g, s)
+
+
+def test_mw_bounds_match_milnor_wood(oracles):
+    for g, s in HYPERBOLIC_ALL:
+        for n in range(1, 7):
+            assert milnor_wood_bound(n, g, s) == oracles.mw_bound(n, g, s)
+        for rk_plus in range(4):
+            for rk_minus in range(4):
+                assert general_mw_interval(rk_plus, rk_minus, g, s) == \
+                    oracles.mw_interval(rk_plus, rk_minus, g, s)
+
+
+def _increasing(rng, k):
+    return [F(x, 2) for x in sorted(rng.sample(range(-6, 7), k))]
+
+
+def _cuts(rng, n):
+    """Sizes of the steps of a random filtration of length 1..n."""
+    return sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) + [n]
+
+
+def test_reduction_degrees_match_definition(oracles):
+    """Against the degree terms plus the relative degree to each point's
+    weighted flag, and the sp filtration degree against its step sum."""
+    rng = random.Random(2020)
+    for _ in range(300):
+        g, s = rng.choice(HYPERBOLIC_ALL)
+        surf = standard_surface(g, s)
+        n = rng.randint(1, 5)
+        degrees = [rng.randint(-4, 4) for _ in range(n)]
+        weights = [[F(rng.randrange(4), 4) for _ in range(n)]
+                   for _ in surf.labels()]
+        m = DecomposableHiggsModel(surf, tuple(
+            ParabolicLineBundle(d, {x: w[k] for x, w in zip(surf.labels(), weights)})
+            for k, d in enumerate(degrees)))
+        order = list(range(n))
+        rng.shuffle(order)
+        steps = [sorted(order[:c]) for c in _cuts(rng, n)]
+        lam = _increasing(rng, len(steps))
+
+        want = oracles.reduction_degree_direct(degrees, weights, steps, lam)
+        assert pardeg_of_reduction_gl(m, steps, lam) == want
+        assert sp_filtration_degree(m, steps, lam, F(0)) == want
+
+        alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
+        pds = [d + sum(w[k] for w in weights) for k, d in enumerate(degrees)]
+        assert sp_filtration_degree(m, steps, lam, alpha) == oracles.filtration_degree(
+            [sum(pds[k] for k in st) for st in steps], [len(st) for st in steps],
+            lam, alpha)
+
+
+def _rand_filtration(rng, n, pool):
+    """Steps spanning growing prefixes of a shuffled basis drawn from pool,
+    some with a redundant extra generator; dependent draws are retried."""
+    while True:
+        vecs = rng.sample(pool, n)
+        steps = []
+        for c in _cuts(rng, n):
+            gens = vecs[:c]
+            if rng.random() < 0.3:
+                gens = gens + [[a + b for a, b in zip(gens[0], gens[-1])]]
+            steps.append(gens)
+        lam = _increasing(rng, len(steps))
+        try:
+            filt = WeightedFiltration(
+                n, tuple(tuple(map(tuple, st)) for st in steps), tuple(lam))
+        except DomainError:
+            continue
+        return filt, steps, lam
+
+
+def test_relative_degree_matches_direct(oracles):
+    rng = random.Random(1976)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        # small entries make nontrivial intersections common; the basis
+        # vectors make coordinate filtrations
+        basis = [oracles.basis_vector(n, k) for k in range(n)]
+        pool = basis + [[F(rng.randint(-1, 1)) for _ in range(n)]
+                        for _ in range(2 * n)]
+        a, a_steps, a_wts = _rand_filtration(rng, n, pool)
+        b, b_steps, b_wts = _rand_filtration(rng, n, pool)
+        assert relative_degree(a, b) == oracles.relative_degree_direct(
+            a_steps, a_wts, b_steps, b_wts)

@@ -203,6 +203,35 @@ def test_verdict_matches_brute_force(oracles):
     assert seen == {"stable", "unstable", "strictly_semistable", "polystable"}
 
 
+def rand_split_model(rng):
+    """Blocks of slope 0 with arrows only inside each block, so the graph
+    splits and every piece has the total slope."""
+    g, s = rng.choice(HYP)
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    degrees, arrows = [], set()
+    for size in sizes:
+        block = range(len(degrees), len(degrees) + size)
+        ds = [rng.randint(-1, 1) for _ in range(size - 1)]
+        degrees += ds + [-sum(ds)]
+        arrows |= {(i, j) for i in block for j in block
+                   if i != j and rng.random() < 0.4}
+    return DecomposableHiggsModel(
+        standard_surface(g, s), tuple(ParabolicLineBundle(d) for d in degrees),
+        frozenset(arrows))
+
+
+def test_split_verdicts_match_brute_force(oracles):
+    rng = random.Random(2020)
+    seen = set()
+    for _ in range(300):
+        m = rand_split_model(rng)
+        r = stability_verdict(m)
+        assert (r.verdict, r.witness, r.slope) == \
+            brute_verdict(oracles, m.pardegs(), m.arrows)
+        seen.add(r.verdict)
+    assert {"polystable", "strictly_semistable"} <= seen
+
+
 def test_alpha_check_matches_reduction_degrees(oracles):
     """The closed form against the old route: every invariant two-step
     reduction through pardeg_of_reduction_gl, first failure returned."""
@@ -498,6 +527,17 @@ def test_reduction_input_validation():
         pardeg_of_reduction_gl(m, [[0]], [F(1)])           # never reaches full
     with pytest.raises(DomainError):
         pardeg_of_reduction_gl(m, [[1], [0, 1]], [F(1)])   # shape mismatch
+
+
+def test_weight_at_unknown_label_is_refused():
+    surf = standard_surface(2, 1)
+    m = DecomposableHiggsModel(surf, (ParabolicLineBundle(1, {"y": F(1, 2)}),))
+    for call in (lambda: pardeg_of_reduction_gl(m, [[0]], [F(1)]),
+                 lambda: sp_filtration_degree(m, [[0]], [F(1)], F(0)),
+                 lambda: stability_verdict(m)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.code == "flag_surface_mismatch"
 
 
 def test_alpha_check_agrees_with_verdict_at_mean_slope():

@@ -84,9 +84,41 @@ def relative_degree_direct(w_steps, w_wts, b_steps, b_wts) -> Fraction:
     return tot
 
 
+def basis_vector(n: int, k: int) -> list[Fraction]:
+    return [Fraction(1 if t == k else 0) for t in range(n)]
+
+
+def point_flag(weights) -> tuple[list[list[list[Fraction]]], list[Fraction]]:
+    """The weighted flag at one point of a sum of n lines, as an increasing
+    filtration: step l spans the lines of weight <= the l-th smallest weight
+    and carries that weight."""
+    n = len(weights)
+    levels = sorted(set(weights))
+    steps = [[basis_vector(n, k) for k in range(n) if weights[k] <= lv]
+             for lv in levels]
+    return steps, levels
+
+
+def reduction_degree_direct(degrees, weights_at_points, steps, lam) -> Fraction:
+    """Parabolic degree of a weighted coordinate reduction of a sum of lines,
+    by the definition: sum_i (la_i - la_{i+1}) deg W_i (la trailing 0) plus
+    the relative degree against the weighted flag at each marked point.
+    weights_at_points holds, per point, the weight of every line there."""
+    n = len(degrees)
+    lw = list(lam) + [Fraction(0)]
+    tot = Fraction(0)
+    for i, st in enumerate(steps):
+        tot += (lw[i] - lw[i + 1]) * sum(degrees[k] for k in st)
+    red = [[basis_vector(n, k) for k in st] for st in steps]
+    for wts in weights_at_points:
+        f_steps, f_wts = point_flag(wts)
+        tot += relative_degree_direct(red, lam, f_steps, f_wts)
+    return tot
+
+
 def section_reldeg():
     F = Fraction
-    e1, e2 = [F(1), F(0)], [F(0), F(1)]
+    e1, e2 = basis_vector(2, 0), basis_vector(2, 1)
     full = [e1, e2]
     a = ([[e2], full], [F(-1), F(1)])
     print("reldeg(a,a) diag(1,-1):", relative_degree_direct(a[0], a[1], a[0], a[1]))
@@ -375,18 +407,37 @@ def section_local():
     print("orb->par back:", sorted(back[(1, 0)].items()))
 
 
+def filtration_degree(step_pardegs, step_ranks, lam, alpha=Fraction(0)) -> Fraction:
+    """sum_j (la_j - la_{j+1}) (pardeg V_j - alpha rk V_j), la trailing 0."""
+    lw = list(lam) + [Fraction(0)]
+    return sum(((lw[j] - lw[j + 1]) * (pd - alpha * rk)
+                for j, (pd, rk) in enumerate(zip(step_pardegs, step_ranks))),
+               Fraction(0))
+
+
 def section_sp_filtration():
-    # hitchin k=2 (g=2,s=1): pardegs (-3/2, 3/2); steps {neg}, all; lam=(-1,1)
-    lam = [Fraction(-1), Fraction(1), Fraction(0)]
-    pd = [Fraction(-3, 2), Fraction(0)]   # pardeg of step j; full space = 0
-    val = (lam[0] - lam[1]) * pd[0] + (lam[1] - lam[2]) * pd[1]
+    # hitchin k=2 (g=2,s=1): pardegs (-3/2, 3/2); steps {neg}, all; lam=(-1,1);
+    # the steps have pardegs -3/2 and 0 (the full space)
+    val = filtration_degree([Fraction(-3, 2), Fraction(0)], [1, 2],
+                            [Fraction(-1), Fraction(1)])
     print("sp filtration degree example:", val)
 
 
+def mw_bound(n: int, g: int, s: int) -> Fraction:
+    """Rank times half of deg K(D)."""
+    return Fraction(n * (2 * g - 2 + s), 2)
+
+
+def mw_interval(rk_plus: int, rk_minus: int, g: int, s: int) -> tuple[int, int]:
+    """[-rk+ deg K(D), rk- deg K(D)]."""
+    kd = 2 * g - 2 + s
+    return (-rk_plus * kd, rk_minus * kd)
+
+
 def section_mw():
-    print("mw bound n=2 g=2 s=3:", 2 * (Fraction(2 - 1) + Fraction(3, 2)))
-    print("mw bound n=3 g=0 s=4:", 3 * (Fraction(0 - 1) + Fraction(4, 2)))
-    print("general interval rk+=1 rk-=1 g=2 s=1:", (-3, 3))
+    print("mw bound n=2 g=2 s=3:", mw_bound(2, 2, 3))
+    print("mw bound n=3 g=0 s=4:", mw_bound(3, 0, 4))
+    print("general interval rk+=1 rk-=1 g=2 s=1:", mw_interval(1, 1, 2, 1))
 
 
 if __name__ == "__main__":
