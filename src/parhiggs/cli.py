@@ -147,6 +147,12 @@ _MODES = {
 }
 
 
+# the spellings that read their family parameter from --n
+_FAMILIES_WITH_N = {"sp2n": comp.sp2nr, "su": comp.sunn,
+                    "so-star": comp.so_star_2n, "sostar": comp.so_star_2n,
+                    "so0-2n": comp.so0_2n, "so02n": comp.so0_2n}
+
+
 def _parse_group(name: str, n: int | None) -> comp.GroupDescriptor:
     text = name.lower()
     match = _SP_NAME.match(text)
@@ -155,24 +161,13 @@ def _parse_group(name: str, n: int | None) -> comp.GroupDescriptor:
         if value % 2 != 0 or value < 2:
             raise DomainError("unknown_group", name=name)
         return comp.sp2nr(value // 2)
-    if text == "sp2n":
+    family = _FAMILIES_WITH_N.get(text)
+    if family is not None:
         if n is None:
             raise DomainError("group_needs_n", name=name)
-        return comp.sp2nr(n)
-    if text == "su":
-        if n is None:
-            raise DomainError("group_needs_n", name=name)
-        return comp.sunn(n)
-    if text in ("so-star", "sostar"):
-        if n is None:
-            raise DomainError("group_needs_n", name=name)
-        return comp.so_star_2n(n)
+        return family(n)
     if text in ("so0-23", "so023"):
         return comp.so0_2n(3)
-    if text in ("so0-2n", "so02n"):
-        if n is None:
-            raise DomainError("group_needs_n", name=name)
-        return comp.so0_2n(n)
     if text == "e7":
         return comp.e7_minus25()
     if name.startswith("split:"):
@@ -367,7 +362,8 @@ def _cmd_dims(args, cap) -> CommandOutput:
 
 
 def _cmd_vcoh(args, cap) -> CommandOutput:
-    require_hyperbolic(standard_surface(args.g, args.s))
+    if args.s >= 0:  # v_cohomology_ranks refuses s < 1 as needs_marked_points
+        require_hyperbolic(standard_surface(args.g, args.s))
     ranks, provenance = v_cohomology_ranks(args.g, args.s, args.mode)
     return CommandOutput({"h0": ranks.h0, "h1": ranks.h1, "h2": ranks.h2,
                           "euler": ranks.euler(), "mode": args.mode,

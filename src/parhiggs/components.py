@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping, NamedTuple
 
-from .exact_core import DomainError
+from .exact_core import DomainError, check_cap
 from .orbifold import parity
 from .surface import require_hyperbolic, standard_surface
 
@@ -308,11 +308,6 @@ def _require_marked(g: int, s: int) -> None:
         require_hyperbolic(standard_surface(g, s))
 
 
-def _check_cap(needed: int, cap: int | None) -> None:
-    if cap is not None and needed > cap:
-        raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
-
-
 # --------------------------------------------------------------------------
 # factors: the discrete invariants a case ranges over
 
@@ -548,7 +543,7 @@ def enumerate_invariants_sp(n: int, g: int, s: int, mode: CountMode,
     if entry is None or mode.variant == _KD:
         raise DomainError("mode_not_enumerable", variant=mode.variant)
     z = _factor_sizes(g, s)
-    _check_cap(sum(_closed_forms(entry, z)[0]), cap)
+    check_cap(sum(_closed_forms(entry, z)[0]), cap)
     out: list[InvariantTuple] = []
     for _, factors in entry.cases:
         out.extend(_materialize(factors, z, mode.parity))
@@ -597,7 +592,7 @@ def count_components(group: GroupDescriptor, g: int, s: int, mode: CountMode,
     if mode.variant == _KD:  # counted, not enumerated, like the closed surface
         enumerated = sizes
     else:
-        _check_cap(sum(sizes), cap)
+        check_cap(sum(sizes), cap)
         enumerated = [len(_materialize(factors, z, mode.parity))
                       for _, factors in entry.cases]
     pairs = [(label, enum, size) for (label, _), enum, size

@@ -200,11 +200,11 @@ def dim_strongly_parabolic_gl(n: int, g: int, s: int,
     """
     if n < 1:
         raise DomainError("rank_not_positive", n=n)
-    _check_surface(g, s)
     mults = [tuple(m) for m in multiplicities]
     if len(mults) != s:
         raise DomainError("bad_multiplicities", expected_points=s,
                           got=len(mults))
+    _check_surface(g, s)
     total = 2 * (g - 1) * n * n + 2
     for idx, ks in enumerate(mults):
         if not ks or any(not isinstance(k, int) or k < 1 for k in ks) or \

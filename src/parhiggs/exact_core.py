@@ -10,6 +10,7 @@ from typing import Sequence
 
 __all__ = [
     "DomainError",
+    "check_cap",
     "rat_from_str",
     "q_matrix_rank",
 ]
@@ -28,6 +29,12 @@ class DomainError(ValueError):
         out: dict = {"error": self.code}
         out.update(self.info)
         return out
+
+
+def check_cap(needed: int, cap: int | None) -> None:
+    """Refuse a request for more than cap items before any is built."""
+    if cap is not None and needed > cap:
+        raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
 
 
 def rat_from_str(s: str | int) -> Fraction:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact_core import DomainError
-from .parbun import ParabolicLineBundle
+from .exact_core import DomainError, check_cap
+from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
 __all__ = [
@@ -186,9 +186,7 @@ def z2_character_count(surf: MarkedSurface) -> int:
 def z2_character_enumerate(surf: MarkedSurface, cap: int | None = None
                            ) -> list[Z2Character]:
     """All characters, lexicographic in (a_1,b_1,..,b_g,sigma_1,..,sigma_s)."""
-    count = z2_character_count(surf)
-    if cap is not None and count > cap:
-        raise DomainError("enumeration_cap_exceeded", needed=count, cap=cap)
+    check_cap(z2_character_count(surf), cap)
     even_pos = [t for t, p in enumerate(surf.points) if p.order % 2 == 0]
     sigmas = []
     for bits in itertools.product((0, 1), repeat=len(even_pos)):
@@ -299,7 +297,7 @@ _FORMS = ("dw/w", "dz/z")
 def _clean_terms(terms) -> tuple[Term, ...]:
     acc: dict[int, Fraction] = {}
     for d, c in terms:
-        d, c = int(d), Fraction(c)
+        d, c = int(d), c if type(c) is Fraction else Fraction(c)
         acc[d] = acc[d] + c if d in acc else c
     return tuple(sorted((d, c) for d, c in acc.items() if c))
 
@@ -374,9 +372,7 @@ def equivariance_check(mat: LaurentMatrix, chart: LocalChart) -> bool:
 def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
     ks = []
     for w in weights:
-        w = Fraction(w)
-        if not 0 <= w < 1:
-            raise DomainError("weight_out_of_range", weight=w)
+        w = _check_weight(w)
         if (w * m).denominator != 1:
             raise DomainError("weight_not_in_denominator", weight=w, m=m)
         ks.append(int(w * m))

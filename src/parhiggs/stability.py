@@ -390,7 +390,8 @@ def relative_degree(a: WeightedFiltration, b: WeightedFiltration) -> Fraction:
     """Pairing sum_ij (la_i - la_{i+1})(mu_j - mu_{j+1}) dim(W_i cap B_j).
 
     Trailing weights are 0; intersection dimensions are exact over Q
-    (dim W + dim B - dim(W+B) by fraction elimination).
+    (dim W + dim B - dim(W+B), the step dimensions stored at construction and
+    dim(W+B) by fraction elimination).
     """
     if a.ambient_dim != b.ambient_dim:
         raise DomainError("ambient_dim_mismatch", a=a.ambient_dim, b=b.ambient_dim)
@@ -403,12 +404,18 @@ def relative_degree(a: WeightedFiltration, b: WeightedFiltration) -> Fraction:
             cj = mu[j] - mu[j + 1]
             if ci == 0 or cj == 0:
                 continue
-            inter = q_matrix_rank(wi) + q_matrix_rank(bj) - q_matrix_rank(wi + bj)
+            inter = a._dims[i] + b._dims[j] - q_matrix_rank(wi + bj)
             total += ci * cj * inter
     return total
 
 
-def _check_index_steps(n: int, index_steps: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def _index_weights(n: int, index_steps: Sequence[Sequence[int]],
+                   weights: Sequence[Fraction]) -> list[Fraction]:
+    """la_{a(k)} for each index k, a(k) the first step that holds k.
+
+    Checks the weighted coordinate filtration first: nested nonempty steps
+    ending in all n indices, one weight per step, weights strictly increasing.
+    """
     steps = [tuple(sorted(set(st))) for st in index_steps]
     if not steps or steps[-1] != tuple(range(n)):
         raise DomainError("filtration_must_end_full", n=n)
@@ -417,16 +424,16 @@ def _check_index_steps(n: int, index_steps: Sequence[Sequence[int]]) -> list[tup
             raise DomainError("filtration_not_nested")
     if any(not st or any(k < 0 or k >= n for k in st) for st in steps):
         raise DomainError("bad_index_step", n=n)
-    return steps
-
-
-def _first_steps(steps: Sequence[tuple[int, ...]]) -> dict[int, int]:
-    """index -> the first filtration step that holds it."""
-    level = {}
-    for t, st in enumerate(steps):
-        for k in st:
-            level.setdefault(k, t)
-    return level
+    lam = [Fraction(w) for w in weights]
+    if len(lam) != len(steps):
+        raise DomainError("bad_filtration_shape")
+    if any(a >= b for a, b in zip(lam, lam[1:])):
+        raise DomainError("filtration_weights_not_increasing")
+    out = [Fraction(0)] * n
+    for t in reversed(range(len(steps))):
+        for k in steps[t]:
+            out[k] = lam[t]
+    return out
 
 
 def pardeg_of_reduction_gl(m: DecomposableHiggsModel,
@@ -476,16 +483,9 @@ def sp_filtration_degree(m: DecomposableHiggsModel,
     Summed by parts: sum_k la_{a(k)} (pardeg L_k - alpha), a(k) the first
     step that holds k.
     """
-    steps = _check_index_steps(m.n, index_steps)
-    lam = [Fraction(w) for w in weights]
-    if len(lam) != len(steps):
-        raise DomainError("bad_filtration_shape")
-    if any(a >= b for a, b in zip(lam, lam[1:])):
-        raise DomainError("filtration_weights_not_increasing")
+    lam = _index_weights(m.n, index_steps, weights)
     alpha = Fraction(alpha)
-    first = _first_steps(steps)
-    return sum((lam[first[k]] * (p - alpha) for k, p in enumerate(m.pardegs())),
-               Fraction(0))
+    return sum((la * (p - alpha) for la, p in zip(lam, m.pardegs())), Fraction(0))
 
 
 def sp_support_membership(m: SpTripleModel,
@@ -495,19 +495,11 @@ def sp_support_membership(m: SpTripleModel,
 
     Reading each index through its first filtration step, beta needs
     la_i + la_j <= 0 on its support and gamma needs la_i + la_j >= 0.
+    Weights must increase strictly, as in sp_filtration_degree.
     """
-    steps = _check_index_steps(m.n, index_steps)
-    lam = [Fraction(w) for w in weights]
-    if len(lam) != len(steps):
-        raise DomainError("bad_filtration_shape")
-    level = _first_steps(steps)
-    for (i, j) in m.beta_arrows:
-        if lam[level[i]] + lam[level[j]] > 0:
-            return False
-    for (i, j) in m.gamma_arrows:
-        if lam[level[i]] + lam[level[j]] < 0:
-            return False
-    return True
+    lam = _index_weights(m.n, index_steps, weights)
+    return all(lam[i] + lam[j] <= 0 for (i, j) in m.beta_arrows) and all(
+        lam[i] + lam[j] >= 0 for (i, j) in m.gamma_arrows)
 
 
 # ---------------------------------------------------------------- JSON ----

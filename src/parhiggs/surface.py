@@ -56,7 +56,12 @@ class MarkedSurface:
 
 
 def standard_surface(genus: int, s: int, order: int = 2) -> MarkedSurface:
-    """Surface with points labelled x1..xs, all of the same isotropy order."""
+    """Surface with points labelled x1..xs, all of the same isotropy order.
+
+    A negative s is refused (bad_marked_points) rather than read as no points.
+    """
+    if s < 0:
+        raise DomainError("bad_marked_points", s=s)
     return MarkedSurface(genus, tuple(MarkedPoint(f"x{i+1}", order) for i in range(s)))
 
 

@@ -9,6 +9,8 @@ no other ``parhiggs`` on PATH is used.  Output determinism is asserted
 byte-for-byte.
 """
 
+import csv
+import io
 import json
 import os
 import resource
@@ -217,6 +219,21 @@ def test_components_accepts_sp2n_spelling(capsys):
     assert by_name == by_param
 
 
+@pytest.mark.parametrize("argv,group", [
+    (["--group", "so-star", "--n", "2"], "SO*(4)"),
+    (["--group", "sostar", "--n", "2"], "SO*(4)"),
+    (["--group", "so0-2n", "--n", "4"], "SO0(2,4)"),
+    (["--group", "so02n", "--n", "4"], "SO0(2,4)"),
+    (["--group", "e7"], "E7^{-25}"),
+], ids=["so-star", "sostar", "so0-2n", "so02n", "e7"])
+def test_components_group_spellings(capsys, argv, group):
+    code, payload = run_json(
+        capsys, ["components", *argv, "--g", "2", "--s", "1"])
+    assert code == 0
+    validate(payload, "components")
+    assert payload["group"]["display"] == group
+
+
 def test_characters_count(capsys):
     code, payload = run_json(capsys, ["characters", "--g", "1", "--s", "3"])
     assert code == 0
@@ -259,6 +276,15 @@ def test_orbifold_kawasaki_is_offset_desing_degree(capsys):
     assert payload["square_root_total"] == 0
 
 
+def test_orbifold_without_square_root_prints_null(capsys):
+    # no marked points and an odd degree: square_root_types refuses
+    code, payload = run_json(
+        capsys, ["orbifold", "--g", "2", "--s", "0", "--desing-degree", "1"])
+    assert code == 0
+    validate(payload, "orbifold")
+    assert payload["square_root_total"] is None
+
+
 def test_roots_total_is_types_times_torsion(capsys):
     code, payload = run_json(
         capsys, ["roots", "--g", "1", "--s", "2", "--desing-degree", "0"])
@@ -277,6 +303,11 @@ def test_dims_values(capsys):
         capsys, ["dims", "--formula", "sparadim", "--n", "2",
                  "--g", "2", "--s", "1", "--flags", "full"])
     assert sparadim == {"formula": "sparadim", "dimension": 12}
+    # the trivial flag adds nothing: 2(g-1)n^2 + 2
+    _, trivial = run_json(
+        capsys, ["dims", "--formula", "sparadim", "--n", "2",
+                 "--g", "2", "--s", "1", "--flags", "trivial"])
+    assert trivial == {"formula": "sparadim", "dimension": 10}
 
 
 def test_dims_teich_real_dimension(capsys):
@@ -349,6 +380,25 @@ def test_generic_csv_fallback(capsys):
                              "--format", "csv"])
     assert code == 0
     assert out.splitlines() == ["field,value", "bound,3"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_generic_formats_inline_nested_values(capsys, fmt):
+    argv = ["hitchin", "--k", "2", "--g", "2", "--s", "1", "--triple"]
+    _, payload = run_json(capsys, argv)
+    code, out = run(capsys, [*argv, "--format", fmt])
+    assert code == 0
+    if fmt == "csv":
+        cells = dict(csv.reader(io.StringIO(out)))
+    else:
+        cells = dict(line[2:-2].split(" | ", 1)
+                     for line in out.splitlines()[2:])
+    nested = [key for key, value in payload.items()
+              if isinstance(value, (dict, list))]
+    assert sorted(nested) == ["model", "pardegs", "sp_triple"]
+    for key in nested:
+        assert cells[key] == json.dumps(payload[key], sort_keys=True,
+                                        separators=(",", ":"))
 
 
 def test_emit_tables_appends_markdown_after_blank_line(capsys):
@@ -435,6 +485,15 @@ ERROR_CASES = [
     ("sp2n-needs-n",
      ["components", "--group", "sp2n", "--g", "2", "--s", "1"],
      "group_needs_n"),
+    ("su-needs-n",
+     ["components", "--group", "su", "--g", "2", "--s", "1"],
+     "group_needs_n"),
+    ("so-star-needs-n",
+     ["components", "--group", "so-star", "--g", "2", "--s", "1"],
+     "group_needs_n"),
+    ("so0-2n-needs-n",
+     ["components", "--group", "so0-2n", "--g", "2", "--s", "1"],
+     "group_needs_n"),
     ("unknown-group",
      ["components", "--group", "bogus", "--g", "2", "--s", "1"],
      "unknown_group"),
@@ -470,6 +529,9 @@ ERROR_CASES = [
     ("orders-not-integer",
      ["characters", "--g", "1", "--s", "2", "--orders", "2,x"],
      "bad_integer_list"),
+    ("isotropy-length",
+     ["roots", "--g", "1", "--s", "2", "--desing-degree", "0",
+      "--isotropy", "1"], "bits_length_mismatch"),
     ("isotropy-not-integer",
      ["orbifold", "--g", "1", "--s", "2", "--desing-degree", "0",
       "--isotropy", "a,b"], "bad_integer_list"),
@@ -484,6 +546,44 @@ def test_domain_errors_exit_two_with_error_object(capsys, argv, error_code):
     assert code == 2
     assert payload["error"] == error_code
     validate(payload, "error")
+
+
+# --s -1 on every subcommand that takes --s, with the code that refuses it
+NEGATIVE_S_CASES = [
+    ("pardeg", ["pardeg", "--line", LINE_JSON], "orders_length_mismatch"),
+    ("mw", ["mw", "--n", "2"], "bad_marked_points"),
+    ("hitchin", ["hitchin", "--k", "2"], "bad_marked_points"),
+    ("components", ["components", "--group", "sp4"], "needs_marked_points"),
+    ("tables", ["tables"], "needs_marked_points"),
+    ("dims-paradim", ["dims", "--formula", "paradim", "--n", "2"],
+     "bad_marked_points"),
+    ("dims-sparadim", ["dims", "--formula", "sparadim", "--n", "2"],
+     "bad_multiplicities"),
+    ("dims-complex", ["dims", "--formula", "complex", "--dim-c", "3"],
+     "bad_marked_points"),
+    ("dims-teich", ["dims", "--formula", "teich", "--lie-group", "Sp(4,R)"],
+     "bad_marked_points"),
+    ("vcoh", ["vcoh"], "needs_marked_points"),
+    ("orbifold", ["orbifold", "--desing-degree", "1"],
+     "orders_length_mismatch"),
+    ("characters", ["characters"], "orders_length_mismatch"),
+    ("roots", ["roots", "--desing-degree", "0"], "orders_length_mismatch"),
+]
+
+
+@pytest.mark.parametrize("argv,error_code",
+                         [(argv, err) for _, argv, err in NEGATIVE_S_CASES],
+                         ids=[case_id for case_id, _, _ in NEGATIVE_S_CASES])
+def test_negative_marked_points_are_refused(capsys, argv, error_code):
+    code = main([*argv, "--g", "2", "--s", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    validate(payload, "error")
+    assert payload["error"] == error_code
+    if error_code == "bad_marked_points":
+        assert payload == {"error": "bad_marked_points", "s": -1}
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,13 @@ from parhiggs.components import (
     so0_2n,
     sp2nr,
 )
+from parhiggs.dimension import (
+    dim_parabolic_gl,
+    dim_strongly_parabolic_gl,
+    lie_catalog,
+    sl_kr_parabolic_dimension,
+    teichmuller_dimension,
+)
 from parhiggs.exact_core import DomainError
 from parhiggs.orbifold import laurent_matrix, orb_to_par_local, par_to_orb_local
 from parhiggs.parbun import ParabolicLineBundle
@@ -146,6 +153,26 @@ def test_mw_bounds_match_milnor_wood(oracles):
             for rk_minus in range(4):
                 assert general_mw_interval(rk_plus, rk_minus, g, s) == \
                     oracles.mw_interval(rk_plus, rk_minus, g, s)
+
+
+CATALOG = ["SL(2,R)", "SL(3,R)", "SL(4,R)", "Sp(4,R)", "Sp(6,R)",
+           "SO(3,2)", "SO(4,3)", "SO(3,3)", "SO(4,4)"]
+
+
+def test_dimensions_match_formulas(oracles):
+    for g, s in HYPERBOLIC_ALL:
+        for n in range(1, 5):
+            assert dim_parabolic_gl(n, g, s) == oracles.paradim(n, g, s)
+            for flag in ([1] * n, [n]):
+                assert dim_strongly_parabolic_gl(n, g, s, [flag] * s) == \
+                    oracles.sparadim(n, g, [flag] * s)
+        for name in CATALOG:
+            data = lie_catalog(name)
+            assert teichmuller_dimension(data, g, s).real_dimension == \
+                oracles.teich_real(data.real_dimension, data.exponents, g, s)
+        for k in range(2, 6):
+            assert sl_kr_parabolic_dimension(k, g, s) == \
+                oracles.teich_real(k * k - 1, range(1, k), g, s)
 
 
 def _increasing(rng, k):

@@ -92,6 +92,10 @@ def test_par_tensor_line_examples():
     t = par_tensor_line(ParabolicLineBundle(0, {"x1": H}),
                         ParabolicLineBundle(0, {"x1": H}))
     assert t.degree == 1 and t.weight("x1") == 0
+    # weights summing below 1 add without a wrap
+    assert par_tensor_line(ParabolicLineBundle(0, {"x1": Fraction(1, 4)}),
+                           ParabolicLineBundle(1, {"x1": H})) == \
+        ParabolicLineBundle(1, {"x1": Fraction(3, 4)})
 
     tb = par_tensor_line(b, ParabolicLineBundle(0, {"x1": H}))
     assert tb.degree == 1

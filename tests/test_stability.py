@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parhiggs.codec import from_json, to_json
-from parhiggs.exact_core import DomainError
+from parhiggs.exact_core import DomainError, q_matrix_rank
 from parhiggs.parbun import ParabolicLineBundle, pardeg
 from parhiggs.stability import (
     MAX_VERDICT_RANK,
@@ -489,6 +489,25 @@ def test_relative_degree_frozen_examples():
     assert relative_degree(diag, a) == F(-2)
 
 
+def test_relative_degree_ranks_only_the_sums(monkeypatch):
+    # the step dimensions are stored at construction; a pairing ranks only
+    # W_i + B_j, once per pair of steps
+    a = coordinate_filtration(4, [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3]],
+                              (F(-2), F(-1), F(1), F(3)))
+    b = coordinate_filtration(4, [[3], [1, 3], [0, 1, 3], [0, 1, 2, 3]],
+                              (F(-1), F(0), F(2), F(5)))
+    expected = relative_degree(a, b)
+    calls = []
+
+    def counting_rank(rows):
+        calls.append(len(rows))
+        return q_matrix_rank(rows)
+
+    monkeypatch.setattr("parhiggs.stability.q_matrix_rank", counting_rank)
+    assert relative_degree(a, b) == expected
+    assert len(calls) == 16
+
+
 def test_weighted_filtration_validation():
     with pytest.raises(DomainError):
         two_step(2, [0], (F(1), F(1)))                      # weights flat
@@ -579,6 +598,14 @@ def test_sp_support_membership():
     assert sp_support_membership(one, [[0]], (F(0),))
     assert not sp_support_membership(one, [[0]], (F(1),))
     assert not sp_support_membership(one, [[0]], (F(-1),))
+    # the weight order is checked as in sp_filtration_degree
+    for call in (lambda w: sp_support_membership(hitchin_sp_triple(4, 2, 1),
+                                                 [[0], [0, 1]], w),
+                 lambda w: sp_filtration_degree(hitchin_model(2, 2, 1),
+                                                [[0], [0, 1]], w, F(0))):
+        with pytest.raises(DomainError) as err:
+            call((F(1), F(0)))
+        assert err.value.code == "filtration_weights_not_increasing"
 
 
 # ---------------------------------------------------------------- JSON ----

@@ -1,7 +1,17 @@
 import pytest
 
 from parhiggs.codec import from_json, to_json
+from parhiggs.dimension import (
+    complex_group_data,
+    dim_complex_group,
+    dim_parabolic_gl,
+    dim_strongly_parabolic_gl,
+    lie_catalog,
+    sl_kr_parabolic_dimension,
+    teichmuller_dimension,
+)
 from parhiggs.exact_core import DomainError
+from parhiggs.stability import hitchin_model, milnor_wood_bound
 from parhiggs.surface import (
     MarkedPoint,
     MarkedSurface,
@@ -57,3 +67,22 @@ def test_surface_json_round_trip():
         "genus": 2,
         "points": [{"label": "p", "order": 2}, {"label": "q", "order": 3}],
     }
+
+
+def test_negative_marked_point_count_is_refused():
+    with pytest.raises(DomainError) as err:
+        standard_surface(2, -1)
+    assert err.value.payload() == {"error": "bad_marked_points", "s": -1}
+    for call in (lambda: milnor_wood_bound(2, 2, -1),
+                 lambda: hitchin_model(2, 2, -1),
+                 lambda: teichmuller_dimension(lie_catalog("Sp(4,R)"), 2, -1),
+                 lambda: dim_parabolic_gl(2, 2, -1),
+                 lambda: dim_complex_group(complex_group_data("G", 3), 2, -1),
+                 lambda: sl_kr_parabolic_dimension(2, 2, -1)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.code == "bad_marked_points"
+    # one multiplicity tuple per point: a negative count never matches
+    with pytest.raises(DomainError) as err:
+        dim_strongly_parabolic_gl(2, 2, -1, [])
+    assert err.value.code == "bad_multiplicities"

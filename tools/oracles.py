@@ -320,13 +320,23 @@ def section_mv():
 
 # ----------------------------------------------------------- dimension ----
 
-def section_dims():
-    paradim = lambda n, g, s: (2 * g - 2 + s) * n * n + 1
-    print("paradim(2,2,1):", paradim(2, 2, 1), " paradim(3,1,2):", paradim(3, 1, 2))
+def paradim(n: int, g: int, s: int) -> int:
+    return (2 * g - 2 + s) * n * n + 1
 
-    def sparadim(n, g, s_mults):
-        f = sum(Fraction(n * n - sum(k * k for k in ks), 2) for ks in s_mults)
-        return 2 * (g - 1) * n * n + 2 + 2 * f
+
+def sparadim(n: int, g: int, s_mults) -> Fraction:
+    """One list of flag multiplicities per marked point."""
+    f = sum(Fraction(n * n - sum(k * k for k in ks), 2) for ks in s_mults)
+    return 2 * (g - 1) * n * n + 2 + 2 * f
+
+
+def teich_real(dim: int, ms, g: int, s: int) -> int:
+    """Real dimension of a Teichmuller component: dim_R G and exponents ms."""
+    return 2 * (g - 1) * dim + 2 * s * sum(ms)
+
+
+def section_dims():
+    print("paradim(2,2,1):", paradim(2, 2, 1), " paradim(3,1,2):", paradim(3, 1, 2))
     print("sparadim(2,2,[full]):", sparadim(2, 2, [[1, 1]]))
     print("sparadim(3,2,full x2):", sparadim(3, 2, [[1, 1, 1]] * 2))
     print("sparadim full-flag identity n^2(2g-2)+s n(n-1)+2 at (3,2,2):",
@@ -339,9 +349,6 @@ def section_dims():
         l = len(ms)
         assert dims[k] == l + 2 * sum(ms), k
     print("catalog identity dim = l + 2 sum(m) ok for", sorted(exps))
-
-    def teich_real(dim, ms, g, s):
-        return 2 * (g - 1) * dim + 2 * s * sum(ms)
 
     def rr_sum(ms, g, s):
         return sum(2 * ((2 * m + 1) * (g - 1) + m * s) for m in ms)
