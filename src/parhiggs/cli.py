@@ -7,52 +7,35 @@ inputs produce byte-identical output.  Validation failures exit with code 2
 and a machine-readable error object ({"error": code, ...}) on stdout.  The
 enumeration cap (default 10^6 tuples) can be overridden with ``--cap`` or
 the ``PARHIGGS_CAP`` environment variable.
+
+Start-up is lazy: each handler imports its calculator module when it runs,
+and the parser gives arguments only to the subcommand being run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv as csv_module
 import io
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, Callable
 
-from . import components as comp
-from . import dimension as dim
 from .codec import JsonShapeError, from_json, to_json
 from .exact_core import DomainError
-from .orbifold import (
-    VLineBundle,
-    kawasaki_euler,
-    pic_v_structure,
-    square_root_types,
-    vline_degree,
-    z2_character_count,
-    z2_character_enumerate,
-)
-from .parbun import ParabolicBundle, ParabolicLineBundle, pardeg, parslope
-from .stability import (
-    DecomposableHiggsModel,
-    SpTripleModel,
-    arrow_feasibility_violations,
-    general_mw_interval,
-    hitchin_model,
-    hitchin_sp_triple,
-    is_maximal,
-    milnor_wood_bound,
-    stability_verdict,
-    toledo,
-)
 from .surface import (
     MarkedPoint,
     MarkedSurface,
     require_hyperbolic,
     standard_surface,
 )
-from .vcoh import v_cohomology_ranks
+
+if TYPE_CHECKING:
+    from .components import ComponentCountReport, GroupDescriptor
+    from .orbifold import VLineBundle
 
 __all__ = ["main"]
 
@@ -61,9 +44,11 @@ DEFAULT_CAP = 10 ** 6
 
 @dataclass(frozen=True)
 class CommandOutput:
+    """A handler's result; markdown and csv render on demand, so only the
+    format asked for is built."""
     payload: dict
-    markdown: str | None = None
-    csv: str | None = None
+    markdown: Callable[[], str] | None = None
+    csv: Callable[[], str] | None = None
     trailer: str | None = None
     default_format: str = "json"
 
@@ -90,13 +75,16 @@ def _generic_markdown(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _generic_csv(payload: dict) -> str:
+def _csv(rows) -> str:
+    import csv
     buf = io.StringIO()
-    writer = csv_module.writer(buf, lineterminator="\n")
-    writer.writerow(["field", "value"])
-    for key in sorted(payload):
-        writer.writerow([key, _inline(payload[key])])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().rstrip("\n")
+
+
+def _generic_csv(payload: dict) -> str:
+    return _csv([["field", "value"],
+                 *([key, _inline(payload[key])] for key in sorted(payload))])
 
 
 # --------------------------------------------------------------------------
@@ -137,23 +125,26 @@ def _load_json(text: str, what: str, cls):
 
 _SP_NAME = re.compile(r"^sp(\d+)$")
 
+# --mode -> the CountMode's (variant, parity)
 _MODES = {
-    "max": comp.CountMode.max_union(),
-    "fixed-even": comp.CountMode.fixed_parity("even"),
-    "fixed-odd": comp.CountMode.fixed_parity("odd"),
-    "punctured": comp.CountMode.punctured(),
-    "nonparabolic": comp.CountMode.nonparabolic(),
-    "kd-twisted": comp.CountMode.kd_twisted(),
+    "max": ("max_union", None),
+    "fixed-even": ("max_fixed_alpha", "even"),
+    "fixed-odd": ("max_fixed_alpha", "odd"),
+    "punctured": ("punctured", None),
+    "nonparabolic": ("nonparabolic_s1", None),
+    "kd-twisted": ("nonparabolic_kd_twisted_s1", None),
 }
 
 
-# the spellings that read their family parameter from --n
-_FAMILIES_WITH_N = {"sp2n": comp.sp2nr, "su": comp.sunn,
-                    "so-star": comp.so_star_2n, "sostar": comp.so_star_2n,
-                    "so0-2n": comp.so0_2n, "so02n": comp.so0_2n}
+# the spellings that read their family parameter from --n, and the
+# components function building each family
+_FAMILIES_WITH_N = {"sp2n": "sp2nr", "su": "sunn",
+                    "so-star": "so_star_2n", "sostar": "so_star_2n",
+                    "so0-2n": "so0_2n", "so02n": "so0_2n"}
 
 
-def _parse_group(name: str, n: int | None) -> comp.GroupDescriptor:
+def _parse_group(name: str, n: int | None) -> GroupDescriptor:
+    from . import components as comp
     text = name.lower()
     match = _SP_NAME.match(text)
     if match:
@@ -165,7 +156,7 @@ def _parse_group(name: str, n: int | None) -> comp.GroupDescriptor:
     if family is not None:
         if n is None:
             raise DomainError("group_needs_n", name=name)
-        return family(n)
+        return getattr(comp, family)(n)
     if text in ("so0-23", "so023"):
         return comp.so0_2n(3)
     if text == "e7":
@@ -194,6 +185,7 @@ def _resolve_cap(args) -> int:
 
 
 def _cmd_pardeg(args, cap) -> CommandOutput:
+    from .parbun import ParabolicBundle, ParabolicLineBundle, pardeg, parslope
     surface = _build_surface(args.g, args.s, args.orders)
     if (args.line is None) == (args.bundle is None):
         raise DomainError("need_exactly_one_of", fields=["line", "bundle"])
@@ -207,6 +199,8 @@ def _cmd_pardeg(args, cap) -> CommandOutput:
 
 
 def _cmd_stability(args, cap) -> CommandOutput:
+    from .stability import (DecomposableHiggsModel, SpTripleModel,
+                            arrow_feasibility_violations, stability_verdict)
     if (args.model is None) == (args.triple is None):
         raise DomainError("need_exactly_one_of", fields=["model", "triple"])
     if args.model is not None:
@@ -220,6 +214,7 @@ def _cmd_stability(args, cap) -> CommandOutput:
 
 
 def _cmd_toledo(args, cap) -> CommandOutput:
+    from .stability import SpTripleModel, is_maximal, milnor_wood_bound, toledo
     triple = _load_json(args.triple, "triple", SpTripleModel)
     surface = triple.surface
     bound = milnor_wood_bound(triple.n, surface.genus, surface.s)
@@ -228,6 +223,7 @@ def _cmd_toledo(args, cap) -> CommandOutput:
 
 
 def _cmd_mw(args, cap) -> CommandOutput:
+    from .stability import general_mw_interval, milnor_wood_bound
     payload = {"bound": milnor_wood_bound(args.n, args.g, args.s)}
     if (args.rk_plus is None) != (args.rk_minus is None):
         raise DomainError("need_both_or_neither",
@@ -240,6 +236,8 @@ def _cmd_mw(args, cap) -> CommandOutput:
 
 
 def _cmd_hitchin(args, cap) -> CommandOutput:
+    from .stability import (hitchin_model, hitchin_sp_triple, is_maximal,
+                            milnor_wood_bound, stability_verdict, toledo)
     model = hitchin_model(args.k, args.g, args.s)
     report = stability_verdict(model)
     pds = model.pardegs()
@@ -258,7 +256,7 @@ def _cmd_hitchin(args, cap) -> CommandOutput:
     return CommandOutput(payload)
 
 
-def _components_markdown(report: comp.ComponentCountReport) -> str:
+def _components_markdown(report: ComponentCountReport) -> str:
     lines = [f"## {report.group.display()}, genus {report.genus}, "
              f"marked points {report.marked_points}, "
              f"mode {report.mode.variant}"
@@ -280,51 +278,48 @@ def _components_markdown(report: comp.ComponentCountReport) -> str:
     return "\n".join(lines)
 
 
-def _components_csv(report: comp.ComponentCountReport) -> str:
-    buf = io.StringIO()
-    writer = csv_module.writer(buf, lineterminator="\n")
-    writer.writerow(["case", "enumerated", "closed_form"])
-    for case in report.cases:
-        writer.writerow([case.label, case.enumerated, case.closed_form])
-    writer.writerow(["total", report.total_enumerated,
-                     report.total_closed_form])
-    return buf.getvalue().rstrip("\n")
+def _components_csv(report: ComponentCountReport) -> str:
+    return _csv([["case", "enumerated", "closed_form"],
+                 *([case.label, case.enumerated, case.closed_form]
+                   for case in report.cases),
+                 ["total", report.total_enumerated, report.total_closed_form]])
 
 
 def _cmd_components(args, cap) -> CommandOutput:
+    from . import components as comp
     group = _parse_group(args.group, args.n)
-    mode = _MODES[args.mode]
+    mode = comp.CountMode(*_MODES[args.mode])
     report = comp.count_components(group, args.g, args.s, mode, cap=cap)
     trailer = None
     if args.emit_tables:
         trailer = comp.tables_markdown(comp.emit_tables(args.g, args.s),
                                        args.g, args.s)
     return CommandOutput(to_json(report),
-                         markdown=_components_markdown(report),
-                         csv=_components_csv(report),
+                         markdown=lambda: _components_markdown(report),
+                         csv=lambda: _components_csv(report),
                          trailer=trailer)
 
 
 def _tables_csv(tables) -> str:
-    buf = io.StringIO()
-    writer = csv_module.writer(buf, lineterminator="\n")
-    writer.writerow(["table", "label", "count", "teichmuller"])
-    for index, table in enumerate(tables, start=1):
-        for row in table.rows:
-            writer.writerow([index, row.label, row.count, row.teichmuller])
-    return buf.getvalue().rstrip("\n")
+    return _csv([["table", "label", "count", "teichmuller"],
+                 *([index, row.label, row.count, row.teichmuller]
+                   for index, table in enumerate(tables, start=1)
+                   for row in table.rows)])
 
 
 def _cmd_tables(args, cap) -> CommandOutput:
-    tables = comp.emit_tables(args.g, args.s)
+    from .components import emit_tables, tables_markdown
+    tables = emit_tables(args.g, args.s)
     return CommandOutput({"tables": tables, "genus": args.g,
                           "marked_points": args.s},
-                         markdown=comp.tables_markdown(tables, args.g, args.s),
-                         csv=_tables_csv(tables),
+                         markdown=lambda: tables_markdown(tables, args.g,
+                                                          args.s),
+                         csv=lambda: _tables_csv(tables),
                          default_format="markdown")
 
 
 def _parse_flag_spec(text: str, n: int, s: int):
+    from . import dimension as dim
     if text == "full":
         return dim.full_flag_multiplicities(n, s)
     if text == "trivial":
@@ -337,6 +332,7 @@ _DIMS_REQUIRED = {"paradim": "n", "sparadim": "n", "complex": "dim_c",
 
 
 def _cmd_dims(args, cap) -> CommandOutput:
+    from . import dimension as dim
     needed = _DIMS_REQUIRED[args.formula]
     if getattr(args, needed) is None:
         raise DomainError("missing_argument",
@@ -362,6 +358,7 @@ def _cmd_dims(args, cap) -> CommandOutput:
 
 
 def _cmd_vcoh(args, cap) -> CommandOutput:
+    from .vcoh import v_cohomology_ranks
     if args.s >= 0:  # v_cohomology_ranks refuses s < 1 as needs_marked_points
         require_hyperbolic(standard_surface(args.g, args.s))
     ranks, provenance = v_cohomology_ranks(args.g, args.s, args.mode)
@@ -371,6 +368,7 @@ def _cmd_vcoh(args, cap) -> CommandOutput:
 
 
 def _vline_from_args(args, surface) -> VLineBundle:
+    from .orbifold import VLineBundle
     bits = _parse_ints(args.isotropy, "isotropy") \
         if args.isotropy else (0,) * surface.s
     if len(bits) != surface.s:
@@ -381,6 +379,8 @@ def _vline_from_args(args, surface) -> VLineBundle:
 
 
 def _cmd_orbifold(args, cap) -> CommandOutput:
+    from .orbifold import (kawasaki_euler, pic_v_structure, square_root_types,
+                           vline_degree)
     surface = _build_surface(args.g, args.s, args.orders)
     vline = _vline_from_args(args, surface)
     payload = {
@@ -398,6 +398,7 @@ def _cmd_orbifold(args, cap) -> CommandOutput:
 
 
 def _cmd_characters(args, cap) -> CommandOutput:
+    from .orbifold import z2_character_count, z2_character_enumerate
     surface = _build_surface(args.g, args.s, args.orders)
     payload = {"count": z2_character_count(surface)}
     if args.enumerate:
@@ -406,6 +407,7 @@ def _cmd_characters(args, cap) -> CommandOutput:
 
 
 def _cmd_roots(args, cap) -> CommandOutput:
+    from .orbifold import square_root_types
     surface = _build_surface(args.g, args.s, args.orders)
     vline = _vline_from_args(args, surface)
     family = square_root_types(vline, surface)
@@ -418,8 +420,9 @@ def _cmd_roots(args, cap) -> CommandOutput:
 
 
 def _cmd_s1_report(args, cap) -> CommandOutput:
+    from .components import s1_reduction_report
     group = _parse_group(args.group, args.n)
-    report = comp.s1_reduction_report(group, args.g, cap=cap)
+    report = s1_reduction_report(group, args.g, cap=cap)
     return CommandOutput(to_json(report))
 
 
@@ -443,51 +446,36 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError("bad_argument", detail=message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="parhiggs",
-        description="Exact invariants of parabolic G-Higgs bundle moduli.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "markdown", "csv"),
-                        help="output format (default json; markdown for "
-                             "'tables')")
-    common.add_argument("--cap", type=int,
-                        help=f"enumeration cap (default {DEFAULT_CAP}, or "
-                             "PARHIGGS_CAP)")
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=lambda **kw: _Parser(
-                                     parents=[common], **kw))
-
-    sub = subs.add_parser("pardeg", help="parabolic degree of a line/bundle")
+def _pardeg_args(sub):
     _add_surface_flags(sub)
     sub.add_argument("--line", help="parabolic line bundle JSON")
     sub.add_argument("--bundle", help="parabolic bundle JSON")
-    sub.set_defaults(handler=_cmd_pardeg)
 
-    sub = subs.add_parser("stability", help="stability verdict for a model")
+
+def _stability_args(sub):
     sub.add_argument("--model", help="decomposable model JSON")
     sub.add_argument("--triple", help="Sp(2n,R) triple JSON")
-    sub.set_defaults(handler=_cmd_stability)
 
-    sub = subs.add_parser("toledo", help="Toledo invariant of a triple")
+
+def _toledo_args(sub):
     sub.add_argument("--triple", required=True, help="Sp(2n,R) triple JSON")
-    sub.set_defaults(handler=_cmd_toledo)
 
-    sub = subs.add_parser("mw", help="Milnor-Wood bound (and interval)")
+
+def _mw_args(sub):
     sub.add_argument("--n", type=int, required=True)
     _add_surface_flags(sub, with_orders=False)
     sub.add_argument("--rk-plus", type=int, dest="rk_plus")
     sub.add_argument("--rk-minus", type=int, dest="rk_minus")
-    sub.set_defaults(handler=_cmd_mw)
 
-    sub = subs.add_parser("hitchin", help="Hitchin-section model at rank k")
+
+def _hitchin_args(sub):
     sub.add_argument("--k", type=int, required=True)
     _add_surface_flags(sub, with_orders=False)
     sub.add_argument("--triple", action="store_true",
                      help="include the Sp form (k even)")
-    sub.set_defaults(handler=_cmd_hitchin)
 
-    sub = subs.add_parser("components", help="connected-component counts")
+
+def _components_args(sub):
     sub.add_argument("--group", required=True,
                      help="sp2|sp4|sp2n|su|so-star|so0-23|so0-2n|e7|split:NAME")
     sub.add_argument("--n", type=int, help="family parameter where needed")
@@ -495,13 +483,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=sorted(_MODES), default="max")
     sub.add_argument("--emit-tables", action="store_true", dest="emit_tables",
                      help="append the three Markdown tables")
-    sub.set_defaults(handler=_cmd_components)
 
-    sub = subs.add_parser("tables", help="instantiate the component tables")
+
+def _tables_args(sub):
     _add_surface_flags(sub, with_orders=False)
-    sub.set_defaults(handler=_cmd_tables)
 
-    sub = subs.add_parser("dims", help="moduli dimension formulas")
+
+def _dims_args(sub):
     sub.add_argument("--formula", required=True,
                      choices=("paradim", "sparadim", "complex", "teich"))
     sub.add_argument("--n", type=int, help="rank for paradim/sparadim")
@@ -516,47 +504,88 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="catalog name for --formula teich")
     sub.add_argument("--rk-mc", type=int, dest="rk_mc",
                      help="rank of E(m^C) for the statement reading")
-    sub.set_defaults(handler=_cmd_dims)
 
-    sub = subs.add_parser("vcoh", help="V-surface cohomology ranks")
+
+def _vcoh_args(sub):
     _add_surface_flags(sub, with_orders=False)
     sub.add_argument("--mode", default="order2",
                      choices=("order2", "punctured", "odd_order"))
-    sub.set_defaults(handler=_cmd_vcoh)
 
-    sub = subs.add_parser("orbifold", help="line V-bundle invariants")
+
+def _vline_args(sub):
     _add_surface_flags(sub)
     sub.add_argument("--desing-degree", type=int, required=True,
                      dest="desing_degree")
     sub.add_argument("--isotropy", help="comma-separated residues")
-    sub.set_defaults(handler=_cmd_orbifold)
 
-    sub = subs.add_parser("characters", help="Z2 character counts")
+
+def _characters_args(sub):
     _add_surface_flags(sub)
     sub.add_argument("--enumerate", action="store_true")
-    sub.set_defaults(handler=_cmd_characters)
 
-    sub = subs.add_parser("roots", help="square-root types of a V-bundle")
-    _add_surface_flags(sub)
-    sub.add_argument("--desing-degree", type=int, required=True,
-                     dest="desing_degree")
-    sub.add_argument("--isotropy", help="comma-separated residues")
-    sub.set_defaults(handler=_cmd_roots)
 
-    sub = subs.add_parser("s1-report", help="single-puncture reduction")
+def _s1_report_args(sub):
     sub.add_argument("--group", required=True)
     sub.add_argument("--n", type=int)
     sub.add_argument("--g", type=int, required=True)
-    sub.set_defaults(handler=_cmd_s1_report)
 
+
+# name -> (help line, the function adding its arguments, handler), in the
+# order of the top-level help
+_COMMANDS = {
+    "pardeg": ("parabolic degree of a line/bundle", _pardeg_args, _cmd_pardeg),
+    "stability": ("stability verdict for a model", _stability_args,
+                  _cmd_stability),
+    "toledo": ("Toledo invariant of a triple", _toledo_args, _cmd_toledo),
+    "mw": ("Milnor-Wood bound (and interval)", _mw_args, _cmd_mw),
+    "hitchin": ("Hitchin-section model at rank k", _hitchin_args,
+                _cmd_hitchin),
+    "components": ("connected-component counts", _components_args,
+                   _cmd_components),
+    "tables": ("instantiate the component tables", _tables_args, _cmd_tables),
+    "dims": ("moduli dimension formulas", _dims_args, _cmd_dims),
+    "vcoh": ("V-surface cohomology ranks", _vcoh_args, _cmd_vcoh),
+    "orbifold": ("line V-bundle invariants", _vline_args, _cmd_orbifold),
+    "characters": ("Z2 character counts", _characters_args, _cmd_characters),
+    "roots": ("square-root types of a V-bundle", _vline_args, _cmd_roots),
+    "s1-report": ("single-puncture reduction", _s1_report_args,
+                  _cmd_s1_report),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv.  Every subcommand is registered, so the
+    top-level help and the choices are complete, but only the one argv
+    names gets its arguments.  That is the first argument naming a
+    subcommand: no earlier argument can be the subcommand argparse picks,
+    as the top level takes no option with a value."""
+    parser = _Parser(
+        prog="parhiggs",
+        description="Exact invariants of parabolic G-Higgs bundle moduli.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "markdown", "csv"),
+                        help="output format (default json; markdown for "
+                             "'tables')")
+    common.add_argument("--cap", type=int,
+                        help=f"enumeration cap (default {DEFAULT_CAP}, or "
+                             "PARHIGGS_CAP)")
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=lambda **kw: _Parser(
+                                     parents=[common], **kw))
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        if name == named:
+            add_arguments(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         cap = _resolve_cap(args)
-        output = args.handler(args, cap)
+        output = _COMMANDS[args.command][2](args, cap)
     except SystemExit as exc:      # --help
         return int(exc.code) if exc.code else 0
     except DomainError as err:
@@ -567,10 +596,10 @@ def main(argv: list[str] | None = None) -> int:
     if fmt == "json":
         text = _dump(output.payload)
     elif fmt == "markdown":
-        text = output.markdown if output.markdown is not None \
+        text = output.markdown() if output.markdown is not None \
             else _generic_markdown(output.payload)
     else:
-        text = output.csv if output.csv is not None \
+        text = output.csv() if output.csv is not None \
             else _generic_csv(output.payload)
     print(text)
     if output.trailer is not None:

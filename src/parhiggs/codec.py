@@ -11,6 +11,7 @@ refused.  The three shapes the fields cannot give are in ``_dataclass_json``.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
@@ -18,7 +19,6 @@ from functools import cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .components import CountMode, GroupDescriptor, S1ReductionReport
 from .exact_core import DomainError, rat_from_str
 
 __all__ = ["JsonShapeError", "to_json", "from_json", "decoder"]
@@ -27,6 +27,7 @@ __all__ = ["JsonShapeError", "to_json", "from_json", "decoder"]
 _KEYS = {"weight_at": "weights", "flag_at": "flags", "multiplicities": "mult",
          "desing_degree": "desing", "beta_arrows": "beta",
          "gamma_arrows": "gamma"}
+_COMPONENTS = f"{__package__}.components"
 
 
 class JsonShapeError(DomainError):
@@ -64,14 +65,19 @@ def _field_keys(cls: type) -> tuple[tuple[str, str], ...]:
 def _dataclass_json(value) -> dict:
     obj = {key: to_json(getattr(value, name))
            for name, key in _field_keys(type(value))}
+    # The three shapes are components classes, looked up rather than
+    # imported: none of their values exists before that module is loaded.
+    comp = sys.modules.get(_COMPONENTS)
+    if comp is None:
+        return obj
     # a group's computed display, with an unset n or name left out; a
     # mode's parity, left out when unset; the K(D)-twisted (label, count)
     # pairs as objects
-    if isinstance(value, (GroupDescriptor, CountMode)):
+    if isinstance(value, (comp.GroupDescriptor, comp.CountMode)):
         obj = {k: v for k, v in obj.items() if v is not None}
-    if isinstance(value, GroupDescriptor):
+    if isinstance(value, comp.GroupDescriptor):
         obj["display"] = value.display()
-    elif isinstance(value, S1ReductionReport):
+    elif isinstance(value, comp.S1ReductionReport):
         obj["kd_twisted_cases"] = [{"label": label, "count": count}
                                    for label, count in value.kd_twisted_cases]
     return obj

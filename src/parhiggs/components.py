@@ -31,7 +31,6 @@ from itertools import product
 from typing import Callable, Mapping, NamedTuple
 
 from .exact_core import DomainError, check_cap
-from .orbifold import parity
 from .surface import require_hyperbolic, standard_surface
 
 __all__ = [
@@ -190,6 +189,7 @@ class CountMode:
 
     @staticmethod
     def fixed_alpha(alpha: Mapping[str, Fraction]) -> "CountMode":
+        from .orbifold import parity  # here, so counting never loads orbifold
         return CountMode("max_fixed_alpha", parity=parity(alpha))
 
     @staticmethod

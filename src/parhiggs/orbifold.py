@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .codec import decoder, to_json
 from .exact_core import DomainError, check_cap
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
@@ -452,11 +453,9 @@ def orb_to_par_local(chart: LocalChart, mat: LaurentMatrix,
 
 # ---------------------------------------------------------------- JSON ----
 # Hand-written: m lives outside the matrix and terms are {"deg", "coef"}
-# objects.  The codec is imported here, not at the top, because it imports
-# the components module, which imports this one.
+# objects.
 
 def laurent_to_json(mat: LaurentMatrix, m: int) -> dict:
-    from .codec import to_json
     return {"m": m,
             "form": mat.form,
             "window": list(mat.window),
@@ -465,7 +464,6 @@ def laurent_to_json(mat: LaurentMatrix, m: int) -> dict:
 
 
 def laurent_from_json(obj: dict) -> tuple[int, LaurentMatrix]:
-    from .codec import decoder
     integer, rational = decoder(int), decoder(Fraction)
     rows = tuple(tuple(_clean_terms((integer(t["deg"]), rational(t["coef"]))
                                     for t in e) for e in row)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parhiggs import stability
 from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError, q_matrix_rank
 from parhiggs.parbun import ParabolicLineBundle, pardeg
 from parhiggs.stability import (
+    MAX_SUBSET_LIST_RANK,
     MAX_VERDICT_RANK,
     DecomposableHiggsModel,
     SpTripleModel,
@@ -310,6 +312,32 @@ def test_rank_above_limit_is_refused_before_enumeration():
             call(m)
         assert e.value.payload() == {"error": "rank_too_large", "n": n,
                                      "limit": MAX_VERDICT_RANK}
+
+
+def test_subset_list_above_its_own_rank_is_refused_before_enumeration(
+        monkeypatch):
+    surf = standard_surface(2, 1)
+    n = MAX_SUBSET_LIST_RANK + 1
+    assert n <= MAX_VERDICT_RANK
+    m = DecomposableHiggsModel(surf, lines(surf, *[(0, 0)] * n))
+    assert stability_verdict(m).verdict == "polystable"
+
+    def no_table(model):
+        raise AssertionError("subset table built")
+    monkeypatch.setattr(stability, "_invariant_masks", no_table)
+    with pytest.raises(DomainError) as e:
+        invariant_subsets(m)
+    assert e.value.payload() == {"error": "rank_too_large", "n": n,
+                                 "limit": MAX_SUBSET_LIST_RANK}
+
+
+def test_subset_list_at_its_rank_limit_lists_every_subset():
+    surf = standard_surface(2, 1)
+    n = MAX_SUBSET_LIST_RANK
+    m = DecomposableHiggsModel(surf, lines(surf, *[(0, 0)] * n))
+    subsets = invariant_subsets(m)
+    assert len(subsets) == 2 ** n - 2
+    assert subsets[:2] == [(0,), (0, 1)] and subsets[-1] == (n - 1,)
 
 
 def test_rank_at_limit_still_gets_a_verdict():
