@@ -100,13 +100,13 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _build_surface(g: int, s: int, orders_text: str | None) -> MarkedSurface:
-    orders = (2,) * s if orders_text is None \
-        else _parse_ints(orders_text, "orders")
-    if len(orders) != s:
-        raise DomainError("orders_length_mismatch", expected=s,
-                          got=len(orders))
-    points = tuple(MarkedPoint(f"x{i + 1}", order)
-                   for i, order in enumerate(orders))
+    points = standard_surface(0, s).points  # refuses s < 0
+    if orders_text is not None:
+        orders = _parse_ints(orders_text, "orders")
+        if len(orders) != s:
+            raise DomainError("orders_length_mismatch", expected=s,
+                              got=len(orders))
+        points = tuple(MarkedPoint(p.label, k) for p, k in zip(points, orders))
     surface = MarkedSurface(g, points)
     # the library oracles accept spherical input; the CLI sticks to the
     # hyperbolic range every downstream formula is stated for
@@ -359,8 +359,7 @@ def _cmd_dims(args, cap) -> CommandOutput:
 
 def _cmd_vcoh(args, cap) -> CommandOutput:
     from .vcoh import v_cohomology_ranks
-    if args.s >= 0:  # v_cohomology_ranks refuses s < 1 as needs_marked_points
-        require_hyperbolic(standard_surface(args.g, args.s))
+    require_hyperbolic(standard_surface(args.g, args.s))
     ranks, provenance = v_cohomology_ranks(args.g, args.s, args.mode)
     return CommandOutput({"h0": ranks.h0, "h1": ranks.h1, "h2": ranks.h2,
                           "euler": ranks.euler(), "mode": args.mode,

@@ -301,9 +301,9 @@ class ComponentCountReport:
 
 
 def _require_marked(g: int, s: int) -> None:
-    if s < 1:
+    if s == 0:
         raise DomainError("needs_marked_points", g=g, s=s)
-    if g < 0 or 2 * g - 2 + s <= 0:
+    if s < 0 or g < 0 or 2 * g - 2 + s <= 0:
         # build the surface only to raise its own error
         require_hyperbolic(standard_surface(g, s))
 

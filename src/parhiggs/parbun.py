@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .exact_core import DomainError
@@ -31,8 +32,9 @@ __all__ = [
 
 
 def _check_weight(w: Fraction) -> Fraction:
-    w = Fraction(w)
-    if not 0 <= w < 1:
+    if type(w) is not Fraction:
+        w = Fraction(w)
+    if not 0 <= w.numerator < w.denominator:
         raise DomainError("weight_out_of_range", weight=w)
     return w
 
@@ -73,14 +75,26 @@ def trivial_flag(rank: int) -> ParabolicFlag:
 
 @dataclass(frozen=True)
 class ParabolicLineBundle:
-    """Line bundle with one weight in [0,1) per marked point (missing = 0)."""
+    """Line bundle with one weight in [0,1) per marked point (missing = 0).
+
+    Its pardeg is fixed when it is built, in integers over the lcm of the
+    weights' denominators, outside the fields that equality, repr and JSON
+    read; ``weight_at`` is not to be mutated.
+    """
 
     degree: int
     weight_at: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {lbl: _check_weight(w) for lbl, w in self.weight_at.items()}
+        clean, num, den = {}, self.degree, 1
+        for lbl, w in self.weight_at.items():
+            w = clean[lbl] = _check_weight(w)
+            if den % w.denominator:
+                step = lcm(den, w.denominator) // den
+                num, den = num * step, den * step
+            num += w.numerator * (den // w.denominator)
         object.__setattr__(self, "weight_at", clean)
+        object.__setattr__(self, "_pardeg", Fraction(num, den))
 
     def weight(self, label: str) -> Fraction:
         return self.weight_at.get(label, Fraction(0))
@@ -112,21 +126,20 @@ def line_to_bundle(l: ParabolicLineBundle, surf: MarkedSurface) -> ParabolicBund
 
 
 def _check_points(b, surf: MarkedSurface) -> None:
-    known = set(surf.labels())
-    keys = set(b.flag_at if isinstance(b, ParabolicBundle) else b.weight_at)
-    extra = keys - known
+    keys = b.flag_at if isinstance(b, ParabolicBundle) else b.weight_at
+    extra = keys.keys() - surf.labels() if keys else None
     if extra:
         raise DomainError("flag_surface_mismatch", unknown=sorted(extra))
 
 
 def pardeg(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> Fraction:
-    """deg E + sum over marked points of sum_i k_i(x) a_i(x)."""
+    """deg E + sum over marked points of sum_i k_i(x) a_i(x), an absent flag
+    adding 0.  A line bundle's value was fixed when it was built, so its
+    ``weight_at`` is not to be mutated."""
     _check_points(b, surf)
     if isinstance(b, ParabolicLineBundle):
-        return Fraction(b.degree) + sum((b.weight(x) for x in surf.labels()),
-                                        Fraction(0))
-    return Fraction(b.degree) + sum((b.flag(x).weight_sum() for x in surf.labels()),
-                                    Fraction(0))
+        return b._pardeg
+    return sum((fl.weight_sum() for fl in b.flag_at.values()), Fraction(b.degree))
 
 
 def parslope(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> Fraction:
@@ -137,7 +150,7 @@ def parslope(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> F
 
 
 def _dual_weight(a: Fraction) -> Fraction:
-    return Fraction(0) if a == 0 else 1 - a
+    return 1 - a if a else a
 
 
 def par_dual(b: ParabolicBundle | ParabolicLineBundle):

@@ -550,24 +550,24 @@ def test_domain_errors_exit_two_with_error_object(capsys, argv, error_code):
 
 # --s -1 on every subcommand that takes --s, with the code that refuses it
 NEGATIVE_S_CASES = [
-    ("pardeg", ["pardeg", "--line", LINE_JSON], "orders_length_mismatch"),
+    ("pardeg", ["pardeg", "--line", LINE_JSON], "bad_marked_points"),
     ("mw", ["mw", "--n", "2"], "bad_marked_points"),
     ("hitchin", ["hitchin", "--k", "2"], "bad_marked_points"),
-    ("components", ["components", "--group", "sp4"], "needs_marked_points"),
-    ("tables", ["tables"], "needs_marked_points"),
+    ("components", ["components", "--group", "sp4"], "bad_marked_points"),
+    ("tables", ["tables"], "bad_marked_points"),
     ("dims-paradim", ["dims", "--formula", "paradim", "--n", "2"],
      "bad_marked_points"),
     ("dims-sparadim", ["dims", "--formula", "sparadim", "--n", "2"],
-     "bad_multiplicities"),
+     "bad_marked_points"),
     ("dims-complex", ["dims", "--formula", "complex", "--dim-c", "3"],
      "bad_marked_points"),
     ("dims-teich", ["dims", "--formula", "teich", "--lie-group", "Sp(4,R)"],
      "bad_marked_points"),
-    ("vcoh", ["vcoh"], "needs_marked_points"),
+    ("vcoh", ["vcoh"], "bad_marked_points"),
     ("orbifold", ["orbifold", "--desing-degree", "1"],
-     "orders_length_mismatch"),
-    ("characters", ["characters"], "orders_length_mismatch"),
-    ("roots", ["roots", "--desing-degree", "0"], "orders_length_mismatch"),
+     "bad_marked_points"),
+    ("characters", ["characters"], "bad_marked_points"),
+    ("roots", ["roots", "--desing-degree", "0"], "bad_marked_points"),
 ]
 
 

@@ -1,7 +1,10 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError
@@ -209,3 +212,171 @@ def test_weight_validation():
         ParabolicFlag((1, 1), (H, H))
     with pytest.raises(DomainError):
         pardeg(ParabolicLineBundle(0, {"nope": H}), standard_surface(1, 1))
+
+
+# ---------------------------------------------- the stored line pardeg ----
+# A line bundle's pardeg is computed once, when it is built; these properties
+# hold it to the definition deg + sum over the surface's points of the weight.
+
+
+@st.composite
+def spelled_weights(draw):
+    """A weight in [0, 1) spelled as a Fraction, an unreduced "p/q" string or,
+    for 0, an int."""
+    q = draw(st.integers(1, 12))
+    p = draw(st.integers(0, q - 1))
+    m = draw(st.integers(1, 3))
+    spellings = [Fraction(p, q), f"{p * m}/{q * m}"] + ([0] if p == 0 else [])
+    return draw(st.sampled_from(spellings))
+
+
+@st.composite
+def surfaces(draw):
+    return standard_surface(draw(st.integers(0, 2)), draw(st.integers(0, 4)))
+
+
+@st.composite
+def raw_lines(draw, surf):
+    """(degree, {label: spelled weight}) on some of surf's points."""
+    points = draw(st.lists(st.sampled_from(surf.labels()), unique=True)) \
+        if surf.s else []
+    return draw(st.integers(-6, 6)), {x: draw(spelled_weights()) for x in points}
+
+
+@st.composite
+def raw_flags(draw, rank):
+    """(multiplicities, spelled increasing weights) of a flag of this rank."""
+    q = draw(st.integers(1, 12))
+    tops = sorted(draw(st.sets(st.integers(0, q - 1), min_size=1,
+                               max_size=min(rank, q))))
+    cuts = sorted(draw(st.permutations(range(1, rank)))[:len(tops) - 1])
+    mults = tuple(b - a for a, b in zip([0, *cuts], [*cuts, rank]))
+    spelled = tuple(draw(st.sampled_from([Fraction(p, q), f"{p}/{q}"]))
+                    for p in tops)
+    return mults, spelled
+
+
+def line_definition(degree, raw, surf):
+    return degree + sum((Fraction(raw[x]) if x in raw else Fraction(0)
+                         for x in surf.labels()), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_line_pardeg_is_the_definition(data):
+    surf = data.draw(surfaces())
+    degree, raw = data.draw(raw_lines(surf))
+    assert pardeg(ParabolicLineBundle(degree, raw), surf) == \
+        line_definition(degree, raw, surf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bundle_pardeg_is_the_definition(data):
+    surf = data.draw(surfaces())
+    rank = data.draw(st.integers(1, 4))
+    points = data.draw(st.lists(st.sampled_from(surf.labels()), unique=True)) \
+        if surf.s else []
+    raw = {x: data.draw(raw_flags(rank)) for x in points}
+    degree = data.draw(st.integers(-6, 6))
+    b = ParabolicBundle(rank, degree, {x: ParabolicFlag(*f) for x, f in raw.items()})
+    want = degree + sum((sum((k * Fraction(a) for k, a in zip(*raw[x])), Fraction(0))
+                         if x in raw else Fraction(0) for x in surf.labels()),
+                        Fraction(0))
+    assert pardeg(b, surf) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_line_par_dual_negates_pardeg_and_is_an_involution(data):
+    surf = data.draw(surfaces())
+    line = ParabolicLineBundle(*data.draw(raw_lines(surf)))
+    dual = par_dual(line)
+    assert pardeg(dual, surf) == -pardeg(line, surf)
+    assert par_dual(dual) == line
+    assert pardeg(par_dual(dual), surf) == pardeg(line, surf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_par_tensor_line_adds_pardegs(data):
+    surf = data.draw(surfaces())
+    a = ParabolicLineBundle(*data.draw(raw_lines(surf)))
+    l = ParabolicLineBundle(*data.draw(raw_lines(surf)))
+    assert pardeg(par_tensor_line(a, l), surf) == pardeg(a, surf) + pardeg(l, surf)
+    b = ParabolicBundle(2, data.draw(st.integers(-6, 6)),
+                        {x: ParabolicFlag(*data.draw(raw_flags(2)))
+                         for x in surf.labels()})
+    assert pardeg(par_tensor_line(b, l), surf) == \
+        pardeg(b, surf) + 2 * pardeg(l, surf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stored_pardeg_is_outside_equality_repr_and_json(data):
+    surf = data.draw(surfaces())
+    degree, raw = data.draw(raw_lines(surf))
+    line = ParabolicLineBundle(degree, raw)
+    same = ParabolicLineBundle(degree, {x: Fraction(w) for x, w in raw.items()})
+    object.__setattr__(same, "_pardeg", pardeg(line, surf) + 1)
+    assert [f.name for f in fields(line)] == ["degree", "weight_at"]
+    assert line == same
+    assert repr(line) == repr(same)
+    assert to_json(line) == to_json(same) == {
+        "degree": degree,
+        "weights": {x: str(Fraction(w)) for x, w in sorted(raw.items())}}
+    assert from_json(ParabolicLineBundle, to_json(line)) == line
+
+
+def test_weight_spellings_build_equal_lines():
+    spelled = [ParabolicLineBundle(1, {"x1": 0, "x2": "2/4"}),
+               ParabolicLineBundle(1, {"x1": "0", "x2": "1/2"}),
+               ParabolicLineBundle(1, {"x1": Fraction(0), "x2": H})]
+    assert spelled[0] == spelled[1] == spelled[2]
+    surf = standard_surface(1, 2)
+    assert {pardeg(l, surf) for l in spelled} == {Fraction(3, 2)}
+    assert all(type(w) is Fraction for l in spelled for w in l.weight_at.values())
+
+
+# ------------------------------------------------ refusals, pinned exactly ----
+
+
+@pytest.mark.parametrize("spelled", [Fraction(1), 1, "1",
+                                     Fraction(-1, 4), "-1/4",
+                                     Fraction(3, 2), "3/2", "6/4"],
+                         ids=lambda w: f"{type(w).__name__}:{w}")
+def test_weight_out_of_range_payload(spelled):
+    for build in (lambda: ParabolicLineBundle(0, {"x1": spelled}),
+                  lambda: ParabolicFlag((1,), (spelled,)),
+                  lambda: ParabolicFlag((1, 1), (Fraction(0), spelled))):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert err.value.payload() == {"error": "weight_out_of_range",
+                                       "weight": Fraction(spelled)}
+        assert type(err.value.info["weight"]) is Fraction
+
+
+def test_unknown_points_payload_is_sorted():
+    surf = standard_surface(1, 1)
+    line = ParabolicLineBundle(0, {"x3": H, "x1": H, "x2": Fraction(0)})
+    bundle = ParabolicBundle(1, 0, {x: trivial_flag(1) for x in ("x3", "x1", "x2")})
+    for b in (line, bundle):
+        for call in (pardeg, parslope):
+            with pytest.raises(DomainError) as err:
+                call(b, surf)
+            assert err.value.payload() == {"error": "flag_surface_mismatch",
+                                           "unknown": ["x2", "x3"]}
+
+
+def test_points_on_a_surface_without_marked_points():
+    surf = standard_surface(2, 0)
+    assert pardeg(ParabolicLineBundle(3), surf) == 3
+    assert pardeg(ParabolicLineBundle(-2, {}), surf) == -2
+    assert pardeg(ParabolicBundle(2, -1), surf) == -1
+    assert parslope(ParabolicBundle(2, -1), surf) == Fraction(-1, 2)
+    for b in (ParabolicLineBundle(0, {"x1": Fraction(0)}),
+              ParabolicBundle(1, 0, {"x1": trivial_flag(1)})):
+        with pytest.raises(DomainError) as err:
+            pardeg(b, surf)
+        assert err.value.payload() == {"error": "flag_surface_mismatch",
+                                       "unknown": ["x1"]}

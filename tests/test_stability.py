@@ -396,6 +396,45 @@ def test_sp_dual_negates_toledo():
             assert back.beta_arrows == m.beta_arrows
 
 
+@st.composite
+def sp_triples(draw, max_n=4):
+    """Triples whose V weights are spelled as Fractions, ints and strings."""
+    surf = standard_surface(*draw(st.sampled_from(HYP)))
+    n = draw(st.integers(1, max_n))
+    spellings = st.sampled_from([F(1, 3), "1/2", "2/4", 0, F(0), "3/4"])
+    v = tuple(ParabolicLineBundle(
+        draw(st.integers(-4, 4)),
+        {x: draw(spellings)
+         for x in draw(st.lists(st.sampled_from(surf.labels()), unique=True))})
+        for _ in range(n))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    beta, gamma = (draw(st.sets(st.sampled_from(pairs))) for _ in range(2))
+    return SpTripleModel(surf, v,
+                         frozenset(beta | {(j, i) for i, j in beta}),
+                         frozenset(gamma | {(j, i) for i, j in gamma}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sp_triples())
+def test_sp_dual_negates_toledo_property(m):
+    definition = sum((v.degree + sum(v.weight_at.values(), F(0))
+                      for v in m.v_summands), F(0))
+    assert toledo(m) == definition
+    assert toledo(sp_dual(m)) == -definition
+    assert sp_dual(sp_dual(m)) == m
+
+
+def test_toledo_refuses_weights_at_unknown_points():
+    surf = standard_surface(2, 1)
+    m = SpTripleModel(surf, (ParabolicLineBundle(1, {"x9": F(1, 2), "x1": 0}),),
+                      frozenset(), frozenset({(0, 0)}))
+    for call in (toledo, lambda t: stability_verdict(t.to_decomposable())):
+        with pytest.raises(DomainError) as err:
+            call(m)
+        assert err.value.payload() == {"error": "flag_surface_mismatch",
+                                       "unknown": ["x9"]}
+
+
 # ------------------------------------------------------ Hitchin family ----
 
 def test_hitchin_pardegs_frozen():

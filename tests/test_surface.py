@@ -82,7 +82,7 @@ def test_negative_marked_point_count_is_refused():
         with pytest.raises(DomainError) as err:
             call()
         assert err.value.code == "bad_marked_points"
-    # one multiplicity tuple per point: a negative count never matches
+    # the surface is checked before the per-point multiplicity tuples
     with pytest.raises(DomainError) as err:
         dim_strongly_parabolic_gl(2, 2, -1, [])
-    assert err.value.code == "bad_multiplicities"
+    assert err.value.payload() == {"error": "bad_marked_points", "s": -1}
