@@ -7,10 +7,10 @@ structures with a bounded degree, and square-root classes at the maximal
 degree.  One case table holds, per group row and mode, the published cases as
 products of those factors, plus the published total.  Counts read it: a
 case's closed form is the product of its factor sizes, and its enumerated
-count materializes the invariant tuples (the enumeration cap is checked
-against the case sizes first).  The three summary tables print the published
-totals.  All counts are lower bounds ("minimum components"); exactness is not
-claimed.
+count builds and checks each invariant tuple in turn without keeping it
+(the enumeration cap is checked against the case sizes first).  The three
+summary tables print the published totals.  All counts are lower bounds
+("minimum components"); exactness is not claimed.
 
 Modes:
   * ``max_union``      -- all maximal objects, union over parabolic weights;
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Mapping, NamedTuple
+from itertools import islice, product
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .exact_core import DomainError, check_cap
+from .exact_core import DomainError, all_bits, check_cap
 from .surface import require_hyperbolic, standard_surface
 
 __all__ = [
@@ -213,7 +213,14 @@ class CountMode:
 # invariant tuples
 
 
-_TUPLE_KINDS = ("w1_w2", "parabolic_degree", "square_root")
+_TUPLE_FIELDS = ("w1", "w2", "parabolic", "degree", "root_index")
+# Per kind, which of _TUPLE_FIELDS are set; the others must be None.
+_TUPLE_SHAPES = {
+    "w1_w2": (True, True, False, False, False),
+    "parabolic_degree": (False, False, True, True, False),
+    "square_root": (False, False, False, False, True),
+}
+_TUPLE_KINDS = tuple(_TUPLE_SHAPES)  # an unhashable kind is refused too
 
 
 @dataclass(frozen=True)
@@ -236,28 +243,24 @@ class InvariantTuple:
     def __post_init__(self):
         if self.kind not in _TUPLE_KINDS:
             raise DomainError("unknown_invariant_kind", kind=self.kind)
-        required = {
-            "w1_w2": ("w1", "w2"),
-            "parabolic_degree": ("parabolic", "degree"),
-            "square_root": ("root_index",),
-        }[self.kind]
-        for name in ("w1", "w2", "parabolic", "degree", "root_index"):
-            value = getattr(self, name)
-            if name in required:
-                if value is None:
-                    raise DomainError("invariant_field_missing",
+        w1, w2, par, degree, root = (self.w1, self.w2, self.parabolic,
+                                     self.degree, self.root_index)
+        shape = _TUPLE_SHAPES[self.kind]
+        if (w1 is not None, w2 is not None, par is not None,
+                degree is not None, root is not None) != shape:
+            for name, required in zip(_TUPLE_FIELDS, shape):
+                if (getattr(self, name) is None) == required:
+                    raise DomainError("invariant_field_missing" if required
+                                      else "invariant_field_forbidden",
                                       kind=self.kind, field=name)
-            elif value is not None:
-                raise DomainError("invariant_field_forbidden",
-                                  kind=self.kind, field=name)
-        for vec in (self.w1, self.w2, self.parabolic):
-            if vec is not None and any(b not in (0, 1) for b in vec):
+        for vec in (w1, w2, par):
+            if vec is not None and not all_bits(vec):
                 raise DomainError("invariant_bits_not_binary", kind=self.kind)
-        if self.degree is not None and self.degree < 0:
-            raise DomainError("invariant_degree_negative", degree=self.degree)
-        if self.root_index is not None and self.root_index < 0:
+        if degree is not None and degree < 0:
+            raise DomainError("invariant_degree_negative", degree=degree)
+        if root is not None and root < 0:
             raise DomainError("invariant_root_index_negative",
-                              root_index=self.root_index)
+                              root_index=root)
 
 
 # --------------------------------------------------------------------------
@@ -346,19 +349,22 @@ def _alpha_bits(s: int, par: str) -> tuple[int, ...]:
     return (1,) + (0,) * (s - 1)
 
 
-def _factor_values(name: str, z: _Sizes, parity: str | None):
+def _factor_values(name: str, z: _Sizes, parity: str | None) -> Iterable:
+    """A factor's values in lexicographic order, vectors made as they are
+    consumed."""
     if name in _VECTOR_FACTORS:  # size 2^k: every vector of Z_2^k
-        return list(product((0, 1), repeat=z[name].bit_length() - 1))
+        return product((0, 1), repeat=z[name].bit_length() - 1)
     if name == "w1_nonzero":  # lexicographic order puts the zero vector first
-        return _factor_values("w1", z, parity)[1:]
+        return islice(_factor_values("w1", z, parity), 1, None)
     if name == "alpha":
         return [_alpha_bits(z["s"], parity)]
     return range(z[name])
 
 
 def _materialize(factors: tuple[str, ...], z: _Sizes, parity: str | None
-                 ) -> list:
-    """Every invariant of one case, lexicographic over its factors.
+                 ) -> Iterator:
+    """Every invariant of one case, lexicographic over its factors, built
+    one at a time as the iterator is consumed.
 
     Two factors give an ``InvariantTuple``: w1 x w2 (or the fixed weight
     vector), or a parabolic structure x a degree.  One factor gives root
@@ -366,15 +372,15 @@ def _materialize(factors: tuple[str, ...], z: _Sizes, parity: str | None
     """
     first = _factor_values(factors[0], z, parity)
     if len(factors) == 2:
-        second = _factor_values(factors[1], z, parity)
+        second = tuple(_factor_values(factors[1], z, parity))
         if factors[1] in _DEGREE_FACTORS:
-            return [InvariantTuple("parabolic_degree", parabolic=p, degree=d)
-                    for p in first for d in second]
-        return [InvariantTuple("w1_w2", w1=a, w2=b)
-                for a in first for b in second]
+            return (InvariantTuple("parabolic_degree", parabolic=p, degree=d)
+                    for p in first for d in second)
+        return (InvariantTuple("w1_w2", w1=a, w2=b)
+                for a in first for b in second)
     if factors[0] in _ROOT_FACTORS:
-        return [InvariantTuple("square_root", root_index=i) for i in first]
-    return list(first)
+        return (InvariantTuple("square_root", root_index=i) for i in first)
+    return iter(first)
 
 
 # --------------------------------------------------------------------------
@@ -544,10 +550,8 @@ def enumerate_invariants_sp(n: int, g: int, s: int, mode: CountMode,
         raise DomainError("mode_not_enumerable", variant=mode.variant)
     z = _factor_sizes(g, s)
     check_cap(sum(_closed_forms(entry, z)[0]), cap)
-    out: list[InvariantTuple] = []
-    for _, factors in entry.cases:
-        out.extend(_materialize(factors, z, mode.parity))
-    return tuple(out)
+    return tuple(t for _, factors in entry.cases
+                 for t in _materialize(factors, z, mode.parity))
 
 
 # --------------------------------------------------------------------------
@@ -570,10 +574,11 @@ def count_components(group: GroupDescriptor, g: int, s: int, mode: CountMode,
     """Count connected components (lower bound) per group, mode and (g, s).
 
     The per-case breakdown follows the published case analysis; enumerated
-    counts come from materializing the invariant tuples, closed forms from
-    the products of the factor sizes.  ``match`` compares the enumerated
-    total with the published one.  ``cap`` bounds the enumeration and is
-    checked against the case sizes before anything is materialized.
+    counts come from building and checking each invariant tuple in turn,
+    none of which is kept, and closed forms from the products of the factor
+    sizes.  ``match`` compares the enumerated total with the published one.
+    ``cap`` bounds the enumeration and is checked against the case sizes
+    before any tuple is built.
     """
     row = _row(group)
     if mode.variant.startswith("nonparabolic") and s != 1:
@@ -593,7 +598,7 @@ def count_components(group: GroupDescriptor, g: int, s: int, mode: CountMode,
         enumerated = sizes
     else:
         check_cap(sum(sizes), cap)
-        enumerated = [len(_materialize(factors, z, mode.parity))
+        enumerated = [sum(1 for _ in _materialize(factors, z, mode.parity))
                       for _, factors in entry.cases]
     pairs = [(label, enum, size) for (label, _), enum, size
              in zip(entry.cases, enumerated, sizes)]

@@ -11,6 +11,7 @@ from typing import Sequence
 __all__ = [
     "DomainError",
     "check_cap",
+    "all_bits",
     "rat_from_str",
     "q_matrix_rank",
 ]
@@ -35,6 +36,20 @@ def check_cap(needed: int, cap: int | None) -> None:
     """Refuse a request for more than cap items before any is built."""
     if cap is not None and needed > cap:
         raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
+
+
+_BITS = frozenset((0, 1))
+
+
+def all_bits(values) -> bool:
+    """Whether every value equals 0 or 1, by one set inclusion.
+
+    An unhashable value is not a bit; a non-iterable raises TypeError.
+    """
+    try:
+        return _BITS.issuperset(values)
+    except TypeError:  # an unhashable value, or no iterable at all
+        return all(v in (0, 1) for v in values)
 
 
 def rat_from_str(s: str | int) -> Fraction:

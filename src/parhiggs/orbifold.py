@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .codec import decoder, to_json
-from .exact_core import DomainError, check_cap
+from .exact_core import DomainError, all_bits, check_cap
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -161,7 +161,7 @@ class Z2Character:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v not in (0, 1) for v in self.ab + self.sigma):
+        if not all_bits(self.ab + self.sigma):
             raise DomainError("character_value_not_bit")
         if sum(self.sigma) % 2:
             raise DomainError("sigma_parity_violated", sigma=list(self.sigma))
@@ -170,7 +170,7 @@ class Z2Character:
 def character_exists_with_sigma(surf: MarkedSurface, sigma: Sequence[int]) -> bool:
     """Can the sigma-values be completed to a character?  Needs even total
     parity and triviality at every odd-order point."""
-    if len(sigma) != surf.s or any(v not in (0, 1) for v in sigma):
+    if len(sigma) != surf.s or not all_bits(sigma):
         raise DomainError("bad_sigma_assignment", sigma=list(sigma))
     for p, v in zip(surf.points, sigma):
         if v and p.order % 2:

@@ -32,7 +32,11 @@ class MarkedPoint:
 
 @dataclass(frozen=True)
 class MarkedSurface:
-    """A compact genus-g surface with a reduced divisor of marked points."""
+    """A compact genus-g surface with a reduced divisor of marked points.
+
+    The point labels are listed once, when it is built, outside the fields
+    that equality, repr and JSON read; ``points`` is not to be mutated.
+    """
 
     genus: int
     points: tuple[MarkedPoint, ...] = ()
@@ -43,13 +47,14 @@ class MarkedSurface:
         labels = [p.label for p in self.points]
         if len(set(labels)) != len(labels):
             raise DomainError("duplicate_point_labels", labels=labels)
+        object.__setattr__(self, "_labels", tuple(labels))
 
     @property
     def s(self) -> int:
         return len(self.points)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(p.label for p in self.points)
+        return self._labels
 
     def is_hyperbolic(self) -> bool:
         return 2 * self.genus - 2 + self.s > 0

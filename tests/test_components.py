@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,19 @@ def test_enumeration_cap():
     assert payload["needed"] == 52
     with pytest.raises(DomainError):
         count_components(sp2nr(2), 2, 1, MAX, cap=10)
+
+
+def test_count_builds_every_tuple_and_keeps_none():
+    # about 35k tuples at (4, 4): a list of them takes about 4.5 MB
+    for group in (sp2nr(2), sp2nr(3), so0_2n(4)):
+        tracemalloc.start()
+        try:
+            report = count_components(group, 4, 4, MAX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.total_enumerated > 32_000
+        assert peak < 1 << 20, (group, peak)
 
 
 CAP = 10 ** 6

@@ -1,0 +1,153 @@
+"""Refusal table of the enumerated invariants: InvariantTuple and Z2Character.
+
+Each row is one direct construction and what it must give: acceptance, a
+``DomainError`` with its code and full payload, or a ``TypeError`` for an
+input that is not a sequence of bits at all.  The rows pin which rule wins
+when an input breaks several (a missing and a forbidden field: the first
+field in declaration order), and how odd values read as bits (``True`` and
+``1.0`` are bits; an unhashable entry or a character of a string is not).
+"""
+
+import pytest
+
+from parhiggs.components import InvariantTuple
+from parhiggs.exact_core import DomainError
+from parhiggs.orbifold import Z2Character
+
+OK = None
+
+
+def _missing(kind, field):
+    return ("invariant_field_missing", {"kind": kind, "field": field})
+
+
+def _forbidden(kind, field):
+    return ("invariant_field_forbidden", {"kind": kind, "field": field})
+
+
+def _bits(kind):
+    return ("invariant_bits_not_binary", {"kind": kind})
+
+
+TUPLE_ROWS = [
+    # accepted
+    (("w1_w2",), dict(w1=(0, 1), w2=(1,)), OK),
+    (("w1_w2",), dict(w1=(), w2=()), OK),
+    (("parabolic_degree",), dict(parabolic=(1, 0), degree=0), OK),
+    (("square_root",), dict(root_index=0), OK),
+    (("w1_w2",), dict(w1=(True, False), w2=(1.0,)), OK),
+    (("w1_w2",), dict(w1=[0, 1], w2=(0,)), OK),
+    # unknown kind, hashable or not
+    (("w1",), dict(w1=(0,), w2=(0,)), ("unknown_invariant_kind", {"kind": "w1"})),
+    ((None,), {}, ("unknown_invariant_kind", {"kind": None})),
+    ((["w1_w2"],), dict(w1=(0,), w2=(0,)),
+     ("unknown_invariant_kind", {"kind": ["w1_w2"]})),
+    # missing and forbidden fields: the first offending field is reported
+    (("w1_w2",), dict(w1=(0, 1)), _missing("w1_w2", "w2")),
+    (("w1_w2",), dict(w2=(0,)), _missing("w1_w2", "w1")),
+    (("w1_w2",), {}, _missing("w1_w2", "w1")),
+    (("parabolic_degree",), dict(parabolic=(1,)),
+     _missing("parabolic_degree", "degree")),
+    (("square_root",), {}, _missing("square_root", "root_index")),
+    (("square_root",), dict(root_index=0, degree=1),
+     _forbidden("square_root", "degree")),
+    (("w1_w2",), dict(w1=(0,), w2=(0,), root_index=3),
+     _forbidden("w1_w2", "root_index")),
+    (("square_root",), dict(w1=(0,)), _forbidden("square_root", "w1")),
+    (("w1_w2",), dict(w1=(0,), degree=1), _missing("w1_w2", "w2")),
+    (("parabolic_degree",), dict(w1=(0,), parabolic=(1,)),
+     _forbidden("parabolic_degree", "w1")),
+    (("parabolic_degree",), dict(degree=1, root_index=0),
+     _missing("parabolic_degree", "parabolic")),
+    (("square_root",), dict(parabolic=(1,), degree=-1),
+     _forbidden("square_root", "parabolic")),
+    # the field shape is checked before the bits
+    (("w1_w2",), dict(w1=(2,)), _missing("w1_w2", "w2")),
+    # bits
+    (("w1_w2",), dict(w1=(0, 2), w2=(0,)), _bits("w1_w2")),
+    (("w1_w2",), dict(w1=(0,), w2=(0, -1)), _bits("w1_w2")),
+    (("parabolic_degree",), dict(parabolic=(2,), degree=0),
+     _bits("parabolic_degree")),
+    (("w1_w2",), dict(w1=(0.5,), w2=()), _bits("w1_w2")),
+    (("w1_w2",), dict(w1=([0], 1), w2=(0,)), _bits("w1_w2")),
+    (("w1_w2",), dict(w1=(0,), w2=({},)), _bits("w1_w2")),
+    (("w1_w2",), dict(w1="01", w2=(0,)), _bits("w1_w2")),
+    (("w1_w2",), dict(w1=(None,), w2=(0,)), _bits("w1_w2")),
+    # the bits are checked before the degree
+    (("parabolic_degree",), dict(parabolic=(2,), degree=-1),
+     _bits("parabolic_degree")),
+    # degree and root index
+    (("parabolic_degree",), dict(parabolic=(1,), degree=-1),
+     ("invariant_degree_negative", {"degree": -1})),
+    (("parabolic_degree",), dict(parabolic=(), degree=-7),
+     ("invariant_degree_negative", {"degree": -7})),
+    (("square_root",), dict(root_index=-1),
+     ("invariant_root_index_negative", {"root_index": -1})),
+    # not a vector of bits at all
+    (("w1_w2",), dict(w1=5, w2=(0,)), TypeError),
+    (("w1_w2",), dict(w1=(0,), w2=object()), TypeError),
+    (("parabolic_degree",), dict(parabolic=(1,), degree="1"), TypeError),
+]
+
+
+CHARACTER_ROWS = [
+    # accepted
+    (((0, 1), (1, 0, 1)), OK),
+    (((), ()), OK),
+    (((), (1, 1)), OK),
+    (((True, 0), (1.0, 1)), OK),
+    (([0, 1], [1, 1]), OK),
+    # values
+    (((2,), ()), ("character_value_not_bit", {})),
+    (((0,), (2,)), ("character_value_not_bit", {})),
+    (((0,), (-1, 1)), ("character_value_not_bit", {})),
+    (((0.5,), ()), ("character_value_not_bit", {})),
+    ((([0],), ()), ("character_value_not_bit", {})),
+    (((0,), ({},)), ("character_value_not_bit", {})),
+    (("01", ""), ("character_value_not_bit", {})),
+    # the values are checked before the parity
+    (((2,), (1,)), ("character_value_not_bit", {})),
+    # sigma parity
+    (((0, 1), (1, 0, 0)), ("sigma_parity_violated", {"sigma": [1, 0, 0]})),
+    (((), (1,)), ("sigma_parity_violated", {"sigma": [1]})),
+    (((), (True, 1, 1.0)), ("sigma_parity_violated", {"sigma": [1, 1, 1]})),
+    # not two sequences of one kind
+    (([0], (1, 1)), TypeError),
+    (((0,), [1, 1]), TypeError),
+    ((5, ()), TypeError),
+    (((0,), None), TypeError),
+    (("01", ()), TypeError),
+]
+
+
+def _check(build, want):
+    if want is OK:
+        build()
+    elif want is TypeError:
+        with pytest.raises(TypeError):
+            build()
+    else:
+        code, payload = want
+        with pytest.raises(DomainError) as e:
+            build()
+        assert e.value.code == code
+        assert e.value.info == payload
+        assert e.value.payload() == {"error": code, **payload}
+
+
+@pytest.mark.parametrize("args, kwargs, want", TUPLE_ROWS)
+def test_invariant_tuple_refusals(args, kwargs, want):
+    _check(lambda: InvariantTuple(*args, **kwargs), want)
+
+
+@pytest.mark.parametrize("ab, sigma, want",
+                         [(ab, sigma, want) for (ab, sigma), want
+                          in CHARACTER_ROWS])
+def test_z2_character_refusals(ab, sigma, want):
+    _check(lambda: Z2Character(ab, sigma), want)
+
+
+def test_accepted_odd_bits_compare_equal_to_plain_bits():
+    assert InvariantTuple("w1_w2", w1=(True, False), w2=(1.0,)) == \
+        InvariantTuple("w1_w2", w1=(1, 0), w2=(1,))
+    assert Z2Character((True, 0), (1.0, 1)) == Z2Character((1, 0), (1, 1))

@@ -9,6 +9,7 @@ from parhiggs.components import (
     CountMode,
     count_components,
     emit_tables,
+    enumerate_invariants_sp,
     s1_reduction_report,
     so0_2n,
     sp2nr,
@@ -21,7 +22,12 @@ from parhiggs.dimension import (
     teichmuller_dimension,
 )
 from parhiggs.exact_core import DomainError
-from parhiggs.orbifold import laurent_matrix, orb_to_par_local, par_to_orb_local
+from parhiggs.orbifold import (
+    laurent_matrix,
+    orb_to_par_local,
+    par_to_orb_local,
+    z2_character_enumerate,
+)
 from parhiggs.parbun import ParabolicLineBundle
 from parhiggs.stability import (
     DecomposableHiggsModel,
@@ -34,7 +40,7 @@ from parhiggs.stability import (
     relative_degree,
     sp_filtration_degree,
 )
-from parhiggs.surface import standard_surface
+from parhiggs.surface import MarkedPoint, MarkedSurface, standard_surface
 
 HYPERBOLIC = [(g, s) for g in range(5) for s in range(1, 5)
               if 2 * g - 2 + s > 0]
@@ -83,6 +89,36 @@ def test_sp_cases_match_count_components(oracles):
                     continue
                 assert [(c.label, c.enumerated) for c in report.cases] == want
                 assert [(c.label, c.closed_form) for c in report.cases] == want
+
+
+def test_streamed_counts_match_enumeration_and_brute_force(oracles):
+    for g, s in HYPERBOLIC:
+        if g > 3 or s > 3:
+            continue
+        for n in (1, 2, 3, 4):
+            tuples = enumerate_invariants_sp(n, g, s, SP_MODES["max_union"])
+            assert type(tuples) is tuple
+            report = count_components(sp2nr(n), g, s, SP_MODES["max_union"])
+            assert len(tuples) == oracles.enumerate_sp_bruteforce(n, g, s) \
+                == sum(c.enumerated for c in report.cases), (n, g, s)
+
+
+def _order_sets(rng, s):
+    """All-even, all-odd and seeded mixed isotropy orders from 2..6."""
+    sets = {(2,) * s, (3,) * s}
+    while len(sets) < min(8, 5 ** s):
+        sets.add(tuple(rng.randint(2, 6) for _ in range(s)))
+    return sorted(sets)
+
+
+def test_character_list_matches_z2_character_enumerate(oracles):
+    rng = random.Random(1212)
+    for g, s in HYPERBOLIC_ALL:
+        for orders in _order_sets(rng, s):
+            surf = MarkedSurface(g, tuple(MarkedPoint(f"x{i + 1}", k)
+                                          for i, k in enumerate(orders)))
+            got = [(c.ab, c.sigma) for c in z2_character_enumerate(surf)]
+            assert got == oracles.character_list(g, orders), (g, orders)
 
 
 def test_table_cells_match_emit_tables(oracles):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from parhiggs.codec import from_json, to_json
@@ -86,3 +88,20 @@ def test_negative_marked_point_count_is_refused():
     with pytest.raises(DomainError) as err:
         dim_strongly_parabolic_gl(2, 2, -1, [])
     assert err.value.payload() == {"error": "bad_marked_points", "s": -1}
+
+
+def test_stored_labels_are_outside_equality_hash_repr_and_json():
+    surf = MarkedSurface(2, (MarkedPoint("p", 2), MarkedPoint("q", 3)))
+    same = MarkedSurface(2, (MarkedPoint("p", 2), MarkedPoint("q", 3)))
+    object.__setattr__(same, "_labels", ("r",))
+    assert surf.labels() == ("p", "q")
+    assert surf.labels() is surf.labels()
+    assert [f.name for f in fields(surf)] == ["genus", "points"]
+    assert surf == same and hash(surf) == hash(same)
+    assert repr(surf) == repr(same) == (
+        "MarkedSurface(genus=2, points=(MarkedPoint(label='p', order=2), "
+        "MarkedPoint(label='q', order=3)))")
+    assert to_json(surf) == to_json(same)
+    assert from_json(MarkedSurface, to_json(surf)).labels() == ("p", "q")
+    assert standard_surface(1, 0).labels() == ()
+    assert standard_surface(0, 3).labels() == ("x1", "x2", "x3")

@@ -283,22 +283,23 @@ def section_roots():
               f" = {len(types) * 2**(2*g)}")
 
 
+def character_list(g: int, orders) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every Z2 character as (ab, sigma), lexicographic: ab ranges over all
+    of Z_2^{2g}; sigma is 0 at each odd-order point and has even parity."""
+    return [(ab, sig)
+            for ab in itertools.product((0, 1), repeat=2 * g)
+            for sig in itertools.product((0, 1), repeat=len(orders))
+            if sum(sig) % 2 == 0
+            and all(v == 0 or k % 2 == 0 for v, k in zip(sig, orders))]
+
+
 def section_characters():
     for (g, s) in [(1, 3), (2, 0), (1, 2), (3, 6)]:
-        cnt = 0
-        for ab in itertools.product((0, 1), repeat=2 * g):
-            for sig in itertools.product((0, 1), repeat=s):
-                if sum(sig) % 2 == 0:
-                    cnt += 1
+        cnt = len(character_list(g, (2,) * s))
         print(f"characters g={g} s={s} all order 2: {cnt}"
               f"  (2^(2g+s-1) = {2 ** (2 * g + s - 1) if s else 2 ** (2 * g)})")
     # one mixed-order point set: orders (2,3): sigma at odd-order point forced 0
-    cnt = 0
-    for ab in itertools.product((0, 1), repeat=2):
-        for sig in itertools.product((0, 1), (0,)):
-            if sum(sig) % 2 == 0:
-                cnt += 1
-    print("characters g=1 orders (2,3):", cnt)
+    print("characters g=1 orders (2,3):", len(character_list(1, (2, 3))))
 
 
 # ------------------------------------------------------------ MV ranks ----
