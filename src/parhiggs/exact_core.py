@@ -6,6 +6,7 @@ No floating point anywhere: weights and degrees are `fractions.Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
@@ -52,8 +53,16 @@ def all_bits(values) -> bool:
         return all(v in (0, 1) for v in values)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def rat_from_str(s: str | int) -> Fraction:
-    """Parse "p/q" or a bare integer string into an exact rational."""
+    """Parse "p/q" or a bare integer string into an exact rational.
+
+    The last 1,024 results are kept, keyed by value and type (so ``True``
+    and ``1`` are parsed apart), and one shared ``Fraction`` is returned for
+    a repeated value; a ``Fraction`` is immutable.  A refusal is not kept:
+    a bad value raises bad_rational on every call.  An unhashable argument,
+    which is neither a string nor an integer, raises TypeError.
+    """
     if isinstance(s, int):
         return Fraction(s)
     try:

@@ -127,9 +127,9 @@ def line_to_bundle(l: ParabolicLineBundle, surf: MarkedSurface) -> ParabolicBund
 
 def _check_points(b, surf: MarkedSurface) -> None:
     keys = b.flag_at if isinstance(b, ParabolicBundle) else b.weight_at
-    extra = keys.keys() - surf.labels() if keys else None
-    if extra:
-        raise DomainError("flag_surface_mismatch", unknown=sorted(extra))
+    if keys and not surf._label_set.issuperset(keys):
+        raise DomainError("flag_surface_mismatch",
+                          unknown=sorted(keys.keys() - surf._label_set))
 
 
 def pardeg(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> Fraction:
@@ -150,7 +150,8 @@ def parslope(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> F
 
 
 def _dual_weight(a: Fraction) -> Fraction:
-    return 1 - a if a else a
+    """1 - a for a = p/q in (0,1), built as (q - p)/q; 0 stays 0."""
+    return Fraction(a.denominator - a.numerator, a.denominator) if a else a
 
 
 def par_dual(b: ParabolicBundle | ParabolicLineBundle):

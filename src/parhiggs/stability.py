@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -88,6 +88,11 @@ class SpTripleModel:
     beta (i,j) asserts a nonzero component V_j^dual -> V_i (x) K(D) and
     gamma (i,j) one of V_j -> V_i^dual (x) K(D); both come from symmetric
     morphisms, so their supports must be symmetric index patterns.
+
+    The parabolic duals of V's summands are computed once, on first use, and
+    kept outside the fields that equality, repr and JSON read; the induced
+    model and the dual triple share them.  ``v_summands`` is not to be
+    mutated.
     """
 
     surface: MarkedSurface
@@ -111,10 +116,14 @@ class SpTripleModel:
     def n(self) -> int:
         return len(self.v_summands)
 
+    @cached_property
+    def _v_duals(self) -> tuple[ParabolicLineBundle, ...]:
+        return tuple(par_dual(v) for v in self.v_summands)
+
     def to_decomposable(self) -> DecomposableHiggsModel:
         """The induced model on E = V + V^dual (duals listed after V)."""
         n = self.n
-        summands = self.v_summands + tuple(par_dual(v) for v in self.v_summands)
+        summands = self.v_summands + self._v_duals
         arrows = {(i, n + j) for (i, j) in self.beta_arrows}
         arrows |= {(n + i, j) for (i, j) in self.gamma_arrows}
         return DecomposableHiggsModel(self.surface, summands, frozenset(arrows))
@@ -280,9 +289,15 @@ def toledo(m: SpTripleModel) -> Fraction:
 
 
 def milnor_wood_bound(n: int, g: int, s: int) -> Fraction:
-    """n(g - 1 + s/2), the sharp bound for semistable symplectic models."""
+    """n(g - 1 + s/2), the sharp bound for semistable symplectic models.
+
+    A negative rank is refused (negative_rank) before the surface is checked;
+    n = 0, the empty triple, has bound 0.
+    """
+    if n < 0:
+        raise DomainError("negative_rank", n=n)
     require_hyperbolic(standard_surface(g, s))
-    return n * (Fraction(g - 1) + Fraction(s, 2))
+    return Fraction(n * (2 * g - 2 + s), 2)
 
 
 def general_mw_interval(rk_plus: int, rk_minus: int, g: int, s: int
@@ -300,8 +315,7 @@ def is_maximal(m: SpTripleModel) -> bool:
 
 def sp_dual(m: SpTripleModel) -> SpTripleModel:
     """(V, beta, gamma) -> (V^dual, gamma, beta); negates the Toledo invariant."""
-    return SpTripleModel(m.surface, tuple(par_dual(v) for v in m.v_summands),
-                         m.gamma_arrows, m.beta_arrows)
+    return SpTripleModel(m.surface, m._v_duals, m.gamma_arrows, m.beta_arrows)
 
 
 # ------------------------------------------------------- Hitchin family ----

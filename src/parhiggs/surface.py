@@ -7,6 +7,7 @@ Teichmüller-dimension formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact_core import DomainError
 
@@ -34,8 +35,9 @@ class MarkedPoint:
 class MarkedSurface:
     """A compact genus-g surface with a reduced divisor of marked points.
 
-    The point labels are listed once, when it is built, outside the fields
-    that equality, repr and JSON read; ``points`` is not to be mutated.
+    The point labels are listed once, when it is built, as a tuple and as a
+    frozenset, outside the fields that equality, repr and JSON read;
+    ``points`` is not to be mutated.
     """
 
     genus: int
@@ -45,9 +47,11 @@ class MarkedSurface:
         if self.genus < 0:
             raise DomainError("bad_genus", genus=self.genus)
         labels = [p.label for p in self.points]
-        if len(set(labels)) != len(labels):
+        label_set = frozenset(labels)
+        if len(label_set) != len(labels):
             raise DomainError("duplicate_point_labels", labels=labels)
         object.__setattr__(self, "_labels", tuple(labels))
+        object.__setattr__(self, "_label_set", label_set)
 
     @property
     def s(self) -> int:
@@ -60,10 +64,14 @@ class MarkedSurface:
         return 2 * self.genus - 2 + self.s > 0
 
 
+@lru_cache(maxsize=128, typed=True)
 def standard_surface(genus: int, s: int, order: int = 2) -> MarkedSurface:
     """Surface with points labelled x1..xs, all of the same isotropy order.
 
     A negative s is refused (bad_marked_points) rather than read as no points.
+    The last 128 surfaces are kept, keyed by the arguments and their types,
+    and a repeated request returns the same frozen surface.  A refusal is not
+    kept: it is raised again on every call.
     """
     if s < 0:
         raise DomainError("bad_marked_points", s=s)

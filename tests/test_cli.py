@@ -172,6 +172,16 @@ def test_mw_bound_value(capsys):
     assert payload == {"bound": "3"}
 
 
+def test_mw_refuses_a_negative_rank(capsys):
+    code, payload = run_json(capsys, ["mw", "--n", "-3", "--g", "2", "--s", "1"])
+    assert code == 2
+    assert payload == {"error": "negative_rank", "n": -3}
+    validate(payload, "error")
+    code, payload = run_json(capsys, ["mw", "--n", "0", "--g", "2", "--s", "1"])
+    assert code == 0
+    assert payload == {"bound": "0"}
+
+
 def test_mw_interval_is_symmetric_for_equal_ranks(capsys):
     code, payload = run_json(
         capsys, ["mw", "--n", "2", "--g", "2", "--s", "1",

@@ -17,6 +17,24 @@ def test_rational_serialization_round_trip():
         rat_from_str("1/0")
 
 
+def test_rat_from_str_cache_matches_the_plain_function():
+    plain = rat_from_str.__wrapped__
+
+    def outcome(call, value):
+        try:
+            return "value", call(value)
+        except DomainError as err:
+            return "error", err.payload()
+
+    for value in (" 3/4 ", "-4", "7", 7, True, "1/0", "x"):
+        want = outcome(plain, value)
+        assert outcome(rat_from_str, value) == outcome(rat_from_str, value) == want
+        assert type(want[1]) is (Fraction if want[0] == "value" else dict)
+    assert rat_from_str(" 3/4 ") == Fraction(3, 4)
+    assert rat_from_str(True) == 1
+    assert rat_from_str.cache_info().maxsize == 1024
+
+
 def test_rational_sum_exactness_random():
     rng = random.Random(7)
     for _ in range(200):

@@ -360,7 +360,10 @@ def test_unknown_points_payload_is_sorted():
     surf = standard_surface(1, 1)
     line = ParabolicLineBundle(0, {"x3": H, "x1": H, "x2": Fraction(0)})
     bundle = ParabolicBundle(1, 0, {x: trivial_flag(1) for x in ("x3", "x1", "x2")})
-    for b in (line, bundle):
+    # flags at unknown labels only, one of them with a nonzero weight
+    weighted = ParabolicBundle(2, 0, {"x3": ParabolicFlag((1, 1), (Fraction(0), H)),
+                                      "x2": trivial_flag(2)})
+    for b in (line, bundle, weighted):
         for call in (pardeg, parslope):
             with pytest.raises(DomainError) as err:
                 call(b, surf)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from parhiggs import stability
 from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError, q_matrix_rank
-from parhiggs.parbun import ParabolicLineBundle, pardeg
+from parhiggs.parbun import ParabolicLineBundle, par_dual, pardeg
 from parhiggs.stability import (
     MAX_SUBSET_LIST_RANK,
     MAX_VERDICT_RANK,
@@ -355,6 +355,14 @@ def test_milnor_wood_values():
     assert e.value.code == "not_hyperbolic"
 
 
+def test_milnor_wood_refuses_a_negative_rank_first():
+    assert milnor_wood_bound(0, 2, 1) == 0
+    for n, g, s in [(-3, 2, 1), (-1, 1, 0), (-1, 2, -1)]:
+        with pytest.raises(DomainError) as e:
+            milnor_wood_bound(n, g, s)
+        assert e.value.payload() == {"error": "negative_rank", "n": n}
+
+
 def test_general_interval_no_hyperbolicity_check():
     assert general_mw_interval(2, 3, 2, 1) == (F(-6), F(9))
     assert general_mw_interval(1, 1, 1, 0) == (F(0), F(0))
@@ -394,6 +402,28 @@ def test_sp_dual_negates_toledo():
             back = sp_dual(sp_dual(m))
             assert toledo(back) == toledo(m)
             assert back.beta_arrows == m.beta_arrows
+
+
+def test_stored_duals_are_shared_and_invisible():
+    rng = random.Random(13)
+    for n in (1, 2, 3):
+        for g, s in HYP:
+            surf = standard_surface(g, s)
+            v = tuple(rand_line(rng, surf.labels()) for _ in range(n))
+            t = SpTripleModel(surf, v, frozenset({(0, 0)}), frozenset({(0, 0)}))
+            fresh = SpTripleModel(surf, v, frozenset({(0, 0)}),
+                                  frozenset({(0, 0)}))
+            before = (repr(t), to_json(t))
+            duals = t.to_decomposable().summands[n:]
+            assert t == fresh and (repr(t), to_json(t)) == before
+            assert repr(fresh) == before[0] and to_json(fresh) == before[1]
+            dual_v = sp_dual(t).v_summands
+            assert len(dual_v) == n
+            assert all(a is b for a, b in zip(dual_v, duals))
+            assert dual_v == tuple(par_dual(x) for x in v)
+            for x, d in zip(v, dual_v):
+                assert d.weight_at == {lbl: 1 - w if w else w
+                                       for lbl, w in x.weight_at.items()}
 
 
 @st.composite

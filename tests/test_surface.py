@@ -94,14 +94,44 @@ def test_stored_labels_are_outside_equality_hash_repr_and_json():
     surf = MarkedSurface(2, (MarkedPoint("p", 2), MarkedPoint("q", 3)))
     same = MarkedSurface(2, (MarkedPoint("p", 2), MarkedPoint("q", 3)))
     object.__setattr__(same, "_labels", ("r",))
+    object.__setattr__(same, "_label_set", frozenset({"r"}))
     assert surf.labels() == ("p", "q")
     assert surf.labels() is surf.labels()
+    assert surf._label_set == frozenset({"p", "q"})
     assert [f.name for f in fields(surf)] == ["genus", "points"]
     assert surf == same and hash(surf) == hash(same)
     assert repr(surf) == repr(same) == (
         "MarkedSurface(genus=2, points=(MarkedPoint(label='p', order=2), "
         "MarkedPoint(label='q', order=3)))")
     assert to_json(surf) == to_json(same)
-    assert from_json(MarkedSurface, to_json(surf)).labels() == ("p", "q")
+    back = from_json(MarkedSurface, to_json(surf))
+    assert back.labels() == ("p", "q") and back._label_set == {"p", "q"}
     assert standard_surface(1, 0).labels() == ()
+    assert standard_surface(1, 0)._label_set == frozenset()
     assert standard_surface(0, 3).labels() == ("x1", "x2", "x3")
+    assert standard_surface(0, 3)._label_set == {"x1", "x2", "x3"}
+
+
+def _outcome(call, *args):
+    try:
+        return "value", call(*args)
+    except DomainError as err:
+        return "error", err.payload()
+
+
+def test_standard_surface_cache_matches_the_plain_function():
+    plain = standard_surface.__wrapped__
+    for g in range(-1, 5):
+        for s in range(-1, 6):
+            for order in range(1, 4):
+                want = _outcome(plain, g, s, order)
+                first = _outcome(standard_surface, g, s, order)
+                again = _outcome(standard_surface, g, s, order)
+                assert first == again == want
+                if want[0] == "value":
+                    assert first[1] is again[1]
+                    assert first[1].labels() == want[1].labels()
+    # keyed by type too: True is not read back as the cached genus 1
+    standard_surface(1, 1)
+    assert repr(standard_surface(True, 1)) == repr(plain(True, 1))
+    assert standard_surface.cache_info().maxsize == 128
