@@ -7,12 +7,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from math import lcm
+from typing import Iterable, Sequence
 
 __all__ = [
     "DomainError",
     "check_cap",
     "all_bits",
+    "rational_sum",
     "rat_from_str",
     "q_matrix_rank",
 ]
@@ -51,6 +53,23 @@ def all_bits(values) -> bool:
         return _BITS.issuperset(values)
     except TypeError:  # an unhashable value, or no iterable at all
         return all(v in (0, 1) for v in values)
+
+
+def rational_sum(values: Iterable[Fraction | int]) -> Fraction:
+    """The exact sum of rationals (Fractions or ints) as one Fraction.
+
+    The numerators are summed as integers over the running lcm of the
+    denominators and reduced once, at the end.  An empty sum is Fraction(0),
+    never the int 0: the JSON writer prints a Fraction as "0" and an int as 0.
+    """
+    num, den = 0, 1
+    for v in values:
+        q = v.denominator
+        if den % q:
+            step = lcm(den, q) // den
+            num, den = num * step, den * step
+        num += v.numerator * (den // q)
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=1024, typed=True)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .codec import decoder, to_json
-from .exact_core import DomainError, all_bits, check_cap
+from .codec import JsonShapeError, decoder
+from .exact_core import DomainError, all_bits, check_cap, rational_sum
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -82,8 +82,9 @@ def _check_isotropy(l: VLineBundle, surf: MarkedSurface) -> None:
 def vline_degree(l: VLineBundle, surf: MarkedSurface) -> Fraction:
     """Fractional degree: desingularized degree plus sum of b_i/k_i."""
     _check_isotropy(l, surf)
-    return l.desing_degree + sum(
-        (Fraction(l.residue(p.label), p.order) for p in surf.points), Fraction(0))
+    iso = l.isotropy
+    return rational_sum([l.desing_degree, *(Fraction(iso[p.label], p.order)
+                                            for p in surf.points if p.label in iso)])
 
 
 def vline_tensor(a: VLineBundle, b: VLineBundle, surf: MarkedSurface) -> VLineBundle:
@@ -300,7 +301,7 @@ def _clean_terms(terms) -> tuple[Term, ...]:
     for d, c in terms:
         d, c = int(d), c if type(c) is Fraction else Fraction(c)
         acc[d] = acc[d] + c if d in acc else c
-    return tuple(sorted((d, c) for d, c in acc.items() if c))
+    return tuple(sorted([t for t in acc.items() if t[1]]))
 
 
 @dataclass(frozen=True)
@@ -321,17 +322,21 @@ class LaurentMatrix:
         if lo > hi:
             raise DomainError("bad_window", window=list(self.window))
         object.__setattr__(self, "window", (int(lo), int(hi)))
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise DomainError("bad_matrix_shape", n=self.n)
-        for i, j in itertools.product(range(self.n), repeat=2):
-            prev = lo - 1
-            for d, c in self.entries[i][j]:
-                if type(d) is int and not lo <= d <= hi:
-                    raise DomainError("term_outside_window", degree=d,
-                                      window=list(self.window))
-                if type(d) is not int or d <= prev or type(c) is not Fraction or not c:
+        n = self.n
+        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+            raise DomainError("bad_matrix_shape", n=n)
+        for i, row in enumerate(self.entries):
+            for j, terms in enumerate(row):
+                prev = lo - 1
+                for d, c in terms:
+                    # prev >= lo - 1, so prev < d implies lo <= d
+                    if type(d) is int and prev < d <= hi and type(c) is Fraction and c:
+                        prev = d
+                        continue
+                    if type(d) is int and not lo <= d <= hi:
+                        raise DomainError("term_outside_window", degree=d,
+                                          window=list(self.window))
                     raise DomainError("terms_not_canonical", entry=[i, j])
-                prev = d
 
     def entry(self, i: int, j: int) -> tuple[Term, ...]:
         return self.entries[i][j]
@@ -355,18 +360,35 @@ def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
     return LaurentMatrix(n, tuple(tuple(r) for r in rows), window, form)
 
 
+def _w_degrees(terms: tuple[Term, ...], shift: int, m: int) -> list[int] | None:
+    """The w-degrees (e - shift)/m of one entry's terms c z^e, where shift is
+    k_i - k_j; None when the entry breaks equivariance: a term at k_i < k_j,
+    or one whose power is not congruent to the shift mod m."""
+    if shift < 0 and terms:
+        return None
+    out = []
+    for e, _ in terms:
+        d, r = divmod(e - shift, m)
+        if r:
+            return None
+        out.append(d)
+    return out
+
+
 def equivariance_check(mat: LaurentMatrix, chart: LocalChart) -> bool:
     """True iff each entry (i,j) uses only powers congruent to k_i - k_j
-    mod m, and entries with k_i < k_j vanish identically."""
+    mod m, and entries with k_i < k_j vanish identically.
+
+    The rule is ``_w_degrees``, which orb_to_par_local applies too: it
+    refuses (not_equivariant) exactly the matrices this returns False for.
+    """
     if mat.n != chart.n:
         raise DomainError("size_mismatch", matrix=mat.n, chart=chart.n)
-    k = chart.exponents
-    for i, j in itertools.product(range(mat.n), repeat=2):
-        terms = mat.entry(i, j)
-        if k[i] < k[j] and terms:
-            return False
-        if any((d - (k[i] - k[j])) % chart.m for d, _ in terms):
-            return False
+    k, m = chart.exponents, chart.m
+    for ki, row in zip(k, mat.entries):
+        for kj, terms in zip(k, row):
+            if terms and _w_degrees(terms, ki - kj, m) is None:
+                return False
     return True
 
 
@@ -374,9 +396,10 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
     ks = []
     for w in weights:
         w = _check_weight(w)
-        if (w * m).denominator != 1:
+        k, r = divmod(w.numerator * m, w.denominator)
+        if r:
             raise DomainError("weight_not_in_denominator", weight=w, m=m)
-        ks.append(int(w * m))
+        ks.append(k)
     if any(a > b for a, b in zip(ks, ks[1:])):
         raise DomainError("weights_not_nondecreasing",
                           weights=[Fraction(w) for w in weights])
@@ -385,6 +408,8 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
 
 # Rows from both maps are canonical as built: d -> m*d + k_i - k_j and (equivariance
 # checked) e -> (e - k_i + k_j)/m increase strictly, m >= 1 scales, window applied.
+# Each coefficient is built from its integers, m*p/q and p/(q*m); the
+# constructor reduces them to the value m*c and c/m would give.
 def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
                      window: tuple[int, int] | None = None
                      ) -> tuple[LocalChart, LaurentMatrix]:
@@ -406,15 +431,21 @@ def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
         window = (-1, 8 * m)
     lo, hi = window
     rows = []
-    for i in range(higgs.n):
+    for i, (ki, entries) in enumerate(zip(ks, higgs.entries)):
         row = []
-        for j in range(higgs.n):
-            terms = higgs.entry(i, j)
-            if ks[i] < ks[j] and terms:
+        for j, (kj, terms) in enumerate(zip(ks, entries)):
+            if not terms:
+                row.append(())
+                continue
+            shift = ki - kj
+            if shift < 0:
                 raise DomainError("filtration_violation", entry=[i, j])
-            row.append(tuple((e, m * c) for e, c in
-                             ((m * d + ks[i] - ks[j], c) for d, c in terms)
-                             if lo <= e <= hi))
+            out = []
+            for d, c in terms:
+                e = m * d + shift
+                if lo <= e <= hi:
+                    out.append((e, Fraction(c.numerator * m, c.denominator)))
+            row.append(tuple(out))
         rows.append(tuple(row))
     chart = LocalChart(m, tuple(ks))
     return chart, LaurentMatrix(higgs.n, tuple(rows), window, "dz/z")
@@ -426,49 +457,103 @@ def orb_to_par_local(chart: LocalChart, mat: LaurentMatrix,
     """Equivariant matrix in z  ->  weights k_i/m plus matrix in w = z^m.
 
     Inverse of par_to_orb_local on the truncation window: entry terms c z^e
-    map to (c/m) w^{(e-k_i+k_j)/m}; equivariance makes the exponent integral.
+    map to (c/m) w^{(e-k_i+k_j)/m}.  Equivariance makes the exponent
+    integral.  It is checked term by term as the map runs, by the one rule
+    equivariance_check also applies (``_w_degrees``): a matrix for which that
+    returns False is refused (not_equivariant), before the result is built.
     """
     if mat.form != "dz/z":
         raise DomainError("wrong_form", form=mat.form, expected="dz/z")
-    if any(k == chart.m for k in chart.exponents):
-        raise DomainError("exponent_equals_order", m=chart.m)
-    if not equivariance_check(mat, chart):
-        raise DomainError("not_equivariant")
+    m, k = chart.m, chart.exponents
+    if m in k:
+        raise DomainError("exponent_equals_order", m=m)
+    if mat.n != chart.n:
+        raise DomainError("size_mismatch", matrix=mat.n, chart=chart.n)
     if window is None:
         window = (-1, 8)
     lo, hi = window
-    k = chart.exponents
     rows = []
-    for i in range(mat.n):
+    for ki, entries in zip(k, mat.entries):
         row = []
-        for j in range(mat.n):
-            row.append(tuple((d, c / chart.m) for d, c in
-                             (((e - k[i] + k[j]) // chart.m, c)
-                              for e, c in mat.entry(i, j))
-                             if lo <= d <= hi))
+        for kj, terms in zip(k, entries):
+            if not terms:
+                row.append(())
+                continue
+            degrees = _w_degrees(terms, ki - kj, m)
+            if degrees is None:
+                raise DomainError("not_equivariant")
+            out = []
+            for d, (_, c) in zip(degrees, terms):
+                if lo <= d <= hi:
+                    out.append((d, Fraction(c.numerator, c.denominator * m)))
+            row.append(tuple(out))
         rows.append(tuple(row))
-    weights = tuple(Fraction(ki, chart.m) for ki in k)
+    weights = tuple(Fraction(ki, m) for ki in k)
     return weights, LaurentMatrix(mat.n, tuple(rows), window, "dw/w")
 
 
 # ---------------------------------------------------------------- JSON ----
 # Hand-written: m lives outside the matrix and terms are {"deg", "coef"}
-# objects.
+# objects.  Malformed input is refused as the codec refuses it (bad_json, with
+# the path of keys and the codec's wording); the keys are read in the order
+# entries, window, form, m, and unknown keys are refused after them.
 
 def laurent_to_json(mat: LaurentMatrix, m: int) -> dict:
+    # str(c) is to_json(c): the constructor holds every coefficient as a Fraction
     return {"m": m,
             "form": mat.form,
             "window": list(mat.window),
-            "entries": [[[{"deg": d, "coef": to_json(c)} for d, c in e]
+            "entries": [[[{"deg": d, "coef": str(c)} for d, c in e]
                          for e in row] for row in mat.entries]}
 
 
+_integer, _rational, _string = decoder(int), decoder(Fraction), decoder(str)
+_window = decoder(tuple[int, int])
+
+
+def _keyed(obj: dict, key: str, read):
+    """read(obj[key]), a missing key or a bad value refused at its path."""
+    if key not in obj:
+        raise JsonShapeError(f"an object with key {key!r}")
+    try:
+        return read(obj[key])
+    except JsonShapeError as err:
+        raise JsonShapeError(err.expected, (key,) + err.keys) from None
+
+
+def _read_term(t) -> Term:
+    if type(t) is not dict:
+        raise JsonShapeError("an object")
+    d = _keyed(t, "deg", _integer)
+    c = _keyed(t, "coef", _rational)
+    if len(t) != 2:
+        raise JsonShapeError("an object with keys among coef, deg")
+    return d, c
+
+
+def _read_entries(obj) -> tuple[tuple[tuple[Term, ...], ...], ...]:
+    if type(obj) is not list:
+        raise JsonShapeError("a list")
+    rows = []
+    for row in obj:
+        if type(row) is not list:
+            raise JsonShapeError("a list")
+        out = []
+        for e in row:
+            if type(e) is not list:
+                raise JsonShapeError("a list")
+            out.append(_clean_terms([_read_term(t) for t in e]) if e else ())
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
 def laurent_from_json(obj: dict) -> tuple[int, LaurentMatrix]:
-    integer, rational = decoder(int), decoder(Fraction)
-    rows = tuple(tuple(_clean_terms((integer(t["deg"]), rational(t["coef"]))
-                                    for t in e) for e in row)
-                 for row in obj["entries"])
-    lo, hi = obj["window"]
-    mat = LaurentMatrix(len(rows), rows, (integer(lo), integer(hi)),
-                        decoder(str)(obj["form"]))
-    return integer(obj["m"]), mat
+    if type(obj) is not dict:
+        raise JsonShapeError("an object")
+    rows = _keyed(obj, "entries", _read_entries)
+    window = _keyed(obj, "window", _window)
+    form = _keyed(obj, "form", _string)
+    m = _keyed(obj, "m", _integer)
+    if len(obj) != 4:
+        raise JsonShapeError("an object with keys among entries, form, m, window")
+    return m, LaurentMatrix(len(rows), rows, window, form)

@@ -22,7 +22,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .codec import from_json
-from .exact_core import DomainError, q_matrix_rank
+from .exact_core import DomainError, q_matrix_rank, rational_sum
 from .parbun import ParabolicLineBundle, par_dual, pardeg
 from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface
 
@@ -285,7 +285,7 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
 
 def toledo(m: SpTripleModel) -> Fraction:
     """Parabolic Toledo invariant: pardeg V."""
-    return sum((pardeg(v, m.surface) for v in m.v_summands), Fraction(0))
+    return rational_sum([pardeg(v, m.surface) for v in m.v_summands])
 
 
 def milnor_wood_bound(n: int, g: int, s: int) -> Fraction:

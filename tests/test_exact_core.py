@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
-from parhiggs.exact_core import DomainError, q_matrix_rank, rat_from_str
+from parhiggs.exact_core import DomainError, q_matrix_rank, rat_from_str, rational_sum
 
 
 def test_rational_serialization_round_trip():
@@ -41,6 +43,21 @@ def test_rational_sum_exactness_random():
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
         b = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
         assert (a + b) - b == a
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50),
+                         st.fractions(max_denominator=60)), max_size=8))
+def test_rational_sum_is_fraction_addition(values):
+    total = rational_sum(values)
+    assert total == sum(values, Fraction(0)) and type(total) is Fraction
+    # reduced, as every Fraction is: the same repr as the sum
+    assert repr(total) == repr(sum(values, Fraction(0)))
+
+
+def test_rational_sum_of_nothing_is_a_fraction():
+    assert repr(rational_sum([])) == "Fraction(0, 1)"
+    assert to_json(rational_sum([])) == "0"
+    assert repr(rational_sum([Fraction(1, 6), Fraction(1, 3), 2])) == "Fraction(5, 2)"
 
 
 def test_q_matrix_rank():

@@ -1,9 +1,12 @@
 """The brute-force oracles of tools/oracles.py, run inside the suite."""
 
+import itertools
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
+
+import pytest
 
 from parhiggs.components import (
     CountMode,
@@ -23,9 +26,11 @@ from parhiggs.dimension import (
 )
 from parhiggs.exact_core import DomainError
 from parhiggs.orbifold import (
+    VLineBundle,
     laurent_matrix,
     orb_to_par_local,
     par_to_orb_local,
+    square_root_types,
     z2_character_enumerate,
 )
 from parhiggs.parbun import ParabolicLineBundle
@@ -119,6 +124,29 @@ def test_character_list_matches_z2_character_enumerate(oracles):
                                           for i, k in enumerate(orders)))
             got = [(c.ab, c.sigma) for c in z2_character_enumerate(surf)]
             assert got == oracles.character_list(g, orders), (g, orders)
+
+
+def test_square_root_list_matches_square_root_types(oracles):
+    for g in range(4):
+        for s in range(6):
+            labels = [f"x{i + 1}" for i in range(s)]
+            surf = MarkedSurface(g, tuple(MarkedPoint(x, 2) for x in labels))
+            for d in range(-6, 7):
+                for residues in itertools.product((0, 1), repeat=s):
+                    l = VLineBundle(d, dict(zip(labels, residues)))
+                    types, mult = oracles.square_root_list(g, d, residues)
+                    if not s and d % 2:
+                        assert types == []
+                        with pytest.raises(DomainError) as e:
+                            square_root_types(l, surf)
+                        assert e.value.code == "no_square_root"
+                        continue
+                    fam = square_root_types(l, surf)
+                    got = [(t.desing_degree, tuple(t.residue(x) for x in labels))
+                           for t in fam.types]
+                    assert got == types, (g, d, residues)
+                    assert fam.torsion_multiplicity == mult
+                    assert bool(types) == (not any(residues))
 
 
 def test_table_cells_match_emit_tables(oracles):

@@ -196,6 +196,26 @@ def test_degree_matches_corresponding_parabolic_line():
         assert parabolic_line_to_vline(line, surf) == l
 
 
+@st.composite
+def surfaces_with_vlines(draw):
+    surf = surface_with_orders(draw(st.integers(0, 3)),
+                               draw(st.lists(st.integers(1, 7), max_size=4)))
+    return surf, VLineBundle(draw(st.integers(-6, 6)), {
+        p.label: draw(st.integers(0, p.order - 1)) for p in surf.points})
+
+
+@settings(max_examples=150, deadline=None)
+@given(surfaces_with_vlines())
+def test_vline_and_parabolic_line_round_trip_with_equal_degree(data):
+    surf, l = data
+    line = vline_to_parabolic_line(l, surf)
+    assert parabolic_line_to_vline(line, surf) == l
+    deg = vline_degree(l, surf)
+    assert pardeg(line, surf) == deg and type(deg) is Fraction
+    again = ParabolicLineBundle(line.degree, dict(line.weight_at))
+    assert vline_to_parabolic_line(parabolic_line_to_vline(again, surf), surf) == again
+
+
 def test_parabolic_line_to_vline_rejects_foreign_weights():
     surf = standard_surface(1, 1)
     with pytest.raises(DomainError):
@@ -280,6 +300,55 @@ def test_laurent_from_json_normalizes_terms():
     assert m == 2
     assert mat.entry(0, 0) == ((1, F(-1)), (5, F(1)))
     assert all(type(c) is Fraction for _, c in mat.entry(0, 0))
+
+
+_GOOD_JSON = {"m": 2, "form": "dz/z", "window": [-1, 16],
+              "entries": [[[{"deg": 1, "coef": "1/2"}]]]}
+
+
+def _with(**changes):
+    return {**_GOOD_JSON, **changes}
+
+
+def _one_term(term):
+    return _with(entries=[[[term]]])
+
+
+@pytest.mark.parametrize("obj,at,expected", [
+    ({"m": 2}, "$", "an object with key 'entries'"),
+    ({k: v for k, v in _GOOD_JSON.items() if k != "m"}, "$", "an object with key 'm'"),
+    ([], "$", "an object"),
+    (_with(x=1), "$", "an object with keys among entries, form, m, window"),
+    (_with(entries={}), "$.entries", "a list"),
+    (_with(entries=[5]), "$.entries", "a list"),
+    (_with(entries=[[5]]), "$.entries", "a list"),
+    (_one_term({"deg": 1}), "$.entries", "an object with key 'coef'"),
+    (_one_term({"coef": "1"}), "$.entries", "an object with key 'deg'"),
+    (_one_term([1, "1"]), "$.entries", "an object"),
+    (_one_term({"deg": 1, "coef": "1", "x": 0}), "$.entries",
+     "an object with keys among coef, deg"),
+    (_one_term({"deg": "1", "coef": "1"}), "$.entries.deg", "an integer"),
+    (_one_term({"deg": True, "coef": "1"}), "$.entries.deg", "an integer"),
+    (_one_term({"deg": 1, "coef": 0.5}), "$.entries.coef", 'a rational "p/q"'),
+    (_with(window=[-1]), "$.window", "a list of 2"),
+    (_with(window=[-1, "16"]), "$.window", "an integer"),
+    (_with(form=3), "$.form", "a string"),
+    (_with(m="2"), "$.m", "an integer"),
+])
+def test_laurent_from_json_refuses_malformed_input(obj, at, expected):
+    with pytest.raises(DomainError) as e:
+        laurent_from_json(obj)
+    assert e.value.payload() == {"error": "bad_json", "at": at, "expected": expected}
+
+
+def test_laurent_from_json_checks_shape_before_the_matrix():
+    # a bad m is refused before the form the matrix would refuse
+    with pytest.raises(DomainError) as e:
+        laurent_from_json(_with(form="dx", m=None))
+    assert e.value.payload()["at"] == "$.m"
+    with pytest.raises(DomainError) as e:
+        laurent_from_json(_with(form="dx"))
+    assert e.value.payload() == {"error": "bad_form_flag", "form": "dx"}
 
 
 def test_forward_worked_example():

@@ -449,9 +449,15 @@ def sp_triples(draw, max_n=4):
 def test_sp_dual_negates_toledo_property(m):
     definition = sum((v.degree + sum(v.weight_at.values(), F(0))
                       for v in m.v_summands), F(0))
-    assert toledo(m) == definition
+    assert toledo(m) == definition and type(toledo(m)) is F
     assert toledo(sp_dual(m)) == -definition
     assert sp_dual(sp_dual(m)) == m
+
+
+def test_toledo_of_the_empty_triple_is_a_fraction():
+    t = SpTripleModel(standard_surface(2, 1), ())
+    assert repr(toledo(t)) == "Fraction(0, 1)"
+    assert to_json(toledo(t)) == "0"
 
 
 def test_toledo_refuses_weights_at_unknown_points():

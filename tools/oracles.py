@@ -275,12 +275,24 @@ def section_s1():
 
 # ------------------------------------------------------ square roots ----
 
+def square_root_list(g: int, desing: int, residues) -> tuple[list, int]:
+    """Square roots of the V-line (desing, residues) over a genus-g surface
+    whose marked points all have order 2, by search: every Seifert type
+    (e, rho), rho in {0,1}^s lexicographic, whose square (2e + #{rho_i = 1},
+    residues 0) is that bundle, and the 2^{2g} torsion choices per type.  A
+    bundle with a non-zero residue is no square, so it has no type."""
+    s = len(residues)
+    types = [(e, rho) for rho in itertools.product((0, 1), repeat=s)
+             for e in range(-abs(desing) - s, abs(desing) + s + 1)
+             if 2 * e + sum(rho) == desing and not any(residues)]
+    return types, 2 ** (2 * g)
+
+
 def section_roots():
     for (g, s, d) in [(0, 3, 4), (1, 2, 7), (2, 1, 3), (1, 0, 6)]:
-        types = [rho for rho in itertools.product((0, 1), repeat=s)
-                 if sum(rho) % 2 == d % 2]
-        print(f"square roots g={g} s={s} desing={d}: {len(types)} types x {2**(2*g)}"
-              f" = {len(types) * 2**(2*g)}")
+        types, mult = square_root_list(g, d, (0,) * s)
+        print(f"square roots g={g} s={s} desing={d}: {len(types)} types x {mult}"
+              f" = {len(types) * mult}")
 
 
 def character_list(g: int, orders) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
