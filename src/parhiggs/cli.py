@@ -21,11 +21,10 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from .codec import JsonShapeError, from_json, to_json
-from .exact_core import DomainError
+from .exact_core import DomainError, rational_sum
 from .surface import (
     MarkedPoint,
     MarkedSurface,
@@ -244,7 +243,7 @@ def _cmd_hitchin(args, cap) -> CommandOutput:
     payload = {
         "model": model,
         "pardegs": pds,
-        "total_pardeg": sum(pds, Fraction(0)),
+        "total_pardeg": rational_sum(pds),
         "verdict": report.verdict,
     }
     if args.triple:

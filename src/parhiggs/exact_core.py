@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "DomainError",
@@ -16,7 +16,6 @@ __all__ = [
     "all_bits",
     "rational_sum",
     "rat_from_str",
-    "q_matrix_rank",
 ]
 
 
@@ -88,30 +87,3 @@ def rat_from_str(s: str | int) -> Fraction:
         return Fraction(str(s).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError("bad_rational", value=str(s)) from exc
-
-
-def q_matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Exact rank over Q by fraction Gaussian elimination.
-
-    Small helper for the subspace-intersection dimensions that the stability
-    module's relative-degree pairing needs.
-    """
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise DomainError("ragged_rows", cols=ncols)
-    rank = 0
-    for c in range(ncols):
-        sel = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        lead = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c] / lead[c]
-                work[i] = [a - f * b for a, b in zip(work[i], lead)]
-        rank += 1
-    return rank

@@ -34,14 +34,12 @@ __all__ = [
     "square_root_types",
     "z2_character_count",
     "z2_character_enumerate",
-    "character_exists_with_sigma",
     "pic_v_structure",
     "kawasaki_euler",
     "parity",
     "vline_to_parabolic_line",
     "parabolic_line_to_vline",
     "laurent_matrix",
-    "laurent_zero",
     "equivariance_check",
     "par_to_orb_local",
     "orb_to_par_local",
@@ -89,7 +87,11 @@ def vline_degree(l: VLineBundle, surf: MarkedSurface) -> Fraction:
 
 def vline_tensor(a: VLineBundle, b: VLineBundle, surf: MarkedSurface) -> VLineBundle:
     """Group law: residues add mod the point order, each wrap bumps the
-    desingularized degree by one (so the fractional degree is additive)."""
+    desingularized degree by one (so the fractional degree is additive).
+
+    Kept: the group law of Pic_V, which the module describes and the
+    orbifold tests check through vline_degree and square_root_types.
+    """
     _check_isotropy(a, surf)
     _check_isotropy(b, surf)
     desing = a.desing_degree + b.desing_degree
@@ -166,17 +168,6 @@ class Z2Character:
             raise DomainError("character_value_not_bit")
         if sum(self.sigma) % 2:
             raise DomainError("sigma_parity_violated", sigma=list(self.sigma))
-
-
-def character_exists_with_sigma(surf: MarkedSurface, sigma: Sequence[int]) -> bool:
-    """Can the sigma-values be completed to a character?  Needs even total
-    parity and triviality at every odd-order point."""
-    if len(sigma) != surf.s or not all_bits(sigma):
-        raise DomainError("bad_sigma_assignment", sigma=list(sigma))
-    for p, v in zip(surf.points, sigma):
-        if v and p.order % 2:
-            return False
-    return sum(sigma) % 2 == 0
 
 
 def z2_character_count(surf: MarkedSurface) -> int:
@@ -297,9 +288,14 @@ _FORMS = ("dw/w", "dz/z")
 
 
 def _clean_terms(terms) -> tuple[Term, ...]:
+    """Terms summed by degree, sorted, zeros dropped.  A degree that is not
+    an int, or a float coefficient, is refused (bad_term)."""
     acc: dict[int, Fraction] = {}
     for d, c in terms:
-        d, c = int(d), c if type(c) is Fraction else Fraction(c)
+        if type(d) is not int or type(c) is float:
+            raise DomainError("bad_term", degree=d, coef=c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         acc[d] = acc[d] + c if d in acc else c
     return tuple(sorted([t for t in acc.items() if t[1]]))
 
@@ -343,10 +339,6 @@ class LaurentMatrix:
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
-
-
-def laurent_zero(n: int, window: tuple[int, int], form: str) -> LaurentMatrix:
-    return laurent_matrix(n, {}, window, form)
 
 
 def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],

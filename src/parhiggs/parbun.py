@@ -9,25 +9,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .exact_core import DomainError
+from .exact_core import DomainError, rational_sum
 from .surface import MarkedSurface
 
 __all__ = [
     "ParabolicFlag",
     "ParabolicLineBundle",
     "ParabolicBundle",
-    "ResidueBlockPattern",
     "trivial_flag",
-    "line_to_bundle",
     "pardeg",
     "parslope",
     "par_dual",
     "par_tensor_line",
-    "par_direct_sum",
-    "residue_class",
-    "is_parabolic_map",
 ]
 
 
@@ -60,13 +55,8 @@ class ParabolicFlag:
     def rank(self) -> int:
         return sum(self.multiplicities)
 
-    @property
-    def steps(self) -> int:
-        return len(self.multiplicities)
-
     def weight_sum(self) -> Fraction:
-        return sum((k * a for k, a in zip(self.multiplicities, self.weights)),
-                   Fraction(0))
+        return rational_sum([k * a for k, a in zip(self.multiplicities, self.weights)])
 
 
 def trivial_flag(rank: int) -> ParabolicFlag:
@@ -86,6 +76,8 @@ class ParabolicLineBundle:
     weight_at: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        # rational_sum's loop, fused with the weight check: a second pass
+        # through it is slower per construction, which verdicts repeat
         clean, num, den = {}, self.degree, 1
         for lbl, w in self.weight_at.items():
             w = clean[lbl] = _check_weight(w)
@@ -120,11 +112,6 @@ class ParabolicBundle:
         return self.flag_at.get(label) or trivial_flag(self.rank)
 
 
-def line_to_bundle(l: ParabolicLineBundle, surf: MarkedSurface) -> ParabolicBundle:
-    flags = {lbl: ParabolicFlag((1,), (l.weight(lbl),)) for lbl in surf.labels()}
-    return ParabolicBundle(1, l.degree, flags)
-
-
 def _check_points(b, surf: MarkedSurface) -> None:
     keys = b.flag_at if isinstance(b, ParabolicBundle) else b.weight_at
     if keys and not surf._label_set.issuperset(keys):
@@ -139,7 +126,7 @@ def pardeg(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> Fra
     _check_points(b, surf)
     if isinstance(b, ParabolicLineBundle):
         return b._pardeg
-    return sum((fl.weight_sum() for fl in b.flag_at.values()), Fraction(b.degree))
+    return rational_sum([b.degree, *(fl.weight_sum() for fl in b.flag_at.values())])
 
 
 def parslope(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> Fraction:
@@ -173,7 +160,12 @@ def par_dual(b: ParabolicBundle | ParabolicLineBundle):
 
 def par_tensor_line(b: ParabolicBundle | ParabolicLineBundle,
                     l: ParabolicLineBundle):
-    """Tensor by a parabolic line bundle: weights add mod 1, wraps feed degree."""
+    """Tensor by a parabolic line bundle: weights add mod 1, wraps feed degree.
+
+    Kept: the twist of the layout table, the pardeg law
+    pardeg(E (x) L) = pardeg E + rk E . pardeg L that the parbun tests check.
+    A rank-0 bundle has no flags and comes back unchanged.
+    """
     if isinstance(b, ParabolicLineBundle):
         deg = b.degree + l.degree
         weights = {}
@@ -185,6 +177,8 @@ def par_tensor_line(b: ParabolicBundle | ParabolicLineBundle,
             if t:
                 weights[x] = t
         return ParabolicLineBundle(deg, weights)
+    if b.rank == 0:
+        return b
     deg = b.degree + b.rank * l.degree
     flags = {}
     for x in set(b.flag_at) | set(l.weight_at):
@@ -201,89 +195,3 @@ def par_tensor_line(b: ParabolicBundle | ParabolicLineBundle,
         flags[x] = ParabolicFlag(tuple(k for _, k in pairs),
                                  tuple(a for a, _ in pairs))
     return ParabolicBundle(b.rank, deg, flags)
-
-
-def par_direct_sum(a: ParabolicBundle, b: ParabolicBundle) -> ParabolicBundle:
-    """Ranks and degrees add; flags merge with weights sorted, mults accumulated."""
-    if a.rank == 0:
-        return b
-    if b.rank == 0:
-        return a
-    flags = {}
-    for x in set(a.flag_at) | set(b.flag_at):
-        acc: dict[Fraction, int] = {}
-        for fl in (a.flag(x), b.flag(x)):
-            for k, w in zip(fl.multiplicities, fl.weights):
-                acc[w] = acc.get(w, 0) + k
-        ws = sorted(acc)
-        flags[x] = ParabolicFlag(tuple(acc[w] for w in ws), tuple(ws))
-    return ParabolicBundle(a.rank + b.rank, a.degree + b.degree, flags)
-
-
-@dataclass(frozen=True)
-class ResidueBlockPattern:
-    """Square block pattern; allowed[i][j] True = residue block (i,j) may be nonzero.
-
-    Row i is the target flag step, column j the source step, so filtration
-    preservation is block-lower-triangularity (i >= j).
-    """
-
-    allowed: tuple[tuple[bool, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.allowed)
-        if any(len(r) != n for r in self.allowed):
-            raise DomainError("bad_pattern_shape")
-
-    @property
-    def steps(self) -> int:
-        return len(self.allowed)
-
-
-def residue_class(pattern: ResidueBlockPattern, flag: ParabolicFlag) -> str:
-    """Classify a residue support pattern against a flag.
-
-    strongly_parabolic: only strictly-lower blocks allowed (nilpotent residue);
-    parabolic: lower-triangular including the diagonal; neither otherwise.
-    """
-    if pattern.steps != flag.steps:
-        raise DomainError("pattern_flag_mismatch",
-                          pattern=pattern.steps, flag=flag.steps)
-    strictly_lower = True
-    lower = True
-    for i, row in enumerate(pattern.allowed):
-        for j, ok in enumerate(row):
-            if not ok:
-                continue
-            if i < j:
-                lower = False
-            if i <= j:
-                strictly_lower = False
-    if not lower:
-        return "neither"
-    return "strongly_parabolic" if strictly_lower else "parabolic"
-
-
-def is_parabolic_map(src: ParabolicBundle, dst: ParabolicBundle,
-                     allowed_blocks: Mapping[str, Sequence[Sequence[bool]]],
-                     strongly: bool = False) -> bool:
-    """Does a map with the given block support respect the parabolic weights?
-
-    allowed_blocks[x][j][i] covers the component from source step i into
-    target step j; the map fails whenever a supported block has source weight
-    greater than (or, strongly, >=) the target weight.
-    """
-    if set(src.flag_at) != set(dst.flag_at) or set(allowed_blocks) != set(src.flag_at):
-        raise DomainError("map_point_mismatch")
-    for x, blocks in allowed_blocks.items():
-        sfl, dfl = src.flag(x), dst.flag(x)
-        if len(blocks) != dfl.steps or any(len(r) != sfl.steps for r in blocks):
-            raise DomainError("pattern_flag_mismatch", label=x)
-        for j, row in enumerate(blocks):
-            for i, ok in enumerate(row):
-                if not ok:
-                    continue
-                ai, aj = sfl.weights[i], dfl.weights[j]
-                if ai > aj or (strongly and ai == aj):
-                    return False
-    return True

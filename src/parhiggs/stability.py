@@ -7,10 +7,9 @@ coordinate subbundles: that is exactly the argument pattern the explicit
 families below (Hitchin sections, maximal triples) live in, and it is
 finitely decidable.
 
-Also here: the weighted-filtration machinery (relative degree of two
-filtrations, parabolic degree of a reduction, the filtration-degree test for
-symplectic models), the Toledo invariant with its Milnor-Wood bounds, and the
-Hitchin-family builders.
+Also here: the degree of a weighted coordinate filtration and the
+reduction-degree test built on it, the Toledo invariant with its Milnor-Wood
+bounds, and the Hitchin-family builders.
 """
 
 from __future__ import annotations
@@ -22,14 +21,13 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .codec import from_json
-from .exact_core import DomainError, q_matrix_rank, rational_sum
+from .exact_core import DomainError, rational_sum
 from .parbun import ParabolicLineBundle, par_dual, pardeg
 from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface
 
 __all__ = [
     "DecomposableHiggsModel",
     "SpTripleModel",
-    "WeightedFiltration",
     "StabilityReport",
     "MAX_VERDICT_RANK",
     "MAX_SUBSET_LIST_RANK",
@@ -43,12 +41,8 @@ __all__ = [
     "sp_dual",
     "hitchin_model",
     "hitchin_sp_triple",
-    "relative_degree",
-    "coordinate_filtration",
-    "pardeg_of_reduction_gl",
     "alpha_stability_check_gl",
     "sp_filtration_degree",
-    "sp_support_membership",
     "sp_triple_from_json",
 ]
 
@@ -78,7 +72,7 @@ class DecomposableHiggsModel:
 
     def sub_pardeg(self, subset: Iterable[int]) -> Fraction:
         pd = self.pardegs()
-        return sum((pd[i] for i in subset), Fraction(0))
+        return rational_sum([pd[i] for i in subset])
 
 
 @dataclass(frozen=True)
@@ -192,6 +186,9 @@ def _lex_before(a: int, b: int) -> bool:
 
 def invariant_subsets(m: DecomposableHiggsModel) -> list[tuple[int, ...]]:
     """Proper nonempty index sets closed under the arrows, lexicographic.
+
+    Kept: the public listing of the closures, which the brute-force oracle's
+    closed_subsets is compared with; the verdicts read the same masks.
 
     Ranks above MAX_VERDICT_RANK are refused as in every verdict, and those
     above the lower MAX_SUBSET_LIST_RANK because of the list's size, both
@@ -371,72 +368,7 @@ def hitchin_sp_triple(k: int, g: int, s: int) -> SpTripleModel:
     return SpTripleModel(base.surface, v, frozenset(beta), frozenset(gamma))
 
 
-# ------------------------------------------- weighted-filtration pairing ----
-
-@dataclass(frozen=True)
-class WeightedFiltration:
-    """Strictly nested subspaces of Q^n (last = whole space), increasing weights."""
-
-    ambient_dim: int
-    steps: tuple[tuple[tuple[Fraction, ...], ...], ...]   # generators per step
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-        object.__setattr__(
-            self, "steps",
-            tuple(tuple(tuple(Fraction(x) for x in gen) for gen in step)
-                  for step in self.steps))
-        if len(self.steps) != len(self.weights) or not self.steps:
-            raise DomainError("bad_filtration_shape")
-        if any(a >= b for a, b in zip(self.weights, self.weights[1:])):
-            raise DomainError("filtration_weights_not_increasing")
-        dims = []
-        for t, step in enumerate(self.steps):
-            for gen in step:
-                if len(gen) != self.ambient_dim:
-                    raise DomainError("bad_generator_length")
-            dims.append(q_matrix_rank(step))
-            if t and q_matrix_rank(self.steps[t - 1] + step) != dims[t]:
-                raise DomainError("filtration_not_nested", step=t)
-        if any(a >= b for a, b in zip(dims, dims[1:])) or dims[-1] != self.ambient_dim:
-            raise DomainError("filtration_dims_bad", dims=dims)
-        object.__setattr__(self, "_dims", tuple(dims))
-
-
-def _basis_vector(n: int, k: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if t == k else 0) for t in range(n))
-
-
-def coordinate_filtration(n: int, index_steps: Sequence[Sequence[int]],
-                          weights: Sequence[Fraction]) -> WeightedFiltration:
-    steps = tuple(tuple(_basis_vector(n, k) for k in sorted(step))
-                  for step in index_steps)
-    return WeightedFiltration(n, steps, tuple(weights))
-
-
-def relative_degree(a: WeightedFiltration, b: WeightedFiltration) -> Fraction:
-    """Pairing sum_ij (la_i - la_{i+1})(mu_j - mu_{j+1}) dim(W_i cap B_j).
-
-    Trailing weights are 0; intersection dimensions are exact over Q
-    (dim W + dim B - dim(W+B), the step dimensions stored at construction and
-    dim(W+B) by fraction elimination).
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise DomainError("ambient_dim_mismatch", a=a.ambient_dim, b=b.ambient_dim)
-    la = list(a.weights) + [Fraction(0)]
-    mu = list(b.weights) + [Fraction(0)]
-    total = Fraction(0)
-    for i, wi in enumerate(a.steps):
-        for j, bj in enumerate(b.steps):
-            ci = la[i] - la[i + 1]
-            cj = mu[j] - mu[j + 1]
-            if ci == 0 or cj == 0:
-                continue
-            inter = a._dims[i] + b._dims[j] - q_matrix_rank(wi + bj)
-            total += ci * cj * inter
-    return total
-
+# ------------------------------------ weighted coordinate filtrations ----
 
 def _index_weights(n: int, index_steps: Sequence[Sequence[int]],
                    weights: Sequence[Fraction]) -> list[Fraction]:
@@ -465,18 +397,6 @@ def _index_weights(n: int, index_steps: Sequence[Sequence[int]],
     return out
 
 
-def pardeg_of_reduction_gl(m: DecomposableHiggsModel,
-                           index_steps: Sequence[Sequence[int]],
-                           weights: Sequence[Fraction]) -> Fraction:
-    """Parabolic degree of the weighted coordinate reduction.
-
-    Its degree part and its pairing with the weighted flag at each marked
-    point add up to sum_k la_{a(k)} pardeg L_k: sp_filtration_degree at
-    alpha = 0.
-    """
-    return sp_filtration_degree(m, index_steps, weights, Fraction(0))
-
-
 def alpha_stability_check_gl(m: DecomposableHiggsModel, alpha: Fraction
                              ) -> tuple[bool, tuple[int, ...] | None]:
     """Reduction-degree test: every invariant two-step coordinate filtration
@@ -490,7 +410,7 @@ def alpha_stability_check_gl(m: DecomposableHiggsModel, alpha: Fraction
     alpha = Fraction(alpha)
     masks, den, sums = _subset_table(m)
     total = sums[-1]
-    # pardeg_of_reduction_gl(m, [S, full], (0, 1)) = pardeg E - pardeg W_S,
+    # sp_filtration_degree(m, [S, full], (0, 1), 0) = pardeg E - pardeg W_S,
     # so the test reads (total - sums[S]) / den >= alpha (n - |S|)
     a, b = alpha.numerator, alpha.denominator
     first = None
@@ -510,25 +430,16 @@ def sp_filtration_degree(m: DecomposableHiggsModel,
     """sum_j (la_j - la_{j+1}) (pardeg V_j - alpha rk V_j), la trailing 0.
 
     Summed by parts: sum_k la_{a(k)} (pardeg L_k - alpha), a(k) the first
-    step that holds k.
+    step that holds k.  At alpha = 0 it is the parabolic degree of the
+    weighted reduction.
+
+    Kept: the reduction degree itself; alpha_stability_check_gl is its
+    closed form on two-step filtrations, and the oracle tests check it
+    against the definition.
     """
     lam = _index_weights(m.n, index_steps, weights)
     alpha = Fraction(alpha)
-    return sum((la * (p - alpha) for la, p in zip(lam, m.pardegs())), Fraction(0))
-
-
-def sp_support_membership(m: SpTripleModel,
-                          index_steps: Sequence[Sequence[int]],
-                          weights: Sequence[Fraction]) -> bool:
-    """Is the Higgs support allowed by the filtration weights?
-
-    Reading each index through its first filtration step, beta needs
-    la_i + la_j <= 0 on its support and gamma needs la_i + la_j >= 0.
-    Weights must increase strictly, as in sp_filtration_degree.
-    """
-    lam = _index_weights(m.n, index_steps, weights)
-    return all(lam[i] + lam[j] <= 0 for (i, j) in m.beta_arrows) and all(
-        lam[i] + lam[j] >= 0 for (i, j) in m.gamma_arrows)
+    return rational_sum([la * (p - alpha) for la, p in zip(lam, m.pardegs())])
 
 
 # ---------------------------------------------------------------- JSON ----

@@ -17,7 +17,6 @@ __all__ = [
     "mv_ranks",
     "v_cohomology_ranks",
     "bz2_disk_ranks",
-    "odd_order_disk_ranks",
 ]
 
 Triple = tuple[int, int, int]
@@ -91,11 +90,6 @@ def mv_ranks(p: MVPieces) -> VCohRanks:
 def bz2_disk_ranks() -> VCohRanks:
     """H^i of the half-point neighborhood (disk quotient): one Z2 each."""
     return VCohRanks(1, 1, 1)
-
-
-def odd_order_disk_ranks() -> VCohRanks:
-    """Odd-order analogue: the higher cohomology of the neighborhood dies."""
-    return VCohRanks(1, 0, 0)
 
 
 def v_cohomology_ranks(g: int, s: int, mode: str) -> tuple[VCohRanks, str]:

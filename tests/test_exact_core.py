@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
-from parhiggs.exact_core import DomainError, q_matrix_rank, rat_from_str, rational_sum
+from parhiggs.exact_core import DomainError, rat_from_str, rational_sum
 
 
 def test_rational_serialization_round_trip():
@@ -58,11 +58,3 @@ def test_rational_sum_of_nothing_is_a_fraction():
     assert repr(rational_sum([])) == "Fraction(0, 1)"
     assert to_json(rational_sum([])) == "0"
     assert repr(rational_sum([Fraction(1, 6), Fraction(1, 3), 2])) == "Fraction(5, 2)"
-
-
-def test_q_matrix_rank():
-    assert q_matrix_rank([]) == 0
-    assert q_matrix_rank([[1, 0], [0, 1]]) == 2
-    assert q_matrix_rank([[1, 2], [2, 4]]) == 1
-    assert q_matrix_rank([[Fraction(1, 2), Fraction(1, 3)],
-                          [Fraction(3, 2), Fraction(1, 1)]]) == 1

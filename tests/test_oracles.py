@@ -36,13 +36,10 @@ from parhiggs.orbifold import (
 from parhiggs.parbun import ParabolicLineBundle
 from parhiggs.stability import (
     DecomposableHiggsModel,
-    WeightedFiltration,
     general_mw_interval,
     hitchin_model,
     invariant_subsets,
     milnor_wood_bound,
-    pardeg_of_reduction_gl,
-    relative_degree,
     sp_filtration_degree,
 )
 from parhiggs.surface import MarkedPoint, MarkedSurface, standard_surface
@@ -268,7 +265,6 @@ def test_reduction_degrees_match_definition(oracles):
         lam = _increasing(rng, len(steps))
 
         want = oracles.reduction_degree_direct(degrees, weights, steps, lam)
-        assert pardeg_of_reduction_gl(m, steps, lam) == want
         assert sp_filtration_degree(m, steps, lam, F(0)) == want
 
         alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
@@ -276,38 +272,3 @@ def test_reduction_degrees_match_definition(oracles):
         assert sp_filtration_degree(m, steps, lam, alpha) == oracles.filtration_degree(
             [sum(pds[k] for k in st) for st in steps], [len(st) for st in steps],
             lam, alpha)
-
-
-def _rand_filtration(rng, n, pool):
-    """Steps spanning growing prefixes of a shuffled basis drawn from pool,
-    some with a redundant extra generator; dependent draws are retried."""
-    while True:
-        vecs = rng.sample(pool, n)
-        steps = []
-        for c in _cuts(rng, n):
-            gens = vecs[:c]
-            if rng.random() < 0.3:
-                gens = gens + [[a + b for a, b in zip(gens[0], gens[-1])]]
-            steps.append(gens)
-        lam = _increasing(rng, len(steps))
-        try:
-            filt = WeightedFiltration(
-                n, tuple(tuple(map(tuple, st)) for st in steps), tuple(lam))
-        except DomainError:
-            continue
-        return filt, steps, lam
-
-
-def test_relative_degree_matches_direct(oracles):
-    rng = random.Random(1976)
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        # small entries make nontrivial intersections common; the basis
-        # vectors make coordinate filtrations
-        basis = [oracles.basis_vector(n, k) for k in range(n)]
-        pool = basis + [[F(rng.randint(-1, 1)) for _ in range(n)]
-                        for _ in range(2 * n)]
-        a, a_steps, a_wts = _rand_filtration(rng, n, pool)
-        b, b_steps, b_wts = _rand_filtration(rng, n, pool)
-        assert relative_degree(a, b) == oracles.relative_degree_direct(
-            a_steps, a_wts, b_steps, b_wts)

@@ -12,13 +12,11 @@ from parhiggs.orbifold import (
     LocalChart,
     VLineBundle,
     Z2Character,
-    character_exists_with_sigma,
     equivariance_check,
     kawasaki_euler,
     laurent_from_json,
     laurent_matrix,
     laurent_to_json,
-    laurent_zero,
     orb_to_par_local,
     par_to_orb_local,
     parabolic_line_to_vline,
@@ -152,15 +150,6 @@ def test_character_cap_and_validation():
         Z2Character((2,), ())
 
 
-def test_character_sigma_solvability():
-    surf = surface_with_orders(1, [2, 3, 2])
-    assert character_exists_with_sigma(surf, (1, 0, 1))
-    assert not character_exists_with_sigma(surf, (1, 0, 0))    # odd parity
-    assert not character_exists_with_sigma(surf, (1, 1, 0))    # order-3 point
-    with pytest.raises(DomainError):
-        character_exists_with_sigma(surf, (1, 0))
-
-
 # --------------------------------------------------- Picard group, Euler ----
 
 def test_pic_v_structure_labels():
@@ -246,6 +235,11 @@ def test_laurent_matrix_normalization():
     m = laurent_matrix(1, {(0, 0): [(2, F(1)), (2, F(2)), (3, F(0))]},
                        (-1, 8), "dw/w")
     assert m.entry(0, 0) == ((2, F(3)),)
+    # an int coefficient is exact, and is held as a Fraction
+    m = laurent_matrix(1, {(0, 0): [(2, 1), (3, F(1, 2)), (2, F(1, 3))]},
+                       (-1, 8), "dw/w")
+    assert m.entry(0, 0) == ((2, F(4, 3)), (3, F(1, 2)))
+    assert all(type(c) is F for _, c in m.entry(0, 0))
     with pytest.raises(DomainError):
         laurent_matrix(1, {(0, 0): [(9, F(1))]}, (-1, 8), "dw/w")
     # terms that cancel leave nothing outside the window
@@ -253,7 +247,19 @@ def test_laurent_matrix_normalization():
                           (-1, 8), "dw/w").is_zero()
     with pytest.raises(DomainError):
         laurent_matrix(1, {}, (-1, 8), "dx")
-    assert laurent_zero(2, (-1, 8), "dz/z").is_zero()
+    assert laurent_matrix(2, {}, (-1, 8), "dz/z").is_zero()
+
+
+@pytest.mark.parametrize("term", [
+    (1.7, F(1)), (F(3, 2), F(1)), (F(2), F(1)), ("2", F(1)), (True, F(1)),
+    (2, 0.1), (2, 1.0),
+], ids=["float-degree", "rational-degree", "fraction-degree", "string-degree",
+        "bool-degree", "float-coef", "integral-float-coef"])
+def test_laurent_matrix_refuses_inexact_terms(term):
+    with pytest.raises(DomainError) as e:
+        laurent_matrix(1, {(0, 0): [(1, F(1)), term]}, (-1, 8), "dw/w")
+    assert e.value.payload() == {"error": "bad_term", "degree": term[0],
+                                 "coef": term[1]}
 
 
 @pytest.mark.parametrize("entry", [
@@ -374,11 +380,11 @@ def test_forward_rejects_bad_inputs():
     with pytest.raises(DomainError) as e:
         par_to_orb_local(2, (F(0), F(1, 2)), psi)       # upper entry forbidden
     assert e.value.code == "filtration_violation"
-    zero = laurent_zero(1, (-1, 8), "dw/w")
+    zero = laurent_matrix(1, {}, (-1, 8), "dw/w")
     with pytest.raises(DomainError):
         par_to_orb_local(2, (F(1, 3),), zero)           # denominator mismatch
     with pytest.raises(DomainError):
-        par_to_orb_local(2, (F(0),), laurent_zero(1, (-1, 8), "dz/z"))
+        par_to_orb_local(2, (F(0),), laurent_matrix(1, {}, (-1, 8), "dz/z"))
 
 
 def test_equivariance_check():

@@ -12,15 +12,10 @@ from parhiggs.parbun import (
     ParabolicBundle,
     ParabolicFlag,
     ParabolicLineBundle,
-    ResidueBlockPattern,
-    is_parabolic_map,
-    line_to_bundle,
-    par_direct_sum,
     par_dual,
     par_tensor_line,
     pardeg,
     parslope,
-    residue_class,
     trivial_flag,
 )
 from parhiggs.surface import standard_surface
@@ -115,82 +110,14 @@ def test_par_tensor_line_pardeg_random():
         assert pardeg(t, surf) == pardeg(b, surf) + b.rank * pardeg(l, surf)
 
 
-def test_par_direct_sum():
-    surf = standard_surface(2, 1)
-    v = ParabolicBundle(2, 1, {"x1": ParabolicFlag((1, 1), (Fraction(1, 4), H))})
-    e = par_direct_sum(v, par_dual(v))
-    assert e.rank == 4
-    assert pardeg(e, surf) == 0
-
-    assert par_direct_sum(v, ParabolicBundle(0, 0, {})) == v
-
-    l = ParabolicLineBundle(1, {"x1": H})
-    two = par_direct_sum(line_to_bundle(l, surf), line_to_bundle(l, surf))
-    assert two == ParabolicBundle(2, 2, {"x1": ParabolicFlag((2,), (H,))})
-    assert pardeg(two, surf) == 3
-
-
-def test_par_direct_sum_pardeg_random():
-    rng = random.Random(23)
-    for _ in range(100):
-        surf = standard_surface(rng.randint(0, 2), rng.randint(1, 3))
-        a, b = rand_bundle(rng, surf), rand_bundle(rng, surf)
-        assert pardeg(par_direct_sum(a, b), surf) == pardeg(a, surf) + pardeg(b, surf)
-
-
-def test_residue_class():
-    flag = ParabolicFlag((1, 1, 1), (Fraction(0), Fraction(1, 4), H))
-    zero = ResidueBlockPattern(tuple((False,) * 3 for _ in range(3)))
-    assert residue_class(zero, flag) == "strongly_parabolic"
-    lower = ResidueBlockPattern(tuple(tuple(j <= i for j in range(3))
-                                      for i in range(3)))
-    assert residue_class(lower, flag) == "parabolic"
-    strict = ResidueBlockPattern(tuple(tuple(j < i for j in range(3))
-                                       for i in range(3)))
-    assert residue_class(strict, flag) == "strongly_parabolic"
-    upper = ResidueBlockPattern(((False, True, False),
-                                 (False, False, False),
-                                 (False, False, False)))
-    assert residue_class(upper, flag) == "neither"
-    with pytest.raises(DomainError):
-        residue_class(zero, trivial_flag(2))
-
-
-def test_residue_strongly_parabolic_is_nilpotent():
-    rng = random.Random(29)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        pat = ResidueBlockPattern(tuple(tuple(rng.random() < 0.4 for _ in range(n))
-                                        for _ in range(n)))
-        flag = ParabolicFlag((1,) * n, tuple(Fraction(i, n + 1) for i in range(n)))
-        if residue_class(pat, flag) == "strongly_parabolic":
-            # strictly lower block-triangular matrices are nilpotent: the n-th
-            # power of the adjacency relation must be empty
-            reach = {(i, j) for i, row in enumerate(pat.allowed)
-                     for j, ok in enumerate(row) if ok}
-            paths = reach
-            for _ in range(n):
-                paths = {(i, l) for (i, j) in paths for (k, l) in reach if j == k}
-            assert not paths
-
-
-def test_is_parabolic_map():
+def test_par_tensor_line_of_rank_zero_bundle_is_unchanged():
+    # a rank-0 bundle has no flags: deg E + rk E . deg L = deg E
     surf = standard_surface(1, 1)
-    b = ParabolicBundle(2, 0, {"x1": ParabolicFlag((1, 1), (Fraction(0), H))})
-    ident = {"x1": [[True, False], [False, True]]}
-    assert is_parabolic_map(b, b, ident)
-    assert is_parabolic_map(b, b, ident, strongly=False)
-
-    # weight-1/2 source step into the weight-0 target step
-    drop = {"x1": [[False, True], [False, False]]}
-    assert not is_parabolic_map(b, b, drop)
-
-    flat = ParabolicBundle(2, 0, {"x1": trivial_flag(2)})
-    assert is_parabolic_map(flat, flat, {"x1": [[True]]})
-    # parabolic but not strongly: equal weights on the diagonal
-    assert not is_parabolic_map(flat, flat, {"x1": [[True]]}, strongly=True)
-    with pytest.raises(DomainError):
-        is_parabolic_map(b, b, {"x1": [[True]]})
+    l = ParabolicLineBundle(2, {"x1": H})
+    for b in (ParabolicBundle(0, 0, {}), ParabolicBundle(0, 3)):
+        t = par_tensor_line(b, l)
+        assert t == b
+        assert pardeg(t, surf) == pardeg(b, surf) + b.rank * pardeg(l, surf)
 
 
 def test_json_round_trips():

@@ -1,0 +1,104 @@
+"""The public surface of the package, checked by reading its source.
+
+Every name a module lists in ``__all__`` is defined in that module and has
+a caller in the program: the package itself (outside the name's own
+definition and the ``__all__`` list), the demos, the benchmark or the
+acceptance tests.  A name kept for another reason says why in a docstring
+line that begins ``Kept:``.  README's layout table lists each module.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "parhiggs"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CALLER_FILES = (sorted((ROOT / "demos").glob("*.py"))
+                + sorted((ROOT / "perfbench").glob("*.py"))
+                + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _all_node(tree: ast.Module) -> ast.Assign | None:
+    return next((node for node in tree.body if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)), None)
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    node = _all_node(tree)
+    return [] if node is None else [ast.literal_eval(e) for e in node.value.elts]
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    out[t.id] = node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out[node.target.id] = node
+    return out
+
+
+def _referenced(tree: ast.AST, skip: tuple[ast.AST, ...] = ()) -> set[str]:
+    """Names and attribute names used in tree, and names imported from a
+    module, outside the nodes in skip."""
+    seen: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            seen.update(a.name for a in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return seen
+
+
+def _kept(node: ast.AST) -> bool:
+    if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return False
+    doc = ast.get_docstring(node) or ""
+    return any(line.strip().startswith("Kept:") for line in doc.splitlines())
+
+
+TREES = {p.stem: _parse(p) for p in MODULES}
+OUTSIDE = set().union(*(_referenced(_parse(p)) for p in CALLER_FILES))
+SURFACE = [(mod, name) for mod, tree in TREES.items() for name in _public_names(tree)]
+
+
+def test_every_module_has_a_public_surface():
+    assert [mod for mod, tree in TREES.items() if not _public_names(tree)] == []
+
+
+@pytest.mark.parametrize("mod,name", SURFACE, ids=[f"{m}.{n}" for m, n in SURFACE])
+def test_public_name_is_defined_and_has_a_caller(mod, name):
+    defs = _definitions(TREES[mod])
+    assert name in defs, f"{mod}.__all__ lists {name}, which {mod} does not define"
+    if _kept(defs[name]) or name in OUTSIDE:
+        return
+    for other, tree in TREES.items():
+        skip = (_all_node(tree),) + ((defs[name],) if other == mod else ())
+        if name in _referenced(tree, skip):
+            return
+    pytest.fail(f"{mod}.{name} has no caller in the program and no Kept: line")
+
+
+def test_readme_layout_table_lists_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    listed = re.findall(r"^\| `parhiggs\.(\w+)` \|", table, flags=re.M)
+    assert sorted(listed) == [p.stem for p in MODULES]

@@ -7,28 +7,23 @@ from hypothesis import strategies as st
 
 from parhiggs import stability
 from parhiggs.codec import from_json, to_json
-from parhiggs.exact_core import DomainError, q_matrix_rank
+from parhiggs.exact_core import DomainError
 from parhiggs.parbun import ParabolicLineBundle, par_dual, pardeg
 from parhiggs.stability import (
     MAX_SUBSET_LIST_RANK,
     MAX_VERDICT_RANK,
     DecomposableHiggsModel,
     SpTripleModel,
-    WeightedFiltration,
     alpha_stability_check_gl,
     arrow_feasibility_violations,
-    coordinate_filtration,
     general_mw_interval,
     hitchin_model,
     hitchin_sp_triple,
     invariant_subsets,
     is_maximal,
     milnor_wood_bound,
-    pardeg_of_reduction_gl,
-    relative_degree,
     sp_dual,
     sp_filtration_degree,
-    sp_support_membership,
     sp_triple_from_json,
     stability_verdict,
     toledo,
@@ -236,7 +231,8 @@ def test_split_verdicts_match_brute_force(oracles):
 
 def test_alpha_check_matches_reduction_degrees(oracles):
     """The closed form against the old route: every invariant two-step
-    reduction through pardeg_of_reduction_gl, first failure returned."""
+    reduction through sp_filtration_degree at alpha = 0, first failure
+    returned."""
     rng = random.Random(909)
     fails = 0
     for _ in range(150):
@@ -247,8 +243,8 @@ def test_alpha_check_matches_reduction_degrees(oracles):
         pick = rng.choice(subs) if subs else None
         alpha = F(0) if pick is None else \
             (m.sub_pardeg(full) - m.sub_pardeg(pick)) / (m.n - len(pick))
-        want = next(((False, s) for s in subs if pardeg_of_reduction_gl(
-            m, [list(s), full], (F(0), F(1))) - alpha * (m.n - len(s)) < 0),
+        want = next(((False, s) for s in subs if sp_filtration_degree(
+            m, [list(s), full], (F(0), F(1)), F(0)) - alpha * (m.n - len(s)) < 0),
             (True, None))
         assert alpha_stability_check_gl(m, alpha) == want
         fails += not want[0]
@@ -275,7 +271,7 @@ def test_two_step_reduction_degree_is_quotient_pardeg(m):
     full = list(range(m.n))
     total = m.sub_pardeg(full)
     for sub in invariant_subsets(m):
-        assert pardeg_of_reduction_gl(m, [list(sub), full], (F(0), F(1))) \
+        assert sp_filtration_degree(m, [list(sub), full], (F(0), F(1)), F(0)) \
             == total - m.sub_pardeg(sub)
 
 
@@ -578,47 +574,19 @@ def test_random_semistable_triples_obey_milnor_wood():
 
 # ------------------------------------------------ filtration machinery ----
 
-def two_step(n, first, weights):
-    return coordinate_filtration(n, [first, list(range(n))], weights)
-
-
-def test_relative_degree_frozen_examples():
-    a = two_step(2, [1], (F(-1), F(1)))
-    assert relative_degree(a, a) == F(2)
-    b = two_step(2, [0], (F(-1), F(1)))
-    assert relative_degree(a, b) == F(-2)
-    diag = WeightedFiltration(
-        2, (((F(1), F(1)),), ((F(1), F(0)), (F(0), F(1)))), (F(-1), F(1)))
-    assert relative_degree(diag, a) == F(-2)
-
-
-def test_relative_degree_ranks_only_the_sums(monkeypatch):
-    # the step dimensions are stored at construction; a pairing ranks only
-    # W_i + B_j, once per pair of steps
-    a = coordinate_filtration(4, [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3]],
-                              (F(-2), F(-1), F(1), F(3)))
-    b = coordinate_filtration(4, [[3], [1, 3], [0, 1, 3], [0, 1, 2, 3]],
-                              (F(-1), F(0), F(2), F(5)))
-    expected = relative_degree(a, b)
-    calls = []
-
-    def counting_rank(rows):
-        calls.append(len(rows))
-        return q_matrix_rank(rows)
-
-    monkeypatch.setattr("parhiggs.stability.q_matrix_rank", counting_rank)
-    assert relative_degree(a, b) == expected
-    assert len(calls) == 16
-
-
 def test_weighted_filtration_validation():
-    with pytest.raises(DomainError):
-        two_step(2, [0], (F(1), F(1)))                      # weights flat
-    with pytest.raises(DomainError):
-        WeightedFiltration(2, (((F(1), F(0)),),), (F(0),))  # never reaches 2
-    with pytest.raises(DomainError):
-        WeightedFiltration(
-            2, (((F(1), F(0)),), ((F(0), F(1)),)), (F(0), F(1)))  # not nested
+    # the weighted coordinate filtration is checked by one helper
+    m = hitchin_model(3, 2, 1)
+    for steps, lam, code in (
+            ([[0], [0, 1, 2]], (F(1), F(1)), "filtration_weights_not_increasing"),
+            ([[0], [0, 1]], (F(0), F(1)), "filtration_must_end_full"),
+            ([[0, 1], [1, 2], [0, 1, 2]], (F(0), F(1), F(2)),
+             "filtration_not_nested"),
+            ([[], [0, 1, 2]], (F(0), F(1)), "bad_index_step"),
+            ([[0], [0, 1, 2]], (F(1),), "bad_filtration_shape")):
+        with pytest.raises(DomainError) as err:
+            sp_filtration_degree(m, steps, lam, F(0))
+        assert err.value.code == code
 
 
 def test_pardeg_of_reduction_matches_weighted_pardegs():
@@ -639,23 +607,22 @@ def test_pardeg_of_reduction_matches_weighted_pardegs():
         expected = lam[-1] * m.sub_pardeg(range(n))
         for i in range(k - 1):
             expected += (lam[i] - lam[i + 1]) * m.sub_pardeg(steps[i])
-        assert pardeg_of_reduction_gl(m, steps, lam) == expected
+        assert sp_filtration_degree(m, steps, lam, F(0)) == expected
 
 
 def test_reduction_input_validation():
     surf = standard_surface(2, 1)
     m = DecomposableHiggsModel(surf, lines(surf, (0, 0), (1, 0)))
     with pytest.raises(DomainError):
-        pardeg_of_reduction_gl(m, [[0]], [F(1)])           # never reaches full
+        sp_filtration_degree(m, [[0]], [F(1)], F(0))           # never reaches full
     with pytest.raises(DomainError):
-        pardeg_of_reduction_gl(m, [[1], [0, 1]], [F(1)])   # shape mismatch
+        sp_filtration_degree(m, [[1], [0, 1]], [F(1)], F(0))   # shape mismatch
 
 
 def test_weight_at_unknown_label_is_refused():
     surf = standard_surface(2, 1)
     m = DecomposableHiggsModel(surf, (ParabolicLineBundle(1, {"y": F(1, 2)}),))
-    for call in (lambda: pardeg_of_reduction_gl(m, [[0]], [F(1)]),
-                 lambda: sp_filtration_degree(m, [[0]], [F(1)], F(0)),
+    for call in (lambda: sp_filtration_degree(m, [[0]], [F(1)], F(0)),
                  lambda: stability_verdict(m)):
         with pytest.raises(DomainError) as err:
             call()
@@ -691,24 +658,11 @@ def test_sp_filtration_degree_frozen_example():
     assert m.pardegs() == [F(-3, 2), F(3, 2)]
 
 
-def test_sp_support_membership():
-    surf = standard_surface(2, 1)
-    v = lines(surf, (0, 0), (0, 0))
-    t = SpTripleModel(surf, v, frozenset({(0, 0)}), frozenset({(1, 1)}))
-    assert sp_support_membership(t, [[0], [0, 1]], (F(-1), F(1)))
-    assert not sp_support_membership(t, [[0], [0, 1]], (F(1), F(2)))
-    one = hitchin_sp_triple(2, 2, 1)
-    assert sp_support_membership(one, [[0]], (F(0),))
-    assert not sp_support_membership(one, [[0]], (F(1),))
-    assert not sp_support_membership(one, [[0]], (F(-1),))
-    # the weight order is checked as in sp_filtration_degree
-    for call in (lambda w: sp_support_membership(hitchin_sp_triple(4, 2, 1),
-                                                 [[0], [0, 1]], w),
-                 lambda w: sp_filtration_degree(hitchin_model(2, 2, 1),
-                                                [[0], [0, 1]], w, F(0))):
-        with pytest.raises(DomainError) as err:
-            call((F(1), F(0)))
-        assert err.value.code == "filtration_weights_not_increasing"
+def test_sp_filtration_degree_refuses_non_increasing_weights():
+    with pytest.raises(DomainError) as err:
+        sp_filtration_degree(hitchin_model(2, 2, 1), [[0], [0, 1]],
+                             (F(1), F(0)), F(0))
+    assert err.value.code == "filtration_weights_not_increasing"
 
 
 # ---------------------------------------------------------------- JSON ----

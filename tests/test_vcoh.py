@@ -10,14 +10,12 @@ from parhiggs.vcoh import (
     VCohRanks,
     bz2_disk_ranks,
     mv_ranks,
-    odd_order_disk_ranks,
     v_cohomology_ranks,
 )
 
 
 def test_disk_ranks():
     assert bz2_disk_ranks().astuple() == (1, 1, 1)
-    assert odd_order_disk_ranks().astuple() == (1, 0, 0)
 
 
 def test_mv_surface_gluing():
