@@ -8,6 +8,9 @@ group law, square-root counting, Z2-character enumeration on the V-fundamental
 group, the orbifold Euler characteristic, and the exact local dictionary
 between weighted (parabolic) Higgs matrices in w and equivariant matrices in z
 with w = z^m.
+
+The public constructors check all they are given; z2_character_enumerate and
+the two local maps (see _mapped) check their values where they make them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .codec import JsonShapeError, decoder
-from .exact_core import DomainError, all_bits, check_cap, rational_sum
+from .exact_core import DomainError, all_bits, check_cap, rat_from_str, rational_sum
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -153,11 +156,14 @@ def square_root_types(l: VLineBundle, surf: MarkedSurface) -> SquareRootFamily:
 
 # ------------------------------------------------------------ characters ----
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Z2Character:
     """Additive Z2 character: values on a_1,b_1,..,a_g,b_g and on sigma_1..s.
 
     The single surface relation forces the sigma values to sum to 0 mod 2.
+    A direct construction checks both rules; z2_character_enumerate checks
+    them once per factor and fills the two slots of each character itself
+    (slotted, so an enumeration's characters are small and quick to make).
     """
 
     ab: tuple[int, ...]
@@ -190,9 +196,18 @@ def z2_character_enumerate(surf: MarkedSurface, cap: int | None = None
             sig[t] = v
         sigmas.append(tuple(sig))
     sigmas.sort()
-    out = [Z2Character(ab, sig)
-           for ab in itertools.product((0, 1), repeat=2 * surf.genus)
-           for sig in sigmas]
+    # Each factor is checked where it is made: ab and sig hold int bits from
+    # product((0, 1)), and sig has even parity, so no character needs the
+    # constructor's check of every value.
+    new, set_ab, set_sigma = (object.__new__, Z2Character.ab.__set__,
+                              Z2Character.sigma.__set__)
+    out = []
+    for ab in itertools.product((0, 1), repeat=2 * surf.genus):
+        for sig in sigmas:
+            c = new(Z2Character)
+            set_ab(c, ab)
+            set_sigma(c, sig)
+            out.append(c)
     return out
 
 
@@ -262,13 +277,14 @@ def parabolic_line_to_vline(line: ParabolicLineBundle, surf: MarkedSurface
 
 @dataclass(frozen=True)
 class LocalChart:
-    """Cyclic order m with a good (nondecreasing) exponent tuple, 0<=k_i<=m."""
+    """Cyclic order m (an int >= 1) with a good (nondecreasing) exponent
+    tuple, 0<=k_i<=m."""
 
     m: int
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise DomainError("bad_chart_order", m=self.m)
         ks = tuple(int(k) for k in self.exponents)
         if not ks or any(not 0 <= k <= self.m for k in ks):
@@ -289,13 +305,17 @@ _FORMS = ("dw/w", "dz/z")
 
 def _clean_terms(terms) -> tuple[Term, ...]:
     """Terms summed by degree, sorted, zeros dropped.  A degree that is not
-    an int, or a float coefficient, is refused (bad_term)."""
+    an int, or a coefficient that is a float or no rational at all, is
+    refused (bad_term)."""
     acc: dict[int, Fraction] = {}
     for d, c in terms:
         if type(d) is not int or type(c) is float:
             raise DomainError("bad_term", degree=d, coef=c)
         if type(c) is not Fraction:
-            c = Fraction(c)
+            try:
+                c = Fraction(c)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise DomainError("bad_term", degree=d, coef=c) from None
         acc[d] = acc[d] + c if d in acc else c
     return tuple(sorted([t for t in acc.items() if t[1]]))
 
@@ -304,7 +324,8 @@ def _clean_terms(terms) -> tuple[Term, ...]:
 class LaurentMatrix:
     """Square matrix of truncated Laurent polynomials in a window, with form
     dw/w (weighted side) or dz/z (upstairs).  Entries are checked, not rebuilt:
-    one that laurent_matrix would change is refused (terms_not_canonical)."""
+    one that laurent_matrix would change is refused (terms_not_canonical).
+    The two local maps build theirs without this check (see _mapped)."""
 
     n: int
     entries: tuple[tuple[tuple[Term, ...], ...], ...]
@@ -400,8 +421,19 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
 
 # Rows from both maps are canonical as built: d -> m*d + k_i - k_j and (equivariance
 # checked) e -> (e - k_i + k_j)/m increase strictly, m >= 1 scales, window applied.
-# Each coefficient is built from its integers, m*p/q and p/(q*m); the
-# constructor reduces them to the value m*c and c/m would give.
+# Each coefficient is built from its integers, m*p/q and p/(q*m); the Fraction
+# constructor reduces them to the value m*c and c/m would give.  So _mapped
+# builds the result without LaurentMatrix's per-term check, and checks only
+# the window, which the caller chose.
+def _mapped(n: int, rows, window, form: str) -> LaurentMatrix:
+    lo, hi = window
+    if lo > hi:
+        raise DomainError("bad_window", window=list(window))
+    mat = object.__new__(LaurentMatrix)
+    mat.__dict__.update(n=n, entries=rows, window=(int(lo), int(hi)), form=form)
+    return mat
+
+
 def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
                      window: tuple[int, int] | None = None
                      ) -> tuple[LocalChart, LaurentMatrix]:
@@ -412,7 +444,7 @@ def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
     with k_i < k_j identically zero).  Output truncated to the stated window,
     default [-1, 8m].
     """
-    if m < 1:
+    if type(m) is not int or m < 1:
         raise DomainError("bad_chart_order", m=m)
     if higgs.form != "dw/w":
         raise DomainError("wrong_form", form=higgs.form, expected="dw/w")
@@ -439,8 +471,7 @@ def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
                     out.append((e, Fraction(c.numerator * m, c.denominator)))
             row.append(tuple(out))
         rows.append(tuple(row))
-    chart = LocalChart(m, tuple(ks))
-    return chart, LaurentMatrix(higgs.n, tuple(rows), window, "dz/z")
+    return LocalChart(m, tuple(ks)), _mapped(higgs.n, tuple(rows), window, "dz/z")
 
 
 def orb_to_par_local(chart: LocalChart, mat: LaurentMatrix,
@@ -481,14 +512,15 @@ def orb_to_par_local(chart: LocalChart, mat: LaurentMatrix,
             row.append(tuple(out))
         rows.append(tuple(row))
     weights = tuple(Fraction(ki, m) for ki in k)
-    return weights, LaurentMatrix(mat.n, tuple(rows), window, "dw/w")
+    return weights, _mapped(mat.n, tuple(rows), window, "dw/w")
 
 
 # ---------------------------------------------------------------- JSON ----
 # Hand-written: m lives outside the matrix and terms are {"deg", "coef"}
 # objects.  Malformed input is refused as the codec refuses it (bad_json, with
 # the path of keys and the codec's wording); the keys are read in the order
-# entries, window, form, m, and unknown keys are refused after them.
+# entries, window, form, m, and unknown keys are refused after them.  A term
+# in the writer's own shape is read without the keyed path.
 
 def laurent_to_json(mat: LaurentMatrix, m: int) -> dict:
     # str(c) is to_json(c): the constructor holds every coefficient as a Fraction
@@ -514,6 +546,10 @@ def _keyed(obj: dict, key: str, read):
 
 
 def _read_term(t) -> Term:
+    if type(t) is dict and len(t) == 2:  # the writer's own shape, read directly
+        d, c = t.get("deg"), t.get("coef")
+        if type(d) is int and type(c) is str:
+            return d, rat_from_str(c)
     if type(t) is not dict:
         raise JsonShapeError("an object")
     d = _keyed(t, "deg", _integer)

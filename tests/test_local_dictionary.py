@@ -128,6 +128,30 @@ def test_orb_to_par_refusals(args, want):
     assert e.value.payload() == want
 
 
+@pytest.mark.parametrize("terms", [None, {(0, 0): [(1, F(1))]}])
+def test_local_maps_check_a_reversed_window(terms):
+    # the maps build their result without the constructor's per-term check,
+    # but still refuse the window the caller gave
+    chart, up = par_to_orb_local(2, (F(0),), _w(1, terms))
+    with pytest.raises(DomainError) as e:
+        par_to_orb_local(2, (F(0),), _w(1, terms), (5, 1))
+    assert e.value.payload() == _err("bad_window", window=[5, 1])
+    with pytest.raises(DomainError) as e:
+        orb_to_par_local(chart, up, (5, 1))
+    assert e.value.payload() == _err("bad_window", window=[5, 1])
+
+
+@pytest.mark.parametrize("m", [F(2), 2.0, True])
+@pytest.mark.parametrize("terms", [None, {(0, 0): [(1, F(1))]}])
+def test_a_chart_order_that_is_not_an_int_is_refused(m, terms):
+    with pytest.raises(DomainError) as e:
+        par_to_orb_local(m, (F(0),), _w(1, terms))
+    assert e.value.payload() == _err("bad_chart_order", m=m)
+    with pytest.raises(DomainError) as e:
+        LocalChart(m, (0,))
+    assert e.value.payload() == _err("bad_chart_order", m=m)
+
+
 @pytest.mark.parametrize("args,want", [
     ((2, [F(0), F(1, 2)]), [0, 1]),
     ((6, [F(1, 2), F(2, 3), F(5, 6)]), [3, 4, 5]),

@@ -150,6 +150,26 @@ def test_character_cap_and_validation():
         Z2Character((2,), ())
 
 
+def _mixed_orders():
+    """Up to six points, each length in five rotations of the orders 2..6,
+    and six even points, the most sigma values."""
+    cycle = (2, 3, 4, 5, 6)
+    return sorted({tuple(cycle[(start + t) % 5] for t in range(s))
+                   for s in range(7) for start in range(5)} | {(2, 4, 6, 2, 4, 6)})
+
+
+@pytest.mark.parametrize("genus", range(5))
+def test_enumerated_characters_equal_checked_ones(genus):
+    # the characters are filled in without the constructor's check; each
+    # must be the value, repr and hash the checked constructor gives
+    for orders in _mixed_orders():
+        for c in z2_character_enumerate(surface_with_orders(genus, list(orders))):
+            checked = Z2Character(c.ab, c.sigma)
+            assert c == checked and repr(c) == repr(checked)
+            assert hash(c) == hash(checked)
+            assert all(type(v) is int for v in c.ab + c.sigma)
+
+
 # --------------------------------------------------- Picard group, Euler ----
 
 def test_pic_v_structure_labels():
@@ -252,9 +272,10 @@ def test_laurent_matrix_normalization():
 
 @pytest.mark.parametrize("term", [
     (1.7, F(1)), (F(3, 2), F(1)), (F(2), F(1)), ("2", F(1)), (True, F(1)),
-    (2, 0.1), (2, 1.0),
+    (2, 0.1), (2, 1.0), (2, "x"), (2, None), (2, [1]), (2, "1/0"),
 ], ids=["float-degree", "rational-degree", "fraction-degree", "string-degree",
-        "bool-degree", "float-coef", "integral-float-coef"])
+        "bool-degree", "float-coef", "integral-float-coef", "unreadable-coef",
+        "none-coef", "list-coef", "zero-denominator-coef"])
 def test_laurent_matrix_refuses_inexact_terms(term):
     with pytest.raises(DomainError) as e:
         laurent_matrix(1, {(0, 0): [(1, F(1)), term]}, (-1, 8), "dw/w")
