@@ -9,8 +9,9 @@ group, the orbifold Euler characteristic, and the exact local dictionary
 between weighted (parabolic) Higgs matrices in w and equivariant matrices in z
 with w = z^m.
 
-The public constructors check all they are given; z2_character_enumerate and
-the two local maps (see _mapped) check their values where they make them.
+The public constructors check all they are given; z2_character_enumerate,
+the two local maps and the two Laurent-matrix readers (see _mapped) check
+their values where they make them.
 """
 
 from __future__ import annotations
@@ -325,7 +326,8 @@ class LaurentMatrix:
     """Square matrix of truncated Laurent polynomials in a window, with form
     dw/w (weighted side) or dz/z (upstairs).  Entries are checked, not rebuilt:
     one that laurent_matrix would change is refused (terms_not_canonical).
-    The two local maps build theirs without this check (see _mapped)."""
+    laurent_matrix, laurent_from_json and the two local maps build theirs
+    without this per-term check (see _mapped)."""
 
     n: int
     entries: tuple[tuple[tuple[Term, ...], ...], ...]
@@ -370,7 +372,7 @@ def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
         if not (0 <= i < n and 0 <= j < n):
             raise DomainError("entry_out_of_range", entry=[i, j], n=n)
         rows[i][j] = _clean_terms(ts)
-    return LaurentMatrix(n, tuple(tuple(r) for r in rows), window, form)
+    return _mapped(n, tuple(tuple(r) for r in rows), window, form)
 
 
 def _w_degrees(terms: tuple[Term, ...], shift: int, m: int) -> list[int] | None:
@@ -422,15 +424,29 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
 # Rows from both maps are canonical as built: d -> m*d + k_i - k_j and (equivariance
 # checked) e -> (e - k_i + k_j)/m increase strictly, m >= 1 scales, window applied.
 # Each coefficient is built from its integers, m*p/q and p/(q*m); the Fraction
-# constructor reduces them to the value m*c and c/m would give.  So _mapped
-# builds the result without LaurentMatrix's per-term check, and checks only
-# the window, which the caller chose.
+# constructor reduces them to the value m*c and c/m would give.  Rows from
+# _clean_terms (laurent_matrix, laurent_from_json) are canonical too.  So
+# _mapped builds the result without LaurentMatrix's per-term check.  It keeps
+# the rest, in the constructor's order: the form, the window, the shape, and
+# each entry's first and last degree against the window.
 def _mapped(n: int, rows, window, form: str) -> LaurentMatrix:
+    if form not in _FORMS:
+        raise DomainError("bad_form_flag", form=form)
     lo, hi = window
     if lo > hi:
         raise DomainError("bad_window", window=list(window))
+    window = (int(lo), int(hi))
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DomainError("bad_matrix_shape", n=n)
+    # lo < d + 1 is the constructor's lo - 1 < d: lo <= d for an int lo
+    for row in rows:
+        for terms in row:
+            if terms and not (lo < terms[0][0] + 1 and terms[-1][0] <= hi):
+                d = next(d for d, _ in terms if not (lo < d + 1 and d <= hi))
+                raise DomainError("term_outside_window", degree=d,
+                                  window=list(window))
     mat = object.__new__(LaurentMatrix)
-    mat.__dict__.update(n=n, entries=rows, window=(int(lo), int(hi)), form=form)
+    mat.__dict__.update(n=n, entries=rows, window=window, form=form)
     return mat
 
 
@@ -584,4 +600,4 @@ def laurent_from_json(obj: dict) -> tuple[int, LaurentMatrix]:
     m = _keyed(obj, "m", _integer)
     if len(obj) != 4:
         raise JsonShapeError("an object with keys among entries, form, m, window")
-    return m, LaurentMatrix(len(rows), rows, window, form)
+    return m, _mapped(len(rows), rows, window, form)

@@ -142,11 +142,18 @@ def _dual_weight(a: Fraction) -> Fraction:
 
 
 def par_dual(b: ParabolicBundle | ParabolicLineBundle):
-    """Parabolic dual: 0 stays 0, a -> 1-a, degree forced so pardeg negates."""
+    """Parabolic dual: 0 stays 0, a -> 1-a, degree forced so pardeg negates.
+
+    A line bundle's dual is checked where it is built, not again by its
+    constructor: b's weights are checked, so each 1 - a is in [0,1), and
+    pardeg L* = -pardeg L."""
     if isinstance(b, ParabolicLineBundle):
-        shift = sum(1 for w in b.weight_at.values() if w != 0)
-        return ParabolicLineBundle(-b.degree - shift,
-                                   {x: _dual_weight(w) for x, w in b.weight_at.items()})
+        weights = {x: _dual_weight(w) for x, w in b.weight_at.items()}
+        shift = sum(1 for w in weights.values() if w)
+        dual = object.__new__(ParabolicLineBundle)
+        dual.__dict__.update(degree=-b.degree - shift, weight_at=weights,
+                             _pardeg=-b._pardeg)
+        return dual
     shift = 0
     flags = {}
     for lbl, fl in b.flag_at.items():

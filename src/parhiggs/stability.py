@@ -125,11 +125,14 @@ class SpTripleModel:
 
 # ------------------------------------------------------------ stability ----
 
-# A verdict tabulates all 2^n coordinate subsets, so it holds a list of that
-# length; past this rank the table alone would need gigabytes.
+# A verdict lists the closed index sets, one per down-set of the arrows'
+# strongly connected classes: two for a Hitchin chain, but all 2^n when no
+# arrow ties the summands, so past this rank the list alone could need
+# gigabytes.
 MAX_VERDICT_RANK = 20
-# Listing the subsets builds a sorted tuple for each of up to 2^n - 2 of
-# them: 0.36 s and about 11 MB at rank 16, 4.7 s and 193 MB at rank 20.
+# Listing the subsets builds a sorted tuple for each closed one, up to
+# 2^n - 2 of them: 0.36 s and about 11 MB at rank 16 with no arrows, 4.7 s
+# and 193 MB at rank 20.
 MAX_SUBSET_LIST_RANK = 16
 
 
@@ -138,36 +141,55 @@ def _check_rank(m: DecomposableHiggsModel, limit: int) -> None:
         raise DomainError("rank_too_large", n=m.n, limit=limit)
 
 
-def _invariant_masks(m: DecomposableHiggsModel) -> list[int]:
-    """Bitmasks of the proper nonempty index sets closed under the arrows.
-
-    req[mask] is the set of arrow targets the members of mask point at, built
-    by doubling the table once per index (req[mask | 1<<k] = req[mask] |
-    need[k] for masks below 1<<k); mask is closed iff req[mask] lies in it.
-    """
-    _check_rank(m, MAX_VERDICT_RANK)
-    need = [0] * m.n
-    for (i, j) in m.arrows:
-        need[j] |= 1 << i
-    req = [0]
-    for bits in need:
-        req += [r | bits for r in req]
-    full = (1 << m.n) - 1
-    return [mask for mask in range(1, full) if not req[mask] & ~mask]
-
-
-def _subset_table(m: DecomposableHiggsModel) -> tuple[list[int], int, list[int]]:
-    """(masks, den, sums): the invariant masks, and for every mask the
-    parabolic degree of its coordinate subbundle times the common
-    denominator den of the summands' pardegs, tabulated by doubling."""
-    masks = _invariant_masks(m)
+def _scaled_pardegs(m: DecomposableHiggsModel) -> tuple[int, list[int]]:
+    """(den, nums): the common denominator of the summands' pardegs and
+    each pardeg times den."""
     pds = m.pardegs()
-    den = lcm(*(p.denominator for p in pds))
-    sums = [0]
+    den = 1
     for p in pds:
-        nk = p.numerator * (den // p.denominator)
-        sums += [x + nk for x in sums]
-    return masks, den, sums
+        if den % p.denominator:
+            den = lcm(den, p.denominator)
+    return den, [p.numerator * (den // p.denominator) for p in pds]
+
+
+def _closed_sets(m: DecomposableHiggsModel, nums: Sequence[int]
+                 ) -> tuple[list[int], list[int]]:
+    """(masks, sums): the bitmask of every index set closed under the arrows,
+    the empty set first and the full set last, and in parallel the sum of
+    nums over each.  The callers check the rank first.
+
+    reach[v], the indices v forces (itself included), is the transitive
+    closure of the arrows by Warshall on bitmasks.  Indices of equal reach
+    form one strongly connected class, and the closed sets are the unions
+    of classes that hold each member's requirements.  A class whose reach
+    lies properly inside another's has the smaller reach as a number, so in
+    ascending reach each class comes after its requirements and doubles only
+    the sets that already hold them.
+    """
+    reach = [1 << v for v in range(m.n)]
+    for (i, j) in m.arrows:
+        reach[j] |= 1 << i
+    for k, rk in enumerate(reach):
+        bit = 1 << k
+        if rk != bit:                       # k forces something besides k
+            for v, r in enumerate(reach):
+                if r & bit:
+                    reach[v] = r | rk
+    weight: dict[int, int] = {}             # reach -> sum of nums over its class
+    for r, x in zip(reach, nums):
+        weight[r] = weight.get(r, 0) + x
+    masks, sums, done = [0], [0], 0
+    for r in sorted(weight):
+        members = r & ~done
+        req = r ^ members
+        done |= members
+        x = weight[r]
+        for t in range(len(masks)):
+            c = masks[t]
+            if c & req == req:
+                masks.append(c | members)
+                sums.append(sums[t] + x)
+    return masks, sums
 
 
 def _mask_tuple(mask: int) -> tuple[int, ...]:
@@ -188,7 +210,7 @@ def invariant_subsets(m: DecomposableHiggsModel) -> list[tuple[int, ...]]:
     """Proper nonempty index sets closed under the arrows, lexicographic.
 
     Kept: the public listing of the closures, which the brute-force oracle's
-    closed_subsets is compared with; the verdicts read the same masks.
+    closed_subsets is compared with; the verdicts read the same list.
 
     Ranks above MAX_VERDICT_RANK are refused as in every verdict, and those
     above the lower MAX_SUBSET_LIST_RANK because of the list's size, both
@@ -196,7 +218,8 @@ def invariant_subsets(m: DecomposableHiggsModel) -> list[tuple[int, ...]]:
     """
     _check_rank(m, MAX_VERDICT_RANK)
     _check_rank(m, MAX_SUBSET_LIST_RANK)
-    return sorted(_mask_tuple(mask) for mask in _invariant_masks(m))
+    masks, _ = _closed_sets(m, [0] * m.n)
+    return sorted(_mask_tuple(mask) for mask in masks[1:-1])
 
 
 def arrow_feasibility_violations(m: DecomposableHiggsModel) -> list[Arrow]:
@@ -249,18 +272,21 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     if m.n == 0:
         raise DomainError("empty_model")
     n = m.n
-    masks, den, sums = _subset_table(m)
+    _check_rank(m, MAX_VERDICT_RANK)
+    den, nums = _scaled_pardegs(m)
+    masks, sums = _closed_sets(m, nums)
     total = sums[-1]
     mu = Fraction(total, den * n)
     # Slopes compared by cross-multiplying.  best: the first maximizer above
     # mu so far; ties: the subsets of slope mu while none is above it.
     best, ties = None, []
     best_sum, best_size = total, n
-    for mask in masks:
+    for t in range(1, len(masks) - 1):      # the proper nonempty ones
+        mask, x = masks[t], sums[t]
         size = mask.bit_count()
-        gap = sums[mask] * best_size - best_sum * size
+        gap = x * best_size - best_sum * size
         if gap > 0 or (gap == 0 and best is not None and _lex_before(mask, best)):
-            best, best_sum, best_size = mask, sums[mask], size
+            best, best_sum, best_size = mask, x, size
         elif gap == 0 and best is None:
             ties.append(mask)
     if best is not None:
@@ -268,12 +294,14 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     if not ties:
         return StabilityReport("stable", None, mu)
     # Nothing beats mu, so a tie meets each component in a closed set of
-    # slope mu; a piece is stable alone iff no tie cuts it properly.
-    comps = [sum(1 << k for k in c) for c in _undirected_components(n, m.arrows)]
+    # slope mu; a piece is stable alone iff no tie cuts it properly.  Each
+    # component is a union of arrow classes, so closed itself.
+    comps = _undirected_components(n, m.arrows)
     if len(comps) > 1 and all(
-            sums[c] * n == total * c.bit_count() for c in comps) and all(
-            t & c in (0, c) for t in ties for c in comps):
-        return StabilityReport("polystable", None, mu)
+            sum(nums[k] for k in c) * n == total * len(c) for c in comps):
+        cmasks = [sum(1 << k for k in c) for c in comps]
+        if all(t & c in (0, c) for t in ties for c in cmasks):
+            return StabilityReport("polystable", None, mu)
     tie = reduce(lambda a, b: b if _lex_before(b, a) else a, ties)
     return StabilityReport("strictly_semistable", _mask_tuple(tie), mu)
 
@@ -408,14 +436,17 @@ def alpha_stability_check_gl(m: DecomposableHiggsModel, alpha: Fraction
     Returns (ok, failing subset or None).
     """
     alpha = Fraction(alpha)
-    masks, den, sums = _subset_table(m)
+    _check_rank(m, MAX_VERDICT_RANK)
+    den, nums = _scaled_pardegs(m)
+    masks, sums = _closed_sets(m, nums)
     total = sums[-1]
     # sp_filtration_degree(m, [S, full], (0, 1), 0) = pardeg E - pardeg W_S,
-    # so the test reads (total - sums[S]) / den >= alpha (n - |S|)
+    # so the test reads (total - sum over S) / den >= alpha (n - |S|)
     a, b = alpha.numerator, alpha.denominator
     first = None
-    for mask in masks:
-        if (total - sums[mask]) * b < a * den * (m.n - mask.bit_count()) and (
+    for t in range(1, len(masks) - 1):      # the proper nonempty ones
+        mask, x = masks[t], sums[t]
+        if (total - x) * b < a * den * (m.n - mask.bit_count()) and (
                 first is None or _lex_before(mask, first)):
             first = mask
     if first is None:

@@ -319,6 +319,54 @@ def test_reversed_window_is_reported_before_terms_outside_it():
     assert e.value.code == "bad_window"
 
 
+def _outcome(build):
+    try:
+        return build()
+    except DomainError as e:
+        return e.payload()
+
+
+def test_laurent_readers_refuse_what_the_constructor_refuses():
+    """laurent_matrix and laurent_from_json check the form, window, shape and
+    window of the terms without the constructor; they must agree with it."""
+    rng = random.Random(2016)
+    codes = set()
+    for _ in range(400):
+        n = rng.randint(0, 3)
+        lo = rng.randint(-3, 3)
+        window = (lo, lo + rng.randint(-1, 4))
+        form = rng.choice(["dw/w", "dz/z", "dw/w", "dx"])
+        terms = {}
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.5:
+                    terms[i, j] = [(rng.randint(-5, 8), F(rng.randint(-2, 2), 2))
+                                   for _ in range(rng.randint(1, 3))]
+        rows = [[() for _ in range(n)] for _ in range(n)]
+        for (i, j), ts in terms.items():
+            acc = {}
+            for d, c in ts:
+                acc[d] = acc.get(d, 0) + c
+            rows[i][j] = tuple(sorted((d, c) for d, c in acc.items() if c))
+        rows = tuple(tuple(r) for r in rows)
+        want = _outcome(lambda: LaurentMatrix(n, rows, window, form))
+        assert _outcome(lambda: laurent_matrix(n, terms, window, form)) == want
+        obj = {"m": 2, "form": form, "window": list(window),
+               "entries": [[[{"deg": d, "coef": str(c)} for d, c in ts]
+                            for ts in row] for row in rows]}
+        if n and rng.random() < 0.3:        # a ragged matrix: bad_matrix_shape
+            obj["entries"][-1].pop()
+            want = _outcome(lambda: LaurentMatrix(
+                n, tuple(r[:n - 1] if k == n - 1 else r
+                         for k, r in enumerate(rows)), window, form))
+        got = _outcome(lambda: laurent_from_json(obj))
+        assert got == (want if isinstance(want, dict) else (2, want))
+        if isinstance(want, dict):
+            codes.add(want["error"])
+    assert codes == {"bad_form_flag", "bad_window", "bad_matrix_shape",
+                     "term_outside_window"}
+
+
 def test_laurent_from_json_normalizes_terms():
     obj = {"m": 2, "form": "dz/z", "window": [-1, 16],
            "entries": [[[{"deg": 5, "coef": "1/2"}, {"deg": 3, "coef": 0},

@@ -72,6 +72,24 @@ def test_par_dual_lines():
     assert d.degree == -4 and d.weight("x1") == H
 
 
+def test_line_dual_equals_the_checked_construction():
+    rng = random.Random(17)
+    for _ in range(300):
+        surf = standard_surface(rng.randint(0, 2), rng.randint(0, 4))
+        denom = rng.choice([1, 2, 3, 4, 6, 12])
+        b = ParabolicLineBundle(rng.randint(-9, 9), {
+            lbl: Fraction(rng.randrange(denom), denom)
+            for lbl in surf.labels() if rng.random() < 0.8})
+        d = par_dual(b)
+        checked = ParabolicLineBundle(d.degree, dict(d.weight_at))
+        assert d == checked
+        assert repr(d) == repr(checked)
+        assert d._pardeg == checked._pardeg
+        assert pardeg(d, surf) == -pardeg(b, surf)
+        assert d.weight_at is not b.weight_at
+        assert all(type(w) is Fraction for w in d.weight_at.values())
+
+
 def test_par_dual_involution_and_antisymmetry():
     rng = random.Random(5)
     for _ in range(150):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -318,9 +319,9 @@ def test_subset_list_above_its_own_rank_is_refused_before_enumeration(
     m = DecomposableHiggsModel(surf, lines(surf, *[(0, 0)] * n))
     assert stability_verdict(m).verdict == "polystable"
 
-    def no_table(model):
+    def no_table(model, nums):
         raise AssertionError("subset table built")
-    monkeypatch.setattr(stability, "_invariant_masks", no_table)
+    monkeypatch.setattr(stability, "_closed_sets", no_table)
     with pytest.raises(DomainError) as e:
         invariant_subsets(m)
     assert e.value.payload() == {"error": "rank_too_large", "n": n,
@@ -339,6 +340,52 @@ def test_subset_list_at_its_rank_limit_lists_every_subset():
 def test_rank_at_limit_still_gets_a_verdict():
     m = hitchin_model(MAX_VERDICT_RANK, 2, 1)
     assert stability_verdict(m).verdict == "stable"
+
+
+# ---------------------------------------------------- closed-set table ----
+
+def test_closed_sets_are_the_oracle_closures_with_their_sums(oracles):
+    rng = random.Random(1972)
+    surf = standard_surface(2, 1)
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        p = rng.choice((0.0, 0.1, 0.25, 0.4, 0.6))
+        arrows = sorted((i, j) for i in range(n) for j in range(n)
+                        if rng.random() < p)
+        m = DecomposableHiggsModel(
+            surf, tuple(rand_line(rng, surf.labels()) for _ in range(n)),
+            frozenset(arrows))
+        den, nums = stability._scaled_pardegs(m)
+        masks, sums = stability._closed_sets(m, nums)
+        full = (1 << n) - 1
+        assert masks[0] == 0 and masks[-1] == full
+        assert len(set(masks)) == len(masks) == len(sums)
+        want = [(), *oracles.closed_subsets(n, arrows)]
+        if n:
+            want.append(tuple(range(n)))
+        assert sorted(stability._mask_tuple(c) for c in masks) == sorted(want)
+        for c, x in zip(masks, sums):
+            assert x == den * m.sub_pardeg(stability._mask_tuple(c))
+
+
+def test_a_hitchin_chain_has_only_the_two_trivial_closed_sets():
+    for k in range(2, MAX_VERDICT_RANK + 1):
+        for g, s in HYP:
+            m = hitchin_model(k, g, s)
+            masks, sums = stability._closed_sets(m, [1] * k)
+            assert (masks, sums) == ([0, (1 << k) - 1], [0, k])
+
+
+def test_verdict_at_the_rank_limit_builds_no_subset_table():
+    m = hitchin_model(MAX_VERDICT_RANK, 2, 1)
+    tracemalloc.start()
+    try:
+        report = stability_verdict(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "stable"
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------ Toledo and MW ----
