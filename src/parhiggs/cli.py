@@ -106,11 +106,9 @@ def _build_surface(g: int, s: int, orders_text: str | None) -> MarkedSurface:
             raise DomainError("orders_length_mismatch", expected=s,
                               got=len(orders))
         points = tuple(MarkedPoint(p.label, k) for p, k in zip(points, orders))
-    surface = MarkedSurface(g, points)
     # the library oracles accept spherical input; the CLI sticks to the
     # hyperbolic range every downstream formula is stated for
-    require_hyperbolic(surface)
-    return surface
+    return require_hyperbolic(MarkedSurface(g, points))
 
 
 def _load_json(text: str, what: str, cls):

@@ -26,9 +26,8 @@ Modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, product
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact_core import DomainError, all_bits, check_cap
 from .surface import require_hyperbolic, standard_surface
@@ -167,8 +166,7 @@ class CountMode:
 
     ``max_fixed_alpha`` carries the parity of the fixed weight assignment
     (weights in {0, 1/2}; only the parity of the number of 1/2's enters the
-    count).  Use :meth:`fixed_alpha` to derive the parity from an explicit
-    assignment, or :meth:`fixed_parity` to give it directly.
+    count); :meth:`fixed_parity` gives it.
     """
 
     variant: str
@@ -186,11 +184,6 @@ class CountMode:
     @staticmethod
     def max_union() -> "CountMode":
         return CountMode("max_union")
-
-    @staticmethod
-    def fixed_alpha(alpha: Mapping[str, Fraction]) -> "CountMode":
-        from .orbifold import parity  # here, so counting never loads orbifold
-        return CountMode("max_fixed_alpha", parity=parity(alpha))
 
     @staticmethod
     def fixed_parity(par: str) -> "CountMode":
@@ -542,10 +535,9 @@ def enumerate_invariants_sp(n: int, g: int, s: int, mode: CountMode,
     within each case.  ``cap`` bounds the number of materialized tuples and
     is checked before any is built.
     """
-    if n < 1:
-        raise DomainError("group_needs_rank", family="Sp2nR")
+    row = _row(sp2nr(n))
     _require_marked(g, s)
-    entry = _entry(_SP_ROWS[min(n, 3) - 1], mode)
+    entry = _entry(row, mode)
     if entry is None or mode.variant == _KD:
         raise DomainError("mode_not_enumerable", variant=mode.variant)
     z = _factor_sizes(g, s)

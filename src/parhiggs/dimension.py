@@ -125,13 +125,12 @@ def lie_catalog(name: str) -> LieGroupData:
     raise DomainError("unknown_group_name", name=name)
 
 
-def complex_group_data(name: str, complex_dimension: int,
-                       rank: int = 0) -> LieGroupData:
+def complex_group_data(name: str, complex_dimension: int) -> LieGroupData:
     """A complex group viewed as a real group (dim_R = 2 dim_C)."""
     if complex_dimension < 1:
         raise DomainError("bad_lie_data", name=name)
     return LieGroupData(name=name, real_dimension=2 * complex_dimension,
-                        rank=rank, exponents=(), is_split=False,
+                        rank=0, exponents=(), is_split=False,
                         is_hermitian_tube=False, is_complex=True)
 
 
@@ -173,15 +172,11 @@ class DimReport:
 # GL(n,C) moduli
 
 
-def _check_surface(g: int, s: int) -> None:
-    require_hyperbolic(standard_surface(g, s))
-
-
 def dim_parabolic_gl(n: int, g: int, s: int) -> int:
     """dim of the parabolic GL(n,C) Higgs moduli: (2g-2+s)n^2 + 1."""
     if n < 1:
         raise DomainError("rank_not_positive", n=n)
-    _check_surface(g, s)
+    require_hyperbolic(standard_surface(g, s))
     return (2 * g - 2 + s) * n * n + 1
 
 
@@ -200,7 +195,7 @@ def dim_strongly_parabolic_gl(n: int, g: int, s: int,
     """
     if n < 1:
         raise DomainError("rank_not_positive", n=n)
-    _check_surface(g, s)
+    require_hyperbolic(standard_surface(g, s))
     mults = [tuple(m) for m in multiplicities]
     if len(mults) != s:
         raise DomainError("bad_multiplicities", expected_points=s,
@@ -229,7 +224,7 @@ def dim_complex_group(gdata: LieGroupData, g: int, s: int) -> DimReport:
     """
     if not gdata.is_complex:
         raise DomainError("not_complex_group", name=gdata.name)
-    _check_surface(g, s)
+    require_hyperbolic(standard_surface(g, s))
     dc = gdata.complex_dimension
     bulk = 2 * (g - 1) * dc
     points = s * dc
@@ -256,8 +251,7 @@ def teichmuller_dimension(gdata: LieGroupData, g: int, s: int,
     """
     if not gdata.is_split:
         raise DomainError("not_split", group=gdata.name)
-    surface = standard_surface(g, s)
-    require_hyperbolic(surface)
+    surface = require_hyperbolic(standard_surface(g, s))
     summands = []
     total_c = 0
     for m in gdata.exponents:
@@ -283,5 +277,5 @@ def sl_kr_parabolic_dimension(k: int, g: int, s: int) -> int:
     2(g-1)(k^2-1) + s(k^2-k)."""
     if k < 2:
         raise DomainError("rank_not_positive", n=k)
-    _check_surface(g, s)
+    require_hyperbolic(standard_surface(g, s))
     return 2 * (g - 1) * (k * k - 1) + s * (k * k - k)

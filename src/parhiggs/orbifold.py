@@ -10,8 +10,8 @@ between weighted (parabolic) Higgs matrices in w and equivariant matrices in z
 with w = z^m.
 
 The public constructors check all they are given; z2_character_enumerate,
-the two local maps and the two Laurent-matrix readers (see _mapped) check
-their values where they make them.
+the local maps and the Laurent-matrix readers check their values where they
+make them, and every Laurent matrix gets its frame checked by _check_frame.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "z2_character_enumerate",
     "pic_v_structure",
     "kawasaki_euler",
-    "parity",
     "vline_to_parabolic_line",
     "parabolic_line_to_vline",
     "laurent_matrix",
@@ -239,18 +238,6 @@ def kawasaki_euler(l: VLineBundle, surf: MarkedSurface) -> int:
     return 1 - surf.genus + l.desing_degree
 
 
-def parity(alpha: Mapping[str, Fraction]) -> str:
-    """Parity of the number of weight-1/2 points; weights must be 0 or 1/2."""
-    half = 0
-    for lbl, w in alpha.items():
-        w = Fraction(w)
-        if w == Fraction(1, 2):
-            half += 1
-        elif w != 0:
-            raise DomainError("weight_not_half_integral", label=lbl, weight=w)
-    return "even" if half % 2 == 0 else "odd"
-
-
 def vline_to_parabolic_line(l: VLineBundle, surf: MarkedSurface) -> ParabolicLineBundle:
     """Corresponding weighted line: degree = desingularized degree, weight
     b_i/k_i per point, so the parabolic degree equals the fractional degree."""
@@ -335,15 +322,8 @@ class LaurentMatrix:
     form: str
 
     def __post_init__(self):
-        if self.form not in _FORMS:
-            raise DomainError("bad_form_flag", form=self.form)
-        lo, hi = self.window
-        if lo > hi:
-            raise DomainError("bad_window", window=list(self.window))
-        object.__setattr__(self, "window", (int(lo), int(hi)))
-        n = self.n
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise DomainError("bad_matrix_shape", n=n)
+        lo, hi = _check_frame(self.n, self.entries, self.window, self.form)
+        object.__setattr__(self, "window", (lo, hi))
         for i, row in enumerate(self.entries):
             for j, terms in enumerate(row):
                 prev = lo - 1
@@ -357,11 +337,19 @@ class LaurentMatrix:
                                           window=list(self.window))
                     raise DomainError("terms_not_canonical", entry=[i, j])
 
-    def entry(self, i: int, j: int) -> tuple[Term, ...]:
-        return self.entries[i][j]
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+def _check_frame(n: int, rows, window, form: str) -> tuple[int, int]:
+    """The window (lo, hi) of an n x n matrix, after the checks every Laurent
+    matrix gets, in this order: the form, the window (two int ends, lo <= hi;
+    anything else is refused with bad_window) and the shape."""
+    if form not in _FORMS:
+        raise DomainError("bad_form_flag", form=form)
+    lo, hi = window
+    if type(lo) is not int or type(hi) is not int or lo > hi:
+        raise DomainError("bad_window", window=list(window))
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DomainError("bad_matrix_shape", n=n)
+    return lo, hi
 
 
 def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
@@ -427,26 +415,18 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
 # constructor reduces them to the value m*c and c/m would give.  Rows from
 # _clean_terms (laurent_matrix, laurent_from_json) are canonical too.  So
 # _mapped builds the result without LaurentMatrix's per-term check.  It keeps
-# the rest, in the constructor's order: the form, the window, the shape, and
-# each entry's first and last degree against the window.
+# the rest, in the constructor's order: the frame (_check_frame), then each
+# entry's first and last degree against the window.
 def _mapped(n: int, rows, window, form: str) -> LaurentMatrix:
-    if form not in _FORMS:
-        raise DomainError("bad_form_flag", form=form)
-    lo, hi = window
-    if lo > hi:
-        raise DomainError("bad_window", window=list(window))
-    window = (int(lo), int(hi))
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DomainError("bad_matrix_shape", n=n)
-    # lo < d + 1 is the constructor's lo - 1 < d: lo <= d for an int lo
+    lo, hi = _check_frame(n, rows, window, form)
     for row in rows:
         for terms in row:
-            if terms and not (lo < terms[0][0] + 1 and terms[-1][0] <= hi):
-                d = next(d for d, _ in terms if not (lo < d + 1 and d <= hi))
+            if terms and not (lo <= terms[0][0] and terms[-1][0] <= hi):
+                d = next(d for d, _ in terms if not lo <= d <= hi)
                 raise DomainError("term_outside_window", degree=d,
-                                  window=list(window))
+                                  window=[lo, hi])
     mat = object.__new__(LaurentMatrix)
-    mat.__dict__.update(n=n, entries=rows, window=window, form=form)
+    mat.__dict__.update(n=n, entries=rows, window=(lo, hi), form=form)
     return mat
 
 

@@ -71,6 +71,8 @@ class DecomposableHiggsModel:
         return [pardeg(l, self.surface) for l in self.summands]
 
     def sub_pardeg(self, subset: Iterable[int]) -> Fraction:
+        """Kept: the pardeg of the summands in subset, which the stability
+        tests check verdicts, witnesses and reduction degrees against."""
         pd = self.pardegs()
         return rational_sum([pd[i] for i in subset])
 
@@ -330,7 +332,7 @@ def general_mw_interval(rk_plus: int, rk_minus: int, g: int, s: int
     """Toledo interval [-rk+ . deg K(D), rk- . deg K(D)] from the field ranks."""
     if rk_plus < 0 or rk_minus < 0:
         raise DomainError("negative_rank", rk_plus=rk_plus, rk_minus=rk_minus)
-    kd = 2 * g - 2 + s
+    kd = deg_kd(standard_surface(g, s))
     return (Fraction(-rk_plus * kd), Fraction(rk_minus * kd))
 
 
@@ -355,8 +357,7 @@ def hitchin_model(k: int, g: int, s: int) -> DecomposableHiggsModel:
     """
     if k < 2:
         raise DomainError("bad_hitchin_rank", k=k)
-    surf = standard_surface(g, s)
-    require_hyperbolic(surf)
+    surf = require_hyperbolic(standard_surface(g, s))
     deg_a = -(g - 1) - s
     deg_b = g - 1
     twist = k // 2 - 1 if k % 2 == 0 else (k - 1) // 2

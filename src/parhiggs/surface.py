@@ -65,8 +65,8 @@ class MarkedSurface:
 
 
 @lru_cache(maxsize=128, typed=True)
-def standard_surface(genus: int, s: int, order: int = 2) -> MarkedSurface:
-    """Surface with points labelled x1..xs, all of the same isotropy order.
+def standard_surface(genus: int, s: int) -> MarkedSurface:
+    """Surface with points labelled x1..xs, each of isotropy order 2.
 
     A negative s is refused (bad_marked_points) rather than read as no points.
     The last 128 surfaces are kept, keyed by the arguments and their types,
@@ -75,13 +75,14 @@ def standard_surface(genus: int, s: int, order: int = 2) -> MarkedSurface:
     """
     if s < 0:
         raise DomainError("bad_marked_points", s=s)
-    return MarkedSurface(genus, tuple(MarkedPoint(f"x{i+1}", order) for i in range(s)))
+    return MarkedSurface(genus, tuple(MarkedPoint(f"x{i+1}") for i in range(s)))
 
 
-def require_hyperbolic(surface: MarkedSurface) -> None:
-    """Fail unless 2g - 2 + s > 0."""
+def require_hyperbolic(surface: MarkedSurface) -> MarkedSurface:
+    """The surface itself; fail unless 2g - 2 + s > 0."""
     if not surface.is_hyperbolic():
         raise DomainError("not_hyperbolic", g=surface.genus, s=surface.s)
+    return surface
 
 
 def deg_kd(surface: MarkedSurface) -> int:

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 
@@ -74,10 +73,6 @@ def test_count_mode_validation():
         CountMode("max_fixed_alpha")
     with pytest.raises(DomainError):
         CountMode("max_union", parity="even")
-    from_alpha = CountMode.fixed_alpha({"x1": Fraction(1, 2), "x2": Fraction(0)})
-    assert from_alpha.parity == "odd"
-    assert CountMode.fixed_alpha({"x1": Fraction(1, 2),
-                                  "x2": Fraction(1, 2)}).parity == "even"
 
 
 def test_invariant_tuple_validation():
@@ -191,6 +186,21 @@ def test_enumeration_tuple_shapes():
     # deterministic lexicographic order
     assert tuples[0] == InvariantTuple("w1_w2", w1=(0, 0, 1), w2=(0, 0))
     assert tuples == enumerate_invariants_sp(2, 1, 2, MAX)
+
+
+@pytest.mark.parametrize("n,g,s,mode,payload", [
+    (0, 2, 1, MAX, {"error": "group_needs_rank", "family": "Sp2nR"}),
+    (1.5, 2, 1, MAX, {"error": "group_needs_rank", "family": "Sp2nR"}),
+    (0, 2, 0, MAX, {"error": "group_needs_rank", "family": "Sp2nR"}),
+    (2, 2, 0, MAX, {"error": "needs_marked_points", "g": 2, "s": 0}),
+    (2, 2, 1, CountMode("nonparabolic_kd_twisted_s1"),
+     {"error": "mode_not_enumerable", "variant": "nonparabolic_kd_twisted_s1"}),
+])
+def test_enumeration_refusals_in_order(n, g, s, mode, payload):
+    # the rank is checked by the group descriptor, before the surface
+    with pytest.raises(DomainError) as e:
+        enumerate_invariants_sp(n, g, s, mode)
+    assert e.value.payload() == payload
 
 
 def test_enumeration_cap():

@@ -164,8 +164,8 @@ def test_s1_values_match_s1_reduction_report(oracles):
 
 
 def _as_dicts(mat):
-    return {(i, j): dict(mat.entry(i, j))
-            for i in range(mat.n) for j in range(mat.n) if mat.entry(i, j)}
+    return {(i, j): dict(mat.entries[i][j])
+            for i in range(mat.n) for j in range(mat.n) if mat.entries[i][j]}
 
 
 def _raw_terms(rng, degrees):

@@ -20,7 +20,6 @@ from parhiggs.orbifold import (
     orb_to_par_local,
     par_to_orb_local,
     parabolic_line_to_vline,
-    parity,
     pic_v_structure,
     square_root_types,
     vline_degree,
@@ -231,14 +230,6 @@ def test_parabolic_line_to_vline_rejects_foreign_weights():
         parabolic_line_to_vline(ParabolicLineBundle(0, {"x1": F(1, 3)}), surf)
 
 
-def test_parity():
-    assert parity({"x1": F(0)}) == "even"
-    assert parity({"x1": F(1, 2)}) == "odd"
-    assert parity({f"x{i}": F(1, 2) for i in range(4)}) == "even"
-    with pytest.raises(DomainError):
-        parity({"x1": F(1, 3)})
-
-
 # ------------------------------------------------- local correspondence ----
 
 def test_local_chart_validation():
@@ -254,20 +245,20 @@ def test_local_chart_validation():
 def test_laurent_matrix_normalization():
     m = laurent_matrix(1, {(0, 0): [(2, F(1)), (2, F(2)), (3, F(0))]},
                        (-1, 8), "dw/w")
-    assert m.entry(0, 0) == ((2, F(3)),)
+    assert m.entries[0][0] == ((2, F(3)),)
     # an int coefficient is exact, and is held as a Fraction
     m = laurent_matrix(1, {(0, 0): [(2, 1), (3, F(1, 2)), (2, F(1, 3))]},
                        (-1, 8), "dw/w")
-    assert m.entry(0, 0) == ((2, F(4, 3)), (3, F(1, 2)))
-    assert all(type(c) is F for _, c in m.entry(0, 0))
+    assert m.entries[0][0] == ((2, F(4, 3)), (3, F(1, 2)))
+    assert all(type(c) is F for _, c in m.entries[0][0])
     with pytest.raises(DomainError):
         laurent_matrix(1, {(0, 0): [(9, F(1))]}, (-1, 8), "dw/w")
     # terms that cancel leave nothing outside the window
     assert laurent_matrix(1, {(0, 0): [(9, F(1)), (9, F(-1))]},
-                          (-1, 8), "dw/w").is_zero()
+                          (-1, 8), "dw/w").entries == (((),),)
     with pytest.raises(DomainError):
         laurent_matrix(1, {}, (-1, 8), "dx")
-    assert laurent_matrix(2, {}, (-1, 8), "dz/z").is_zero()
+    assert laurent_matrix(2, {}, (-1, 8), "dz/z").entries == (((), ()), ((), ()))
 
 
 @pytest.mark.parametrize("term", [
@@ -317,6 +308,25 @@ def test_reversed_window_is_reported_before_terms_outside_it():
     with pytest.raises(DomainError) as e:
         LaurentMatrix(1, ((((9, F(1)),),),), (8, -1), "dw/w")
     assert e.value.code == "bad_window"
+
+
+@pytest.mark.parametrize("window", [
+    (-0.5, 3), (F(-1, 2), 3), (True, 3), (-1, 3.0), (-1, F(3)),
+])
+def test_window_ends_must_be_ints(window):
+    psi = laurent_matrix(1, {(0, 0): [(1, F(1))]}, (-1, 8), "dw/w")
+    z = laurent_matrix(1, {(0, 0): [(2, F(1))]}, (-1, 8), "dz/z")
+    builds = [
+        # int(-0.5) == 0 would leave this term at -1 outside its window
+        lambda: LaurentMatrix(1, ((((-1, F(1)),),),), window, "dw/w"),
+        lambda: laurent_matrix(1, {(0, 0): [(1, F(1))]}, window, "dw/w"),
+        lambda: par_to_orb_local(2, (F(0),), psi, window),
+        lambda: orb_to_par_local(LocalChart(2, (0,)), z, window),
+    ]
+    for build in builds:
+        with pytest.raises(DomainError) as e:
+            build()
+        assert e.value.payload() == {"error": "bad_window", "window": list(window)}
 
 
 def _outcome(build):
@@ -373,8 +383,8 @@ def test_laurent_from_json_normalizes_terms():
                          {"deg": 5, "coef": "1/2"}, {"deg": 1, "coef": -1}]]]}
     m, mat = laurent_from_json(obj)
     assert m == 2
-    assert mat.entry(0, 0) == ((1, F(-1)), (5, F(1)))
-    assert all(type(c) is Fraction for _, c in mat.entry(0, 0))
+    assert mat.entries[0][0] == ((1, F(-1)), (5, F(1)))
+    assert all(type(c) is Fraction for _, c in mat.entries[0][0])
 
 
 _GOOD_JSON = {"m": 2, "form": "dz/z", "window": [-1, 16],
@@ -431,8 +441,8 @@ def test_forward_worked_example():
     chart, up = par_to_orb_local(2, (F(0), F(1, 2)), psi)
     assert chart == LocalChart(2, (0, 1))
     assert up.form == "dz/z" and up.window == (-1, 16)
-    assert up.entry(1, 0) == ((3, F(2)),)
-    assert up.entry(0, 1) == ()
+    assert up.entries[1][0] == ((3, F(2)),)
+    assert up.entries[0][1] == ()
     weights, back = orb_to_par_local(chart, up)
     assert weights == (F(0), F(1, 2))
     assert back == psi
@@ -441,7 +451,7 @@ def test_forward_worked_example():
 def test_forward_scalar_factor():
     psi = laurent_matrix(1, {(0, 0): [(0, F(5)), (2, F(-1, 3))]}, (-1, 8), "dw/w")
     _, up = par_to_orb_local(3, (F(1, 3),), psi)
-    assert up.entry(0, 0) == ((0, F(15)), (6, F(-1)))
+    assert up.entries[0][0] == ((0, F(15)), (6, F(-1)))
 
 
 def test_forward_rejects_bad_inputs():
@@ -518,7 +528,7 @@ def test_round_trip_both_directions():
 
 
 def _rebuilt(mat):
-    terms = {(i, j): mat.entry(i, j) for i in range(mat.n) for j in range(mat.n)}
+    terms = {(i, j): mat.entries[i][j] for i in range(mat.n) for j in range(mat.n)}
     return laurent_matrix(mat.n, terms, mat.window, mat.form)
 
 

@@ -3,8 +3,10 @@
 Every name a module lists in ``__all__`` is defined in that module and has
 a caller in the program: the package itself (outside the name's own
 definition and the ``__all__`` list), the demos, the benchmark or the
-acceptance tests.  A name kept for another reason says why in a docstring
-line that begins ``Kept:``.  README's layout table lists each module.
+acceptance tests.  So does every method and property of a public class,
+read as an attribute anywhere in those files.  A name kept for another
+reason says why in a docstring line that begins ``Kept:``.  README's layout
+table lists each module.
 """
 
 import ast
@@ -75,9 +77,29 @@ def _kept(node: ast.AST) -> bool:
     return any(line.strip().startswith("Kept:") for line in doc.splitlines())
 
 
+def _attributes(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Attribute names read in tree, outside the node skip."""
+    seen: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return seen
+
+
 TREES = {p.stem: _parse(p) for p in MODULES}
 OUTSIDE = set().union(*(_referenced(_parse(p)) for p in CALLER_FILES))
 SURFACE = [(mod, name) for mod, tree in TREES.items() for name in _public_names(tree)]
+MEMBERS = [(mod, cls.name, fn) for mod, tree in TREES.items()
+           for cls in map(_definitions(tree).get, _public_names(tree))
+           if isinstance(cls, ast.ClassDef)
+           for fn in cls.body if isinstance(fn, ast.FunctionDef)
+           and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+CALLER_TREES = list(TREES.values()) + [_parse(p) for p in CALLER_FILES]
 
 
 def test_every_module_has_a_public_surface():
@@ -95,6 +117,17 @@ def test_public_name_is_defined_and_has_a_caller(mod, name):
         if name in _referenced(tree, skip):
             return
     pytest.fail(f"{mod}.{name} has no caller in the program and no Kept: line")
+
+
+@pytest.mark.parametrize("mod,cls,fn", MEMBERS,
+                         ids=[f"{m}.{c}.{f.name}" for m, c, f in MEMBERS])
+def test_public_class_member_has_a_caller(mod, cls, fn):
+    """Methods, static methods and properties alike: each is read as an
+    attribute (``obj.name``, ``Cls.name``) outside its own definition."""
+    if _kept(fn) or any(fn.name in _attributes(t, fn) for t in CALLER_TREES):
+        return
+    pytest.fail(f"{mod}.{cls}.{fn.name} has no caller in the program "
+                "and no Kept: line")
 
 
 def test_readme_layout_table_lists_every_module():

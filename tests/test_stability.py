@@ -414,6 +414,18 @@ def test_general_interval_no_hyperbolicity_check():
         general_mw_interval(-1, 0, 2, 1)
 
 
+@pytest.mark.parametrize("args,payload", [
+    ((1, 1, -1, 3), {"error": "bad_genus", "genus": -1}),
+    ((1, 1, 2, -1), {"error": "bad_marked_points", "s": -1}),
+    ((-1, 0, -1, -1), {"error": "negative_rank", "rk_plus": -1, "rk_minus": 0}),
+])
+def test_general_interval_refuses_a_negative_genus_or_point_count(args, payload):
+    # deg K(D) is read off the standard surface, which checks g and s
+    with pytest.raises(DomainError) as e:
+        general_mw_interval(*args)
+    assert e.value.payload() == payload
+
+
 def test_sp_triple_requires_symmetric_supports():
     surf = standard_surface(2, 1)
     v = lines(surf, (0, 0), (0, 0))
