@@ -88,7 +88,7 @@ class GroupDescriptor:
             if self.n is not None:
                 raise DomainError("group_takes_no_rank", family=self.family)
         else:
-            if not isinstance(self.n, int) or self.n < 1:
+            if type(self.n) is not int or self.n < 1:
                 raise DomainError("group_needs_rank", family=self.family)
             if self.family == "SOstar2n" and self.n % 2 != 0:
                 raise DomainError("so_star_needs_even_rank", n=self.n)

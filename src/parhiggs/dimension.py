@@ -70,12 +70,6 @@ class LieGroupData:
         if self.is_complex and self.real_dimension % 2 != 0:
             raise DomainError("complex_dimension_odd", name=self.name)
 
-    @property
-    def complex_dimension(self) -> int:
-        if not self.is_complex:
-            raise DomainError("not_complex_group", name=self.name)
-        return self.real_dimension // 2
-
 
 _NAME_RE = re.compile(r"^(SL|Sp|SO)\((\d+)(?:,(\d+|R))?\)(?:,R)?$")
 
@@ -127,8 +121,6 @@ def lie_catalog(name: str) -> LieGroupData:
 
 def complex_group_data(name: str, complex_dimension: int) -> LieGroupData:
     """A complex group viewed as a real group (dim_R = 2 dim_C)."""
-    if complex_dimension < 1:
-        raise DomainError("bad_lie_data", name=name)
     return LieGroupData(name=name, real_dimension=2 * complex_dimension,
                         rank=0, exponents=(), is_split=False,
                         is_hermitian_tube=False, is_complex=True)
@@ -225,7 +217,7 @@ def dim_complex_group(gdata: LieGroupData, g: int, s: int) -> DimReport:
     if not gdata.is_complex:
         raise DomainError("not_complex_group", name=gdata.name)
     require_hyperbolic(standard_surface(g, s))
-    dc = gdata.complex_dimension
+    dc = gdata.real_dimension // 2
     bulk = 2 * (g - 1) * dc
     points = s * dc
     summands = (DimSummand("closed_surface_part", bulk, 2 * bulk),

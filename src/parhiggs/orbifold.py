@@ -61,7 +61,12 @@ class VLineBundle:
     isotropy: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {lbl: int(b) for lbl, b in self.isotropy.items() if int(b)}
+        clean = {}
+        for lbl, b in self.isotropy.items():
+            if type(b) is not int:
+                raise DomainError("bad_isotropy", label=lbl, residue=b)
+            if b:
+                clean[lbl] = b
         if any(b < 0 for b in clean.values()):
             raise DomainError("negative_isotropy", isotropy=dict(clean))
         object.__setattr__(self, "isotropy", clean)

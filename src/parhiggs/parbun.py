@@ -109,6 +109,8 @@ class ParabolicBundle:
                                   flag_rank=fl.rank, rank=self.rank)
 
     def flag(self, label: str) -> ParabolicFlag:
+        if self.rank == 0:
+            raise DomainError("rank_zero_has_no_flag", label=label)
         return self.flag_at.get(label) or trivial_flag(self.rank)
 
 

@@ -143,15 +143,20 @@ def _check_rank(m: DecomposableHiggsModel, limit: int) -> None:
         raise DomainError("rank_too_large", n=m.n, limit=limit)
 
 
-def _scaled_pardegs(m: DecomposableHiggsModel) -> tuple[int, list[int]]:
-    """(den, nums): the common denominator of the summands' pardegs and
-    each pardeg times den."""
-    pds = m.pardegs()
-    den = 1
-    for p in pds:
-        if den % p.denominator:
-            den = lcm(den, p.denominator)
-    return den, [p.numerator * (den // p.denominator) for p in pds]
+def _reach(n: int, arrows: Iterable[Arrow]) -> list[int]:
+    """reach[v]: the bitmask of the indices v forces, itself included, the
+    transitive closure of the arrows by Warshall on bitmasks (Warshall 1962,
+    "A theorem on Boolean matrices")."""
+    reach = [1 << v for v in range(n)]
+    for (i, j) in arrows:
+        reach[j] |= 1 << i
+    for k, rk in enumerate(reach):
+        bit = 1 << k
+        if rk != bit:                       # k forces something besides k
+            for v, r in enumerate(reach):
+                if r & bit:
+                    reach[v] = r | rk
+    return reach
 
 
 def _closed_sets(m: DecomposableHiggsModel, nums: Sequence[int]
@@ -160,25 +165,14 @@ def _closed_sets(m: DecomposableHiggsModel, nums: Sequence[int]
     the empty set first and the full set last, and in parallel the sum of
     nums over each.  The callers check the rank first.
 
-    reach[v], the indices v forces (itself included), is the transitive
-    closure of the arrows by Warshall on bitmasks.  Indices of equal reach
-    form one strongly connected class, and the closed sets are the unions
-    of classes that hold each member's requirements.  A class whose reach
-    lies properly inside another's has the smaller reach as a number, so in
-    ascending reach each class comes after its requirements and doubles only
-    the sets that already hold them.
+    Indices of equal reach form one strongly connected class, and the closed
+    sets are the unions of classes that hold each member's requirements.  A
+    class whose reach lies properly inside another's has the smaller reach
+    as a number, so in ascending reach each class comes after its
+    requirements and doubles only the sets that already hold them.
     """
-    reach = [1 << v for v in range(m.n)]
-    for (i, j) in m.arrows:
-        reach[j] |= 1 << i
-    for k, rk in enumerate(reach):
-        bit = 1 << k
-        if rk != bit:                       # k forces something besides k
-            for v, r in enumerate(reach):
-                if r & bit:
-                    reach[v] = r | rk
     weight: dict[int, int] = {}             # reach -> sum of nums over its class
-    for r, x in zip(reach, nums):
+    for r, x in zip(_reach(m.n, m.arrows), nums):
         weight[r] = weight.get(r, 0) + x
     masks, sums, done = [0], [0], 0
     for r in sorted(weight):
@@ -192,6 +186,18 @@ def _closed_sets(m: DecomposableHiggsModel, nums: Sequence[int]
                 masks.append(c | members)
                 sums.append(sums[t] + x)
     return masks, sums
+
+
+def _closed_table(m: DecomposableHiggsModel
+                  ) -> tuple[int, list[int], list[int], list[int]]:
+    """(den, nums, masks, sums): the summands' pardegs over their common
+    denominator, and the closed sets with their sums of nums.  Ranks above
+    MAX_VERDICT_RANK are refused first, with rank_too_large."""
+    _check_rank(m, MAX_VERDICT_RANK)
+    pds = m.pardegs()
+    den = lcm(*(p.denominator for p in pds))
+    nums = [p.numerator * (den // p.denominator) for p in pds]
+    return (den, nums, *_closed_sets(m, nums))
 
 
 def _mask_tuple(mask: int) -> tuple[int, ...]:
@@ -243,23 +249,6 @@ class StabilityReport:
     slope: Fraction
 
 
-def _undirected_components(n: int, arrows: frozenset[Arrow]) -> list[tuple[int, ...]]:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (i, j) in arrows:
-        parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for k in range(n):
-        comps.setdefault(find(k), []).append(k)
-    return [tuple(sorted(v)) for v in sorted(comps.values())]
-
-
 def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     """Slope verdict over the invariant coordinate subbundles.
 
@@ -274,9 +263,7 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     if m.n == 0:
         raise DomainError("empty_model")
     n = m.n
-    _check_rank(m, MAX_VERDICT_RANK)
-    den, nums = _scaled_pardegs(m)
-    masks, sums = _closed_sets(m, nums)
+    den, nums, masks, sums = _closed_table(m)
     total = sums[-1]
     mu = Fraction(total, den * n)
     # Slopes compared by cross-multiplying.  best: the first maximizer above
@@ -296,13 +283,13 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     if not ties:
         return StabilityReport("stable", None, mu)
     # Nothing beats mu, so a tie meets each component in a closed set of
-    # slope mu; a piece is stable alone iff no tie cuts it properly.  Each
-    # component is a union of arrow classes, so closed itself.
-    comps = _undirected_components(n, m.arrows)
-    if len(comps) > 1 and all(
-            sum(nums[k] for k in c) * n == total * len(c) for c in comps):
-        cmasks = [sum(1 << k for k in c) for c in comps]
-        if all(t & c in (0, c) for t in ties for c in cmasks):
+    # slope mu; a piece is stable alone iff no tie cuts it properly.  The
+    # undirected components are the reach classes of the arrows taken both
+    # ways; each is a union of arrow classes, so closed itself.
+    comps = set(_reach(n, m.arrows | {(j, i) for (i, j) in m.arrows}))
+    if len(comps) > 1 and all(n * sum(nums[k] for k in _mask_tuple(c))
+                              == total * c.bit_count() for c in comps):
+        if all(t & c in (0, c) for t in ties for c in comps):
             return StabilityReport("polystable", None, mu)
     tie = reduce(lambda a, b: b if _lex_before(b, a) else a, ties)
     return StabilityReport("strictly_semistable", _mask_tuple(tie), mu)
@@ -437,9 +424,7 @@ def alpha_stability_check_gl(m: DecomposableHiggsModel, alpha: Fraction
     Returns (ok, failing subset or None).
     """
     alpha = Fraction(alpha)
-    _check_rank(m, MAX_VERDICT_RANK)
-    den, nums = _scaled_pardegs(m)
-    masks, sums = _closed_sets(m, nums)
+    den, _, masks, sums = _closed_table(m)
     total = sums[-1]
     # sp_filtration_degree(m, [S, full], (0, 1), 0) = pardeg E - pardeg W_S,
     # so the test reads (total - sum over S) / den >= alpha (n - |S|)

@@ -27,7 +27,7 @@ class MarkedPoint:
     order: int = 2
 
     def __post_init__(self):
-        if self.order < 1:
+        if type(self.order) is not int or self.order < 1:
             raise DomainError("bad_isotropy_order", label=self.label, order=self.order)
 
 
@@ -44,7 +44,7 @@ class MarkedSurface:
     points: tuple[MarkedPoint, ...] = ()
 
     def __post_init__(self):
-        if self.genus < 0:
+        if type(self.genus) is not int or self.genus < 0:
             raise DomainError("bad_genus", genus=self.genus)
         labels = [p.label for p in self.points]
         label_set = frozenset(labels)

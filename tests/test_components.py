@@ -57,6 +57,11 @@ def test_group_descriptor_validation():
         GroupDescriptor("E7minus25", n=2)
     with pytest.raises(DomainError):
         GroupDescriptor("Spin7")
+    for make in (sp2nr, sunn, so_star_2n, so0_2n):
+        for n in (True, 2.0, 4.0):
+            with pytest.raises(DomainError) as e:
+                make(n)
+            assert e.value.code == "group_needs_rank"
     assert sp2nr(1).display() == "Sp(2,R)=SL(2,R)"
     assert sp2nr(2).display() == "Sp(4,R)"
     assert sunn(3).display() == "SU(3,3)"
@@ -195,6 +200,7 @@ def test_enumeration_tuple_shapes():
     (2, 2, 0, MAX, {"error": "needs_marked_points", "g": 2, "s": 0}),
     (2, 2, 1, CountMode("nonparabolic_kd_twisted_s1"),
      {"error": "mode_not_enumerable", "variant": "nonparabolic_kd_twisted_s1"}),
+    (True, 2, 1, MAX, {"error": "group_needs_rank", "family": "Sp2nR"}),
 ])
 def test_enumeration_refusals_in_order(n, g, s, mode, payload):
     # the rank is checked by the group descriptor, before the surface

@@ -43,6 +43,7 @@ from parhiggs.stability import (
     sp_filtration_degree,
 )
 from parhiggs.surface import MarkedPoint, MarkedSurface, standard_surface
+from parhiggs.vcoh import MVPieces, mv_ranks, v_cohomology_ranks
 
 HYPERBOLIC = [(g, s) for g in range(5) for s in range(1, 5)
               if 2 * g - 2 + s > 0]
@@ -144,6 +145,24 @@ def test_square_root_list_matches_square_root_types(oracles):
                     assert got == types, (g, d, residues)
                     assert fam.torsion_multiplicity == mult
                     assert bool(types) == (not any(residues))
+
+
+def test_mv_order2_matches_v_cohomology_ranks(oracles):
+    for g, s in HYPERBOLIC:
+        ranks, provenance = v_cohomology_ranks(g, s, "order2")
+        assert provenance == "computed"
+        assert ranks.astuple() == oracles.mv_order2(g, s), (g, s)
+
+
+def test_mv_h_matches_mv_ranks(oracles):
+    rng = random.Random(1865)
+    for _ in range(300):
+        v1, v2, inter = ([rng.randint(0, 6) for _ in range(3)] for _ in range(3))
+        a = [x + y for x, y in zip(v1, v2)]
+        inter[2] = min(inter[2], a[2])      # the top restriction is onto
+        rho = [rng.randint(0, min(a[i], inter[i])) for i in range(2)] + [inter[2]]
+        pieces = MVPieces(tuple(v1), tuple(v2), tuple(inter), tuple(rho))
+        assert mv_ranks(pieces).astuple() == oracles.mv_h(a, inter, rho), pieces
 
 
 def test_table_cells_match_emit_tables(oracles):

@@ -63,6 +63,14 @@ def test_vline_degree_validation():
         vline_degree(VLineBundle(0, {"x1": 2}), surf)   # order is 2
 
 
+@pytest.mark.parametrize("residue", [1.7, "a", True, F(1), 1.0, None])
+def test_isotropy_residue_must_be_an_int(residue):
+    with pytest.raises(DomainError) as e:
+        VLineBundle(0, {"x0": 0, "x1": residue})
+    assert e.value.payload() == {"error": "bad_isotropy", "label": "x1",
+                                 "residue": residue}
+
+
 def test_vline_tensor_wrap_rule():
     surf = standard_surface(0, 1)
     one = VLineBundle(0, {"x1": 1})

@@ -138,6 +138,13 @@ def test_par_tensor_line_of_rank_zero_bundle_is_unchanged():
         assert pardeg(t, surf) == pardeg(b, surf) + b.rank * pardeg(l, surf)
 
 
+def test_rank_zero_bundle_has_no_flag():
+    with pytest.raises(DomainError) as e:
+        ParabolicBundle(0, 0).flag("x1")
+    assert e.value.payload() == {"error": "rank_zero_has_no_flag", "label": "x1"}
+    assert ParabolicBundle(1, 0).flag("x1") == trivial_flag(1)
+
+
 def test_json_round_trips():
     surf = standard_surface(1, 2)
     rng = random.Random(31)

@@ -5,8 +5,9 @@ a caller in the program: the package itself (outside the name's own
 definition and the ``__all__`` list), the demos, the benchmark or the
 acceptance tests.  So does every method and property of a public class,
 read as an attribute anywhere in those files.  A name kept for another
-reason says why in a docstring line that begins ``Kept:``.  README's layout
-table lists each module.
+reason says why in a docstring line that begins ``Kept:``.  Every private
+module-level name is read in the package outside its own definition.
+README's layout table lists each module.
 """
 
 import ast
@@ -128,6 +129,19 @@ def test_public_class_member_has_a_caller(mod, cls, fn):
         return
     pytest.fail(f"{mod}.{cls}.{fn.name} has no caller in the program "
                 "and no Kept: line")
+
+
+def test_private_module_name_is_read_in_the_package():
+    unread = []
+    for mod, tree in TREES.items():
+        for name, node in _definitions(tree).items():
+            if not name.startswith("_") or (name.startswith("__")
+                                            and name.endswith("__")):
+                continue
+            if not any(name in _referenced(other, (node,) if other is tree else ())
+                       for other in TREES.values()):
+                unread.append(f"{mod}.{name}")
+    assert unread == []
 
 
 def test_readme_layout_table_lists_every_module():

@@ -355,8 +355,7 @@ def test_closed_sets_are_the_oracle_closures_with_their_sums(oracles):
         m = DecomposableHiggsModel(
             surf, tuple(rand_line(rng, surf.labels()) for _ in range(n)),
             frozenset(arrows))
-        den, nums = stability._scaled_pardegs(m)
-        masks, sums = stability._closed_sets(m, nums)
+        den, nums, masks, sums = stability._closed_table(m)
         full = (1 << n) - 1
         assert masks[0] == 0 and masks[-1] == full
         assert len(set(masks)) == len(masks) == len(sums)

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -60,6 +61,27 @@ def test_surface_validation():
         MarkedSurface(1, (MarkedPoint("x"), MarkedPoint("x")))
     with pytest.raises(DomainError):
         MarkedPoint("x", 0)
+
+
+@pytest.mark.parametrize("call,payload", [
+    (lambda: standard_surface(1.5, 1), {"error": "bad_genus", "genus": 1.5}),
+    (lambda: standard_surface(True, 1), {"error": "bad_genus", "genus": True}),
+    (lambda: MarkedSurface(2.0), {"error": "bad_genus", "genus": 2.0}),
+    (lambda: MarkedSurface(Fraction(2)), {"error": "bad_genus", "genus": 2}),
+    (lambda: milnor_wood_bound(2, 1.5, 1), {"error": "bad_genus", "genus": 1.5}),
+    (lambda: dim_parabolic_gl(2, 1.5, 1), {"error": "bad_genus", "genus": 1.5}),
+    (lambda: MarkedPoint("x1", 2.5),
+     {"error": "bad_isotropy_order", "label": "x1", "order": 2.5}),
+    (lambda: MarkedPoint("x1", True),
+     {"error": "bad_isotropy_order", "label": "x1", "order": True}),
+    (lambda: MarkedPoint("x1", Fraction(3)),
+     {"error": "bad_isotropy_order", "label": "x1", "order": 3}),
+], ids=["std-1.5", "std-True", "surface-2.0", "surface-Fraction",
+        "mw-1.5", "dim-1.5", "order-2.5", "order-True", "order-Fraction"])
+def test_genus_and_order_must_be_ints(call, payload):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.payload() == payload
 
 
 def test_surface_json_round_trip():
@@ -132,5 +154,5 @@ def test_standard_surface_cache_matches_the_plain_function():
                 assert first[1].labels() == want[1].labels()
     # keyed by type too: True is not read back as the cached genus 1
     standard_surface(1, 1)
-    assert repr(standard_surface(True, 1)) == repr(plain(True, 1))
+    assert _outcome(standard_surface, True, 1) == _outcome(plain, True, 1)
     assert standard_surface.cache_info().maxsize == 128

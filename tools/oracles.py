@@ -323,11 +323,18 @@ def mv_h(a, b, rho):
     return (h0, h1, h2)
 
 
+def mv_order2(g: int, s: int) -> tuple[int, int, int]:
+    """The surface with s order-2 points: the punctured surface
+    (1, 2g+s-1, 0) and s disk quotients (1, 1, 1) glued along s circles
+    (1, 1, 0), every restriction onto the circles."""
+    a = (1 + s, 2 * g + s - 1 + s, s)
+    b = (s, s, 0)
+    return mv_h(a, b, (s, s, 0))
+
+
 def section_mv():
     for (g, s) in [(2, 3), (1, 1), (3, 6)]:
-        a = (1 + s, 2 * g + s - 1 + s, s)
-        b = (s, s, 0)
-        print(f"MV order2 g={g} s={s}:", mv_h(a, b, (s, s, 0)))
+        print(f"MV order2 g={g} s={s}:", mv_order2(g, s))
     print("MV sphere:", mv_h((2, 0, 0), (1, 1, 0), (1, 0, 0)))
 
 
