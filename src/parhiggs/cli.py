@@ -20,11 +20,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .codec import JsonShapeError, from_json, to_json
-from .exact_core import DomainError, rational_sum
+from .exact_core import DomainError, frozen_value, rational_sum
 from .surface import (
     MarkedPoint,
     MarkedSurface,
@@ -41,7 +40,7 @@ __all__ = ["main"]
 DEFAULT_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
+@frozen_value
 class CommandOutput:
     """A handler's result; markdown and csv render on demand, so only the
     format asked for is built."""

@@ -1,19 +1,19 @@
 """The JSON form of every payload and every JSON input.
 
 Writing: a Fraction becomes "p/q" (or "n"), a set a sorted list, a tuple or
-list a list, a mapping its items sorted by key, and a dataclass its fields,
-six of them under a shorter key (``_KEYS``).  Reading is driven by the
-dataclass field types and refuses what JSON would only coerce: integers must
-be JSON integers, strings JSON strings, rationals "p/q" strings or integers.
-A key may be missing only where its field has a default; unknown keys are
-refused.  The three shapes the fields cannot give are in ``_dataclass_json``.
+list a list, a mapping its items sorted by key, and a value class
+(``exact_core.frozen_value``) its fields, six of them under a shorter key
+(``_KEYS``).  Reading is driven by the value class's field types and refuses
+what JSON would only coerce: integers must be JSON integers, strings JSON
+strings, rationals "p/q" strings or integers.  A key may be missing only
+where its field has a default; unknown keys are refused.  The three shapes
+the fields cannot give are in ``_value_json``.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
 from functools import cache
 from types import UnionType
@@ -52,17 +52,17 @@ def to_json(value):
         return [to_json(v) for v in value]
     if isinstance(value, Mapping):
         return {k: to_json(v) for k, v in sorted(value.items())}
-    if is_dataclass(value):
-        return _dataclass_json(value)
+    if hasattr(value, "_value_fields"):
+        return _value_json(value)
     return value
 
 
 @cache
 def _field_keys(cls: type) -> tuple[tuple[str, str], ...]:
-    return tuple((f.name, _KEYS.get(f.name, f.name)) for f in fields(cls))
+    return tuple((name, _KEYS.get(name, name)) for name, _ in cls._value_fields)
 
 
-def _dataclass_json(value) -> dict:
+def _value_json(value) -> dict:
     obj = {key: to_json(getattr(value, name))
            for name, key in _field_keys(type(value))}
     # The three shapes are components classes, looked up rather than
@@ -117,8 +117,8 @@ def decoder(tp):
     ``from_json(tp, obj)``, for callers that read many values of one type."""
     if tp in _SCALARS:
         return _SCALARS[tp]
-    if is_dataclass(tp):
-        return _dataclass_decoder(tp)
+    if hasattr(tp, "_value_fields"):
+        return _value_decoder(tp)
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType and len(args) == 2 and args[1] is type(None):
         inner = decoder(args[0])
@@ -143,11 +143,10 @@ def decoder(tp):
     raise TypeError(f"no JSON form for {tp!r}")
 
 
-def _dataclass_decoder(cls):
+def _value_decoder(cls):
     hints = get_type_hints(cls)
-    plan = tuple((f.name, _KEYS.get(f.name, f.name), decoder(hints[f.name]),
-                  f.default is MISSING and f.default_factory is MISSING)
-                 for f in fields(cls) if f.init)
+    plan = tuple((name, _KEYS.get(name, name), decoder(hints[name]), required)
+                 for name, required in cls._value_fields)
     known = ", ".join(sorted(key for _, key, _, _ in plan))
 
     def decode(obj):

@@ -25,11 +25,10 @@ Modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .exact_core import DomainError, all_bits, check_cap
+from .exact_core import DomainError, all_bits, check_cap, frozen_value
 from .surface import require_hyperbolic, standard_surface
 
 __all__ = [
@@ -65,7 +64,7 @@ __all__ = [
 _FAMILIES = ("Sp2nR", "SUnn", "SOstar2n", "SO0_2n", "E7minus25", "split")
 
 
-@dataclass(frozen=True)
+@frozen_value
 class GroupDescriptor:
     """A real Lie group of Hermitian (or split) type, by family and rank tag.
 
@@ -160,7 +159,7 @@ _VARIANTS = (
 )
 
 
-@dataclass(frozen=True)
+@frozen_value
 class CountMode:
     """Which moduli space is being counted.
 
@@ -216,7 +215,7 @@ _TUPLE_SHAPES = {
 _TUPLE_KINDS = tuple(_TUPLE_SHAPES)  # an unhashable kind is refused too
 
 
-@dataclass(frozen=True)
+@frozen_value
 class InvariantTuple:
     """One topological invariant value, tagged by kind.
 
@@ -260,14 +259,14 @@ class InvariantTuple:
 # reports
 
 
-@dataclass(frozen=True)
+@frozen_value
 class CaseCount:
     label: str
     enumerated: int
     closed_form: int
 
 
-@dataclass(frozen=True)
+@frozen_value
 class ComponentCountReport:
     """Per-case component counts with the closed-form cross-check.
 
@@ -627,14 +626,14 @@ def strubel_count(g: int, m: int) -> int:
 # tables
 
 
-@dataclass(frozen=True)
+@frozen_value
 class TableRow:
     label: str
     count: str
     teichmuller: str
 
 
-@dataclass(frozen=True)
+@frozen_value
 class ComponentTable:
     title: str
     rows: tuple[TableRow, ...]
@@ -710,7 +709,7 @@ def tables_markdown(tables: tuple[ComponentTable, ...], g: int, s: int) -> str:
 # single-puncture reduction report
 
 
-@dataclass(frozen=True)
+@frozen_value
 class S1ReductionReport:
     """Comparison of the parabolic s=1 count with the closed-surface counts.
 

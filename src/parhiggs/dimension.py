@@ -13,10 +13,9 @@ replaced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
-from .exact_core import DomainError
+from .exact_core import DomainError, frozen_value
 from .surface import h0_twisted_power, require_hyperbolic, standard_surface
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
 # Lie data
 
 
-@dataclass(frozen=True)
+@frozen_value
 class LieGroupData:
     """Dimension, rank and exponents of a real (or complexified) Lie group.
 
@@ -120,7 +119,12 @@ def lie_catalog(name: str) -> LieGroupData:
 
 
 def complex_group_data(name: str, complex_dimension: int) -> LieGroupData:
-    """A complex group viewed as a real group (dim_R = 2 dim_C)."""
+    """A complex group viewed as a real group (dim_R = 2 dim_C).
+
+    A complex dimension that is not an int (a bool included) is refused
+    here; one below 1 is refused by LieGroupData, both as bad_lie_data."""
+    if type(complex_dimension) is not int:
+        raise DomainError("bad_lie_data", name=name)
     return LieGroupData(name=name, real_dimension=2 * complex_dimension,
                         rank=0, exponents=(), is_split=False,
                         is_hermitian_tube=False, is_complex=True)
@@ -130,14 +134,14 @@ def complex_group_data(name: str, complex_dimension: int) -> LieGroupData:
 # reports
 
 
-@dataclass(frozen=True)
+@frozen_value
 class DimSummand:
     label: str
     complex_dim: int | None
     real_dim: int
 
 
-@dataclass(frozen=True)
+@frozen_value
 class DimReport:
     """Moduli dimension with a per-summand breakdown.
 

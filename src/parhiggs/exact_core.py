@@ -1,4 +1,5 @@
-"""Exact rational arithmetic shared by every module.
+"""Exact rational arithmetic and the frozen value classes shared by every
+module.
 
 No floating point anywhere: weights and degrees are `fractions.Fraction`.
 """
@@ -12,6 +13,9 @@ from typing import Iterable
 
 __all__ = [
     "DomainError",
+    "FrozenFieldError",
+    "NEW_DICT",
+    "frozen_value",
     "check_cap",
     "all_bits",
     "rational_sum",
@@ -32,6 +36,82 @@ class DomainError(ValueError):
         out: dict = {"error": self.code}
         out.update(self.info)
         return out
+
+
+class FrozenFieldError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a frozen value."""
+
+
+# A field default: each instance gets a new empty dict.
+NEW_DICT = object()
+
+
+def _refuse_assignment(self, name, value):
+    raise FrozenFieldError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenFieldError(f"cannot delete field {name!r}")
+
+
+def _field_values(value) -> tuple:
+    return tuple([getattr(value, name) for name, _ in value._value_fields])
+
+
+def _value_repr(self) -> str:
+    inner = ", ".join(f"{name}={getattr(self, name)!r}"
+                      for name, _ in self._value_fields)
+    return f"{type(self).__qualname__}({inner})"
+
+
+def _value_eq(self, other):
+    if other.__class__ is self.__class__:
+        return _field_values(self) == _field_values(other)
+    return NotImplemented
+
+
+def _value_hash(self) -> int:
+    return hash(_field_values(self))
+
+
+def frozen_value(cls: type) -> type:
+    """Make ``cls`` a frozen value class over its annotated fields, in order.
+
+    This is the standard library's frozen dataclass, cut down to what the
+    value classes use, without its module, which loads ``inspect``, ``ast``
+    and ``dis`` into every process that imports it:
+    - ``__init__`` takes the fields in order, a field with a class-level
+      default as an optional argument (``NEW_DICT``: a new empty dict per
+      instance), and ends by calling ``__post_init__`` where there is one;
+    - the repr is ``Name(field=value, ...)``; equality holds between values
+      of one class with equal field tuples, and the hash is that tuple's;
+    - assigning or deleting an attribute raises FrozenFieldError.
+    ``cls._value_fields`` lists the fields as (name, required) pairs.  A
+    class may declare ``__slots__`` naming its fields.
+    """
+    slots = cls.__dict__.get("__slots__", ())
+    env = {"_set": object.__setattr__, "_NEW_DICT": NEW_DICT}
+    params, body, fields = [], [], []
+    for name in cls.__annotations__:
+        required = name in slots or name not in cls.__dict__
+        param = value = name
+        if not required:
+            env[f"_d_{name}"] = default = cls.__dict__[name]
+            param = f"{name}=_d_{name}"
+            if default is NEW_DICT:
+                delattr(cls, name)
+                value = f"{{}} if {name} is _NEW_DICT else {name}"
+        params.append(param)
+        body.append(f"    _set(self, {name!r}, {value})\n")
+        fields.append((name, required))
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
+    cls.__init__ = env["__init__"]
+    cls._value_fields = tuple(fields)
+    cls.__repr__, cls.__eq__, cls.__hash__ = _value_repr, _value_eq, _value_hash
+    cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
+    return cls
 
 
 def check_cap(needed: int, cap: int | None) -> None:

@@ -17,12 +17,12 @@ make them, and every Laurent matrix gets its frame checked by _check_frame.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .codec import JsonShapeError, decoder
-from .exact_core import DomainError, all_bits, check_cap, rat_from_str, rational_sum
+from .exact_core import (DomainError, NEW_DICT, all_bits, check_cap, frozen_value,
+                         rat_from_str, rational_sum)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -53,12 +53,12 @@ __all__ = [
 
 # ----------------------------------------------------- Seifert arithmetic ----
 
-@dataclass(frozen=True)
+@frozen_value
 class VLineBundle:
     """Seifert data: desingularized degree plus isotropy residues per point."""
 
     desing_degree: int
-    isotropy: Mapping[str, int] = field(default_factory=dict)
+    isotropy: Mapping[str, int] = NEW_DICT
 
     def __post_init__(self):
         clean = {}
@@ -112,7 +112,7 @@ def vline_tensor(a: VLineBundle, b: VLineBundle, surf: MarkedSurface) -> VLineBu
     return VLineBundle(desing, iso)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class SquareRootFamily:
     """Square-root isotropy types plus the symbolic torsion multiplicity.
 
@@ -161,7 +161,7 @@ def square_root_types(l: VLineBundle, surf: MarkedSurface) -> SquareRootFamily:
 
 # ------------------------------------------------------------ characters ----
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Z2Character:
     """Additive Z2 character: values on a_1,b_1,..,a_g,b_g and on sigma_1..s.
 
@@ -171,6 +171,7 @@ class Z2Character:
     (slotted, so an enumeration's characters are small and quick to make).
     """
 
+    __slots__ = ("ab", "sigma")
     ab: tuple[int, ...]
     sigma: tuple[int, ...]
 
@@ -216,7 +217,7 @@ def z2_character_enumerate(surf: MarkedSurface, cap: int | None = None
     return out
 
 
-@dataclass(frozen=True)
+@frozen_value
 class PicVStructure:
     """Topological Picard group: desingularized Picard plus one Z_k per point."""
 
@@ -268,7 +269,7 @@ def parabolic_line_to_vline(line: ParabolicLineBundle, surf: MarkedSurface
 
 # ------------------------------------------------- local Higgs dictionary ----
 
-@dataclass(frozen=True)
+@frozen_value
 class LocalChart:
     """Cyclic order m (an int >= 1) with a good (nondecreasing) exponent
     tuple, 0<=k_i<=m."""
@@ -313,7 +314,7 @@ def _clean_terms(terms) -> tuple[Term, ...]:
     return tuple(sorted([t for t in acc.items() if t[1]]))
 
 
-@dataclass(frozen=True)
+@frozen_value
 class LaurentMatrix:
     """Square matrix of truncated Laurent polynomials in a window, with form
     dw/w (weighted side) or dz/z (upstairs).  Entries are checked, not rebuilt:

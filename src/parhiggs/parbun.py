@@ -6,12 +6,11 @@ vector bundle or to the single fiber line of a parabolic line bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .exact_core import DomainError, rational_sum
+from .exact_core import DomainError, NEW_DICT, frozen_value, rational_sum
 from .surface import MarkedSurface
 
 __all__ = [
@@ -34,7 +33,7 @@ def _check_weight(w: Fraction) -> Fraction:
     return w
 
 
-@dataclass(frozen=True)
+@frozen_value
 class ParabolicFlag:
     """Weighted flag data at one point: multiplicities k_i, weights a_1 < ... < a_r."""
 
@@ -63,7 +62,7 @@ def trivial_flag(rank: int) -> ParabolicFlag:
     return ParabolicFlag((rank,), (Fraction(0),))
 
 
-@dataclass(frozen=True)
+@frozen_value
 class ParabolicLineBundle:
     """Line bundle with one weight in [0,1) per marked point (missing = 0).
 
@@ -73,7 +72,7 @@ class ParabolicLineBundle:
     """
 
     degree: int
-    weight_at: Mapping[str, Fraction] = field(default_factory=dict)
+    weight_at: Mapping[str, Fraction] = NEW_DICT
 
     def __post_init__(self):
         # rational_sum's loop, fused with the weight check: a second pass
@@ -92,13 +91,13 @@ class ParabolicLineBundle:
         return self.weight_at.get(label, Fraction(0))
 
 
-@dataclass(frozen=True)
+@frozen_value
 class ParabolicBundle:
     """Rank-n bundle with a weighted flag over each marked point."""
 
     rank: int
     degree: int
-    flag_at: Mapping[str, ParabolicFlag] = field(default_factory=dict)
+    flag_at: Mapping[str, ParabolicFlag] = NEW_DICT
 
     def __post_init__(self):
         if self.rank < 0:

@@ -14,14 +14,13 @@ bounds, and the Hitchin-family builders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
 from typing import Iterable, Sequence
 
 from .codec import from_json
-from .exact_core import DomainError, rational_sum
+from .exact_core import DomainError, frozen_value, rational_sum
 from .parbun import ParabolicLineBundle, par_dual, pardeg
 from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface
 
@@ -49,7 +48,7 @@ __all__ = [
 Arrow = tuple[int, int]   # (dst, src)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class DecomposableHiggsModel:
     surface: MarkedSurface
     summands: tuple[ParabolicLineBundle, ...]
@@ -77,7 +76,7 @@ class DecomposableHiggsModel:
         return rational_sum([pd[i] for i in subset])
 
 
-@dataclass(frozen=True)
+@frozen_value
 class SpTripleModel:
     """Sp(2n,R) data: summand list of V plus symmetric beta/gamma supports.
 
@@ -242,7 +241,7 @@ def arrow_feasibility_violations(m: DecomposableHiggsModel) -> list[Arrow]:
     return sorted((i, j) for (i, j) in m.arrows if pd[i] + kd - pd[j] < 0)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class StabilityReport:
     verdict: str                      # stable | strictly_semistable | unstable | polystable
     witness: tuple[int, ...] | None
@@ -305,9 +304,12 @@ def toledo(m: SpTripleModel) -> Fraction:
 def milnor_wood_bound(n: int, g: int, s: int) -> Fraction:
     """n(g - 1 + s/2), the sharp bound for semistable symplectic models.
 
-    A negative rank is refused (negative_rank) before the surface is checked;
-    n = 0, the empty triple, has bound 0.
+    A rank that is not an int (bad_rank) or is negative (negative_rank) is
+    refused before the surface is checked; n = 0, the empty triple, has
+    bound 0.
     """
+    if type(n) is not int:
+        raise DomainError("bad_rank", n=n)
     if n < 0:
         raise DomainError("negative_rank", n=n)
     require_hyperbolic(standard_surface(g, s))
@@ -342,7 +344,7 @@ def hitchin_model(k: int, g: int, s: int) -> DecomposableHiggsModel:
     at each point for k even and weight 0 for k odd; arrows are the
     superdiagonal constants plus the bottom-row differentials a_2..a_k.
     """
-    if k < 2:
+    if type(k) is not int or k < 2:
         raise DomainError("bad_hitchin_rank", k=k)
     surf = require_hyperbolic(standard_surface(g, s))
     deg_a = -(g - 1) - s
@@ -366,7 +368,7 @@ def hitchin_sp_triple(k: int, g: int, s: int) -> SpTripleModel:
     superdiagonal arrows and the even-index bottom differentials, each
     symmetrized into the beta/gamma supports.
     """
-    if k < 2 or k % 2:
+    if type(k) is not int or k < 2 or k % 2:
         raise DomainError("bad_sp_hitchin_rank", k=k)
     base = hitchin_model(k, g, s)
     v_idx = list(range(k - 1, 0, -2))           # V_t = summand k-1-2t

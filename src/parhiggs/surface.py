@@ -6,10 +6,9 @@ Teichmüller-dimension formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact_core import DomainError
+from .exact_core import DomainError, frozen_value
 
 __all__ = [
     "MarkedPoint",
@@ -21,7 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen_value
 class MarkedPoint:
     label: str
     order: int = 2
@@ -31,7 +30,7 @@ class MarkedPoint:
             raise DomainError("bad_isotropy_order", label=self.label, order=self.order)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class MarkedSurface:
     """A compact genus-g surface with a reduced divisor of marked points.
 
@@ -68,12 +67,13 @@ class MarkedSurface:
 def standard_surface(genus: int, s: int) -> MarkedSurface:
     """Surface with points labelled x1..xs, each of isotropy order 2.
 
-    A negative s is refused (bad_marked_points) rather than read as no points.
+    An s that is not an int (a bool included) or is negative is refused
+    (bad_marked_points) rather than read as a number of points.
     The last 128 surfaces are kept, keyed by the arguments and their types,
     and a repeated request returns the same frozen surface.  A refusal is not
     kept: it is raised again on every call.
     """
-    if s < 0:
+    if type(s) is not int or s < 0:
         raise DomainError("bad_marked_points", s=s)
     return MarkedSurface(genus, tuple(MarkedPoint(f"x{i+1}") for i in range(s)))
 

@@ -7,9 +7,7 @@ auditable instances of one calculation rather than three hard-coded triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact_core import DomainError
+from .exact_core import DomainError, frozen_value
 
 __all__ = [
     "VCohRanks",
@@ -24,7 +22,7 @@ Triple = tuple[int, int, int]
 MODES = ("order2", "punctured", "odd_order")
 
 
-@dataclass(frozen=True)
+@frozen_value
 class VCohRanks:
     h0: int
     h1: int
@@ -48,7 +46,7 @@ def _triple(name, t) -> Triple:
     return t
 
 
-@dataclass(frozen=True)
+@frozen_value
 class MVPieces:
     """Ranks of H^i (i=0,1,2) of the two pieces and their intersection, plus
     the ranks of the three restriction maps H^i(V1)+H^i(V2) -> H^i(inter)."""

@@ -2,9 +2,10 @@
 
 ``import parhiggs.cli`` loads only what every subcommand needs; each handler
 imports its calculator module when it runs, and the parser gives arguments
-only to the subcommand named on the command line.  These tests pin the
-import graph and check that a ``python -m parhiggs.cli`` child prints what
-in-process ``main`` prints, for every subcommand and its help.
+only to the subcommand named on the command line.  No module of the package
+loads ``dataclasses`` or ``inspect``.  These tests pin the import graph and
+check that a ``python -m parhiggs.cli`` child prints what in-process
+``main`` prints, for every subcommand and its help.
 """
 
 import json
@@ -34,6 +35,11 @@ LOADED = ("import json, sys\n"
 def _child(args):
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=60, env=CHILD_ENV)
+
+
+# standard modules that no child needs: dataclasses loads inspect, which
+# loads ast, dis and tokenize
+UNNEEDED = ("dataclasses", "inspect")
 
 
 def _loaded_after(code: str) -> set[str]:
@@ -67,6 +73,16 @@ def test_pardeg_loads_no_other_calculator():
     assert not loaded & {"parhiggs.stability", "parhiggs.components",
                          "parhiggs.orbifold", "parhiggs.dimension",
                          "parhiggs.vcoh"}
+
+
+def test_no_library_module_loads_dataclasses_or_inspect():
+    modules = sorted(f"parhiggs.{p.stem}" for p in
+                     (REPO_ROOT / "src" / "parhiggs").glob("*.py")
+                     if p.stem != "__init__")
+    assert len(modules) == 10
+    proc = _child(["-c", f"import sys, {', '.join(modules)}\n"
+                         f"print([m for m in {UNNEEDED!r} if m in sys.modules])"])
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 # --------------------------------------------------- child vs in-process ----
@@ -128,6 +144,16 @@ def test_every_subcommand_has_one_parity_argv(capsys):
     listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
     assert [argv[0] for argv in ONE_ARGV_PER_SUBCOMMAND] == \
         list(SUBCOMMAND_FLAGS) == listed.split(",")
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect():
+    proc = _child(["-c", "import contextlib, io, sys\n"
+                         "from parhiggs.cli import main\n"
+                         f"for argv in {ONE_ARGV_PER_SUBCOMMAND!r}:\n"
+                         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "        assert main(argv) == 0, argv\n"
+                         f"print([m for m in {UNNEEDED!r} if m in sys.modules])"])
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 @pytest.mark.parametrize("argv,want_code", PARITY_CASES)

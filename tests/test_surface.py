@@ -1,4 +1,3 @@
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from parhiggs.dimension import (
     teichmuller_dimension,
 )
 from parhiggs.exact_core import DomainError
-from parhiggs.stability import hitchin_model, milnor_wood_bound
+from parhiggs.stability import hitchin_model, hitchin_sp_triple, milnor_wood_bound
 from parhiggs.surface import (
     MarkedPoint,
     MarkedSurface,
@@ -84,6 +83,25 @@ def test_genus_and_order_must_be_ints(call, payload):
     assert err.value.payload() == payload
 
 
+@pytest.mark.parametrize("call,payload", [
+    (lambda: standard_surface(1, 1.5), {"error": "bad_marked_points", "s": 1.5}),
+    (lambda: standard_surface(1, True), {"error": "bad_marked_points", "s": True}),
+    (lambda: hitchin_model(2.5, 2, 1), {"error": "bad_hitchin_rank", "k": 2.5}),
+    (lambda: hitchin_model(3.0, 2, 1), {"error": "bad_hitchin_rank", "k": 3.0}),
+    (lambda: hitchin_sp_triple(4.0, 2, 1),
+     {"error": "bad_sp_hitchin_rank", "k": 4.0}),
+    (lambda: milnor_wood_bound(1.5, 2, 1), {"error": "bad_rank", "n": 1.5}),
+    (lambda: milnor_wood_bound(True, 2, 1), {"error": "bad_rank", "n": True}),
+    (lambda: complex_group_data("G", 1.0), {"error": "bad_lie_data", "name": "G"}),
+    (lambda: complex_group_data("G", True), {"error": "bad_lie_data", "name": "G"}),
+], ids=["std-s-1.5", "std-s-True", "hitchin-2.5", "hitchin-3.0", "sp-hitchin-4.0",
+        "mw-n-1.5", "mw-n-True", "complex-1.0", "complex-True"])
+def test_point_counts_and_ranks_must_be_ints(call, payload):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.payload() == payload
+
+
 def test_surface_json_round_trip():
     surf = MarkedSurface(2, (MarkedPoint("p", 2), MarkedPoint("q", 3)))
     assert from_json(MarkedSurface, to_json(surf)) == surf
@@ -120,7 +138,7 @@ def test_stored_labels_are_outside_equality_hash_repr_and_json():
     assert surf.labels() == ("p", "q")
     assert surf.labels() is surf.labels()
     assert surf._label_set == frozenset({"p", "q"})
-    assert [f.name for f in fields(surf)] == ["genus", "points"]
+    assert [name for name, _ in surf._value_fields] == ["genus", "points"]
     assert surf == same and hash(surf) == hash(same)
     assert repr(surf) == repr(same) == (
         "MarkedSurface(genus=2, points=(MarkedPoint(label='p', order=2), "
