@@ -16,6 +16,7 @@ __all__ = [
     "FrozenFieldError",
     "NEW_DICT",
     "frozen_value",
+    "trusted_value",
     "check_cap",
     "all_bits",
     "rational_sum",
@@ -112,6 +113,17 @@ def frozen_value(cls: type) -> type:
     cls.__repr__, cls.__eq__, cls.__hash__ = _value_repr, _value_eq, _value_hash
     cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
     return cls
+
+
+def trusted_value(cls: type, /, **attrs):
+    """A value of the ``frozen_value`` class ``cls`` holding ``attrs``, built
+    without ``__init__`` or ``__post_init__``: the caller has checked and
+    normalized every field as the constructor would.  Names that are not
+    fields are kept outside what equality, repr and JSON read.  Not for a
+    class with ``__slots__``."""
+    value = object.__new__(cls)
+    value.__dict__.update(attrs)
+    return value
 
 
 def check_cap(needed: int, cap: int | None) -> None:

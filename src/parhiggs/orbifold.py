@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .codec import JsonShapeError, decoder
 from .exact_core import (DomainError, NEW_DICT, all_bits, check_cap, frozen_value,
-                         rat_from_str, rational_sum)
+                         rat_from_str, rational_sum, trusted_value)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -431,9 +431,8 @@ def _mapped(n: int, rows, window, form: str) -> LaurentMatrix:
                 d = next(d for d, _ in terms if not lo <= d <= hi)
                 raise DomainError("term_outside_window", degree=d,
                                   window=[lo, hi])
-    mat = object.__new__(LaurentMatrix)
-    mat.__dict__.update(n=n, entries=rows, window=(lo, hi), form=form)
-    return mat
+    return trusted_value(LaurentMatrix, n=n, entries=rows, window=(lo, hi),
+                         form=form)
 
 
 def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,

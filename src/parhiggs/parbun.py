@@ -10,7 +10,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .exact_core import DomainError, NEW_DICT, frozen_value, rational_sum
+from .exact_core import (DomainError, NEW_DICT, frozen_value, rational_sum,
+                         trusted_value)
 from .surface import MarkedSurface
 
 __all__ = [
@@ -151,10 +152,8 @@ def par_dual(b: ParabolicBundle | ParabolicLineBundle):
     if isinstance(b, ParabolicLineBundle):
         weights = {x: _dual_weight(w) for x, w in b.weight_at.items()}
         shift = sum(1 for w in weights.values() if w)
-        dual = object.__new__(ParabolicLineBundle)
-        dual.__dict__.update(degree=-b.degree - shift, weight_at=weights,
-                             _pardeg=-b._pardeg)
-        return dual
+        return trusted_value(ParabolicLineBundle, degree=-b.degree - shift,
+                             weight_at=weights, _pardeg=-b._pardeg)
     shift = 0
     flags = {}
     for lbl, fl in b.flag_at.items():

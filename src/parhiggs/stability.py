@@ -15,12 +15,12 @@ bounds, and the Hitchin-family builders.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import lcm
 from typing import Iterable, Sequence
 
 from .codec import from_json
-from .exact_core import DomainError, frozen_value, rational_sum
+from .exact_core import DomainError, frozen_value, rational_sum, trusted_value
 from .parbun import ParabolicLineBundle, par_dual, pardeg
 from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface
 
@@ -46,6 +46,13 @@ __all__ = [
 ]
 
 Arrow = tuple[int, int]   # (dst, src)
+
+
+def _over_lcm(pds: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, nums): the rationals pds as integers over their least common
+    denominator."""
+    den = lcm(*[p.denominator for p in pds])
+    return den, [p.numerator * (den // p.denominator) for p in pds]
 
 
 @frozen_value
@@ -84,16 +91,20 @@ class SpTripleModel:
     gamma (i,j) one of V_j -> V_i^dual (x) K(D); both come from symmetric
     morphisms, so their supports must be symmetric index patterns.
 
-    The parabolic duals of V's summands are computed once, on first use, and
-    kept outside the fields that equality, repr and JSON read; the induced
-    model and the dual triple share them.  ``v_summands`` is not to be
-    mutated.
+    Two values are kept outside the fields that equality, repr and JSON
+    read, each filled on first use: the parabolic duals of V's summands,
+    which the induced model and the dual triple share, and V's pardegs over
+    their common denominator, filled through ``pardeg`` and its checks,
+    which the Toledo invariant and the dual triple read.
+    ``v_summands`` is not to be mutated.
     """
 
     surface: MarkedSurface
     v_summands: tuple[ParabolicLineBundle, ...]
     beta_arrows: frozenset[Arrow] = frozenset()
     gamma_arrows: frozenset[Arrow] = frozenset()
+    # kept values, not fields; an instance holds its own once filled
+    _duals = _table = None
 
     def __post_init__(self):
         object.__setattr__(self, "v_summands", tuple(self.v_summands))
@@ -111,17 +122,30 @@ class SpTripleModel:
     def n(self) -> int:
         return len(self.v_summands)
 
-    @cached_property
     def _v_duals(self) -> tuple[ParabolicLineBundle, ...]:
-        return tuple(par_dual(v) for v in self.v_summands)
+        duals = self._duals
+        if duals is None:
+            duals = tuple(par_dual(v) for v in self.v_summands)
+            object.__setattr__(self, "_duals", duals)
+        return duals
+
+    def _pardeg_table(self) -> tuple[int, list[int]]:
+        table = self._table
+        if table is None:
+            table = _over_lcm([pardeg(v, self.surface) for v in self.v_summands])
+            object.__setattr__(self, "_table", table)
+        return table
 
     def to_decomposable(self) -> DecomposableHiggsModel:
-        """The induced model on E = V + V^dual (duals listed after V)."""
+        """The induced model on E = V + V^dual (duals listed after V).
+
+        Its arrows are in range because the triple's are."""
         n = self.n
-        summands = self.v_summands + self._v_duals
         arrows = {(i, n + j) for (i, j) in self.beta_arrows}
         arrows |= {(n + i, j) for (i, j) in self.gamma_arrows}
-        return DecomposableHiggsModel(self.surface, summands, frozenset(arrows))
+        return trusted_value(DecomposableHiggsModel, surface=self.surface,
+                             summands=self.v_summands + self._v_duals(),
+                             arrows=frozenset(arrows))
 
 
 # ------------------------------------------------------------ stability ----
@@ -193,9 +217,7 @@ def _closed_table(m: DecomposableHiggsModel
     denominator, and the closed sets with their sums of nums.  Ranks above
     MAX_VERDICT_RANK are refused first, with rank_too_large."""
     _check_rank(m, MAX_VERDICT_RANK)
-    pds = m.pardegs()
-    den = lcm(*(p.denominator for p in pds))
-    nums = [p.numerator * (den // p.denominator) for p in pds]
+    den, nums = _over_lcm(m.pardegs())
     return (den, nums, *_closed_sets(m, nums))
 
 
@@ -298,7 +320,8 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
 
 def toledo(m: SpTripleModel) -> Fraction:
     """Parabolic Toledo invariant: pardeg V."""
-    return rational_sum([pardeg(v, m.surface) for v in m.v_summands])
+    den, nums = m._pardeg_table()
+    return Fraction(sum(nums), den)
 
 
 def milnor_wood_bound(n: int, g: int, s: int) -> Fraction:
@@ -318,7 +341,12 @@ def milnor_wood_bound(n: int, g: int, s: int) -> Fraction:
 
 def general_mw_interval(rk_plus: int, rk_minus: int, g: int, s: int
                         ) -> tuple[Fraction, Fraction]:
-    """Toledo interval [-rk+ . deg K(D), rk- . deg K(D)] from the field ranks."""
+    """Toledo interval [-rk+ . deg K(D), rk- . deg K(D)] from the field ranks.
+
+    A rank that is not an int (bad_rank) or is negative (negative_rank) is
+    refused before the surface is checked."""
+    if type(rk_plus) is not int or type(rk_minus) is not int:
+        raise DomainError("bad_rank", rk_plus=rk_plus, rk_minus=rk_minus)
     if rk_plus < 0 or rk_minus < 0:
         raise DomainError("negative_rank", rk_plus=rk_plus, rk_minus=rk_minus)
     kd = deg_kd(standard_surface(g, s))
@@ -330,8 +358,16 @@ def is_maximal(m: SpTripleModel) -> bool:
 
 
 def sp_dual(m: SpTripleModel) -> SpTripleModel:
-    """(V, beta, gamma) -> (V^dual, gamma, beta); negates the Toledo invariant."""
-    return SpTripleModel(m.surface, m._v_duals, m.gamma_arrows, m.beta_arrows)
+    """(V, beta, gamma) -> (V^dual, gamma, beta); negates the Toledo invariant.
+
+    The dual keeps V as its duals and, when m's pardegs are already kept,
+    their negations as its own: pardeg L^dual = -pardeg L."""
+    table = m._table
+    return trusted_value(SpTripleModel, surface=m.surface,
+                         v_summands=m._v_duals(), beta_arrows=m.gamma_arrows,
+                         gamma_arrows=m.beta_arrows, _duals=m.v_summands,
+                         _table=None if table is None
+                         else (table[0], [-x for x in table[1]]))
 
 
 # ------------------------------------------------------- Hitchin family ----

@@ -2,10 +2,15 @@
 
 ``tests/golden/cli_corpus.json`` pins the exit code and the sha256 of stdout
 and stderr for a frozen set of argvs and for every demo; ``tools/corpus.py``
-writes it and prints the entries that changed.
+writes it and prints the entries that changed.  The corpus is also replayed
+by ``tools/corpus.py`` in a child under each other CPython it pins, where one
+is installed.
 """
 
 import importlib.util
+import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -35,3 +40,29 @@ def test_demo_output_matches_corpus():
     demos = sorted(p.name for p in corpus.DEMO_DIR.glob("*.py"))
     assert [e["demo"] for e in DOC["demos"]] == demos
     assert _mismatches(DOC["demos"]) == []
+
+
+def _interpreter(version: str) -> str | None:
+    """A working ``python<version>``: on PATH, or under
+    ``$PYENV_ROOT/versions`` (default ``~/.pyenv``)."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    found = [shutil.which(f"python{version}"),
+             *sorted(root.glob(f"versions/{version}.*/bin/python{version}"))]
+    probe = f"import sys; assert '%d.%d' % sys.version_info[:2] == {version!r}"
+    for exe in filter(None, found):
+        if subprocess.run([exe, "-c", probe], capture_output=True,
+                          timeout=60).returncode == 0:
+            return str(exe)
+    return None
+
+
+# 3.13's argparse wraps four --help usages differently, so it is not pinned
+@pytest.mark.parametrize("version", ["3.10", "3.12"])
+def test_corpus_replays_unchanged_under_another_interpreter(version):
+    exe = _interpreter(version)
+    if exe is None:
+        pytest.skip(f"no Python {version} installed")
+    proc = subprocess.run([exe, str(TOOL)], capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stdout.splitlines()[:1]) == \
+        (0, ["no entry changed"]), proc.stdout + proc.stderr

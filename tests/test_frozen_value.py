@@ -33,7 +33,13 @@ from parhiggs.components import (
     TableRow,
 )
 from parhiggs.dimension import DimReport, DimSummand, LieGroupData
-from parhiggs.exact_core import NEW_DICT, DomainError, FrozenFieldError
+from parhiggs.exact_core import (
+    NEW_DICT,
+    DomainError,
+    FrozenFieldError,
+    frozen_value,
+    trusted_value,
+)
 from parhiggs.orbifold import (
     LaurentMatrix,
     LocalChart,
@@ -277,6 +283,26 @@ def test_z2_character_keeps_its_slots():
     Z2Character.ab.__set__(fresh, (0, 1))
     Z2Character.sigma.__set__(fresh, (1, 1))
     assert fresh == c and hash(fresh) == hash(c)
+
+
+def test_a_trusted_value_skips_the_constructor_and_hides_other_names():
+    checked = []
+
+    @frozen_value
+    class Pair:
+        a: int
+        b: tuple = ()
+
+        def __post_init__(self):
+            checked.append(self.a)
+
+    v = trusted_value(Pair, a=1, b=(2,), _kept=[3])
+    assert checked == [] and v._kept == [3]
+    built = Pair(1, (2,))
+    assert checked == [1]
+    assert v == built and repr(v) == repr(built) and hash(v) == hash(built)
+    with pytest.raises(FrozenFieldError):
+        v.a = 2
 
 
 ROWS = [(cls, args, payload) for cls, rows in REFUSALS.items()

@@ -75,7 +75,21 @@ def test_arrow_out_of_range():
         DecomposableHiggsModel(surf, lines(surf, (0, 0)), frozenset({(0, 1)}))
 
 
+def test_triple_arrow_out_of_range():
+    with pytest.raises(DomainError) as e:
+        SpTripleModel(standard_surface(1, 1), (ParabolicLineBundle(0),),
+                      frozenset({(3, 3)}))
+    assert e.value.payload() == {"error": "arrow_out_of_range",
+                                 "arrow": [3, 3], "n": 1}
+
+
 # ------------------------------------------------------------- verdicts ----
+
+def test_verdict_of_the_empty_model_is_refused():
+    with pytest.raises(DomainError) as e:
+        stability_verdict(DecomposableHiggsModel(standard_surface(1, 1), ()))
+    assert e.value.payload() == {"error": "empty_model"}
+
 
 def test_verdict_stable_chain():
     surf = standard_surface(2, 1)
@@ -413,6 +427,17 @@ def test_general_interval_no_hyperbolicity_check():
         general_mw_interval(-1, 0, 2, 1)
 
 
+@pytest.mark.parametrize("rk_plus,rk_minus", [
+    (1.5, 1), (True, 1), (1, False), (1, F(2)), ("1", 1), (-1.5, 0)])
+def test_general_interval_refuses_a_rank_that_is_not_an_int(rk_plus, rk_minus):
+    # before the surface, as milnor_wood_bound does
+    for g, s in [(2, 1), (-1, 3)]:
+        with pytest.raises(DomainError) as e:
+            general_mw_interval(rk_plus, rk_minus, g, s)
+        assert e.value.payload() == {"error": "bad_rank", "rk_plus": rk_plus,
+                                     "rk_minus": rk_minus}
+
+
 @pytest.mark.parametrize("args,payload", [
     ((1, 1, -1, 3), {"error": "bad_genus", "genus": -1}),
     ((1, 1, 2, -1), {"error": "bad_marked_points", "s": -1}),
@@ -506,6 +531,45 @@ def test_sp_dual_negates_toledo_property(m):
     assert toledo(m) == definition and type(toledo(m)) is F
     assert toledo(sp_dual(m)) == -definition
     assert sp_dual(sp_dual(m)) == m
+
+
+def _same_model(a, b, alpha):
+    assert a == b and (repr(a), to_json(a)) == (repr(b), to_json(b))
+    assert stability_verdict(a) == stability_verdict(b)
+    assert alpha_stability_check_gl(a, alpha) == \
+        alpha_stability_check_gl(b, alpha)
+
+
+def _same_triple(a, b, alpha):
+    assert a == b and (repr(a), to_json(a)) == (repr(b), to_json(b))
+    assert toledo(a) == toledo(b) and type(toledo(a)) is F
+    _same_model(a.to_decomposable(), b.to_decomposable(), alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sp_triples(), st.booleans(),
+       st.sampled_from([F(0), F(1, 2), F(-3, 4), 1]))
+def test_derived_values_match_their_constructor_twins(t, toledo_first, alpha):
+    """Models and triples built from checked parts equal, and answer as,
+    the same values built by the public constructors."""
+    before = (repr(t), to_json(t))
+    if toledo_first:
+        toledo(t)                       # the dual then takes t's pardegs
+    dual = sp_dual(t)
+    n, surf = t.n, t.surface
+    duals = tuple(par_dual(v) for v in t.v_summands)
+    arrows = {(i, n + j) for i, j in t.beta_arrows}
+    arrows |= {(n + i, j) for i, j in t.gamma_arrows}
+    _same_model(t.to_decomposable(),
+                DecomposableHiggsModel(surf, t.v_summands + duals, arrows),
+                alpha)
+    _same_triple(dual, SpTripleModel(surf, duals, t.gamma_arrows,
+                                     t.beta_arrows), alpha)
+    _same_triple(sp_dual(dual), SpTripleModel(surf, t.v_summands,
+                                              t.beta_arrows, t.gamma_arrows),
+                 alpha)
+    assert toledo(dual) == -toledo(t)
+    assert (repr(t), to_json(t)) == before
 
 
 def test_toledo_of_the_empty_triple_is_a_fraction():
