@@ -3,11 +3,15 @@
 Writing: a Fraction becomes "p/q" (or "n"), a set a sorted list, a tuple or
 list a list, a mapping its items sorted by key, and a value class
 (``exact_core.frozen_value``) its fields, six of them under a shorter key
-(``_KEYS``).  Reading is driven by the value class's field types and refuses
-what JSON would only coerce: integers must be JSON integers, strings JSON
-strings, rationals "p/q" strings or integers.  A key may be missing only
-where its field has a default; unknown keys are refused.  The three shapes
-the fields cannot give are in ``_value_json``.
+(``_KEYS``).  The three shapes the fields cannot give are in ``_value_json``.
+
+Reading is driven by the value class's field types and refuses what JSON
+would only coerce: integers must be JSON integers, strings JSON strings,
+rationals "p/q" strings or integers.  A key may be missing only where its
+field has a default; unknown keys are refused.  Each type has one reader,
+built once: a value class's reader is generated from its fields as one
+straight-line function (``_value_decoder``), as ``frozen_value`` generates
+its ``__init__``.
 """
 
 from __future__ import annotations
@@ -90,11 +94,11 @@ def from_json(cls, obj):
     return decoder(cls)(obj)
 
 
-def _exactly(types: tuple[type, ...], expected: str):
-    """A reader passing on values of exactly these types (so a bool is
-    not an int)."""
+def _exactly(tp: type, expected: str):
+    """A reader passing on values of exactly this type (so a bool is not an
+    int)."""
     def read(obj):
-        if type(obj) not in types:
+        if type(obj) is not tp:
             raise JsonShapeError(expected)
         return obj
     return read
@@ -106,9 +110,22 @@ def _rational(obj) -> Fraction:
     return rat_from_str(obj)
 
 
-_list, _object = _exactly((list,), "a list"), _exactly((dict,), "an object")
-_SCALARS = {int: _exactly((int,), "an integer"), str: _exactly((str,), "a string"),
-            Fraction: _rational}
+def _rationals(obj) -> dict:
+    """The reader of ``Mapping[str, Fraction]``: each value checked and
+    parsed as ``_rational`` does, in the loop that builds the dict."""
+    out = {}
+    for k, v in _object(obj).items():
+        if type(v) is not str and type(v) is not int:
+            raise JsonShapeError('a rational "p/q"')
+        out[k] = rat_from_str(v)
+    return out
+
+
+# a field of these types is checked in place by its class's generated reader
+_INLINE = {int: "an integer", str: "a string"}
+_SCALARS = {tp: _exactly(tp, expected) for tp, expected in _INLINE.items()}
+_SCALARS[Fraction] = _rational
+_list, _object = _exactly(list, "a list"), _exactly(dict, "an object")
 
 
 @cache
@@ -126,6 +143,17 @@ def decoder(tp):
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         item = decoder(args[0])
         return lambda obj: tuple([item(x) for x in _list(obj)])
+    if origin is tuple and set(args) == {int}:
+        size, expected = len(args), f"a list of {len(args)}"
+
+        def ints(obj):
+            if type(obj) is not list or len(obj) != size:
+                raise JsonShapeError(expected)
+            for x in obj:
+                if type(x) is not int:
+                    raise JsonShapeError("an integer")
+            return tuple(obj)
+        return ints
     if origin is tuple:
         items = tuple(decoder(a) for a in args)
 
@@ -137,6 +165,8 @@ def decoder(tp):
     if origin is frozenset:
         item = decoder(args[0])
         return lambda obj: frozenset([item(x) for x in _list(obj)])
+    if origin is Mapping and args == (str, Fraction):
+        return _rationals
     if origin is Mapping and args[0] is str:
         value = decoder(args[1])
         return lambda obj: {k: value(v) for k, v in _object(obj).items()}
@@ -144,24 +174,46 @@ def decoder(tp):
 
 
 def _value_decoder(cls):
-    hints = get_type_hints(cls)
-    plan = tuple((name, _KEYS.get(name, name), decoder(hints[name]), required)
-                 for name, required in cls._value_fields)
-    known = ", ".join(sorted(key for _, key, _, _ in plan))
+    """The reader of the value class ``cls``, generated as one function.
 
-    def decode(obj):
-        kwargs, found = {}, 0
-        _object(obj)
-        for name, key, read, required in plan:
-            if key in obj:
-                found += 1
-                try:
-                    kwargs[name] = read(obj[key])
-                except JsonShapeError as err:
-                    raise JsonShapeError(err.expected, (key,) + err.keys) from None
-            elif required:
-                raise JsonShapeError(f"an object with key {key!r}")
-        if found != len(obj):
-            raise JsonShapeError(f"an object with keys among {known}")
-        return cls(**kwargs)
-    return decode
+    It reads the fields in declaration order, each under its JSON key: an
+    int or str field is checked in place, any other field goes to its own
+    reader, and a refusal there gets the key prefixed to its path.  A
+    missing key with a default takes the default; one without is refused.
+    Unknown keys are refused after every field is read, and the constructor
+    is then called with the fields as positional arguments.
+    """
+    hints = get_type_hints(cls)
+    fields = cls._value_fields
+    keys = [_KEYS.get(name, name) for name, _ in fields]
+    optional = [name for name, required in fields if not required]
+    # frozen_value puts the optional fields last, so __init__'s defaults
+    # are theirs, in order
+    env = {"_cls": cls, "_Err": JsonShapeError}
+    env.update(zip([f"_d_{name}" for name in optional],
+                   cls.__init__.__defaults__ or (), strict=True))
+    body = ["    if type(obj) is not dict:\n",
+            "        raise _Err('an object')\n",
+            f"    n = {len(fields) - len(optional)}\n"]
+    for (name, required), key in zip(fields, keys):
+        v, tp = f"v_{name}", hints[name]
+        body.append(f"    if {key!r} in obj:\n        {v} = obj[{key!r}]\n")
+        if tp in _INLINE:
+            body.append(f"        if type({v}) is not {tp.__name__}:\n"
+                        f"            raise _Err({_INLINE[tp]!r}, ({key!r},))\n")
+        else:
+            env[f"_r_{name}"] = decoder(tp)
+            body.append(f"        try:\n            {v} = _r_{name}({v})\n"
+                        "        except _Err as err:\n"
+                        f"            raise _Err(err.expected, ({key!r},) + err.keys)"
+                        " from None\n")
+        if required:
+            body.append("    else:\n"
+                        f"        raise _Err({f'an object with key {key!r}'!r})\n")
+        else:
+            body.append(f"        n += 1\n    else:\n        {v} = _d_{name}\n")
+    known = "an object with keys among " + ", ".join(sorted(keys))
+    body.append(f"    if n != len(obj):\n        raise _Err({known!r})\n"
+                f"    return _cls({', '.join(f'v_{name}' for name, _ in fields)})\n")
+    exec(f"def read(obj):\n{''.join(body)}", env)
+    return env["read"]

@@ -26,8 +26,13 @@ __all__ = [
 ]
 
 
-def _check_weight(w: Fraction) -> Fraction:
+def _check_weight(w: Fraction | int | str) -> Fraction:
+    """The weight w as a Fraction in [0, 1).  It may be spelled as an int or
+    a "p/q" string; any other type is refused with bad_weight, so a float is
+    not rounded and a bool not read as 0 or 1."""
     if type(w) is not Fraction:
+        if type(w) is not int and type(w) is not str:
+            raise DomainError("bad_weight", weight=w)
         w = Fraction(w)
     if not 0 <= w.numerator < w.denominator:
         raise DomainError("weight_out_of_range", weight=w)
@@ -76,15 +81,18 @@ class ParabolicLineBundle:
     weight_at: Mapping[str, Fraction] = NEW_DICT
 
     def __post_init__(self):
+        if type(self.degree) is not int:
+            raise DomainError("bad_degree", degree=self.degree)
         # rational_sum's loop, fused with the weight check: a second pass
         # through it is slower per construction, which verdicts repeat
         clean, num, den = {}, self.degree, 1
         for lbl, w in self.weight_at.items():
             w = clean[lbl] = _check_weight(w)
-            if den % w.denominator:
-                step = lcm(den, w.denominator) // den
+            p, q = w.numerator, w.denominator
+            if den % q:
+                step = lcm(den, q) // den
                 num, den = num * step, den * step
-            num += w.numerator * (den // w.denominator)
+            num += p * (den // q)
         object.__setattr__(self, "weight_at", clean)
         object.__setattr__(self, "_pardeg", Fraction(num, den))
 
@@ -150,8 +158,12 @@ def par_dual(b: ParabolicBundle | ParabolicLineBundle):
     constructor: b's weights are checked, so each 1 - a is in [0,1), and
     pardeg L* = -pardeg L."""
     if isinstance(b, ParabolicLineBundle):
-        weights = {x: _dual_weight(w) for x, w in b.weight_at.items()}
-        shift = sum(1 for w in weights.values() if w)
+        weights, shift = {}, 0
+        for x, a in b.weight_at.items():
+            if a:
+                a = _dual_weight(a)
+                shift += 1
+            weights[x] = a
         return trusted_value(ParabolicLineBundle, degree=-b.degree - shift,
                              weight_at=weights, _pardeg=-b._pardeg)
     shift = 0

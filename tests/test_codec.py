@@ -171,36 +171,91 @@ def test_written_form():
 LINE = {"degree": 1, "weights": {"x1": "1/2"}}
 
 
-@pytest.mark.parametrize("obj,at", [
-    ({}, "$"),                                        # degree is required
-    ([], "$"),
-    ({"degree": 1.7}, "$.degree"),
-    ({"degree": True}, "$.degree"),
-    ({"degree": "1"}, "$.degree"),
-    ({"degree": 1, "weights": {"x1": 0.5}}, "$.weights"),
-    ({"degree": 1, "weights": ["1/2"]}, "$.weights"),
-    ({"degree": 1, "weight": {}}, "$"),               # unknown key
-])
-def test_malformed_line_is_refused(obj, at):
+LINE_REFUSALS = [
+    ({}, "$", "an object with key 'degree'"),         # degree is required
+    ([], "$", "an object"),
+    ({"degree": 1.7}, "$.degree", "an integer"),
+    ({"degree": True}, "$.degree", "an integer"),
+    ({"degree": "1"}, "$.degree", "an integer"),
+    ({"degree": 1, "weights": {"x1": 0.5}}, "$.weights", 'a rational "p/q"'),
+    ({"degree": 1, "weights": ["1/2"]}, "$.weights", "an object"),
+    ({"degree": 1, "weight": {}}, "$",                # unknown key
+     "an object with keys among degree, weights"),
+    ({"degree": 1, "weights": {"x1": "3/2"}, "w": 0}, "$",  # before the
+     "an object with keys among degree, weights"),          # weight range
+]
+
+
+@pytest.mark.parametrize("obj,at,expected", LINE_REFUSALS,
+                         ids=[f"obj{i}-{at}" for i, (_, at, _) in
+                              enumerate(LINE_REFUSALS)])
+def test_malformed_line_is_refused(obj, at, expected):
     with pytest.raises(JsonShapeError) as err:
         from_json(ParabolicLineBundle, obj)
     assert err.value.code == "bad_json"
     assert err.value.info["at"] == at
+    assert err.value.info["expected"] == expected
 
 
-@pytest.mark.parametrize("change,at", [
-    ({"beta": [[0]]}, "$.beta"),
-    ({"beta": [[0, 0, 1]]}, "$.beta"),
-    ({"gamma": [[0, "0"]]}, "$.gamma"),
-    ({"v_summands": [dict(LINE, degree=None)]}, "$.v_summands.degree"),
+TRIPLE_REFUSALS = [
+    ({"beta": [[0]]}, "$.beta", "a list of 2"),
+    ({"beta": [[0, 0, 1]]}, "$.beta", "a list of 2"),
+    ({"gamma": [[0, "0"]]}, "$.gamma", "an integer"),
+    ({"v_summands": [dict(LINE, degree=None)]}, "$.v_summands.degree",
+     "an integer"),
     ({"surface": {"genus": 1, "points": [{"label": 1}]}},
-     "$.surface.points.label"),
-])
-def test_malformed_triple_is_refused(change, at):
+     "$.surface.points.label", "a string"),
+    ({"v_summands": [dict(LINE, mult=[1])]}, "$.v_summands",   # unknown key
+     "an object with keys among degree, weights"),
+    ({"v_summands": [{"weights": {}}]}, "$.v_summands",         # missing key
+     "an object with key 'degree'"),
+    ({"surface": {"points": []}}, "$.surface", "an object with key 'genus'"),
+    ({"beta": [[True, 0]]}, "$.beta", "an integer"),
+    ({"gamma": [0, 0]}, "$.gamma", "a list of 2"),
+    ({"gamma": {}}, "$.gamma", "a list"),
+    ({"surface": [1, []]}, "$.surface", "an object"),
+    ({"v_summands": [dict(LINE, weights={"x1": 0.5})]}, "$.v_summands.weights",
+     'a rational "p/q"'),
+    ({"surface": {"genus": 1}, "alpha": 0}, "$",
+     "an object with keys among beta, gamma, surface, v_summands"),
+]
+
+
+@pytest.mark.parametrize("change,at,expected", TRIPLE_REFUSALS,
+                         ids=[f"change{i}-{at}" for i, (_, at, _) in
+                              enumerate(TRIPLE_REFUSALS)])
+def test_malformed_triple_is_refused(change, at, expected):
     obj = dict(to_json(hitchin_sp_triple(2, 2, 1)), **change)
     with pytest.raises(JsonShapeError) as err:
         from_json(SpTripleModel, obj)
     assert err.value.info["at"] == at
+    assert err.value.info["expected"] == expected
+
+
+def test_a_refusal_comes_from_the_first_field_in_declaration_order():
+    """Fields are read in declaration order (surface, v_summands, beta,
+    gamma) and unknown keys are checked last, whatever the object's key
+    order: each case mends the fields before the one it expects refused."""
+    good = to_json(hitchin_sp_triple(2, 2, 1))
+    bad = {"extra": 1, "gamma": [[0]], "beta": [[0]], "v_summands": 0,
+           "surface": {"genus": 1.5}}
+    keys = "beta, gamma, surface, v_summands"
+    for mended, at, expected in [
+            ((), "$.surface.genus", "an integer"),
+            (("surface",), "$.v_summands", "a list"),
+            (("surface", "v_summands"), "$.beta", "a list of 2"),
+            (("surface", "v_summands", "beta"), "$.gamma", "a list of 2"),
+            (("surface", "v_summands", "beta", "gamma"), "$",
+             f"an object with keys among {keys}")]:
+        obj = dict(bad, **{k: good[k] for k in mended})
+        with pytest.raises(JsonShapeError) as err:
+            from_json(SpTripleModel, obj)
+        assert (err.value.info["at"], err.value.info["expected"]) == (at, expected)
+    without_surface = {k: v for k, v in bad.items() if k != "surface"}
+    with pytest.raises(JsonShapeError) as err:
+        from_json(SpTripleModel, without_surface)
+    assert (err.value.info["at"], err.value.info["expected"]) == \
+        ("$", "an object with key 'surface'")
 
 
 def test_optional_keys_are_those_with_defaults():
@@ -209,6 +264,8 @@ def test_optional_keys_are_those_with_defaults():
     model = from_json(DecomposableHiggsModel,
                       {"surface": surface, "summands": [{"degree": 0}]})
     assert model.arrows == frozenset() and model.summands[0].weight_at == {}
+    first, second = (from_json(ParabolicLineBundle, {"degree": 0}) for _ in "ab")
+    assert first.weight_at == {} and first.weight_at is not second.weight_at
     with pytest.raises(JsonShapeError):
         from_json(DecomposableHiggsModel, {"summands": []})
     with pytest.raises(JsonShapeError):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError
+from parhiggs.orbifold import laurent_matrix, par_to_orb_local
 from parhiggs.parbun import (
     ParabolicBundle,
     ParabolicFlag,
@@ -305,6 +307,49 @@ def test_weight_out_of_range_payload(spelled):
         assert err.value.payload() == {"error": "weight_out_of_range",
                                        "weight": Fraction(spelled)}
         assert type(err.value.info["weight"]) is Fraction
+
+
+@pytest.mark.parametrize("weight", [0.1, 0.5, 0.0, False, True, Decimal("0.5")],
+                         ids=repr)
+def test_inexact_or_bool_weight_is_refused(weight):
+    """A float is not rounded to a Fraction and a bool is not read as 0 or 1;
+    the rule is shared by flags, line bundles and the local dictionary."""
+    higgs = laurent_matrix(1, {}, (-1, 8), "dw/w")
+    for build in (lambda: ParabolicLineBundle(0, {"x1": weight}),
+                  lambda: ParabolicLineBundle(0, {"x1": H, "x2": weight}),
+                  lambda: ParabolicFlag((1,), (weight,)),
+                  lambda: par_to_orb_local(2, [weight], higgs)):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert err.value.code == "bad_weight"
+        assert err.value.info["weight"] is weight
+
+
+@pytest.mark.parametrize("degree", [1.5, 2.0, True, False, "1", Fraction(1)],
+                         ids=repr)
+def test_non_int_degree_is_refused(degree):
+    for weights in ({}, {"x1": H}):
+        with pytest.raises(DomainError) as err:
+            ParabolicLineBundle(degree, weights)
+        assert err.value.payload() == {"error": "bad_degree", "degree": degree}
+        assert err.value.info["degree"] is degree
+
+
+def test_flag_multiplicity_below_one_is_refused():
+    for mult in ((0,), (2, 0), (-1, 3)):
+        weights = tuple(Fraction(i, 3) for i in range(len(mult)))
+        with pytest.raises(DomainError) as err:
+            ParabolicFlag(mult, weights)
+        assert err.value.payload() == {"error": "bad_flag_multiplicity",
+                                       "mult": mult}
+
+
+def test_rank_zero_bundle_has_no_slope():
+    surf = standard_surface(1, 1)
+    assert pardeg(ParabolicBundle(0, 0), surf) == 0
+    with pytest.raises(DomainError) as err:
+        parslope(ParabolicBundle(0, 0), surf)
+    assert err.value.payload() == {"error": "slope_of_rank_zero"}
 
 
 def test_unknown_points_payload_is_sorted():
