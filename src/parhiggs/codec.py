@@ -110,17 +110,6 @@ def _rational(obj) -> Fraction:
     return rat_from_str(obj)
 
 
-def _rationals(obj) -> dict:
-    """The reader of ``Mapping[str, Fraction]``: each value checked and
-    parsed as ``_rational`` does, in the loop that builds the dict."""
-    out = {}
-    for k, v in _object(obj).items():
-        if type(v) is not str and type(v) is not int:
-            raise JsonShapeError('a rational "p/q"')
-        out[k] = rat_from_str(v)
-    return out
-
-
 # a field of these types is checked in place by its class's generated reader
 _INLINE = {int: "an integer", str: "a string"}
 _SCALARS = {tp: _exactly(tp, expected) for tp, expected in _INLINE.items()}
@@ -154,19 +143,9 @@ def decoder(tp):
                     raise JsonShapeError("an integer")
             return tuple(obj)
         return ints
-    if origin is tuple:
-        items = tuple(decoder(a) for a in args)
-
-        def fixed(obj):
-            if type(obj) is not list or len(obj) != len(items):
-                raise JsonShapeError(f"a list of {len(items)}")
-            return tuple([read(x) for read, x in zip(items, obj)])
-        return fixed
     if origin is frozenset:
         item = decoder(args[0])
         return lambda obj: frozenset([item(x) for x in _list(obj)])
-    if origin is Mapping and args == (str, Fraction):
-        return _rationals
     if origin is Mapping and args[0] is str:
         value = decoder(args[1])
         return lambda obj: {k: value(v) for k, v in _object(obj).items()}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
-from parhiggs.codec import JsonShapeError, from_json, to_json
+from parhiggs.codec import JsonShapeError, decoder, from_json, to_json
 from parhiggs.components import (
     CountMode,
     count_components,
@@ -275,6 +275,9 @@ def test_optional_keys_are_those_with_defaults():
 def test_non_json_types_are_a_programming_error():
     with pytest.raises(TypeError):
         from_json(float, 1.5)
+    # the only fixed-size tuple read from JSON is an all-int one
+    with pytest.raises(TypeError):
+        decoder(tuple[str, int])
 
 
 # -------------------------------------------------------------- schemas ----
