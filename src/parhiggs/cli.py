@@ -551,26 +551,25 @@ _COMMANDS = {
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for argv.  Every subcommand is registered, so the
     top-level help and the choices are complete, but only the one argv
-    names gets its arguments.  That is the first argument naming a
+    names gets arguments: --format and --cap, then its own.  That is the
+    first argument naming a
     subcommand: no earlier argument can be the subcommand argparse picks,
     as the top level takes no option with a value."""
     parser = _Parser(
         prog="parhiggs",
         description="Exact invariants of parabolic G-Higgs bundle moduli.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "markdown", "csv"),
-                        help="output format (default json; markdown for "
-                             "'tables')")
-    common.add_argument("--cap", type=int,
-                        help=f"enumeration cap (default {DEFAULT_CAP}, or "
-                             "PARHIGGS_CAP)")
     subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=lambda **kw: _Parser(
-                                     parents=[common], **kw))
+                                 parser_class=_Parser)
     named = next((arg for arg in argv if arg in _COMMANDS), None)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_line)
         if name == named:
+            sub.add_argument("--format", choices=("json", "markdown", "csv"),
+                             help="output format (default json; markdown "
+                                  "for 'tables')")
+            sub.add_argument("--cap", type=int,
+                             help=f"enumeration cap (default {DEFAULT_CAP}, "
+                                  "or PARHIGGS_CAP)")
             add_arguments(sub)
     return parser
 

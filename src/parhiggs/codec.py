@@ -3,20 +3,20 @@
 Writing: a Fraction becomes "p/q" (or "n"), a set a sorted list, a tuple or
 list a list, a mapping its items sorted by key, and a value class
 (``exact_core.frozen_value``) its fields, six of them under a shorter key
-(``_KEYS``).  The three shapes the fields cannot give are in ``_value_json``.
+(``_KEYS``).  A class whose JSON shape its fields cannot give reshapes that
+object in its own ``_json_shape(obj)`` method.
 
 Reading is driven by the value class's field types and refuses what JSON
 would only coerce: integers must be JSON integers, strings JSON strings,
 rationals "p/q" strings or integers.  A key may be missing only where its
-field has a default; unknown keys are refused.  Each type has one reader,
-built once: a value class's reader is generated from its fields as one
-straight-line function (``_value_decoder``), as ``frozen_value`` generates
-its ``__init__``.
+field has a class-level default; unknown keys are refused.  Each type has
+one reader, built once: a value class's reader is generated from its fields
+as one straight-line function (``_value_decoder``), as ``frozen_value``
+generates its ``__init__``.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
@@ -31,7 +31,6 @@ __all__ = ["JsonShapeError", "to_json", "from_json", "decoder"]
 _KEYS = {"weight_at": "weights", "flag_at": "flags", "multiplicities": "mult",
          "desing_degree": "desing", "beta_arrows": "beta",
          "gamma_arrows": "gamma"}
-_COMPONENTS = f"{__package__}.components"
 
 
 class JsonShapeError(DomainError):
@@ -62,29 +61,16 @@ def to_json(value):
 
 
 @cache
-def _field_keys(cls: type) -> tuple[tuple[str, str], ...]:
-    return tuple((name, _KEYS.get(name, name)) for name, _ in cls._value_fields)
+def _writer(cls: type) -> tuple[tuple[tuple[str, str], ...], bool]:
+    """A value class's (field, JSON key) pairs; whether it has _json_shape."""
+    keys = tuple((name, _KEYS.get(name, name)) for name, _ in cls._value_fields)
+    return keys, hasattr(cls, "_json_shape")
 
 
 def _value_json(value) -> dict:
-    obj = {key: to_json(getattr(value, name))
-           for name, key in _field_keys(type(value))}
-    # The three shapes are components classes, looked up rather than
-    # imported: none of their values exists before that module is loaded.
-    comp = sys.modules.get(_COMPONENTS)
-    if comp is None:
-        return obj
-    # a group's computed display, with an unset n or name left out; a
-    # mode's parity, left out when unset; the K(D)-twisted (label, count)
-    # pairs as objects
-    if isinstance(value, (comp.GroupDescriptor, comp.CountMode)):
-        obj = {k: v for k, v in obj.items() if v is not None}
-    if isinstance(value, comp.GroupDescriptor):
-        obj["display"] = value.display()
-    elif isinstance(value, comp.S1ReductionReport):
-        obj["kd_twisted_cases"] = [{"label": label, "count": count}
-                                   for label, count in value.kd_twisted_cases]
-    return obj
+    keys, reshaped = _writer(type(value))
+    obj = {key: to_json(getattr(value, name)) for name, key in keys}
+    return value._json_shape(obj) if reshaped else obj
 
 
 # ------------------------------------------------------------- reading ----
@@ -165,15 +151,12 @@ def _value_decoder(cls):
     hints = get_type_hints(cls)
     fields = cls._value_fields
     keys = [_KEYS.get(name, name) for name, _ in fields]
-    optional = [name for name, required in fields if not required]
-    # frozen_value puts the optional fields last, so __init__'s defaults
-    # are theirs, in order
     env = {"_cls": cls, "_Err": JsonShapeError}
-    env.update(zip([f"_d_{name}" for name in optional],
-                   cls.__init__.__defaults__ or (), strict=True))
+    env.update({f"_d_{name}": cls.__dict__[name]
+                for name, required in fields if not required})
     body = ["    if type(obj) is not dict:\n",
             "        raise _Err('an object')\n",
-            f"    n = {len(fields) - len(optional)}\n"]
+            f"    n = {sum(required for _, required in fields)}\n"]
     for (name, required), key in zip(fields, keys):
         v, tp = f"v_{name}", hints[name]
         body.append(f"    if {key!r} in obj:\n        {v} = obj[{key!r}]\n")

@@ -108,6 +108,12 @@ class GroupDescriptor:
             return "E7^{-25}"
         return self.name
 
+    def _json_shape(self, obj: dict) -> dict:
+        """The fields' JSON without an unset n or name, plus the display."""
+        obj = {k: v for k, v in obj.items() if v is not None}
+        obj["display"] = self.display()
+        return obj
+
 
 def sp2nr(n: int) -> GroupDescriptor:
     return GroupDescriptor("Sp2nR", n=n)
@@ -179,6 +185,10 @@ class CountMode:
                 raise DomainError("fixed_alpha_needs_parity", parity=self.parity)
         elif self.parity is not None:
             raise DomainError("mode_takes_no_parity", variant=self.variant)
+
+    def _json_shape(self, obj: dict) -> dict:
+        """The fields' JSON without an unset parity."""
+        return {k: v for k, v in obj.items() if v is not None}
 
     @staticmethod
     def max_union() -> "CountMode":
@@ -298,9 +308,7 @@ class ComponentCountReport:
 def _require_marked(g: int, s: int) -> None:
     if s == 0:
         raise DomainError("needs_marked_points", g=g, s=s)
-    if s < 0 or g < 0 or 2 * g - 2 + s <= 0:
-        # build the surface only to raise its own error
-        require_hyperbolic(standard_surface(g, s))
+    require_hyperbolic(standard_surface(g, s))
 
 
 # --------------------------------------------------------------------------
@@ -727,6 +735,12 @@ class S1ReductionReport:
     kd_twisted_cases: tuple[tuple[str, int], ...]
     table_count: int
     notes: tuple[str, ...] = ()
+
+    def _json_shape(self, obj: dict) -> dict:
+        """The fields' JSON, each K(D)-twisted (label, count) an object."""
+        obj["kd_twisted_cases"] = [{"label": label, "count": count}
+                                   for label, count in self.kd_twisted_cases]
+        return obj
 
 
 def s1_reduction_report(group: GroupDescriptor, g: int,

@@ -198,7 +198,7 @@ def dim_strongly_parabolic_gl(n: int, g: int, s: int,
                           got=len(mults))
     total = 2 * (g - 1) * n * n + 2
     for idx, ks in enumerate(mults):
-        if not ks or any(not isinstance(k, int) or k < 1 for k in ks) or \
+        if not ks or any(type(k) is not int or k < 1 for k in ks) or \
                 sum(ks) != n:
             raise DomainError("bad_multiplicities", point=idx, steps=ks, n=n)
         square_sum = sum(k * k for k in ks)

@@ -9,12 +9,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable
 
 __all__ = [
     "DomainError",
     "FrozenFieldError",
-    "NEW_DICT",
+    "EMPTY_MAPPING",
     "frozen_value",
     "trusted_value",
     "check_cap",
@@ -43,8 +44,9 @@ class FrozenFieldError(AttributeError):
     """An assignment to, or a deletion of, an attribute of a frozen value."""
 
 
-# A field default: each instance gets a new empty dict.
-NEW_DICT = object()
+# The default of a mapping field: read-only, so one object serves every
+# class; each class copies the mapping it is given.
+EMPTY_MAPPING = MappingProxyType({})
 
 
 def _refuse_assignment(self, name, value):
@@ -82,8 +84,8 @@ def frozen_value(cls: type) -> type:
     value classes use, without its module, which loads ``inspect``, ``ast``
     and ``dis`` into every process that imports it:
     - ``__init__`` takes the fields in order, a field with a class-level
-      default as an optional argument (``NEW_DICT``: a new empty dict per
-      instance), and ends by calling ``__post_init__`` where there is one;
+      default as an optional argument, and ends by calling
+      ``__post_init__`` where there is one;
     - the repr is ``Name(field=value, ...)``; equality holds between values
       of one class with equal field tuples, and the hash is that tuple's;
     - assigning or deleting an attribute raises FrozenFieldError.
@@ -91,19 +93,14 @@ def frozen_value(cls: type) -> type:
     class may declare ``__slots__`` naming its fields.
     """
     slots = cls.__dict__.get("__slots__", ())
-    env = {"_set": object.__setattr__, "_NEW_DICT": NEW_DICT}
+    env = {"_set": object.__setattr__}
     params, body, fields = [], [], []
     for name in cls.__annotations__:
         required = name in slots or name not in cls.__dict__
-        param = value = name
         if not required:
-            env[f"_d_{name}"] = default = cls.__dict__[name]
-            param = f"{name}=_d_{name}"
-            if default is NEW_DICT:
-                delattr(cls, name)
-                value = f"{{}} if {name} is _NEW_DICT else {name}"
-        params.append(param)
-        body.append(f"    _set(self, {name!r}, {value})\n")
+            env[f"_d_{name}"] = cls.__dict__[name]
+        params.append(name if required else f"{name}=_d_{name}")
+        body.append(f"    _set(self, {name!r}, {name})\n")
         fields.append((name, required))
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()\n")

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .codec import JsonShapeError, decoder
-from .exact_core import (DomainError, NEW_DICT, all_bits, check_cap, frozen_value,
-                         rat_from_str, rational_sum, trusted_value)
+from .exact_core import (DomainError, EMPTY_MAPPING, all_bits, check_cap,
+                         frozen_value, rat_from_str, rational_sum, trusted_value)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -55,10 +55,11 @@ __all__ = [
 
 @frozen_value
 class VLineBundle:
-    """Seifert data: desingularized degree plus isotropy residues per point."""
+    """Seifert data: desingularized degree plus isotropy residues per point.
+    A zero residue is dropped: the point is then not listed."""
 
     desing_degree: int
-    isotropy: Mapping[str, int] = NEW_DICT
+    isotropy: Mapping[str, int] = EMPTY_MAPPING
 
     def __post_init__(self):
         clean = {}
@@ -107,8 +108,7 @@ def vline_tensor(a: VLineBundle, b: VLineBundle, surf: MarkedSurface) -> VLineBu
     for p in surf.points:
         tot = a.residue(p.label) + b.residue(p.label)
         desing += tot // p.order
-        if tot % p.order:
-            iso[p.label] = tot % p.order
+        iso[p.label] = tot % p.order
     return VLineBundle(desing, iso)
 
 
@@ -155,7 +155,7 @@ def square_root_types(l: VLineBundle, surf: MarkedSurface) -> SquareRootFamily:
         if sum(rho) % 2 != d % 2:
             continue
         e = (d - sum(rho)) // 2
-        types.append(VLineBundle(e, {x: r for x, r in zip(labels, rho) if r}))
+        types.append(VLineBundle(e, dict(zip(labels, rho))))
     return SquareRootFamily(tuple(types), mult)
 
 
@@ -262,8 +262,7 @@ def parabolic_line_to_vline(line: ParabolicLineBundle, surf: MarkedSurface
         if b.denominator != 1:
             raise DomainError("weight_not_orbifold", label=p.label,
                               weight=line.weight(p.label), order=p.order)
-        if b:
-            iso[p.label] = int(b)
+        iso[p.label] = int(b)
     return VLineBundle(line.degree, iso)
 
 
@@ -280,8 +279,8 @@ class LocalChart:
     def __post_init__(self):
         if type(self.m) is not int or self.m < 1:
             raise DomainError("bad_chart_order", m=self.m)
-        ks = tuple(int(k) for k in self.exponents)
-        if not ks or any(not 0 <= k <= self.m for k in ks):
+        ks = tuple(self.exponents)
+        if not ks or any(type(k) is not int or not 0 <= k <= self.m for k in ks):
             raise DomainError("exponent_out_of_range", exponents=list(ks), m=self.m)
         if any(a > b for a, b in zip(ks, ks[1:])):
             raise DomainError("exponents_not_nondecreasing", exponents=list(ks))

@@ -10,8 +10,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .exact_core import (DomainError, NEW_DICT, frozen_value, rational_sum,
-                         trusted_value)
+from .exact_core import (DomainError, EMPTY_MAPPING, frozen_value, rat_from_str,
+                         rational_sum, trusted_value)
 from .surface import MarkedSurface
 
 __all__ = [
@@ -27,13 +27,13 @@ __all__ = [
 
 
 def _check_weight(w: Fraction | int | str) -> Fraction:
-    """The weight w as a Fraction in [0, 1).  It may be spelled as an int or
-    a "p/q" string; any other type is refused with bad_weight, so a float is
-    not rounded and a bool not read as 0 or 1."""
+    """The weight w as a Fraction in [0, 1).  An int or a "p/q" string is read
+    by rat_from_str (bad_rational if malformed); any other type is refused
+    with bad_weight, so a float is not rounded and a bool not read as 0 or 1."""
     if type(w) is not Fraction:
         if type(w) is not int and type(w) is not str:
             raise DomainError("bad_weight", weight=w)
-        w = Fraction(w)
+        w = rat_from_str(w)
     if not 0 <= w.numerator < w.denominator:
         raise DomainError("weight_out_of_range", weight=w)
     return w
@@ -49,7 +49,7 @@ class ParabolicFlag:
     def __post_init__(self):
         if len(self.multiplicities) != len(self.weights) or not self.multiplicities:
             raise DomainError("bad_flag_shape")
-        if any(k < 1 for k in self.multiplicities):
+        if any(type(k) is not int or k < 1 for k in self.multiplicities):
             raise DomainError("bad_flag_multiplicity", mult=self.multiplicities)
         ws = [_check_weight(w) for w in self.weights]
         if any(a >= b for a, b in zip(ws, ws[1:])):
@@ -78,7 +78,7 @@ class ParabolicLineBundle:
     """
 
     degree: int
-    weight_at: Mapping[str, Fraction] = NEW_DICT
+    weight_at: Mapping[str, Fraction] = EMPTY_MAPPING
 
     def __post_init__(self):
         if type(self.degree) is not int:
@@ -106,11 +106,14 @@ class ParabolicBundle:
 
     rank: int
     degree: int
-    flag_at: Mapping[str, ParabolicFlag] = NEW_DICT
+    flag_at: Mapping[str, ParabolicFlag] = EMPTY_MAPPING
 
     def __post_init__(self):
-        if self.rank < 0:
+        if type(self.rank) is not int or self.rank < 0:
             raise DomainError("bad_rank", rank=self.rank)
+        if type(self.degree) is not int:
+            raise DomainError("bad_degree", degree=self.degree)
+        object.__setattr__(self, "flag_at", dict(self.flag_at))
         for lbl, fl in self.flag_at.items():
             if fl.rank != self.rank:
                 raise DomainError("flag_rank_mismatch", label=lbl,
@@ -126,7 +129,7 @@ def _check_points(b, surf: MarkedSurface) -> None:
     keys = b.flag_at if isinstance(b, ParabolicBundle) else b.weight_at
     if keys and not surf._label_set.issuperset(keys):
         raise DomainError("flag_surface_mismatch",
-                          unknown=sorted(keys.keys() - surf._label_set))
+                          unknown=sorted(keys.keys() - surf._label_set, key=str))
 
 
 def pardeg(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> Fraction:

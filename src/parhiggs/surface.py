@@ -26,6 +26,8 @@ class MarkedPoint:
     order: int = 2
 
     def __post_init__(self):
+        if type(self.label) is not str:
+            raise DomainError("bad_label", label=self.label)
         if type(self.order) is not int or self.order < 1:
             raise DomainError("bad_isotropy_order", label=self.label, order=self.order)
 

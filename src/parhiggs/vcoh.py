@@ -8,6 +8,7 @@ auditable instances of one calculation rather than three hard-coded triples.
 from __future__ import annotations
 
 from .exact_core import DomainError, frozen_value
+from .surface import standard_surface
 
 __all__ = [
     "VCohRanks",
@@ -40,8 +41,8 @@ class VCohRanks:
 
 
 def _triple(name, t) -> Triple:
-    t = tuple(int(x) for x in t)
-    if len(t) != 3 or min(t) < 0:
+    t = tuple(t)
+    if len(t) != 3 or any(type(x) is not int or x < 0 for x in t):
         raise DomainError("bad_rank_triple", which=name, value=list(t))
     return t
 
@@ -103,6 +104,7 @@ def v_cohomology_ranks(g: int, s: int, mode: str) -> tuple[VCohRanks, str]:
         raise DomainError("unsupported_mode", mode=mode)
     if g < 0 or s < 1:
         raise DomainError("needs_marked_points", g=g, s=s)
+    standard_surface(g, s)  # g and s must be exact ints
     if mode == "order2":
         disk = bz2_disk_ranks().astuple()
         pieces = MVPieces(

@@ -111,6 +111,32 @@ def test_strongly_parabolic_rejects_bad_multiplicities():
         dim_strongly_parabolic_gl(2, 2, 1, [(2, 0)])
 
 
+@pytest.mark.parametrize("steps", [(True, 1), (1.0, 1), (2.0,)], ids=repr)
+def test_strongly_parabolic_multiplicities_must_be_ints(steps):
+    with pytest.raises(DomainError) as err:
+        dim_strongly_parabolic_gl(2, 2, 1, [steps])
+    assert err.value.payload() == {"error": "bad_multiplicities", "point": 0,
+                                   "steps": steps, "n": 2}
+
+
+@pytest.mark.parametrize("call,payload", [
+    (lambda: LieGroupData("x", 3, 1, (0,), True, False),
+     {"error": "bad_exponents", "name": "x", "exponents": (0,)}),
+    (lambda: LieGroupData("x", 3, 0, (), False, False, True),
+     {"error": "complex_dimension_odd", "name": "x"}),
+    (lambda: dim_parabolic_gl(0, 2, 1), {"error": "rank_not_positive", "n": 0}),
+    (lambda: dim_strongly_parabolic_gl(0, 2, 1, [()]),
+     {"error": "rank_not_positive", "n": 0}),
+    (lambda: sl_kr_parabolic_dimension(1, 2, 1),
+     {"error": "rank_not_positive", "n": 1}),
+], ids=["bad_exponents", "complex_dimension_odd", "parabolic-rank",
+        "strongly-parabolic-rank", "sl_kr-rank"])
+def test_lie_data_and_rank_refusals(call, payload):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.payload() == payload
+
+
 # --------------------------------------------------------------------------
 # complex groups
 

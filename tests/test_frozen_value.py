@@ -7,8 +7,9 @@ same defaults and the same ``__post_init__``, and both are built from the
 same arguments.  They must agree on the constructor's signature, the repr,
 ``==`` and ``!=`` (within a class and across classes), the hash (or its
 ``TypeError`` where a field holds a dict), refused assignment and deletion,
-a new dict per instance from a ``NEW_DICT`` default, and the refusal codes
-of ``__post_init__``.
+a copy per instance of a mapping field, and the refusal codes of
+``__post_init__``.  Every optional field has a class-level default that is
+hashable or is the one read-only ``EMPTY_MAPPING``.
 """
 
 import dataclasses
@@ -34,7 +35,7 @@ from parhiggs.components import (
 )
 from parhiggs.dimension import DimReport, DimSummand, LieGroupData
 from parhiggs.exact_core import (
-    NEW_DICT,
+    EMPTY_MAPPING,
     DomainError,
     FrozenFieldError,
     frozen_value,
@@ -176,15 +177,17 @@ def _value_classes():
 
 
 def _twin(cls):
-    """The frozen dataclass with the fields, defaults and __post_init__ of cls."""
+    """The frozen dataclass with the fields, defaults and __post_init__ of
+    cls.  A dataclass takes no mapping as a default, so the twin of an
+    ``EMPTY_MAPPING`` default is a new dict per instance."""
     specs = []
     for name, required in cls._value_fields:
         if required:
             specs.append((name, Any))
-        elif name in cls.__dict__:
-            specs.append((name, Any, dataclasses.field(default=cls.__dict__[name])))
-        else:
+        elif cls.__dict__[name] is EMPTY_MAPPING:
             specs.append((name, Any, dataclasses.field(default_factory=dict)))
+        else:
+            specs.append((name, Any, dataclasses.field(default=cls.__dict__[name])))
     namespace = {}
     if hasattr(cls, "__post_init__"):
         namespace["__post_init__"] = cls.__post_init__
@@ -214,7 +217,7 @@ def test_signature_repr_equality_and_hash_match_the_twin(cls):
         [(q.name, q.kind) for q in twin_params]
     for p, q in zip(params, twin_params):
         # the twin's marker for a default_factory prints as <factory>
-        assert p.default is (NEW_DICT if repr(q.default) == "<factory>"
+        assert p.default is (EMPTY_MAPPING if repr(q.default) == "<factory>"
                              else q.default)
     first, second = SAMPLES[cls]
     ours = [cls(*first), cls(*second), cls(*first)]
@@ -254,25 +257,43 @@ def test_assignment_and_deletion_are_refused_as_in_the_twin(cls):
     assert value == cls(*SAMPLES[cls][0])
 
 
-@pytest.mark.parametrize("cls", [ParabolicLineBundle, ParabolicBundle, VLineBundle],
-                         ids=lambda cls: cls.__name__)
-def test_a_new_dict_default_is_new_per_instance(cls):
-    twin = _twin(cls)
+# class -> a mapping for its one mapping field, with its required arguments
+# from SAMPLES[cls][0]
+MAPPINGS = {ParabolicLineBundle: {"x1": H}, ParabolicBundle: {"x1": trivial_flag(2)},
+            VLineBundle: {"x1": 1}}
+
+
+@pytest.mark.parametrize("cls", list(MAPPINGS), ids=lambda cls: cls.__name__)
+def test_each_instance_gets_its_own_copy_of_a_mapping_field(cls):
     (name, _), = [(n, r) for n, r in cls._value_fields if not r]
-    assert name not in cls.__dict__
     required = SAMPLES[cls][0]
-    for make in (cls, twin):
-        a, b = make(*required), make(*required)
-        assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
-        assert type(getattr(a, name)) is dict
+    a, b = cls(*required), cls(*required)
+    assert getattr(a, name) == {} and type(getattr(a, name)) is dict
+    assert getattr(a, name) is not getattr(b, name)
+    given = dict(MAPPINGS[cls])
+    c = cls(*required, given)
+    assert getattr(c, name) == given and getattr(c, name) is not given
+    given.clear()
+    assert getattr(c, name) == MAPPINGS[cls]
 
 
-def test_only_the_three_dict_defaults_are_new_dicts():
-    factories = {cls.__name__: name for cls in SAMPLES
-                 for name, required in cls._value_fields
-                 if not required and name not in cls.__dict__}
-    assert factories == {"ParabolicLineBundle": "weight_at",
-                         "ParabolicBundle": "flag_at", "VLineBundle": "isotropy"}
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def test_every_optional_field_has_a_hashable_class_default():
+    """The constructor and the JSON reader take a missing field's default
+    from the class, so one default object serves every instance: it must
+    not be one that an instance could change."""
+    loose = [f"{cls.__name__}.{name}" for cls in SAMPLES
+             for name, required in cls._value_fields if not required
+             and not (name in cls.__dict__ and (cls.__dict__[name] is EMPTY_MAPPING
+                                                or _hashable(cls.__dict__[name])))]
+    assert loose == []
 
 
 def test_z2_character_keeps_its_slots():

@@ -577,3 +577,24 @@ def test_laurent_json_round_trip():
     assert laurent_from_json(laurent_to_json(psi, 2)) == (2, psi)
     l = VLineBundle(-2, {"x1": 1, "x3": 2})
     assert from_json(VLineBundle, to_json(l)) == l
+
+
+@pytest.mark.parametrize("exponents", [(1.5,), (0, True), (0, F(1)), (0, 1.0)],
+                         ids=repr)
+def test_chart_exponents_must_be_ints(exponents):
+    with pytest.raises(DomainError) as err:
+        LocalChart(2, exponents)
+    assert err.value.payload() == {"error": "exponent_out_of_range",
+                                   "exponents": list(exponents), "m": 2}
+
+
+def test_negative_residue_and_entry_out_of_range_are_refused():
+    with pytest.raises(DomainError) as err:
+        VLineBundle(0, {"x1": -1, "x2": 0})
+    assert err.value.payload() == {"error": "negative_isotropy",
+                                   "isotropy": {"x1": -1}}
+    with pytest.raises(DomainError) as err:
+        laurent_matrix(2, {(5, 0): [(0, F(1))]}, (-1, 8), "dw/w")
+    assert err.value.payload() == {"error": "entry_out_of_range",
+                                   "entry": [5, 0], "n": 2}
+

@@ -379,3 +379,38 @@ def test_points_on_a_surface_without_marked_points():
             pardeg(b, surf)
         assert err.value.payload() == {"error": "flag_surface_mismatch",
                                        "unknown": ["x1"]}
+
+
+@pytest.mark.parametrize("call,payload", [
+    (lambda: ParabolicBundle(1.5, 0), {"error": "bad_rank", "rank": 1.5}),
+    (lambda: ParabolicBundle(True, 0), {"error": "bad_rank", "rank": True}),
+    (lambda: ParabolicBundle(1, 1.5), {"error": "bad_degree", "degree": 1.5}),
+    (lambda: ParabolicBundle(1, True), {"error": "bad_degree", "degree": True}),
+    (lambda: ParabolicFlag((1.5,), (Fraction(0),)),
+     {"error": "bad_flag_multiplicity", "mult": (1.5,)}),
+    (lambda: ParabolicFlag((True, 1), (Fraction(0), H)),
+     {"error": "bad_flag_multiplicity", "mult": (True, 1)}),
+], ids=["rank-1.5", "rank-True", "degree-1.5", "degree-True", "mult-1.5",
+        "mult-True"])
+def test_bundle_ranks_degrees_and_multiplicities_must_be_ints(call, payload):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.payload() == payload
+
+
+@pytest.mark.parametrize("spelled", ["1/0", "half", "1/2/3", ""], ids=repr)
+def test_malformed_weight_string_is_refused_as_a_rational(spelled):
+    with pytest.raises(DomainError) as err:
+        ParabolicLineBundle(0, {"x1": spelled})
+    assert err.value.payload() == {"error": "bad_rational", "value": spelled}
+
+
+def test_unknown_points_with_a_label_that_is_not_a_string():
+    surf = standard_surface(1, 1)
+    line = ParabolicLineBundle(0, {1: H, "x2": H})
+    bundle = ParabolicBundle(1, 0, {"x2": trivial_flag(1), 1: trivial_flag(1)})
+    for b in (line, bundle):
+        with pytest.raises(DomainError) as err:
+            pardeg(b, surf)
+        assert err.value.payload() == {"error": "flag_surface_mismatch",
+                                       "unknown": [1, "x2"]}

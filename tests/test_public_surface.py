@@ -149,3 +149,14 @@ def test_readme_layout_table_lists_every_module():
     table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
     listed = re.findall(r"^\| `parhiggs\.(\w+)` \|", table, flags=re.M)
     assert sorted(listed) == [p.stem for p in MODULES]
+
+
+def test_codec_names_no_other_module_of_the_package():
+    """The codec reads and writes every value class from its fields and its
+    own ``_json_shape``; it imports only ``exact_core`` from the package and
+    looks no module up by name."""
+    tree = TREES["codec"]
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"exact_core"}
+    assert "sys.modules" not in (PACKAGE / "codec.py").read_text(encoding="utf-8")

@@ -3,6 +3,17 @@ from fractions import Fraction
 import pytest
 
 from parhiggs.codec import from_json, to_json
+from parhiggs.components import (
+    CountMode,
+    count_components,
+    emit_tables,
+    enumerate_invariants_sp,
+    s1_reduction_report,
+    sp2nr,
+    split_group,
+    strubel_count,
+    teichmuller_count,
+)
 from parhiggs.dimension import (
     complex_group_data,
     dim_complex_group,
@@ -13,7 +24,12 @@ from parhiggs.dimension import (
     teichmuller_dimension,
 )
 from parhiggs.exact_core import DomainError
-from parhiggs.stability import hitchin_model, hitchin_sp_triple, milnor_wood_bound
+from parhiggs.stability import (
+    general_mw_interval,
+    hitchin_model,
+    hitchin_sp_triple,
+    milnor_wood_bound,
+)
 from parhiggs.surface import (
     MarkedPoint,
     MarkedSurface,
@@ -22,6 +38,7 @@ from parhiggs.surface import (
     require_hyperbolic,
     standard_surface,
 )
+from parhiggs.vcoh import v_cohomology_ranks
 
 
 def test_deg_kd():
@@ -100,6 +117,57 @@ def test_point_counts_and_ranks_must_be_ints(call, payload):
     with pytest.raises(DomainError) as err:
         call()
     assert err.value.payload() == payload
+
+
+# Every public function that takes a genus g and a marked-point count s, as
+# a call at (g, s).  Each reads both through standard_surface.
+GS_CALLS = {
+    "standard_surface": standard_surface,
+    "count_components": lambda g, s: count_components(sp2nr(2), g, s,
+                                                      CountMode.max_union()),
+    "enumerate_invariants_sp": lambda g, s: enumerate_invariants_sp(
+        2, g, s, CountMode.max_union()),
+    "teichmuller_count": lambda g, s: teichmuller_count(split_group("SL(3,R)"),
+                                                        g, s),
+    "strubel_count": strubel_count,
+    "emit_tables": emit_tables,
+    "dim_parabolic_gl": lambda g, s: dim_parabolic_gl(2, g, s),
+    "dim_strongly_parabolic_gl": lambda g, s: dim_strongly_parabolic_gl(
+        2, g, s, [(1, 1)]),
+    "dim_complex_group": lambda g, s: dim_complex_group(
+        complex_group_data("G", 3), g, s),
+    "teichmuller_dimension": lambda g, s: teichmuller_dimension(
+        lie_catalog("Sp(4,R)"), g, s),
+    "sl_kr_parabolic_dimension": lambda g, s: sl_kr_parabolic_dimension(2, g, s),
+    "milnor_wood_bound": lambda g, s: milnor_wood_bound(2, g, s),
+    "general_mw_interval": lambda g, s: general_mw_interval(1, 1, g, s),
+    "hitchin_model": lambda g, s: hitchin_model(2, g, s),
+    "hitchin_sp_triple": lambda g, s: hitchin_sp_triple(4, g, s),
+    "v_cohomology_ranks": lambda g, s: v_cohomology_ranks(g, s, "order2"),
+    # takes g only; s is 1
+    "s1_reduction_report": lambda g, s: s1_reduction_report(sp2nr(2), g),
+}
+GS_PROBES = [((1.5, 1), {"error": "bad_genus", "genus": 1.5}),
+             ((True, 1), {"error": "bad_genus", "genus": True}),
+             ((2, 1.5), {"error": "bad_marked_points", "s": 1.5}),
+             ((2, True), {"error": "bad_marked_points", "s": True})]
+GS_ROWS = [(name, gs, payload) for name in GS_CALLS for gs, payload in GS_PROBES
+           if name != "s1_reduction_report" or gs[0] != 2]
+
+
+@pytest.mark.parametrize("name,gs,payload", GS_ROWS,
+                         ids=[f"{name}-{gs[0]!r}-{gs[1]!r}" for name, gs, _ in GS_ROWS])
+def test_gs_sweep_refuses_a_float_or_bool_genus_or_point_count(name, gs, payload):
+    with pytest.raises(DomainError) as err:
+        GS_CALLS[name](*gs)
+    assert err.value.payload() == payload
+
+
+@pytest.mark.parametrize("label", [1, None, ("x",), b"x1"], ids=repr)
+def test_point_label_must_be_a_string(label):
+    with pytest.raises(DomainError) as err:
+        MarkedPoint(label)
+    assert err.value.payload() == {"error": "bad_label", "label": label}
 
 
 def test_surface_json_round_trip():

@@ -84,3 +84,11 @@ def test_h1_matches_character_count():
         for s in range(1, 7):
             r, _ = v_cohomology_ranks(g, s, "order2")
             assert 2 ** r.h1 == z2_character_count(standard_surface(g, s))
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0, 0), (True, 0, 0), (0, 0, 2.0)], ids=repr)
+def test_rank_triples_must_be_ints(bad):
+    with pytest.raises(DomainError) as err:
+        MVPieces(bad, (0, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert err.value.payload() == {"error": "bad_rank_triple", "which": "v1",
+                                   "value": list(bad)}
