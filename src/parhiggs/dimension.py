@@ -168,8 +168,15 @@ class DimReport:
 # GL(n,C) moduli
 
 
+def _check_rank(n) -> None:
+    """Refuse a rank that is not an int, a bool included (bad_rank)."""
+    if type(n) is not int:
+        raise DomainError("bad_rank", n=n)
+
+
 def dim_parabolic_gl(n: int, g: int, s: int) -> int:
     """dim of the parabolic GL(n,C) Higgs moduli: (2g-2+s)n^2 + 1."""
+    _check_rank(n)
     if n < 1:
         raise DomainError("rank_not_positive", n=n)
     require_hyperbolic(standard_surface(g, s))
@@ -177,6 +184,7 @@ def dim_parabolic_gl(n: int, g: int, s: int) -> int:
 
 
 def full_flag_multiplicities(n: int, s: int) -> tuple[tuple[int, ...], ...]:
+    _check_rank(n)
     return ((1,) * n,) * s
 
 
@@ -189,6 +197,7 @@ def dim_strongly_parabolic_gl(n: int, g: int, s: int,
     f_x = (n^2 - sum k_i^2)/2, which vanishes for the trivial flag (n,) and
     is maximal for the full flag (1,..,1).
     """
+    _check_rank(n)
     if n < 1:
         raise DomainError("rank_not_positive", n=n)
     require_hyperbolic(standard_surface(g, s))
@@ -271,6 +280,7 @@ def teichmuller_dimension(gdata: LieGroupData, g: int, s: int,
 def sl_kr_parabolic_dimension(k: int, g: int, s: int) -> int:
     """The cited SL(k,R) parabolic Teichmuller dimension:
     2(g-1)(k^2-1) + s(k^2-k)."""
+    _check_rank(k)
     if k < 2:
         raise DomainError("rank_not_positive", n=k)
     require_hyperbolic(standard_surface(g, s))

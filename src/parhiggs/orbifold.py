@@ -256,13 +256,17 @@ def vline_to_parabolic_line(l: VLineBundle, surf: MarkedSurface) -> ParabolicLin
 
 def parabolic_line_to_vline(line: ParabolicLineBundle, surf: MarkedSurface
                             ) -> VLineBundle:
-    iso = {}
+    """Corresponding V-line: residue weight * order at each point that has a
+    weight, which must be an integer (weight_not_orbifold)."""
+    weights, iso = line.weight_at, {}
     for p in surf.points:
-        b = line.weight(p.label) * p.order
-        if b.denominator != 1:
-            raise DomainError("weight_not_orbifold", label=p.label,
-                              weight=line.weight(p.label), order=p.order)
-        iso[p.label] = int(b)
+        w = weights.get(p.label)
+        if w is not None:
+            b, r = divmod(w.numerator * p.order, w.denominator)
+            if r:
+                raise DomainError("weight_not_orbifold", label=p.label,
+                                  weight=w, order=p.order)
+            iso[p.label] = b
     return VLineBundle(line.degree, iso)
 
 
@@ -294,6 +298,29 @@ class LocalChart:
 Term = tuple[int, Fraction]
 
 _FORMS = ("dw/w", "dz/z")
+
+
+def _is_canonical(terms) -> bool:
+    """True iff every term is a tuple (int, Fraction), exactly those types,
+    the degrees increase strictly and no coefficient is zero: the form
+    _clean_terms gives and LaurentMatrix holds."""
+    prev = None
+    for t in terms:
+        if type(t) is not tuple or len(t) != 2:
+            return False
+        d, c = t
+        if (type(d) is not int or type(c) is not Fraction or not c
+                or (prev is not None and d <= prev)):
+            return False
+        prev = d
+    return True
+
+
+def _canonical_terms(terms) -> tuple[Term, ...]:
+    """One entry's terms, read once: kept as given (as a tuple) when they are
+    canonical, else normalized by _clean_terms."""
+    terms = tuple(terms)
+    return terms if _is_canonical(terms) else _clean_terms(terms)
 
 
 def _clean_terms(terms) -> tuple[Term, ...]:
@@ -331,16 +358,9 @@ class LaurentMatrix:
         object.__setattr__(self, "window", (lo, hi))
         for i, row in enumerate(self.entries):
             for j, terms in enumerate(row):
-                prev = lo - 1
-                for d, c in terms:
-                    # prev >= lo - 1, so prev < d implies lo <= d
-                    if type(d) is int and prev < d <= hi and type(c) is Fraction and c:
-                        prev = d
-                        continue
-                    if type(d) is int and not lo <= d <= hi:
-                        raise DomainError("term_outside_window", degree=d,
-                                          window=list(self.window))
+                if type(terms) is not tuple or not _is_canonical(terms):
                     raise DomainError("terms_not_canonical", entry=[i, j])
+        _check_degrees(self.entries, lo, hi)
 
 
 def _check_frame(n: int, rows, window, form: str) -> tuple[int, int]:
@@ -357,6 +377,18 @@ def _check_frame(n: int, rows, window, form: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_degrees(rows, lo: int, hi: int) -> None:
+    """Refuse (term_outside_window) the first degree outside [lo, hi] of the
+    first entry, row by row, that has one; each entry is canonical, so only
+    its first and last degree need a look."""
+    for row in rows:
+        for terms in row:
+            if terms and not (lo <= terms[0][0] and terms[-1][0] <= hi):
+                d = next(d for d, _ in terms if not lo <= d <= hi)
+                raise DomainError("term_outside_window", degree=d,
+                                  window=[lo, hi])
+
+
 def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
                    window: tuple[int, int], form: str) -> LaurentMatrix:
     """Build from sparse {(i,j): [(deg, coef), ...]} terms, each entry normalized."""
@@ -364,7 +396,7 @@ def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
     for (i, j), ts in terms.items():
         if not (0 <= i < n and 0 <= j < n):
             raise DomainError("entry_out_of_range", entry=[i, j], n=n)
-        rows[i][j] = _clean_terms(ts)
+        rows[i][j] = _canonical_terms(ts)
     return _mapped(n, tuple(tuple(r) for r in rows), window, form)
 
 
@@ -418,18 +450,13 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
 # checked) e -> (e - k_i + k_j)/m increase strictly, m >= 1 scales, window applied.
 # Each coefficient is built from its integers, m*p/q and p/(q*m); the Fraction
 # constructor reduces them to the value m*c and c/m would give.  Rows from
-# _clean_terms (laurent_matrix, laurent_from_json) are canonical too.  So
+# _canonical_terms (laurent_matrix, laurent_from_json) are canonical too.  So
 # _mapped builds the result without LaurentMatrix's per-term check.  It keeps
-# the rest, in the constructor's order: the frame (_check_frame), then each
-# entry's first and last degree against the window.
+# the rest, in the constructor's order: the frame (_check_frame), then the
+# degrees against the window (_check_degrees).
 def _mapped(n: int, rows, window, form: str) -> LaurentMatrix:
     lo, hi = _check_frame(n, rows, window, form)
-    for row in rows:
-        for terms in row:
-            if terms and not (lo <= terms[0][0] and terms[-1][0] <= hi):
-                d = next(d for d, _ in terms if not lo <= d <= hi)
-                raise DomainError("term_outside_window", degree=d,
-                                  window=[lo, hi])
+    _check_degrees(rows, lo, hi)
     return trusted_value(LaurentMatrix, n=n, entries=rows, window=(lo, hi),
                          form=form)
 
@@ -570,7 +597,7 @@ def _read_entries(obj) -> tuple[tuple[tuple[Term, ...], ...], ...]:
         for e in row:
             if type(e) is not list:
                 raise JsonShapeError("a list")
-            out.append(_clean_terms([_read_term(t) for t in e]) if e else ())
+            out.append(_canonical_terms([_read_term(t) for t in e]) if e else ())
         rows.append(tuple(out))
     return tuple(rows)
 

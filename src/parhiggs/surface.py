@@ -45,8 +45,7 @@ class MarkedSurface:
     points: tuple[MarkedPoint, ...] = ()
 
     def __post_init__(self):
-        if type(self.genus) is not int or self.genus < 0:
-            raise DomainError("bad_genus", genus=self.genus)
+        _check_genus(self.genus)
         labels = [p.label for p in self.points]
         label_set = frozenset(labels)
         if len(label_set) != len(labels):
@@ -65,18 +64,28 @@ class MarkedSurface:
         return 2 * self.genus - 2 + self.s > 0
 
 
-@lru_cache(maxsize=128, typed=True)
+def _check_genus(genus) -> None:
+    if type(genus) is not int or genus < 0:
+        raise DomainError("bad_genus", genus=genus)
+
+
 def standard_surface(genus: int, s: int) -> MarkedSurface:
     """Surface with points labelled x1..xs, each of isotropy order 2.
 
     An s that is not an int (a bool included) or is negative is refused
-    (bad_marked_points) rather than read as a number of points.
-    The last 128 surfaces are kept, keyed by the arguments and their types,
-    and a repeated request returns the same frozen surface.  A refusal is not
-    kept: it is raised again on every call.
+    (bad_marked_points) rather than read as a number of points, and then
+    such a genus (bad_genus); both before the cache, so an unhashable
+    argument is refused too.  The last 128 surfaces are kept, and a repeated
+    request returns the same frozen surface.
     """
     if type(s) is not int or s < 0:
         raise DomainError("bad_marked_points", s=s)
+    _check_genus(genus)
+    return _standard_surface(genus, s)
+
+
+@lru_cache(maxsize=128)
+def _standard_surface(genus: int, s: int) -> MarkedSurface:
     return MarkedSurface(genus, tuple(MarkedPoint(f"x{i+1}") for i in range(s)))
 
 
@@ -99,6 +108,6 @@ def h0_twisted_power(surface: MarkedSurface, m: int) -> int:
     killing H^1; m = 0 is rejected rather than special-cased.
     """
     require_hyperbolic(surface)
-    if m < 1:
+    if type(m) is not int or m < 1:
         raise DomainError("bad_twist_power", m=m)
     return (2 * m + 1) * (surface.genus - 1) + m * surface.s

@@ -30,8 +30,11 @@ class VCohRanks:
     h2: int
 
     def __post_init__(self):
-        if min(self.h0, self.h1, self.h2) < 0:
-            raise DomainError("negative_rank", ranks=[self.h0, self.h1, self.h2])
+        ranks = [self.h0, self.h1, self.h2]
+        if any(type(r) is not int for r in ranks):
+            raise DomainError("bad_rank_triple", which="ranks", value=ranks)
+        if min(ranks) < 0:
+            raise DomainError("negative_rank", ranks=ranks)
 
     def astuple(self) -> Triple:
         return (self.h0, self.h1, self.h2)
@@ -102,9 +105,9 @@ def v_cohomology_ranks(g: int, s: int, mode: str) -> tuple[VCohRanks, str]:
     """
     if mode not in MODES:
         raise DomainError("unsupported_mode", mode=mode)
-    if g < 0 or s < 1:
+    if type(g) is int and type(s) is int and (g < 0 or s < 1):
         raise DomainError("needs_marked_points", g=g, s=s)
-    standard_surface(g, s)  # g and s must be exact ints
+    standard_surface(g, s)  # refuses a g or s that is not an exact int
     if mode == "order2":
         disk = bz2_disk_ranks().astuple()
         pieces = MVPieces(

@@ -129,8 +129,18 @@ def test_strongly_parabolic_multiplicities_must_be_ints(steps):
      {"error": "rank_not_positive", "n": 0}),
     (lambda: sl_kr_parabolic_dimension(1, 2, 1),
      {"error": "rank_not_positive", "n": 1}),
+    # a rank that is not an exact int, before its lower bound
+    (lambda: dim_parabolic_gl(2.5, 2, 1), {"error": "bad_rank", "n": 2.5}),
+    (lambda: dim_parabolic_gl(0.5, 2, 1), {"error": "bad_rank", "n": 0.5}),
+    (lambda: dim_strongly_parabolic_gl(2.0, 2, 1, [(1, 1)]),
+     {"error": "bad_rank", "n": 2.0}),
+    (lambda: sl_kr_parabolic_dimension(2.5, 2, 1), {"error": "bad_rank", "n": 2.5}),
+    (lambda: sl_kr_parabolic_dimension(True, 2, 1), {"error": "bad_rank", "n": True}),
+    (lambda: full_flag_multiplicities(2.5, 1), {"error": "bad_rank", "n": 2.5}),
 ], ids=["bad_exponents", "complex_dimension_odd", "parabolic-rank",
-        "strongly-parabolic-rank", "sl_kr-rank"])
+        "strongly-parabolic-rank", "sl_kr-rank", "parabolic-rank-2.5",
+        "parabolic-rank-0.5", "strongly-parabolic-rank-2.0", "sl_kr-rank-2.5",
+        "sl_kr-rank-True", "full-flag-rank-2.5"])
 def test_lie_data_and_rank_refusals(call, payload):
     with pytest.raises(DomainError) as err:
         call()

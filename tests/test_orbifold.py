@@ -12,6 +12,8 @@ from parhiggs.orbifold import (
     LocalChart,
     VLineBundle,
     Z2Character,
+    _clean_terms,
+    _mapped,
     equivariance_check,
     kawasaki_euler,
     laurent_from_json,
@@ -234,8 +236,17 @@ def test_vline_and_parabolic_line_round_trip_with_equal_degree(data):
 
 def test_parabolic_line_to_vline_rejects_foreign_weights():
     surf = standard_surface(1, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         parabolic_line_to_vline(ParabolicLineBundle(0, {"x1": F(1, 3)}), surf)
+    assert err.value.payload() == {"error": "weight_not_orbifold", "label": "x1",
+                                   "weight": F(1, 3), "order": 2}
+    # the first point, in the surface's order, whose weight * order is no integer
+    surf = surface_with_orders(0, [2, 3, 5])
+    line = ParabolicLineBundle(0, {"x3": F(1, 2), "x1": F(1, 2), "x2": F(1, 2)})
+    with pytest.raises(DomainError) as err:
+        parabolic_line_to_vline(line, surf)
+    assert err.value.payload() == {"error": "weight_not_orbifold", "label": "x2",
+                                   "weight": F(1, 2), "order": 3}
 
 
 # ------------------------------------------------- local correspondence ----
@@ -289,6 +300,9 @@ def test_laurent_matrix_refuses_inexact_terms(term):
     ((2, 1),),                       # int coefficient
     ((F(2), F(1)),),                 # Fraction degree
     (("2", F(1)),),                  # string degree
+    ([2, F(1)],),                    # list-shaped term
+    [(2, F(1))],                     # entry given as a list
+    ((2, F(1)) for _ in "x"),        # entry given as a generator
 ])
 def test_laurent_constructor_refuses_non_canonical_entries(entry):
     rows = (((), ()), ((), entry))
@@ -393,6 +407,101 @@ def test_laurent_from_json_normalizes_terms():
     assert m == 2
     assert mat.entries[0][0] == ((1, F(-1)), (5, F(1)))
     assert all(type(c) is Fraction for _, c in mat.entries[0][0])
+
+
+# laurent_matrix and laurent_from_json keep an entry's terms as given when
+# they are canonical and pass them to _clean_terms otherwise.  Either way the
+# matrix must be the one _mapped builds from _clean_terms's rows, with every
+# term an exact (int, Fraction) tuple.
+
+class _SubFraction(Fraction):
+    """Equal to its value, but not the exact type a canonical term holds."""
+
+
+_FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_COEFS = st.one_of(_FRACS, st.integers(-3, 3), _FRACS.map(_SubFraction))
+
+
+@st.composite
+def _entry_terms(draw, coefs=_COEFS):
+    """(degree, coefficient) pairs: canonical, canonical but shuffled, or any
+    (repeated degrees, zeros, int and Fraction-subclass coefficients)."""
+    kind = draw(st.sampled_from(["canonical", "shuffled", "any"]))
+    if kind == "any":
+        return draw(st.lists(st.tuples(st.integers(-2, 9), coefs), max_size=5))
+    degrees = sorted(draw(st.sets(st.integers(-2, 9), max_size=4)))
+    terms = [(d, draw(_FRACS.filter(bool))) for d in degrees]
+    return draw(st.permutations(terms)) if kind == "shuffled" else terms
+
+
+def _from_cleaned(n, entries, window, form):
+    """The matrix _mapped builds from each entry's _clean_terms, or its refusal."""
+    rows = tuple(tuple(_clean_terms(list(e)) for e in row) for row in entries)
+    return _outcome(lambda: _mapped(n, rows, window, form))
+
+
+def _holds_exact_terms(mat):
+    return all(type(t) is tuple and len(t) == 2 and type(t[0]) is int
+               and type(t[1]) is Fraction
+               for row in mat.entries for e in row for t in e)
+
+
+_CONTAINERS = [list, tuple, lambda ts: (t for t in ts)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_laurent_matrix_equals_the_matrix_of_cleaned_terms(data):
+    n = data.draw(st.integers(1, 3))
+    form = data.draw(st.sampled_from(["dw/w", "dz/z"]))
+    given_terms, entries = {}, [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if data.draw(st.booleans()):
+                continue
+            as_term = data.draw(st.sampled_from([tuple, list]))
+            terms = [as_term(t) for t in data.draw(_entry_terms())]
+            given_terms[i, j] = (data.draw(st.sampled_from(_CONTAINERS)), terms)
+            entries[i][j] = terms
+    want = _from_cleaned(n, entries, (-1, 8), form)
+    got = _outcome(lambda: laurent_matrix(
+        n, {ij: wrap(ts) for ij, (wrap, ts) in given_terms.items()}, (-1, 8), form))
+    assert got == want and repr(got) == repr(want)
+    if isinstance(got, LaurentMatrix):
+        assert _holds_exact_terms(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_laurent_from_json_equals_the_matrix_of_cleaned_terms(data):
+    n = data.draw(st.integers(1, 3))
+    form = data.draw(st.sampled_from(["dw/w", "dz/z"]))
+    entries = [[data.draw(_entry_terms(st.one_of(_FRACS, st.integers(-3, 3))))
+                for _ in range(n)] for _ in range(n)]
+    obj = {"m": 3, "form": form, "window": [-1, 8],
+           "entries": [[[{"deg": d, "coef": c if type(c) is int else str(c)}
+                         for d, c in e] for e in row] for row in entries]}
+    want = _from_cleaned(n, entries, (-1, 8), form)
+    if isinstance(want, LaurentMatrix):
+        want = (3, want)
+    got = _outcome(lambda: laurent_from_json(obj))
+    assert got == want and repr(got) == repr(want)
+    if isinstance(want, tuple):
+        assert _holds_exact_terms(got[1])
+        # the writer's output is canonical, and read back as it was written
+        again = laurent_from_json(laurent_to_json(got[1], 3))
+        assert again == got and repr(again) == repr(got)
+        assert _holds_exact_terms(again[1])
+
+
+def test_terms_not_held_as_given_are_cleaned():
+    # a list-shaped term is held as a tuple
+    mat = laurent_matrix(1, {(0, 0): [[2, F(1)]]}, (-1, 8), "dw/w")
+    assert mat.entries[0][0] == ((2, F(1)),)
+    assert type(mat.entries[0][0][0]) is tuple
+    # a generator of unsorted terms is read once, then sorted
+    mat = laurent_matrix(1, {(0, 0): ((d, F(1)) for d in (3, 2))}, (-1, 8), "dw/w")
+    assert mat.entries[0][0] == ((2, F(1)), (3, F(1)))
 
 
 _GOOD_JSON = {"m": 2, "form": "dz/z", "window": [-1, 16],

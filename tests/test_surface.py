@@ -33,6 +33,7 @@ from parhiggs.stability import (
 from parhiggs.surface import (
     MarkedPoint,
     MarkedSurface,
+    _standard_surface,
     deg_kd,
     h0_twisted_power,
     require_hyperbolic,
@@ -70,6 +71,10 @@ def test_h0_twisted_power_monotone_and_errors():
         h0_twisted_power(standard_surface(2, 1), 0)
     with pytest.raises(DomainError):
         h0_twisted_power(standard_surface(1, 0), 1)
+    for m in (1.5, 2.0, True):
+        with pytest.raises(DomainError) as err:
+            h0_twisted_power(standard_surface(2, 1), m)
+        assert err.value.payload() == {"error": "bad_twist_power", "m": m}
 
 
 def test_surface_validation():
@@ -150,7 +155,11 @@ GS_CALLS = {
 GS_PROBES = [((1.5, 1), {"error": "bad_genus", "genus": 1.5}),
              ((True, 1), {"error": "bad_genus", "genus": True}),
              ((2, 1.5), {"error": "bad_marked_points", "s": 1.5}),
-             ((2, True), {"error": "bad_marked_points", "s": True})]
+             ((2, True), {"error": "bad_marked_points", "s": True}),
+             (([1], 1), {"error": "bad_genus", "genus": [1]}),
+             ((None, 1), {"error": "bad_genus", "genus": None}),
+             ((2, [1]), {"error": "bad_marked_points", "s": [1]}),
+             ((2, None), {"error": "bad_marked_points", "s": None})]
 GS_ROWS = [(name, gs, payload) for name in GS_CALLS for gs, payload in GS_PROBES
            if name != "s1_reduction_report" or gs[0] != 2]
 
@@ -228,17 +237,23 @@ def _outcome(call, *args):
 
 
 def test_standard_surface_cache_matches_the_plain_function():
-    plain = standard_surface.__wrapped__
+    # the cache sits behind the argument checks, which refuse s before g
+    plain = _standard_surface.__wrapped__
     for g in range(-1, 5):
         for s in range(-1, 6):
-            want = _outcome(plain, g, s)
             first = _outcome(standard_surface, g, s)
             again = _outcome(standard_surface, g, s)
-            assert first == again == want
-            if want[0] == "value":
+            assert first == again
+            if s < 0:
+                assert first == ("error", {"error": "bad_marked_points", "s": s})
+            elif g < 0:
+                assert first == ("error", {"error": "bad_genus", "genus": g})
+            else:
                 assert first[1] is again[1]
-                assert first[1].labels() == want[1].labels()
-    # keyed by type too: True is not read back as the cached genus 1
+                assert first[1] == plain(g, s)
+                assert first[1].labels() == plain(g, s).labels()
+    # checked before the cache: True is not read back as the cached genus 1
     standard_surface(1, 1)
-    assert _outcome(standard_surface, True, 1) == _outcome(plain, True, 1)
-    assert standard_surface.cache_info().maxsize == 128
+    assert _outcome(standard_surface, True, 1) == ("error", {"error": "bad_genus",
+                                                             "genus": True})
+    assert _standard_surface.cache_info().maxsize == 128

@@ -92,3 +92,21 @@ def test_rank_triples_must_be_ints(bad):
         MVPieces(bad, (0, 0, 0), (0, 0, 0), (0, 0, 0))
     assert err.value.payload() == {"error": "bad_rank_triple", "which": "v1",
                                    "value": list(bad)}
+    with pytest.raises(DomainError) as err:
+        VCohRanks(*bad)
+    assert err.value.payload() == {"error": "bad_rank_triple", "which": "ranks",
+                                   "value": list(bad)}
+
+
+@pytest.mark.parametrize("g,s,payload", [
+    ("2", 1, {"error": "bad_genus", "genus": "2"}),
+    (2, None, {"error": "bad_marked_points", "s": None}),
+    (-1, None, {"error": "bad_marked_points", "s": None}),
+    (-1, 1, {"error": "needs_marked_points", "g": -1, "s": 1}),
+    (2, 0, {"error": "needs_marked_points", "g": 2, "s": 0}),
+    (2, -1, {"error": "needs_marked_points", "g": 2, "s": -1}),
+], ids=repr)
+def test_surface_arguments_are_refused_with_the_surface_codes(g, s, payload):
+    with pytest.raises(DomainError) as err:
+        v_cohomology_ranks(g, s, "order2")
+    assert err.value.payload() == payload
