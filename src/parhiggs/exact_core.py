@@ -21,6 +21,7 @@ __all__ = [
     "check_cap",
     "all_bits",
     "rational_sum",
+    "rat",
     "rat_from_str",
 ]
 
@@ -157,7 +158,21 @@ def rational_sum(values: Iterable[Fraction | int]) -> Fraction:
             step = lcm(den, q) // den
             num, den = num * step, den * step
         num += v.numerator * (den // q)
-    return Fraction(num, den)
+    return rat(num, den)
+
+
+@lru_cache(maxsize=4096, typed=True)
+def rat(p: int, q: int) -> Fraction:
+    """The rational p/q, reduced, as ``Fraction(p, q)`` makes it.
+
+    Every Fraction the package builds from two integers is built here.  The
+    last 4,096 results are kept, keyed by the pair and its types, and one
+    shared ``Fraction`` is returned for a repeated pair; a ``Fraction`` is
+    immutable.  Keying by type keeps ``rat(1.0, 2)`` a TypeError, as
+    ``Fraction(1.0, 2)`` is, after ``rat(1, 2)`` is kept.  A refusal is not
+    kept: q = 0 raises ZeroDivisionError on every call.
+    """
+    return Fraction(p, q)
 
 
 @lru_cache(maxsize=1024, typed=True)

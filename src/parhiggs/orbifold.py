@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 
 from .codec import JsonShapeError, decoder
 from .exact_core import (DomainError, EMPTY_MAPPING, all_bits, check_cap,
-                         frozen_value, rat_from_str, rational_sum, trusted_value)
+                         frozen_value, rat, rat_from_str, rational_sum,
+                         trusted_value)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -90,7 +91,7 @@ def vline_degree(l: VLineBundle, surf: MarkedSurface) -> Fraction:
     """Fractional degree: desingularized degree plus sum of b_i/k_i."""
     _check_isotropy(l, surf)
     iso = l.isotropy
-    return rational_sum([l.desing_degree, *(Fraction(iso[p.label], p.order)
+    return rational_sum([l.desing_degree, *(rat(iso[p.label], p.order)
                                             for p in surf.points if p.label in iso)])
 
 
@@ -250,7 +251,7 @@ def vline_to_parabolic_line(l: VLineBundle, surf: MarkedSurface) -> ParabolicLin
     _check_isotropy(l, surf)
     return ParabolicLineBundle(
         l.desing_degree,
-        {p.label: Fraction(l.residue(p.label), p.order)
+        {p.label: rat(l.residue(p.label), p.order)
          for p in surf.points if l.residue(p.label)})
 
 
@@ -343,8 +344,10 @@ def _clean_terms(terms) -> tuple[Term, ...]:
 @frozen_value
 class LaurentMatrix:
     """Square matrix of truncated Laurent polynomials in a window, with form
-    dw/w (weighted side) or dz/z (upstairs).  Entries are checked, not rebuilt:
-    one that laurent_matrix would change is refused (terms_not_canonical).
+    dw/w (weighted side) or dz/z (upstairs).  The matrix and its rows are
+    stored as tuples, so the value is hashable and its entries cannot be
+    replaced.  Entries are checked, not rebuilt: one that laurent_matrix
+    would change is refused (terms_not_canonical).
     laurent_matrix, laurent_from_json and the two local maps build theirs
     without this per-term check (see _mapped)."""
 
@@ -355,12 +358,14 @@ class LaurentMatrix:
 
     def __post_init__(self):
         lo, hi = _check_frame(self.n, self.entries, self.window, self.form)
+        rows = tuple([tuple(row) for row in self.entries])
+        object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "window", (lo, hi))
-        for i, row in enumerate(self.entries):
+        for i, row in enumerate(rows):
             for j, terms in enumerate(row):
                 if type(terms) is not tuple or not _is_canonical(terms):
                     raise DomainError("terms_not_canonical", entry=[i, j])
-        _check_degrees(self.entries, lo, hi)
+        _check_degrees(rows, lo, hi)
 
 
 def _check_frame(n: int, rows, window, form: str) -> tuple[int, int]:
@@ -448,8 +453,8 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
 
 # Rows from both maps are canonical as built: d -> m*d + k_i - k_j and (equivariance
 # checked) e -> (e - k_i + k_j)/m increase strictly, m >= 1 scales, window applied.
-# Each coefficient is built from its integers, m*p/q and p/(q*m); the Fraction
-# constructor reduces them to the value m*c and c/m would give.  Rows from
+# Each coefficient is built from its integers, m*p/q and p/(q*m); rat reduces
+# them to the value m*c and c/m would give.  Rows from
 # _canonical_terms (laurent_matrix, laurent_from_json) are canonical too.  So
 # _mapped builds the result without LaurentMatrix's per-term check.  It keeps
 # the rest, in the constructor's order: the frame (_check_frame), then the
@@ -495,7 +500,7 @@ def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
             for d, c in terms:
                 e = m * d + shift
                 if lo <= e <= hi:
-                    out.append((e, Fraction(c.numerator * m, c.denominator)))
+                    out.append((e, rat(c.numerator * m, c.denominator)))
             row.append(tuple(out))
         rows.append(tuple(row))
     return LocalChart(m, tuple(ks)), _mapped(higgs.n, tuple(rows), window, "dz/z")
@@ -535,10 +540,10 @@ def orb_to_par_local(chart: LocalChart, mat: LaurentMatrix,
             out = []
             for d, (_, c) in zip(degrees, terms):
                 if lo <= d <= hi:
-                    out.append((d, Fraction(c.numerator, c.denominator * m)))
+                    out.append((d, rat(c.numerator, c.denominator * m)))
             row.append(tuple(out))
         rows.append(tuple(row))
-    weights = tuple(Fraction(ki, m) for ki in k)
+    weights = tuple(rat(ki, m) for ki in k)
     return weights, _mapped(mat.n, tuple(rows), window, "dw/w")
 
 

@@ -7,11 +7,11 @@ vector bundle or to the single fiber line of a parabolic line bundle.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Mapping
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
-from .exact_core import (DomainError, EMPTY_MAPPING, frozen_value, rat_from_str,
-                         rational_sum, trusted_value)
+from .exact_core import (DomainError, EMPTY_MAPPING, frozen_value, rat,
+                         rat_from_str, rational_sum, trusted_value)
 from .surface import MarkedSurface
 
 __all__ = [
@@ -72,9 +72,9 @@ def trivial_flag(rank: int) -> ParabolicFlag:
 class ParabolicLineBundle:
     """Line bundle with one weight in [0,1) per marked point (missing = 0).
 
-    Its pardeg is fixed when it is built, in integers over the lcm of the
-    weights' denominators, outside the fields that equality, repr and JSON
-    read; ``weight_at`` is not to be mutated.
+    Its pardeg is fixed when it is built, as a reduced (numerator,
+    denominator) pair of ints, outside the fields that equality, repr and
+    JSON read; ``weight_at`` is not to be mutated.
     """
 
     degree: int
@@ -94,7 +94,8 @@ class ParabolicLineBundle:
                 num, den = num * step, den * step
             num += p * (den // q)
         object.__setattr__(self, "weight_at", clean)
-        object.__setattr__(self, "_pardeg", Fraction(num, den))
+        g = gcd(num, den)
+        object.__setattr__(self, "_pardeg_pair", (num // g, den // g))
 
     def weight(self, label: str) -> Fraction:
         return self.weight_at.get(label, Fraction(0))
@@ -138,8 +139,20 @@ def pardeg(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> Fra
     ``weight_at`` is not to be mutated."""
     _check_points(b, surf)
     if isinstance(b, ParabolicLineBundle):
-        return b._pardeg
+        return rat(*b._pardeg_pair)
     return rational_sum([b.degree, *(fl.weight_sum() for fl in b.flag_at.values())])
+
+
+def _pardegs_over_lcm(lines: Sequence[ParabolicLineBundle], surf: MarkedSurface
+                      ) -> tuple[int, list[int]]:
+    """(den, nums): the pardegs of the line bundles as integers over their
+    least common denominator, each line's points checked in turn as
+    ``pardeg`` checks them."""
+    for l in lines:
+        _check_points(l, surf)
+    pairs = [l._pardeg_pair for l in lines]
+    den = lcm(*[q for _, q in pairs])
+    return den, [p * (den // q) for p, q in pairs]
 
 
 def parslope(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> Fraction:
@@ -151,7 +164,7 @@ def parslope(b: ParabolicBundle | ParabolicLineBundle, surf: MarkedSurface) -> F
 
 def _dual_weight(a: Fraction) -> Fraction:
     """1 - a for a = p/q in (0,1), built as (q - p)/q; 0 stays 0."""
-    return Fraction(a.denominator - a.numerator, a.denominator) if a else a
+    return rat(a.denominator - a.numerator, a.denominator) if a else a
 
 
 def par_dual(b: ParabolicBundle | ParabolicLineBundle):
@@ -167,8 +180,9 @@ def par_dual(b: ParabolicBundle | ParabolicLineBundle):
                 a = _dual_weight(a)
                 shift += 1
             weights[x] = a
+        num, den = b._pardeg_pair
         return trusted_value(ParabolicLineBundle, degree=-b.degree - shift,
-                             weight_at=weights, _pardeg=-b._pardeg)
+                             weight_at=weights, _pardeg_pair=(-num, den))
     shift = 0
     flags = {}
     for lbl, fl in b.flag_at.items():

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from typing import Iterable, Sequence
 
 from .codec import from_json
-from .exact_core import DomainError, frozen_value, rational_sum, trusted_value
-from .parbun import ParabolicLineBundle, par_dual, pardeg
+from .exact_core import DomainError, frozen_value, rat, rational_sum, trusted_value
+from .parbun import ParabolicLineBundle, _pardegs_over_lcm, par_dual, pardeg
 from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface
 
 __all__ = [
@@ -48,18 +47,22 @@ __all__ = [
 Arrow = tuple[int, int]   # (dst, src)
 
 
-def _over_lcm(pds: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(den, nums): the rationals pds as integers over their least common
-    denominator."""
-    den = lcm(*[p.denominator for p in pds])
-    return den, [p.numerator * (den // p.denominator) for p in pds]
-
-
 @frozen_value
 class DecomposableHiggsModel:
+    """A direct sum of parabolic line bundles with the Higgs field's arrows.
+
+    The summands' pardegs over their common denominator are kept outside
+    the fields that equality, repr and JSON read, filled on first use, for
+    the verdict and the alpha check.  A model induced by an Sp(2n,R) triple
+    holds a reference to it and reads them off the triple's own kept
+    pardegs.  ``summands`` is not to be mutated.
+    """
+
     surface: MarkedSurface
     summands: tuple[ParabolicLineBundle, ...]
     arrows: frozenset[Arrow] = frozenset()
+    # kept values, not fields; an instance holds its own once filled
+    _triple = _table = None
 
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(self.summands))
@@ -94,8 +97,8 @@ class SpTripleModel:
     Two values are kept outside the fields that equality, repr and JSON
     read, each filled on first use: the parabolic duals of V's summands,
     which the induced model and the dual triple share, and V's pardegs over
-    their common denominator, filled through ``pardeg`` and its checks,
-    which the Toledo invariant and the dual triple read.
+    their common denominator, filled with ``pardeg``'s point checks, which
+    the Toledo invariant, the induced model and the dual triple read.
     ``v_summands`` is not to be mutated.
     """
 
@@ -132,20 +135,22 @@ class SpTripleModel:
     def _pardeg_table(self) -> tuple[int, list[int]]:
         table = self._table
         if table is None:
-            table = _over_lcm([pardeg(v, self.surface) for v in self.v_summands])
+            table = _pardegs_over_lcm(self.v_summands, self.surface)
             object.__setattr__(self, "_table", table)
         return table
 
     def to_decomposable(self) -> DecomposableHiggsModel:
         """The induced model on E = V + V^dual (duals listed after V).
 
-        Its arrows are in range because the triple's are."""
+        Its arrows are in range because the triple's are.  Its pardegs are
+        read off the triple's when first needed, so a weight at an unknown
+        point is refused there, not here."""
         n = self.n
         arrows = {(i, n + j) for (i, j) in self.beta_arrows}
         arrows |= {(n + i, j) for (i, j) in self.gamma_arrows}
         return trusted_value(DecomposableHiggsModel, surface=self.surface,
                              summands=self.v_summands + self._v_duals(),
-                             arrows=frozenset(arrows))
+                             arrows=frozenset(arrows), _triple=self)
 
 
 # ------------------------------------------------------------ stability ----
@@ -214,10 +219,22 @@ def _closed_sets(m: DecomposableHiggsModel, nums: Sequence[int]
 def _closed_table(m: DecomposableHiggsModel
                   ) -> tuple[int, list[int], list[int], list[int]]:
     """(den, nums, masks, sums): the summands' pardegs over their common
-    denominator, and the closed sets with their sums of nums.  Ranks above
-    MAX_VERDICT_RANK are refused first, with rank_too_large."""
+    denominator, kept by m, and the closed sets with their sums of nums.
+    Ranks above MAX_VERDICT_RANK are refused first, with rank_too_large.
+
+    A model induced by a triple lists the duals after V, and
+    pardeg L^dual = -pardeg L, so its nums are the triple's and their
+    negations."""
     _check_rank(m, MAX_VERDICT_RANK)
-    den, nums = _over_lcm(m.pardegs())
+    table = m._table
+    if table is None:
+        if m._triple is None:
+            table = _pardegs_over_lcm(m.summands, m.surface)
+        else:
+            den, nums = m._triple._pardeg_table()
+            table = den, nums + [-x for x in nums]
+        object.__setattr__(m, "_table", table)
+    den, nums = table
     return (den, nums, *_closed_sets(m, nums))
 
 
@@ -286,7 +303,7 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     n = m.n
     den, nums, masks, sums = _closed_table(m)
     total = sums[-1]
-    mu = Fraction(total, den * n)
+    mu = rat(total, den * n)
     # Slopes compared by cross-multiplying.  best: the first maximizer above
     # mu so far; ties: the subsets of slope mu while none is above it.
     best, ties = None, []
@@ -321,7 +338,7 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
 def toledo(m: SpTripleModel) -> Fraction:
     """Parabolic Toledo invariant: pardeg V."""
     den, nums = m._pardeg_table()
-    return Fraction(sum(nums), den)
+    return rat(sum(nums), den)
 
 
 def milnor_wood_bound(n: int, g: int, s: int) -> Fraction:
@@ -336,7 +353,7 @@ def milnor_wood_bound(n: int, g: int, s: int) -> Fraction:
     if n < 0:
         raise DomainError("negative_rank", n=n)
     require_hyperbolic(standard_surface(g, s))
-    return Fraction(n * (2 * g - 2 + s), 2)
+    return rat(n * (2 * g - 2 + s), 2)
 
 
 def general_mw_interval(rk_plus: int, rk_minus: int, g: int, s: int
@@ -386,7 +403,7 @@ def hitchin_model(k: int, g: int, s: int) -> DecomposableHiggsModel:
     deg_a = -(g - 1) - s
     deg_b = g - 1
     twist = k // 2 - 1 if k % 2 == 0 else (k - 1) // 2
-    w = Fraction(1, 2) if k % 2 == 0 else Fraction(0)
+    w = rat(1, 2) if k % 2 == 0 else Fraction(0)
     summands = tuple(
         ParabolicLineBundle((k - 1 - i) * deg_a + i * deg_b + twist * s,
                             {x: w for x in surf.labels()} if w else {})

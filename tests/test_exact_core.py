@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
-from parhiggs.exact_core import DomainError, rat_from_str, rational_sum
+from parhiggs.exact_core import DomainError, rat, rat_from_str, rational_sum
 
 
 def test_rational_serialization_round_trip():
@@ -35,6 +35,29 @@ def test_rat_from_str_cache_matches_the_plain_function():
     assert rat_from_str(" 3/4 ") == Fraction(3, 4)
     assert rat_from_str(True) == 1
     assert rat_from_str.cache_info().maxsize == 1024
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(1, 60),
+       st.booleans())
+def test_rat_is_the_fraction_of_its_pair(p, q, k, negate):
+    """Non-reduced pairs, and pairs with a negative denominator, give the
+    reduced Fraction that Fraction(p, q) gives, on a miss and on a hit."""
+    a, b = p * k, q * k * (-1 if negate else 1)
+    want = Fraction(a, b)
+    for got in (rat(a, b), rat(a, b)):
+        assert type(got) is Fraction and got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_rat_keeps_its_refusals_and_its_bound():
+    assert rat(1, 2) == Fraction(1, 2)
+    for p, q in ((1.0, 2), (1, 2.0), ("1", 2)):
+        with pytest.raises(TypeError):
+            rat(p, q)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            rat(1, 0)
+    assert rat.cache_info().maxsize == 4096
 
 
 def test_rational_sum_exactness_random():

@@ -311,6 +311,15 @@ def test_laurent_constructor_refuses_non_canonical_entries(entry):
     assert e.value.payload() == {"error": "terms_not_canonical", "entry": [1, 1]}
 
 
+def test_laurent_rows_given_as_lists_are_stored_as_tuples():
+    listed = LaurentMatrix(1, [[((1, F(1)),)]], (-1, 8), "dw/w")
+    built = LaurentMatrix(1, ((((1, F(1)),),),), (-1, 8), "dw/w")
+    assert listed == built and hash(listed) == hash(built)
+    assert type(listed.entries) is tuple and type(listed.entries[0]) is tuple
+    with pytest.raises(TypeError):
+        listed.entries[0][0] = ((9, F(1)),)
+
+
 @pytest.mark.parametrize("terms,degree", [
     (((9, F(1)),), 9),
     (((-2, F(1)), (0, F(1))), -2),

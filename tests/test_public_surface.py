@@ -160,3 +160,34 @@ def test_codec_names_no_other_module_of_the_package():
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert imported == {"exact_core"}
     assert "sys.modules" not in (PACKAGE / "codec.py").read_text(encoding="utf-8")
+
+
+def _called_name(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_fractions_from_two_numbers_are_made_only_by_rat():
+    """One constructor: a Fraction made from a numerator and a denominator
+    (or from unpacked arguments) is made by ``exact_core.rat`` alone, which
+    keeps the repeated ones."""
+    outside, inside = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        own = set()
+        if path.name == "exact_core.py":
+            own = {id(node) for node in ast.walk(_definitions(tree)["rat"])}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and _called_name(node.func) == "Fraction"):
+                continue
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords)
+            if len(node.args) + len(node.keywords) >= 2 or unpacked:
+                if id(node) in own:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert inside == 1

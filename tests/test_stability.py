@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -572,21 +573,86 @@ def test_derived_values_match_their_constructor_twins(t, toledo_first, alpha):
     assert (repr(t), to_json(t)) == before
 
 
+def _direct_table(lines, surf):
+    """(den, nums) computed from pardeg, each pardeg an exact Fraction."""
+    pds = [pardeg(l, surf) for l in lines]
+    assert all(type(p) is F for p in pds)
+    den = math.lcm(*[p.denominator for p in pds])
+    return den, [p.numerator * (den // p.denominator) for p in pds]
+
+
+def _check_model_from_pardegs(m, alpha):
+    """The verdict's slope and the alpha check agree with the model's
+    pardegs, and the table the model keeps is those pardegs over their lcm."""
+    report = stability_verdict(m)
+    assert m._table == _direct_table(m.summands, m.surface)
+    pds = m.pardegs()
+    assert report.slope == sum(pds, F(0)) / m.n and type(report.slope) is F
+    total = sum(pds, F(0))
+    first = next((sub for sub in invariant_subsets(m)
+                  if total - sum((pds[i] for i in sub), F(0))
+                  < alpha * (m.n - len(sub))), None)
+    assert alpha_stability_check_gl(m, alpha) == (first is None, first)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sp_triples(), st.booleans(),
+       st.sampled_from([F(0), F(1, 2), F(-3, 4), F(5, 3)]))
+def test_kept_pardeg_tables_match_pardeg(t, toledo_first, alpha):
+    """Triples, their induced models and their duals keep their pardegs as
+    integers; what they give equals what pardeg gives, whichever of the
+    Toledo invariant and the verdict fills the triple's table first, and
+    whether a dual is made before or after its triple keeps one."""
+    def check(triple):
+        if toledo_first:
+            toledo(triple)
+        _check_model_from_pardegs(triple.to_decomposable(), alpha)
+        assert triple._pardeg_table() == _direct_table(triple.v_summands,
+                                                       triple.surface)
+        tol = toledo(triple)
+        assert tol == sum((pardeg(v, triple.surface) for v in triple.v_summands),
+                          F(0)) and type(tol) is F
+
+    early = sp_dual(t)
+    check(t)
+    check(early)
+    check(sp_dual(t))                   # takes t's kept table, negated
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10), st.sampled_from(HYP),
+       st.sampled_from([F(0), F(1, 2), F(-3, 4), F(5, 3)]))
+def test_hitchin_tables_match_pardeg(k, gs, alpha):
+    _check_model_from_pardegs(hitchin_model(k, *gs), alpha)
+    if k % 2 == 0:
+        t = hitchin_sp_triple(k, *gs)
+        _check_model_from_pardegs(t.to_decomposable(), alpha)
+        assert t._pardeg_table() == _direct_table(t.v_summands, t.surface)
+        assert toledo(t) == milnor_wood_bound(t.n, t.surface.genus, t.surface.s)
+
+
 def test_toledo_of_the_empty_triple_is_a_fraction():
     t = SpTripleModel(standard_surface(2, 1), ())
     assert repr(toledo(t)) == "Fraction(0, 1)"
     assert to_json(toledo(t)) == "0"
 
 
-def test_toledo_refuses_weights_at_unknown_points():
-    surf = standard_surface(2, 1)
-    m = SpTripleModel(surf, (ParabolicLineBundle(1, {"x9": F(1, 2), "x1": 0}),),
-                      frozenset(), frozenset({(0, 0)}))
-    for call in (toledo, lambda t: stability_verdict(t.to_decomposable())):
+@pytest.mark.parametrize("m,unknown", [
+    (SpTripleModel(standard_surface(2, 1),
+                   (ParabolicLineBundle(1, {"x9": F(1, 2), "x1": 0}),),
+                   frozenset(), frozenset({(0, 0)})), ["x9"]),
+    (SpTripleModel(standard_surface(1, 1),
+                   (ParabolicLineBundle(0, {"y": F(1, 2)}),)), ["y"]),
+], ids=["x9", "y"])
+def test_toledo_refuses_weights_at_unknown_points(m, unknown):
+    """The induced model is built; its verdict and the Toledo invariant
+    refuse the weight, each on every call."""
+    model = m.to_decomposable()
+    for call in (lambda: stability_verdict(model), lambda: toledo(m)) * 2:
         with pytest.raises(DomainError) as err:
-            call(m)
+            call()
         assert err.value.payload() == {"error": "flag_surface_mismatch",
-                                       "unknown": ["x9"]}
+                                       "unknown": unknown}
 
 
 # ------------------------------------------------------ Hitchin family ----
