@@ -47,22 +47,29 @@ __all__ = [
 Arrow = tuple[int, int]   # (dst, src)
 
 
+def _check_line_summands(summands) -> None:
+    """Refuse a summand that is not a parabolic line bundle: the models'
+    ranks and pardeg tables count one per summand."""
+    for i, l in enumerate(summands):
+        if type(l) is not ParabolicLineBundle:
+            raise DomainError("summand_not_line_bundle", index=i,
+                              type=type(l).__name__)
+
+
 @frozen_value
 class DecomposableHiggsModel:
     """A direct sum of parabolic line bundles with the Higgs field's arrows.
 
     The summands' pardegs over their common denominator are kept outside
     the fields that equality, repr and JSON read, filled on first use, for
-    the verdict and the alpha check.  A model induced by an Sp(2n,R) triple
-    holds a reference to it and reads them off the triple's own kept
-    pardegs.  ``summands`` is not to be mutated.
+    the verdict and the alpha check.  ``summands`` is not to be mutated.
     """
 
     surface: MarkedSurface
     summands: tuple[ParabolicLineBundle, ...]
     arrows: frozenset[Arrow] = frozenset()
-    # kept values, not fields; an instance holds its own once filled
-    _triple = _table = None
+    # a kept value, not a field; an instance holds its own once filled
+    _table = None
 
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(self.summands))
@@ -71,6 +78,7 @@ class DecomposableHiggsModel:
         for (i, j) in self.arrows:
             if not (0 <= i < n and 0 <= j < n):
                 raise DomainError("arrow_out_of_range", arrow=[i, j], n=n)
+        _check_line_summands(self.summands)
 
     @property
     def n(self) -> int:
@@ -98,7 +106,7 @@ class SpTripleModel:
     read, each filled on first use: the parabolic duals of V's summands,
     which the induced model and the dual triple share, and V's pardegs over
     their common denominator, filled with ``pardeg``'s point checks, which
-    the Toledo invariant, the induced model and the dual triple read.
+    the Toledo invariant and the dual triple read.
     ``v_summands`` is not to be mutated.
     """
 
@@ -120,6 +128,7 @@ class SpTripleModel:
                     raise DomainError("arrow_out_of_range", arrow=[i, j], n=n)
                 if (j, i) not in pat:
                     raise DomainError("asymmetric_support", which=name, arrow=[i, j])
+        _check_line_summands(self.v_summands)
 
     @property
     def n(self) -> int:
@@ -142,15 +151,15 @@ class SpTripleModel:
     def to_decomposable(self) -> DecomposableHiggsModel:
         """The induced model on E = V + V^dual (duals listed after V).
 
-        Its arrows are in range because the triple's are.  Its pardegs are
-        read off the triple's when first needed, so a weight at an unknown
-        point is refused there, not here."""
+        Its arrows are in range and its summands line bundles because the
+        triple's are.  Its pardegs are computed when first needed, so a
+        weight at an unknown point is refused there, not here."""
         n = self.n
         arrows = {(i, n + j) for (i, j) in self.beta_arrows}
         arrows |= {(n + i, j) for (i, j) in self.gamma_arrows}
         return trusted_value(DecomposableHiggsModel, surface=self.surface,
                              summands=self.v_summands + self._v_duals(),
-                             arrows=frozenset(arrows), _triple=self)
+                             arrows=frozenset(arrows))
 
 
 # ------------------------------------------------------------ stability ----
@@ -220,19 +229,11 @@ def _closed_table(m: DecomposableHiggsModel
                   ) -> tuple[int, list[int], list[int], list[int]]:
     """(den, nums, masks, sums): the summands' pardegs over their common
     denominator, kept by m, and the closed sets with their sums of nums.
-    Ranks above MAX_VERDICT_RANK are refused first, with rank_too_large.
-
-    A model induced by a triple lists the duals after V, and
-    pardeg L^dual = -pardeg L, so its nums are the triple's and their
-    negations."""
+    Ranks above MAX_VERDICT_RANK are refused first, with rank_too_large."""
     _check_rank(m, MAX_VERDICT_RANK)
     table = m._table
     if table is None:
-        if m._triple is None:
-            table = _pardegs_over_lcm(m.summands, m.surface)
-        else:
-            den, nums = m._triple._pardeg_table()
-            table = den, nums + [-x for x in nums]
+        table = _pardegs_over_lcm(m.summands, m.surface)
         object.__setattr__(m, "_table", table)
     den, nums = table
     return (den, nums, *_closed_sets(m, nums))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from parhiggs import stability
 from parhiggs.codec import from_json, to_json
 from parhiggs.exact_core import DomainError
-from parhiggs.parbun import ParabolicLineBundle, par_dual, pardeg
+from parhiggs.parbun import ParabolicBundle, ParabolicLineBundle, par_dual, pardeg
 from parhiggs.stability import (
     MAX_SUBSET_LIST_RANK,
     MAX_VERDICT_RANK,
@@ -82,6 +82,19 @@ def test_triple_arrow_out_of_range():
                       frozenset({(3, 3)}))
     assert e.value.payload() == {"error": "arrow_out_of_range",
                                  "arrow": [3, 3], "n": 1}
+
+
+@pytest.mark.parametrize("build", [
+    lambda surf, bad: DecomposableHiggsModel(surf, (ParabolicLineBundle(0), bad)),
+    lambda surf, bad: SpTripleModel(surf, (ParabolicLineBundle(0), bad)),
+])
+def test_models_refuse_a_summand_that_is_not_a_line_bundle(build):
+    """A rank-2 summand would be counted as rank 1 by the verdict."""
+    surf = standard_surface(2, 1)
+    with pytest.raises(DomainError) as e:
+        build(surf, ParabolicBundle(2, 1))
+    assert e.value.payload() == {"error": "summand_not_line_bundle",
+                                 "index": 1, "type": "ParabolicBundle"}
 
 
 # ------------------------------------------------------------- verdicts ----
@@ -600,8 +613,8 @@ def _check_model_from_pardegs(m, alpha):
        st.sampled_from([F(0), F(1, 2), F(-3, 4), F(5, 3)]))
 def test_kept_pardeg_tables_match_pardeg(t, toledo_first, alpha):
     """Triples, their induced models and their duals keep their pardegs as
-    integers; what they give equals what pardeg gives, whichever of the
-    Toledo invariant and the verdict fills the triple's table first, and
+    integers; what they give equals what pardeg gives, whether the Toledo
+    invariant fills the triple's table before or after the verdict, and
     whether a dual is made before or after its triple keeps one."""
     def check(triple):
         if toledo_first:
