@@ -23,7 +23,7 @@ import sys
 from typing import TYPE_CHECKING, Callable
 
 from .codec import JsonShapeError, from_json, to_json
-from .exact_core import DomainError, frozen_value, rational_sum
+from .exact_core import DomainError, exact_int, frozen_value, rational_sum
 from .surface import (
     MarkedPoint,
     MarkedSurface,
@@ -171,9 +171,7 @@ def _resolve_cap(args) -> int:
             cap = int(text)
         except ValueError:
             raise DomainError("bad_cap", cap=text) from None
-    if cap <= 0:
-        raise DomainError("bad_cap", cap=cap)
-    return cap
+    return exact_int(cap, "bad_cap", 1, cap=cap)
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +403,7 @@ def _cmd_roots(args, cap) -> CommandOutput:
     from .orbifold import square_root_types
     surface = _build_surface(args.g, args.s, args.orders)
     vline = _vline_from_args(args, surface)
-    family = square_root_types(vline, surface)
+    family = square_root_types(vline, surface, cap=cap)
     return CommandOutput({
         "types": family.types,
         "type_count": len(family.types),

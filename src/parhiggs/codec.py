@@ -1,7 +1,7 @@
 """The JSON form of every payload and every JSON input.
 
 Writing: a Fraction becomes "p/q" (or "n"), a set a sorted list, a tuple or
-list a list, a mapping its items sorted by key, and a value class
+list a list, a mapping a dict (each writer sorts its keys), and a value class
 (``exact_core.frozen_value``) its fields, six of them under a shorter key
 (``_KEYS``).  A class whose JSON shape its fields cannot give reshapes that
 object in its own ``_json_shape(obj)`` method.
@@ -54,7 +54,7 @@ def to_json(value):
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
     if isinstance(value, Mapping):
-        return {k: to_json(v) for k, v in sorted(value.items())}
+        return {k: to_json(v) for k, v in value.items()}
     if hasattr(value, "_value_fields"):
         return _value_json(value)
     return value

@@ -28,7 +28,8 @@ from __future__ import annotations
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .exact_core import DomainError, all_bits, check_cap, frozen_value
+from .exact_core import (DomainError, all_bits, check_cap, exact_int,
+                         frozen_value)
 from .surface import require_hyperbolic, standard_surface
 
 __all__ = [
@@ -87,8 +88,7 @@ class GroupDescriptor:
             if self.n is not None:
                 raise DomainError("group_takes_no_rank", family=self.family)
         else:
-            if type(self.n) is not int or self.n < 1:
-                raise DomainError("group_needs_rank", family=self.family)
+            exact_int(self.n, "group_needs_rank", 1, family=self.family)
             if self.family == "SOstar2n" and self.n % 2 != 0:
                 raise DomainError("so_star_needs_even_rank", n=self.n)
             if self.family == "SO0_2n" and self.n < 3:
@@ -696,6 +696,7 @@ def emit_tables(g: int, s: int) -> tuple[ComponentTable, ComponentTable,
 
 def tables_markdown(tables: tuple[ComponentTable, ...], g: int, s: int) -> str:
     """Render the tables as Markdown (deterministic byte-for-byte)."""
+    standard_surface(g, s)  # refuses a g or s that is not an exact int
     lines = [f"# Connected-component tables at genus {g}, marked points {s}",
              ""]
     for table in tables:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .exact_core import DomainError, frozen_value
+from .exact_core import DomainError, exact_int, frozen_value
 from .surface import h0_twisted_power, require_hyperbolic, standard_surface
 
 __all__ = [
@@ -119,12 +119,9 @@ def lie_catalog(name: str) -> LieGroupData:
 
 
 def complex_group_data(name: str, complex_dimension: int) -> LieGroupData:
-    """A complex group viewed as a real group (dim_R = 2 dim_C).
-
-    A complex dimension that is not an int (a bool included) is refused
-    here; one below 1 is refused by LieGroupData, both as bad_lie_data."""
-    if type(complex_dimension) is not int:
-        raise DomainError("bad_lie_data", name=name)
+    """A complex group viewed as a real group (dim_R = 2 dim_C); a complex
+    dimension that is not an int >= 1 is refused (bad_lie_data)."""
+    exact_int(complex_dimension, "bad_lie_data", 1, name=name)
     return LieGroupData(name=name, real_dimension=2 * complex_dimension,
                         rank=0, exponents=(), is_split=False,
                         is_hermitian_tube=False, is_complex=True)
@@ -168,15 +165,9 @@ class DimReport:
 # GL(n,C) moduli
 
 
-def _check_rank(n) -> None:
-    """Refuse a rank that is not an int, a bool included (bad_rank)."""
-    if type(n) is not int:
-        raise DomainError("bad_rank", n=n)
-
-
 def dim_parabolic_gl(n: int, g: int, s: int) -> int:
     """dim of the parabolic GL(n,C) Higgs moduli: (2g-2+s)n^2 + 1."""
-    _check_rank(n)
+    exact_int(n, "bad_rank", n=n)
     if n < 1:
         raise DomainError("rank_not_positive", n=n)
     require_hyperbolic(standard_surface(g, s))
@@ -184,7 +175,8 @@ def dim_parabolic_gl(n: int, g: int, s: int) -> int:
 
 
 def full_flag_multiplicities(n: int, s: int) -> tuple[tuple[int, ...], ...]:
-    _check_rank(n)
+    exact_int(n, "bad_rank", n=n)
+    exact_int(s, "bad_marked_points", 0, s=s)
     return ((1,) * n,) * s
 
 
@@ -197,7 +189,7 @@ def dim_strongly_parabolic_gl(n: int, g: int, s: int,
     f_x = (n^2 - sum k_i^2)/2, which vanishes for the trivial flag (n,) and
     is maximal for the full flag (1,..,1).
     """
-    _check_rank(n)
+    exact_int(n, "bad_rank", n=n)
     if n < 1:
         raise DomainError("rank_not_positive", n=n)
     require_hyperbolic(standard_surface(g, s))
@@ -207,12 +199,12 @@ def dim_strongly_parabolic_gl(n: int, g: int, s: int,
                           got=len(mults))
     total = 2 * (g - 1) * n * n + 2
     for idx, ks in enumerate(mults):
-        if not ks or any(type(k) is not int or k < 1 for k in ks) or \
-                sum(ks) != n:
+        for k in ks:
+            exact_int(k, "bad_multiplicities", 1, point=idx, steps=ks, n=n)
+        if not ks or sum(ks) != n:
             raise DomainError("bad_multiplicities", point=idx, steps=ks, n=n)
-        square_sum = sum(k * k for k in ks)
         # n^2 - sum k_i^2 = 2 * sum_{i<j} k_i k_j is always even
-        total += n * n - square_sum
+        total += n * n - sum(k * k for k in ks)
     return total
 
 
@@ -280,7 +272,7 @@ def teichmuller_dimension(gdata: LieGroupData, g: int, s: int,
 def sl_kr_parabolic_dimension(k: int, g: int, s: int) -> int:
     """The cited SL(k,R) parabolic Teichmuller dimension:
     2(g-1)(k^2-1) + s(k^2-k)."""
-    _check_rank(k)
+    exact_int(k, "bad_rank", n=k)
     if k < 2:
         raise DomainError("rank_not_positive", n=k)
     require_hyperbolic(standard_surface(g, s))

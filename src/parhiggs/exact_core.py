@@ -18,6 +18,7 @@ __all__ = [
     "EMPTY_MAPPING",
     "frozen_value",
     "trusted_value",
+    "exact_int",
     "check_cap",
     "all_bits",
     "rational_sum",
@@ -124,8 +125,18 @@ def trusted_value(cls: type, /, **attrs):
     return value
 
 
+def exact_int(value, code: str, low: int | None = None, /, **info) -> int:
+    """``value`` if its type is exactly ``int`` (a bool is not one) and it is
+    at least ``low`` where given, else DomainError(code, **info): the one
+    check of that rule, each caller naming its own code and payload."""
+    if type(value) is not int or (low is not None and value < low):
+        raise DomainError(code, **info)
+    return value
+
+
 def check_cap(needed: int, cap: int | None) -> None:
     """Refuse a request for more than cap items before any is built."""
+    exact_int(needed, "bad_item_count", 0, needed=needed)
     if cap is not None and needed > cap:
         raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
 

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .codec import JsonShapeError, decoder
 from .exact_core import (DomainError, EMPTY_MAPPING, all_bits, check_cap,
-                         frozen_value, rat, rat_from_str, rational_sum,
+                         exact_int, frozen_value, rat, rat_from_str, rational_sum,
                          trusted_value)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
@@ -65,9 +65,7 @@ class VLineBundle:
     def __post_init__(self):
         clean = {}
         for lbl, b in self.isotropy.items():
-            if type(b) is not int:
-                raise DomainError("bad_isotropy", label=lbl, residue=b)
-            if b:
+            if exact_int(b, "bad_isotropy", label=lbl, residue=b):
                 clean[lbl] = b
         if any(b < 0 for b in clean.values()):
             raise DomainError("negative_isotropy", isotropy=dict(clean))
@@ -130,34 +128,33 @@ class SquareRootFamily:
         return len(self.types) * self.torsion_multiplicity
 
 
-def square_root_types(l: VLineBundle, surf: MarkedSurface) -> SquareRootFamily:
+def square_root_types(l: VLineBundle, surf: MarkedSurface,
+                      cap: int | None = None) -> SquareRootFamily:
     """All Seifert types whose square is l, over a surface with order-2 points.
 
     A square (2e + #{rho_i = 1}, residues 0) can only hit bundles with zero
     residues; for those, the rho in {0,1}^s with sum congruent to the degree
     leave 2^{s-1} types (s >= 1).  Without marked points an odd degree has no
-    root at all.
+    root at all.  ``cap`` bounds the number of types, counted before any is
+    built (one at s = 0); each is made checked: residues 0 or 1, the 1s kept.
     """
     _check_isotropy(l, surf)
     for p in surf.points:
         if p.order != 2:
             raise DomainError("orders_not_two", label=p.label, order=p.order)
+    labels = surf.labels()
+    check_cap(0 if l.isotropy else 2 ** (len(labels) - 1) if labels else 1, cap)
     mult = 2 ** (2 * surf.genus)
     if l.isotropy:
         return SquareRootFamily((), mult)
     d = l.desing_degree
-    labels = surf.labels()
-    if not labels:
-        if d % 2:
-            raise DomainError("no_square_root", degree=d)
-        return SquareRootFamily((VLineBundle(d // 2),), mult)
-    types = []
-    for rho in itertools.product((0, 1), repeat=len(labels)):
-        if sum(rho) % 2 != d % 2:
-            continue
-        e = (d - sum(rho)) // 2
-        types.append(VLineBundle(e, dict(zip(labels, rho))))
-    return SquareRootFamily(tuple(types), mult)
+    if not labels and d % 2:
+        raise DomainError("no_square_root", degree=d)
+    return SquareRootFamily(tuple(
+        trusted_value(VLineBundle, desing_degree=(d - sum(rho)) // 2,
+                      isotropy={x: 1 for x, r in zip(labels, rho) if r})
+        for rho in itertools.product((0, 1), repeat=len(labels))
+        if sum(rho) % 2 == d % 2), mult)
 
 
 # ------------------------------------------------------------ characters ----
@@ -282,14 +279,15 @@ class LocalChart:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.m) is not int or self.m < 1:
-            raise DomainError("bad_chart_order", m=self.m)
-        ks = tuple(self.exponents)
-        if not ks or any(type(k) is not int or not 0 <= k <= self.m for k in ks):
-            raise DomainError("exponent_out_of_range", exponents=list(ks), m=self.m)
+        exact_int(self.m, "bad_chart_order", 1, m=self.m)
+        ks = list(self.exponents)
+        for k in ks:
+            exact_int(k, "exponent_out_of_range", 0, exponents=ks, m=self.m)
+        if not ks or max(ks) > self.m:
+            raise DomainError("exponent_out_of_range", exponents=ks, m=self.m)
         if any(a > b for a, b in zip(ks, ks[1:])):
-            raise DomainError("exponents_not_nondecreasing", exponents=list(ks))
-        object.__setattr__(self, "exponents", ks)
+            raise DomainError("exponents_not_nondecreasing", exponents=ks)
+        object.__setattr__(self, "exponents", tuple(ks))
 
     @property
     def n(self) -> int:
@@ -358,6 +356,7 @@ class LaurentMatrix:
 
     def __post_init__(self):
         lo, hi = _check_frame(self.n, self.entries, self.window, self.form)
+        exact_int(self.n, "bad_matrix_shape", n=self.n)  # len(rows) == True passes
         rows = tuple([tuple(row) for row in self.entries])
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "window", (lo, hi))
@@ -374,9 +373,9 @@ def _check_frame(n: int, rows, window, form: str) -> tuple[int, int]:
     anything else is refused with bad_window) and the shape."""
     if form not in _FORMS:
         raise DomainError("bad_form_flag", form=form)
-    lo, hi = window
-    if type(lo) is not int or type(hi) is not int or lo > hi:
-        raise DomainError("bad_window", window=list(window))
+    lo, hi = shown = list(window)
+    exact_int(lo, "bad_window", window=shown)
+    exact_int(hi, "bad_window", lo, window=shown)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DomainError("bad_matrix_shape", n=n)
     return lo, hi
@@ -397,6 +396,7 @@ def _check_degrees(rows, lo: int, hi: int) -> None:
 def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
                    window: tuple[int, int], form: str) -> LaurentMatrix:
     """Build from sparse {(i,j): [(deg, coef), ...]} terms, each entry normalized."""
+    exact_int(n, "bad_matrix_shape", n=n)  # before range(n) reads it
     rows = [[() for _ in range(n)] for _ in range(n)]
     for (i, j), ts in terms.items():
         if not (0 <= i < n and 0 <= j < n):
@@ -476,8 +476,7 @@ def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
     with k_i < k_j identically zero).  Output truncated to the stated window,
     default [-1, 8m].
     """
-    if type(m) is not int or m < 1:
-        raise DomainError("bad_chart_order", m=m)
+    exact_int(m, "bad_chart_order", 1, m=m)
     if higgs.form != "dw/w":
         raise DomainError("wrong_form", form=higgs.form, expected="dw/w")
     if len(weights) != higgs.n:
@@ -556,7 +555,7 @@ def orb_to_par_local(chart: LocalChart, mat: LaurentMatrix,
 
 def laurent_to_json(mat: LaurentMatrix, m: int) -> dict:
     # str(c) is to_json(c): the constructor holds every coefficient as a Fraction
-    return {"m": m,
+    return {"m": exact_int(m, "bad_chart_order", m=m),
             "form": mat.form,
             "window": list(mat.window),
             "entries": [[[{"deg": d, "coef": str(c)} for d, c in e]

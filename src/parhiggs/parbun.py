@@ -10,8 +10,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .exact_core import (DomainError, EMPTY_MAPPING, frozen_value, rat,
-                         rat_from_str, rational_sum, trusted_value)
+from .exact_core import (DomainError, EMPTY_MAPPING, exact_int, frozen_value,
+                         rat, rat_from_str, rational_sum, trusted_value)
 from .surface import MarkedSurface
 
 __all__ = [
@@ -49,8 +49,8 @@ class ParabolicFlag:
     def __post_init__(self):
         if len(self.multiplicities) != len(self.weights) or not self.multiplicities:
             raise DomainError("bad_flag_shape")
-        if any(type(k) is not int or k < 1 for k in self.multiplicities):
-            raise DomainError("bad_flag_multiplicity", mult=self.multiplicities)
+        for k in self.multiplicities:
+            exact_int(k, "bad_flag_multiplicity", 1, mult=self.multiplicities)
         ws = [_check_weight(w) for w in self.weights]
         if any(a >= b for a, b in zip(ws, ws[1:])):
             raise DomainError("flag_weights_not_increasing", weights=ws)
@@ -81,8 +81,7 @@ class ParabolicLineBundle:
     weight_at: Mapping[str, Fraction] = EMPTY_MAPPING
 
     def __post_init__(self):
-        if type(self.degree) is not int:
-            raise DomainError("bad_degree", degree=self.degree)
+        exact_int(self.degree, "bad_degree", degree=self.degree)
         # rational_sum's loop, fused with the weight check: a second pass
         # through it is slower per construction, which verdicts repeat
         clean, num, den = {}, self.degree, 1
@@ -110,10 +109,8 @@ class ParabolicBundle:
     flag_at: Mapping[str, ParabolicFlag] = EMPTY_MAPPING
 
     def __post_init__(self):
-        if type(self.rank) is not int or self.rank < 0:
-            raise DomainError("bad_rank", rank=self.rank)
-        if type(self.degree) is not int:
-            raise DomainError("bad_degree", degree=self.degree)
+        exact_int(self.rank, "bad_rank", 0, rank=self.rank)
+        exact_int(self.degree, "bad_degree", degree=self.degree)
         object.__setattr__(self, "flag_at", dict(self.flag_at))
         for lbl, fl in self.flag_at.items():
             if fl.rank != self.rank:

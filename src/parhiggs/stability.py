@@ -19,7 +19,8 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from .codec import from_json
-from .exact_core import DomainError, frozen_value, rat, rational_sum, trusted_value
+from .exact_core import (DomainError, exact_int, frozen_value, rat, rational_sum,
+                         trusted_value)
 from .parbun import ParabolicLineBundle, _pardegs_over_lcm, par_dual, pardeg
 from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface
 
@@ -349,8 +350,7 @@ def milnor_wood_bound(n: int, g: int, s: int) -> Fraction:
     refused before the surface is checked; n = 0, the empty triple, has
     bound 0.
     """
-    if type(n) is not int:
-        raise DomainError("bad_rank", n=n)
+    exact_int(n, "bad_rank", n=n)
     if n < 0:
         raise DomainError("negative_rank", n=n)
     require_hyperbolic(standard_surface(g, s))
@@ -363,8 +363,8 @@ def general_mw_interval(rk_plus: int, rk_minus: int, g: int, s: int
 
     A rank that is not an int (bad_rank) or is negative (negative_rank) is
     refused before the surface is checked."""
-    if type(rk_plus) is not int or type(rk_minus) is not int:
-        raise DomainError("bad_rank", rk_plus=rk_plus, rk_minus=rk_minus)
+    exact_int(rk_plus, "bad_rank", rk_plus=rk_plus, rk_minus=rk_minus)
+    exact_int(rk_minus, "bad_rank", rk_plus=rk_plus, rk_minus=rk_minus)
     if rk_plus < 0 or rk_minus < 0:
         raise DomainError("negative_rank", rk_plus=rk_plus, rk_minus=rk_minus)
     kd = deg_kd(standard_surface(g, s))
@@ -398,8 +398,7 @@ def hitchin_model(k: int, g: int, s: int) -> DecomposableHiggsModel:
     at each point for k even and weight 0 for k odd; arrows are the
     superdiagonal constants plus the bottom-row differentials a_2..a_k.
     """
-    if type(k) is not int or k < 2:
-        raise DomainError("bad_hitchin_rank", k=k)
+    exact_int(k, "bad_hitchin_rank", 2, k=k)
     surf = require_hyperbolic(standard_surface(g, s))
     deg_a = -(g - 1) - s
     deg_b = g - 1
@@ -422,7 +421,7 @@ def hitchin_sp_triple(k: int, g: int, s: int) -> SpTripleModel:
     superdiagonal arrows and the even-index bottom differentials, each
     symmetrized into the beta/gamma supports.
     """
-    if type(k) is not int or k < 2 or k % 2:
+    if exact_int(k, "bad_sp_hitchin_rank", 2, k=k) % 2:
         raise DomainError("bad_sp_hitchin_rank", k=k)
     base = hitchin_model(k, g, s)
     v_idx = list(range(k - 1, 0, -2))           # V_t = summand k-1-2t
@@ -442,12 +441,18 @@ def hitchin_sp_triple(k: int, g: int, s: int) -> SpTripleModel:
 
 # ------------------------------------ weighted coordinate filtrations ----
 
+def _exact_rational(value, code: str, **info) -> Fraction | int:
+    """value itself if a Fraction or an exact int, else a DomainError."""
+    return value if type(value) is Fraction else exact_int(value, code, **info)
+
+
 def _index_weights(n: int, index_steps: Sequence[Sequence[int]],
                    weights: Sequence[Fraction]) -> list[Fraction]:
     """la_{a(k)} for each index k, a(k) the first step that holds k.
 
     Checks the weighted coordinate filtration first: nested nonempty steps
-    ending in all n indices, one weight per step, weights strictly increasing.
+    ending in all n indices, one weight per step, each a Fraction or an int
+    (else bad_filtration_weight), weights strictly increasing.
     """
     steps = [tuple(sorted(set(st))) for st in index_steps]
     if not steps or steps[-1] != tuple(range(n)):
@@ -457,7 +462,7 @@ def _index_weights(n: int, index_steps: Sequence[Sequence[int]],
             raise DomainError("filtration_not_nested")
     if any(not st or any(k < 0 or k >= n for k in st) for st in steps):
         raise DomainError("bad_index_step", n=n)
-    lam = [Fraction(w) for w in weights]
+    lam = [_exact_rational(w, "bad_filtration_weight", weight=w) for w in weights]
     if len(lam) != len(steps):
         raise DomainError("bad_filtration_shape")
     if any(a >= b for a, b in zip(lam, lam[1:])):
@@ -477,9 +482,10 @@ def alpha_stability_check_gl(m: DecomposableHiggsModel, alpha: Fraction
 
     0/1 weight vectors suffice: the quantity is linear in the consecutive
     weight differences, whose signs the 0/1 family already realizes.
-    Returns (ok, failing subset or None).
+    Returns (ok, failing subset or None).  alpha is a Fraction or an int
+    (else bad_alpha).
     """
-    alpha = Fraction(alpha)
+    alpha = _exact_rational(alpha, "bad_alpha", alpha=alpha)
     den, _, masks, sums = _closed_table(m)
     total = sums[-1]
     # sp_filtration_degree(m, [S, full], (0, 1), 0) = pardeg E - pardeg W_S,
@@ -504,14 +510,14 @@ def sp_filtration_degree(m: DecomposableHiggsModel,
 
     Summed by parts: sum_k la_{a(k)} (pardeg L_k - alpha), a(k) the first
     step that holds k.  At alpha = 0 it is the parabolic degree of the
-    weighted reduction.
+    weighted reduction.  alpha is a Fraction or an int (else bad_alpha).
 
     Kept: the reduction degree itself; alpha_stability_check_gl is its
     closed form on two-step filtrations, and the oracle tests check it
     against the definition.
     """
     lam = _index_weights(m.n, index_steps, weights)
-    alpha = Fraction(alpha)
+    alpha = _exact_rational(alpha, "bad_alpha", alpha=alpha)
     return rational_sum([la * (p - alpha) for la, p in zip(lam, m.pardegs())])
 
 

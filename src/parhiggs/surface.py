@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_core import DomainError, frozen_value
+from .exact_core import DomainError, exact_int, frozen_value
 
 __all__ = [
     "MarkedPoint",
@@ -28,8 +28,8 @@ class MarkedPoint:
     def __post_init__(self):
         if type(self.label) is not str:
             raise DomainError("bad_label", label=self.label)
-        if type(self.order) is not int or self.order < 1:
-            raise DomainError("bad_isotropy_order", label=self.label, order=self.order)
+        exact_int(self.order, "bad_isotropy_order", 1, label=self.label,
+                  order=self.order)
 
 
 @frozen_value
@@ -45,7 +45,7 @@ class MarkedSurface:
     points: tuple[MarkedPoint, ...] = ()
 
     def __post_init__(self):
-        _check_genus(self.genus)
+        exact_int(self.genus, "bad_genus", 0, genus=self.genus)
         labels = [p.label for p in self.points]
         label_set = frozenset(labels)
         if len(label_set) != len(labels):
@@ -64,23 +64,16 @@ class MarkedSurface:
         return 2 * self.genus - 2 + self.s > 0
 
 
-def _check_genus(genus) -> None:
-    if type(genus) is not int or genus < 0:
-        raise DomainError("bad_genus", genus=genus)
-
-
 def standard_surface(genus: int, s: int) -> MarkedSurface:
     """Surface with points labelled x1..xs, each of isotropy order 2.
 
-    An s that is not an int (a bool included) or is negative is refused
-    (bad_marked_points) rather than read as a number of points, and then
-    such a genus (bad_genus); both before the cache, so an unhashable
+    An s that is not an exact int >= 0 is refused (bad_marked_points), then
+    such a genus (bad_genus), both before the cache, so an unhashable
     argument is refused too.  The last 128 surfaces are kept, and a repeated
     request returns the same frozen surface.
     """
-    if type(s) is not int or s < 0:
-        raise DomainError("bad_marked_points", s=s)
-    _check_genus(genus)
+    exact_int(s, "bad_marked_points", 0, s=s)
+    exact_int(genus, "bad_genus", 0, genus=genus)
     return _standard_surface(genus, s)
 
 
@@ -108,6 +101,5 @@ def h0_twisted_power(surface: MarkedSurface, m: int) -> int:
     killing H^1; m = 0 is rejected rather than special-cased.
     """
     require_hyperbolic(surface)
-    if type(m) is not int or m < 1:
-        raise DomainError("bad_twist_power", m=m)
+    exact_int(m, "bad_twist_power", 1, m=m)
     return (2 * m + 1) * (surface.genus - 1) + m * surface.s

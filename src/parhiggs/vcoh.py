@@ -7,7 +7,7 @@ auditable instances of one calculation rather than three hard-coded triples.
 
 from __future__ import annotations
 
-from .exact_core import DomainError, frozen_value
+from .exact_core import DomainError, exact_int, frozen_value
 from .surface import standard_surface
 
 __all__ = [
@@ -31,8 +31,8 @@ class VCohRanks:
 
     def __post_init__(self):
         ranks = [self.h0, self.h1, self.h2]
-        if any(type(r) is not int for r in ranks):
-            raise DomainError("bad_rank_triple", which="ranks", value=ranks)
+        for r in ranks:
+            exact_int(r, "bad_rank_triple", which="ranks", value=ranks)
         if min(ranks) < 0:
             raise DomainError("negative_rank", ranks=ranks)
 
@@ -45,7 +45,9 @@ class VCohRanks:
 
 def _triple(name, t) -> Triple:
     t = tuple(t)
-    if len(t) != 3 or any(type(x) is not int or x < 0 for x in t):
+    for x in t:
+        exact_int(x, "bad_rank_triple", 0, which=name, value=list(t))
+    if len(t) != 3:
         raise DomainError("bad_rank_triple", which=name, value=list(t))
     return t
 

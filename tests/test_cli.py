@@ -304,6 +304,20 @@ def test_roots_total_is_types_times_torsion(capsys):
     assert payload["total"] == 8
 
 
+def test_roots_obeys_the_cap(capsys):
+    # 2^15 types at s = 16, refused before any is built
+    code, payload = run_json(
+        capsys, ["roots", "--g", "1", "--s", "16", "--desing-degree", "0",
+                 "--cap", "10"])
+    assert code == 2
+    assert payload == {"error": "enumeration_cap_exceeded", "needed": 32768,
+                       "cap": 10}
+    code, payload = run_json(
+        capsys, ["roots", "--g", "1", "--s", "2", "--desing-degree", "0",
+                 "--cap", "2"])
+    assert code == 0 and payload["type_count"] == 2
+
+
 def test_dims_values(capsys):
     _, paradim = run_json(
         capsys, ["dims", "--formula", "paradim", "--n", "2",

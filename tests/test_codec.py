@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
+from parhiggs.cli import _dump
 from parhiggs.codec import JsonShapeError, decoder, from_json, to_json
 from parhiggs.components import (
     CountMode,
@@ -154,7 +155,8 @@ def test_laurent_pair_round_trips():
 def test_written_form():
     line = ParabolicLineBundle(-1, {"x2": Fraction(1, 3), "x1": Fraction(0)})
     assert to_json(line) == {"degree": -1, "weights": {"x1": "0", "x2": "1/3"}}
-    assert list(to_json(line)["weights"]) == ["x1", "x2"]
+    # the written text lists a mapping's keys sorted
+    assert list(json.loads(_dump({"line": line}))["line"]["weights"]) == ["x1", "x2"]
     assert to_json({(1, 0), (0, 1)}) == [[0, 1], [1, 0]]
     assert to_json(VLineBundle(3, {"x1": 1})) == {"desing": 3,
                                                   "isotropy": {"x1": 1}}

@@ -137,10 +137,14 @@ def test_strongly_parabolic_multiplicities_must_be_ints(steps):
     (lambda: sl_kr_parabolic_dimension(2.5, 2, 1), {"error": "bad_rank", "n": 2.5}),
     (lambda: sl_kr_parabolic_dimension(True, 2, 1), {"error": "bad_rank", "n": True}),
     (lambda: full_flag_multiplicities(2.5, 1), {"error": "bad_rank", "n": 2.5}),
+    (lambda: full_flag_multiplicities(2, True),
+     {"error": "bad_marked_points", "s": True}),
+    (lambda: full_flag_multiplicities(2, -1), {"error": "bad_marked_points", "s": -1}),
 ], ids=["bad_exponents", "complex_dimension_odd", "parabolic-rank",
         "strongly-parabolic-rank", "sl_kr-rank", "parabolic-rank-2.5",
         "parabolic-rank-0.5", "strongly-parabolic-rank-2.0", "sl_kr-rank-2.5",
-        "sl_kr-rank-True", "full-flag-rank-2.5"])
+        "sl_kr-rank-True", "full-flag-rank-2.5", "full-flag-points-True",
+        "full-flag-points-negative"])
 def test_lie_data_and_rank_refusals(call, payload):
     with pytest.raises(DomainError) as err:
         call()

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
-from parhiggs.exact_core import DomainError, rat, rat_from_str, rational_sum
+from parhiggs.exact_core import (DomainError, check_cap, exact_int, rat,
+                                 rat_from_str, rational_sum)
 
 
 def test_rational_serialization_round_trip():
@@ -81,3 +82,28 @@ def test_rational_sum_of_nothing_is_a_fraction():
     assert repr(rational_sum([])) == "Fraction(0, 1)"
     assert to_json(rational_sum([])) == "0"
     assert repr(rational_sum([Fraction(1, 6), Fraction(1, 3), 2])) == "Fraction(5, 2)"
+
+
+def test_exact_int_returns_an_int_and_refuses_with_the_callers_payload():
+    assert exact_int(3, "bad_x") == 3
+    assert exact_int(0, "bad_x", 0) == 0
+    assert exact_int(-5, "bad_x", None, x=-5) == -5
+    for value, low in ((True, None), (1.0, None), (Fraction(2), None),
+                       ("2", None), (None, None), (0, 1), (-1, 0)):
+        with pytest.raises(DomainError) as err:
+            exact_int(value, "bad_x", low, x=value, value="kept")
+        assert err.value.payload() == {"error": "bad_x", "x": value,
+                                       "value": "kept"}
+
+
+def test_check_cap_refuses_a_count_that_is_not_an_exact_int():
+    check_cap(3, 3)
+    check_cap(10**9, None)
+    with pytest.raises(DomainError) as err:
+        check_cap(4, 3)
+    assert err.value.payload() == {"error": "enumeration_cap_exceeded",
+                                   "needed": 4, "cap": 3}
+    for needed in (1.5, True, Fraction(2), -1):
+        with pytest.raises(DomainError) as err:
+            check_cap(needed, None)
+        assert err.value.payload() == {"error": "bad_item_count", "needed": needed}

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from parhiggs.exact_core import DomainError
 from parhiggs.orbifold import (
+    LaurentMatrix,
     LocalChart,
     _weights_to_exponents,
     equivariance_check,
@@ -150,6 +151,22 @@ def test_a_chart_order_that_is_not_an_int_is_refused(m, terms):
     with pytest.raises(DomainError) as e:
         LocalChart(m, (0,))
     assert e.value.payload() == _err("bad_chart_order", m=m)
+
+
+@pytest.mark.parametrize("m", [F(2), 1.5, True])
+def test_the_json_writer_refuses_a_chart_order_that_is_not_an_int(m):
+    with pytest.raises(DomainError) as e:
+        laurent_to_json(_w(1), m)
+    assert e.value.payload() == _err("bad_chart_order", m=m)
+
+
+@pytest.mark.parametrize("n", [F(1), 1.0, True])
+def test_a_matrix_size_that_is_not_an_int_is_refused(n):
+    for build in (lambda: laurent_matrix(n, {}, (-1, 8), "dw/w"),
+                  lambda: LaurentMatrix(n, (((),),), (-1, 8), "dw/w")):
+        with pytest.raises(DomainError) as e:
+            build()
+        assert e.value.payload() == _err("bad_matrix_shape", n=n)
 
 
 @pytest.mark.parametrize("args,want", [

@@ -113,6 +113,22 @@ def test_square_root_edge_cases():
         square_root_types(VLineBundle(0), surface_with_orders(1, [2, 3]))
 
 
+@pytest.mark.parametrize("l,s,needed", [
+    (VLineBundle(0), 3, 4),               # 2^(s-1) with every residue 0
+    (VLineBundle(1), 1, 1),
+    (VLineBundle(0, {"x1": 1}), 2, 0),    # a nonzero residue: no type
+    (VLineBundle(4), 0, 1),               # no marked points: one type
+])
+def test_square_roots_are_counted_before_the_cap(l, s, needed):
+    surf = standard_surface(1, s)
+    assert len(square_root_types(l, surf, cap=needed).types) == needed
+    if needed:
+        with pytest.raises(DomainError) as err:
+            square_root_types(l, surf, cap=needed - 1)
+        assert err.value.payload() == {"error": "enumeration_cap_exceeded",
+                                       "needed": needed, "cap": needed - 1}
+
+
 def test_square_roots_square_back():
     rng = random.Random(31)
     for _ in range(40):

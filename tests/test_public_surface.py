@@ -191,3 +191,44 @@ def test_fractions_from_two_numbers_are_made_only_by_rat():
                     outside.append(f"{path.name}:{node.lineno}")
     assert outside == []
     assert inside == 1
+
+
+# module.function -> why it may compare a type with int itself
+OWN_INT_RULES = {
+    "codec._rational": "a JSON reader: it refuses with the key path of "
+                       "JsonShapeError, and takes a string too",
+    "codec.decoder": "a JSON reader of int tuples, refusing with JsonShapeError",
+    "orbifold._is_canonical": "a predicate over a whole term: it refuses "
+                              "nothing, and a miss sends the terms to _clean_terms",
+    "orbifold._clean_terms": "a term's degree and coefficient are one rule, "
+                             "refused together as bad_term",
+    "orbifold._read_term": "the fast path for the writer's own term shape; "
+                           "anything else goes to the codec's readers",
+    "parbun._check_weight": "a weight is a Fraction, an int or a \"p/q\" string",
+    "vcoh.v_cohomology_ranks": "an ordering pre-check: it refuses a negative "
+                               "g or s < 1 only once both are ints",
+}
+
+
+def _is_int_type_test(node: ast.AST) -> bool:
+    """``type(x) is int`` or ``type(x) is not int``."""
+    return (isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and _called_name(node.left.func) == "type"
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(isinstance(c, ast.Name) and c.id == "int"
+                    for c in node.comparators))
+
+
+def test_the_exact_int_rule_is_written_only_in_exact_core():
+    """One owner: outside ``exact_core`` (whose ``exact_int`` every caller
+    uses with its own code), a module tests a type against int only in the
+    functions listed in OWN_INT_RULES, each of which states its own rule."""
+    found = set()
+    for mod, tree in TREES.items():
+        if mod == "exact_core":
+            continue
+        for top in tree.body:
+            if any(_is_int_type_test(node) for node in ast.walk(top)):
+                found.add(f"{mod}.{getattr(top, 'name', top.lineno)}")
+    assert found == set(OWN_INT_RULES)

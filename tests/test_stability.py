@@ -790,6 +790,35 @@ def test_weighted_filtration_validation():
         assert err.value.code == code
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/3", float("nan"), True, None])
+def test_alpha_and_filtration_weights_are_exact_rationals(bad):
+    """alpha and each filtration weight is a Fraction or an int: a float is
+    not taken at its binary value, nor a string parsed."""
+    m = hitchin_model(3, 2, 1)
+    steps = [[0], [0, 1, 2]]
+    for call in (lambda: alpha_stability_check_gl(m, bad),
+                 lambda: sp_filtration_degree(m, steps, (F(0), F(1)), bad)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.code == "bad_alpha" and err.value.info.keys() == {"alpha"}
+    with pytest.raises(DomainError) as err:
+        sp_filtration_degree(m, steps, (F(-1), bad), F(0))
+    assert err.value.code == "bad_filtration_weight"
+    assert err.value.info.keys() == {"weight"}
+
+
+def test_an_int_alpha_reads_as_its_fraction():
+    m = hitchin_model(3, 2, 1)
+    steps = [[0], [0, 1, 2]]
+    for alpha in (0, -2, 3):
+        assert alpha_stability_check_gl(m, alpha) == \
+            alpha_stability_check_gl(m, F(alpha))
+        assert sp_filtration_degree(m, steps, (0, 1), alpha) == \
+            sp_filtration_degree(m, steps, (F(0), F(1)), F(alpha))
+    half = F(1, 2)
+    assert stability._exact_rational(half, "bad_alpha") is half
+
+
 def test_pardeg_of_reduction_matches_weighted_pardegs():
     rng = random.Random(5)
     for _ in range(40):
