@@ -372,8 +372,8 @@ def _vline_from_args(args, surface) -> VLineBundle:
 
 
 def _cmd_orbifold(args, cap) -> CommandOutput:
-    from .orbifold import (kawasaki_euler, pic_v_structure, square_root_types,
-                           vline_degree)
+    from .orbifold import (kawasaki_euler, pic_v_structure, square_root_count,
+                           torsion_multiplicity, vline_degree)
     surface = _build_surface(args.g, args.s, args.orders)
     vline = _vline_from_args(args, surface)
     payload = {
@@ -383,8 +383,8 @@ def _cmd_orbifold(args, cap) -> CommandOutput:
             pic_v_structure(surface).identity_component_label(),
     }
     try:
-        payload["square_root_total"] = square_root_types(
-            vline, surface).total
+        payload["square_root_total"] = (square_root_count(vline, surface)
+                                        * torsion_multiplicity(surface))
     except DomainError:
         payload["square_root_total"] = None
     return CommandOutput(payload)

@@ -10,9 +10,11 @@ Reading is driven by the value class's field types and refuses what JSON
 would only coerce: integers must be JSON integers, strings JSON strings,
 rationals "p/q" strings or integers.  A key may be missing only where its
 field has a class-level default; unknown keys are refused.  Each type has
-one reader, built once: a value class's reader is generated from its fields
-as one straight-line function (``_value_decoder``), as ``frozen_value``
-generates its ``__init__``.
+one reader, built once.  Every JSON object is read by one generated,
+straight-line function (``object_reader``), as ``frozen_value`` generates
+its ``__init__``: a value class's reader is that function over its fields,
+and a caller with its own object shape, such as the Laurent-matrix JSON of
+``orbifold``, declares the shape's fields to it.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from types import UnionType
+from types import FunctionType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .exact_core import DomainError, rat_from_str
 
-__all__ = ["JsonShapeError", "to_json", "from_json", "decoder"]
+__all__ = ["JsonShapeError", "REQUIRED", "to_json", "from_json", "decoder",
+           "object_reader"]
 
 # field name -> JSON key, where they differ
 _KEYS = {"weight_at": "weights", "flag_at": "flags", "multiplicities": "mult",
@@ -96,7 +99,11 @@ def _rational(obj) -> Fraction:
     return rat_from_str(obj)
 
 
-# a field of these types is checked in place by its class's generated reader
+# object_reader's default of a field whose key must be given
+REQUIRED = object()
+
+# a field of these types (and of Fraction) is checked in place by
+# object_reader's generated function
 _INLINE = {int: "an integer", str: "a string"}
 _SCALARS = {tp: _exactly(tp, expected) for tp, expected in _INLINE.items()}
 _SCALARS[Fraction] = _rational
@@ -109,8 +116,11 @@ def decoder(tp):
     ``from_json(tp, obj)``, for callers that read many values of one type."""
     if tp in _SCALARS:
         return _SCALARS[tp]
-    if hasattr(tp, "_value_fields"):
-        return _value_decoder(tp)
+    if hasattr(tp, "_value_fields"):  # each field under its JSON key
+        hints = get_type_hints(tp)
+        return object_reader([(_KEYS.get(name, name), hints[name],
+                               REQUIRED if required else tp.__dict__[name])
+                              for name, required in tp._value_fields], tp)
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType and len(args) == 2 and args[1] is type(None):
         inner = decoder(args[0])
@@ -138,44 +148,45 @@ def decoder(tp):
     raise TypeError(f"no JSON form for {tp!r}")
 
 
-def _value_decoder(cls):
-    """The reader of the value class ``cls``, generated as one function.
+def object_reader(fields, build=None):
+    """A reader of one JSON object shape, generated as one function.
 
-    It reads the fields in declaration order, each under its JSON key: an
-    int or str field is checked in place, any other field goes to its own
-    reader, and a refusal there gets the key prefixed to its path.  A
-    missing key with a default takes the default; one without is refused.
-    Unknown keys are refused after every field is read, and the constructor
-    is then called with the fields as positional arguments.
+    ``fields`` lists (JSON key, type or reader, default) in read order, the
+    default ``REQUIRED`` where the key must be given; a reader is a function,
+    anything else a type.  An int, str or Fraction field is checked in
+    place; any other field goes to its reader, and a refusal there gets the
+    key prefixed to its path.  A missing key with a default takes the
+    default; one without is refused.  Unknown keys are refused after every
+    field is read; the values are then passed to ``build`` as positional
+    arguments, or returned as a tuple when ``build`` is None.
     """
-    hints = get_type_hints(cls)
-    fields = cls._value_fields
-    keys = [_KEYS.get(name, name) for name, _ in fields]
-    env = {"_cls": cls, "_Err": JsonShapeError}
-    env.update({f"_d_{name}": cls.__dict__[name]
-                for name, required in fields if not required})
-    body = ["    if type(obj) is not dict:\n",
-            "        raise _Err('an object')\n",
-            f"    n = {sum(required for _, required in fields)}\n"]
-    for (name, required), key in zip(fields, keys):
-        v, tp = f"v_{name}", hints[name]
-        body.append(f"    if {key!r} in obj:\n        {v} = obj[{key!r}]\n")
-        if tp in _INLINE:
-            body.append(f"        if type({v}) is not {tp.__name__}:\n"
-                        f"            raise _Err({_INLINE[tp]!r}, ({key!r},))\n")
+    env = {"_build": build, "_Err": JsonShapeError, "_rat": rat_from_str}
+    body = ["if type(obj) is not dict:", "    raise _Err('an object')",
+            f"n = {sum(d is REQUIRED for _, _, d in fields)}"]
+    for i, (key, tp, default) in enumerate(fields):
+        v = f"v{i}"
+        if tp is Fraction:
+            check = [f"if type({v}) is str or type({v}) is int:",
+                     f"    {v} = _rat({v})", "else:",
+                     f"    raise _Err('a rational \"p/q\"', ({key!r},))"]
+        elif tp in _INLINE:
+            check = [f"if type({v}) is not {tp.__name__}:",
+                     f"    raise _Err({_INLINE[tp]!r}, ({key!r},))"]
         else:
-            env[f"_r_{name}"] = decoder(tp)
-            body.append(f"        try:\n            {v} = _r_{name}({v})\n"
-                        "        except _Err as err:\n"
-                        f"            raise _Err(err.expected, ({key!r},) + err.keys)"
-                        " from None\n")
-        if required:
-            body.append("    else:\n"
-                        f"        raise _Err({f'an object with key {key!r}'!r})\n")
+            env[f"_r{i}"] = tp if isinstance(tp, FunctionType) else decoder(tp)
+            check = ["try:", f"    {v} = _r{i}({v})", "except _Err as err:",
+                     f"    raise _Err(err.expected, ({key!r},) + err.keys) from None"]
+        body += ["try:", f"    {v} = obj[{key!r}]", "except KeyError:"]
+        if default is REQUIRED:
+            body.append(f"    raise _Err({f'an object with key {key!r}'!r}) from None")
+            body += check
         else:
-            body.append(f"        n += 1\n    else:\n        {v} = _d_{name}\n")
-    known = "an object with keys among " + ", ".join(sorted(keys))
-    body.append(f"    if n != len(obj):\n        raise _Err({known!r})\n"
-                f"    return _cls({', '.join(f'v_{name}' for name, _ in fields)})\n")
-    exec(f"def read(obj):\n{''.join(body)}", env)
+            env[f"_d{i}"] = default
+            body += [f"    {v} = _d{i}", "else:", "    n += 1"]
+            body += ["    " + line for line in check]
+    known = "an object with keys among " + ", ".join(sorted(k for k, _, _ in fields))
+    values = ", ".join(f"v{i}" for i in range(len(fields)))
+    body += ["if n != len(obj):", f"    raise _Err({known!r})",
+             f"return _build({values})" if build else f"return ({values},)"]
+    exec("def read(obj):\n" + "".join(f"    {line}\n" for line in body), env)
     return env["read"]

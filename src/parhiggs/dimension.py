@@ -56,11 +56,11 @@ class LieGroupData:
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(self.exponents))
-        if self.real_dimension < 1 or self.rank < 0:
-            raise DomainError("bad_lie_data", name=self.name)
-        if any(m < 1 for m in self.exponents):
-            raise DomainError("bad_exponents", name=self.name,
-                              exponents=self.exponents)
+        exact_int(self.real_dimension, "bad_lie_data", 1, name=self.name)
+        exact_int(self.rank, "bad_lie_data", 0, name=self.name)
+        for m in self.exponents:
+            exact_int(m, "bad_exponents", 1, name=self.name,
+                      exponents=self.exponents)
         if self.is_split and \
                 self.real_dimension != self.rank + 2 * sum(self.exponents):
             raise DomainError("catalog_identity_violated", name=self.name,

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
-from .codec import JsonShapeError, decoder
+from .codec import REQUIRED, JsonShapeError, object_reader
 from .exact_core import (DomainError, EMPTY_MAPPING, all_bits, check_cap,
-                         exact_int, frozen_value, rat, rat_from_str, rational_sum,
+                         exact_int, frozen_value, rat, rational_sum,
                          trusted_value)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
@@ -36,6 +37,8 @@ __all__ = [
     "LaurentMatrix",
     "vline_degree",
     "vline_tensor",
+    "torsion_multiplicity",
+    "square_root_count",
     "square_root_types",
     "z2_character_count",
     "z2_character_enumerate",
@@ -128,28 +131,46 @@ class SquareRootFamily:
         return len(self.types) * self.torsion_multiplicity
 
 
-def square_root_types(l: VLineBundle, surf: MarkedSurface,
-                      cap: int | None = None) -> SquareRootFamily:
-    """All Seifert types whose square is l, over a surface with order-2 points.
+def torsion_multiplicity(surf: MarkedSurface) -> int:
+    """2^{2g}: the holomorphic choices the degree-0 Picard group adds to
+    each square-root type."""
+    return 2 ** (2 * surf.genus)
+
+
+def square_root_count(l: VLineBundle, surf: MarkedSurface) -> int:
+    """The number of Seifert types whose square is l, in closed form, none
+    built; refused as square_root_types refuses, in the same order.
 
     A square (2e + #{rho_i = 1}, residues 0) can only hit bundles with zero
     residues; for those, the rho in {0,1}^s with sum congruent to the degree
-    leave 2^{s-1} types (s >= 1).  Without marked points an odd degree has no
-    root at all.  ``cap`` bounds the number of types, counted before any is
-    built (one at s = 0); each is made checked: residues 0 or 1, the 1s kept.
+    leave 2^{s-1} types (s >= 1).  Without marked points there is one root,
+    or none for an odd degree (no_square_root).
     """
     _check_isotropy(l, surf)
     for p in surf.points:
         if p.order != 2:
             raise DomainError("orders_not_two", label=p.label, order=p.order)
-    labels = surf.labels()
-    check_cap(0 if l.isotropy else 2 ** (len(labels) - 1) if labels else 1, cap)
-    mult = 2 ** (2 * surf.genus)
+    if l.isotropy:
+        return 0
+    if surf.points:
+        return 2 ** (surf.s - 1)
+    if l.desing_degree % 2:
+        raise DomainError("no_square_root", degree=l.desing_degree)
+    return 1
+
+
+def square_root_types(l: VLineBundle, surf: MarkedSurface,
+                      cap: int | None = None) -> SquareRootFamily:
+    """All Seifert types whose square is l, over a surface with order-2 points.
+
+    ``cap`` bounds the number of types, square_root_count, counted before
+    any is built; each is made checked: residues 0 or 1, the 1s kept.
+    """
+    check_cap(square_root_count(l, surf), cap)
+    mult = torsion_multiplicity(surf)
     if l.isotropy:
         return SquareRootFamily((), mult)
-    d = l.desing_degree
-    if not labels and d % 2:
-        raise DomainError("no_square_root", degree=d)
+    d, labels = l.desing_degree, surf.labels()
     return SquareRootFamily(tuple(
         trusted_value(VLineBundle, desing_degree=(d - sum(rho)) // 2,
                       isotropy={x: 1 for x, r in zip(labels, rho) if r})
@@ -547,50 +568,20 @@ def orb_to_par_local(chart: LocalChart, mat: LaurentMatrix,
 
 
 # ---------------------------------------------------------------- JSON ----
-# Hand-written: m lives outside the matrix and terms are {"deg", "coef"}
-# objects.  Malformed input is refused as the codec refuses it (bad_json, with
-# the path of keys and the codec's wording); the keys are read in the order
-# entries, window, form, m, and unknown keys are refused after them.  A term
-# in the writer's own shape is read without the keyed path.
+# m lives outside the matrix and terms are {"deg", "coef"} objects.  Both
+# object shapes are read by codec.object_reader, generated on first use; the
+# keys are read in the order entries, window, form, m.
 
 def laurent_to_json(mat: LaurentMatrix, m: int) -> dict:
     # str(c) is to_json(c): the constructor holds every coefficient as a Fraction
-    return {"m": exact_int(m, "bad_chart_order", m=m),
+    return {"m": exact_int(m, "bad_chart_order", 1, m=m),
             "form": mat.form,
             "window": list(mat.window),
             "entries": [[[{"deg": d, "coef": str(c)} for d, c in e]
                          for e in row] for row in mat.entries]}
 
 
-_integer, _rational, _string = decoder(int), decoder(Fraction), decoder(str)
-_window = decoder(tuple[int, int])
-
-
-def _keyed(obj: dict, key: str, read):
-    """read(obj[key]), a missing key or a bad value refused at its path."""
-    if key not in obj:
-        raise JsonShapeError(f"an object with key {key!r}")
-    try:
-        return read(obj[key])
-    except JsonShapeError as err:
-        raise JsonShapeError(err.expected, (key,) + err.keys) from None
-
-
-def _read_term(t) -> Term:
-    if type(t) is dict and len(t) == 2:  # the writer's own shape, read directly
-        d, c = t.get("deg"), t.get("coef")
-        if type(d) is int and type(c) is str:
-            return d, rat_from_str(c)
-    if type(t) is not dict:
-        raise JsonShapeError("an object")
-    d = _keyed(t, "deg", _integer)
-    c = _keyed(t, "coef", _rational)
-    if len(t) != 2:
-        raise JsonShapeError("an object with keys among coef, deg")
-    return d, c
-
-
-def _read_entries(obj) -> tuple[tuple[tuple[Term, ...], ...], ...]:
+def _read_entries(obj, read_term) -> tuple[tuple[tuple[Term, ...], ...], ...]:
     if type(obj) is not list:
         raise JsonShapeError("a list")
     rows = []
@@ -601,18 +592,24 @@ def _read_entries(obj) -> tuple[tuple[tuple[Term, ...], ...], ...]:
         for e in row:
             if type(e) is not list:
                 raise JsonShapeError("a list")
-            out.append(_canonical_terms([_read_term(t) for t in e]) if e else ())
+            out.append(_canonical_terms([read_term(t) for t in e]) if e else ())
         rows.append(tuple(out))
     return tuple(rows)
 
 
-def laurent_from_json(obj: dict) -> tuple[int, LaurentMatrix]:
-    if type(obj) is not dict:
-        raise JsonShapeError("an object")
-    rows = _keyed(obj, "entries", _read_entries)
-    window = _keyed(obj, "window", _window)
-    form = _keyed(obj, "form", _string)
-    m = _keyed(obj, "m", _integer)
-    if len(obj) != 4:
-        raise JsonShapeError("an object with keys among entries, form, m, window")
+def _from_fields(rows, window, form: str, m: int) -> tuple[int, LaurentMatrix]:
+    exact_int(m, "bad_chart_order", 1, m=m)
     return m, _mapped(len(rows), rows, window, form)
+
+
+@cache
+def _reader():
+    term = object_reader([("deg", int, REQUIRED), ("coef", Fraction, REQUIRED)])
+    return object_reader([("entries", lambda obj: _read_entries(obj, term), REQUIRED),
+                          ("window", tuple[int, int], REQUIRED),
+                          ("form", str, REQUIRED), ("m", int, REQUIRED)],
+                         _from_fields)
+
+
+def laurent_from_json(obj: dict) -> tuple[int, LaurentMatrix]:
+    return _reader()(obj)

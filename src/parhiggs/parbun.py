@@ -102,7 +102,8 @@ class ParabolicLineBundle:
 
 @frozen_value
 class ParabolicBundle:
-    """Rank-n bundle with a weighted flag over each marked point."""
+    """Rank-n bundle with a weighted flag over each marked point; a flag that
+    is not a ParabolicFlag is refused (flag_not_parabolic_flag)."""
 
     rank: int
     degree: int
@@ -113,6 +114,9 @@ class ParabolicBundle:
         exact_int(self.degree, "bad_degree", degree=self.degree)
         object.__setattr__(self, "flag_at", dict(self.flag_at))
         for lbl, fl in self.flag_at.items():
+            if type(fl) is not ParabolicFlag:
+                raise DomainError("flag_not_parabolic_flag", label=lbl,
+                                  type=type(fl).__name__)
             if fl.rank != self.rank:
                 raise DomainError("flag_rank_mismatch", label=lbl,
                                   flag_rank=fl.rank, rank=self.rank)

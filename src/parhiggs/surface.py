@@ -36,9 +36,10 @@ class MarkedPoint:
 class MarkedSurface:
     """A compact genus-g surface with a reduced divisor of marked points.
 
-    The point labels are listed once, when it is built, as a tuple and as a
-    frozenset, outside the fields that equality, repr and JSON read;
-    ``points`` is not to be mutated.
+    The points are held as a tuple, each a MarkedPoint (anything else is
+    refused with point_not_marked_point).  Their labels are listed once,
+    when it is built, as a tuple and as a frozenset, outside the fields that
+    equality, repr and JSON read.
     """
 
     genus: int
@@ -46,7 +47,13 @@ class MarkedSurface:
 
     def __post_init__(self):
         exact_int(self.genus, "bad_genus", 0, genus=self.genus)
-        labels = [p.label for p in self.points]
+        points, labels = tuple(self.points), []
+        for i, p in enumerate(points):
+            if type(p) is not MarkedPoint:
+                raise DomainError("point_not_marked_point", index=i,
+                                  type=type(p).__name__)
+            labels.append(p.label)
+        object.__setattr__(self, "points", points)
         label_set = frozenset(labels)
         if len(label_set) != len(labels):
             raise DomainError("duplicate_point_labels", labels=labels)

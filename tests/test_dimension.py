@@ -1,5 +1,7 @@
 """Dimension-formula tests: catalog identities and moduli dimensions."""
 
+from fractions import Fraction
+
 import pytest
 
 from parhiggs.codec import to_json
@@ -250,3 +252,20 @@ def test_dim_report_json():
     assert obj["summands"] == [
         {"label": "exponent_1", "complex_dim": 4, "real_dim": 8}]
     assert obj["statement_real"] is None
+
+
+@pytest.mark.parametrize("value", [1.5, True, Fraction(2)],
+                         ids=["float", "bool", "Fraction"])
+@pytest.mark.parametrize("field", ["real_dimension", "rank", "exponent"])
+def test_lie_group_data_takes_exact_ints(field, value):
+    args = dict(name="x", real_dimension=3, rank=1, exponents=(1,),
+                is_split=False, is_hermitian_tube=False)
+    if field == "exponent":
+        args["exponents"] = (value,)
+        want = {"error": "bad_exponents", "name": "x", "exponents": (value,)}
+    else:
+        args[field] = value
+        want = {"error": "bad_lie_data", "name": "x"}
+    with pytest.raises(DomainError) as e:
+        LieGroupData(**args)
+    assert e.value.payload() == want

@@ -30,7 +30,9 @@ from parhiggs.orbifold import (
     laurent_matrix,
     orb_to_par_local,
     par_to_orb_local,
+    square_root_count,
     square_root_types,
+    torsion_multiplicity,
     z2_character_enumerate,
 )
 from parhiggs.parbun import ParabolicLineBundle
@@ -145,6 +147,26 @@ def test_square_root_list_matches_square_root_types(oracles):
                     assert got == types, (g, d, residues)
                     assert fam.torsion_multiplicity == mult
                     assert bool(types) == (not any(residues))
+
+
+def test_square_root_count_matches_square_root_list(oracles):
+    for g in range(4):
+        for s in range(6):
+            labels = [f"x{i + 1}" for i in range(s)]
+            surf = MarkedSurface(g, tuple(MarkedPoint(x, 2) for x in labels))
+            for d in range(-6, 7):
+                for residues in itertools.product((0, 1), repeat=s):
+                    l = VLineBundle(d, dict(zip(labels, residues)))
+                    types, mult = oracles.square_root_list(g, d, residues)
+                    assert torsion_multiplicity(surf) == mult
+                    if not s and d % 2:
+                        assert types == []
+                        with pytest.raises(DomainError) as e:
+                            square_root_count(l, surf)
+                        assert e.value.code == "no_square_root"
+                        continue
+                    assert square_root_count(l, surf) == len(types), \
+                        (g, d, residues)
 
 
 def test_mv_order2_matches_v_cohomology_ranks(oracles):

@@ -23,6 +23,7 @@ from parhiggs.orbifold import (
     par_to_orb_local,
     parabolic_line_to_vline,
     pic_v_structure,
+    square_root_count,
     square_root_types,
     vline_degree,
     vline_tensor,
@@ -127,6 +128,28 @@ def test_square_roots_are_counted_before_the_cap(l, s, needed):
             square_root_types(l, surf, cap=needed - 1)
         assert err.value.payload() == {"error": "enumeration_cap_exceeded",
                                        "needed": needed, "cap": needed - 1}
+
+
+@pytest.mark.parametrize("l,orders,code", [
+    (VLineBundle(0, {"y": 1}), [3], "isotropy_surface_mismatch"),
+    (VLineBundle(0, {"x1": 2}), [2, 3], "isotropy_not_reduced"),
+    (VLineBundle(1), [2, 3], "orders_not_two"),
+    (VLineBundle(0, {"x1": 1}), [3, 2], "orders_not_two"),
+    (VLineBundle(3), [], "no_square_root"),
+])
+def test_square_root_count_refuses_as_square_root_types(l, orders, code):
+    surf = surface_with_orders(1, orders)
+    for call in (square_root_count, square_root_types):
+        with pytest.raises(DomainError) as err:
+            call(l, surf)
+        assert err.value.code == code
+
+
+def test_square_root_count_builds_no_type():
+    # 2^99 types: building them would not end
+    assert square_root_count(VLineBundle(0), standard_surface(2, 100)) == 2 ** 99
+    assert square_root_count(VLineBundle(7, {"x5": 1}),
+                             standard_surface(0, 100)) == 0
 
 
 def test_square_roots_square_back():
@@ -566,6 +589,24 @@ def test_laurent_from_json_refuses_malformed_input(obj, at, expected):
     with pytest.raises(DomainError) as e:
         laurent_from_json(obj)
     assert e.value.payload() == {"error": "bad_json", "at": at, "expected": expected}
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_laurent_json_refuses_a_chart_order_below_one(m):
+    mat = laurent_matrix(1, {(0, 0): [(1, Fraction(1, 2))]}, (-1, 16), "dz/z")
+    with pytest.raises(DomainError) as e:
+        laurent_to_json(mat, m)
+    assert e.value.payload() == {"error": "bad_chart_order", "m": m}
+    with pytest.raises(DomainError) as e:
+        laurent_from_json(_with(m=m))
+    assert e.value.payload() == {"error": "bad_chart_order", "m": m}
+    # refused after the JSON shape is read, and before the matrix's frame
+    with pytest.raises(DomainError) as e:
+        laurent_from_json(_with(m=m, x=1))
+    assert e.value.code == "bad_json"
+    with pytest.raises(DomainError) as e:
+        laurent_from_json(_with(m=m, form="dx"))
+    assert e.value.payload() == {"error": "bad_chart_order", "m": m}
 
 
 def test_laurent_from_json_checks_shape_before_the_matrix():

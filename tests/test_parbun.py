@@ -415,3 +415,19 @@ def test_unknown_points_with_a_label_that_is_not_a_string():
             pardeg(b, surf)
         assert err.value.payload() == {"error": "flag_surface_mismatch",
                                        "unknown": [1, "x2"]}
+
+
+@pytest.mark.parametrize("flag", ["junk", None, ((1, 1), (0, "1/2")),
+                                  {"mult": [2], "weights": ["0"]}])
+def test_a_flag_that_is_not_a_parabolic_flag_is_refused(flag):
+    with pytest.raises(DomainError) as e:
+        ParabolicBundle(2, 0, {"x1": trivial_flag(2), "x2": flag})
+    assert e.value.payload() == {"error": "flag_not_parabolic_flag",
+                                 "label": "x2", "type": type(flag).__name__}
+    # the rank and degree are read first, and keep their codes
+    with pytest.raises(DomainError) as e:
+        ParabolicBundle(-1, 0, {"x2": flag})
+    assert e.value.code == "bad_rank"
+    with pytest.raises(DomainError) as e:
+        ParabolicBundle(2, 0.5, {"x2": flag})
+    assert e.value.code == "bad_degree"

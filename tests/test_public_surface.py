@@ -202,8 +202,6 @@ OWN_INT_RULES = {
                               "nothing, and a miss sends the terms to _clean_terms",
     "orbifold._clean_terms": "a term's degree and coefficient are one rule, "
                              "refused together as bad_term",
-    "orbifold._read_term": "the fast path for the writer's own term shape; "
-                           "anything else goes to the codec's readers",
     "parbun._check_weight": "a weight is a Fraction, an int or a \"p/q\" string",
     "vcoh.v_cohomology_ranks": "an ordering pre-check: it refuses a negative "
                                "g or s < 1 only once both are ints",

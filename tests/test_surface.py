@@ -84,6 +84,30 @@ def test_surface_validation():
         MarkedPoint("x", 0)
 
 
+@pytest.mark.parametrize("points,index,kind", [
+    (["x"], 0, "str"),
+    ((MarkedPoint("x"), ("y", 2)), 1, "tuple"),
+    ((MarkedPoint("x"), None), 1, "NoneType"),
+])
+def test_a_point_that_is_not_a_marked_point_is_refused(points, index, kind):
+    with pytest.raises(DomainError) as err:
+        MarkedSurface(1, points)
+    assert err.value.payload() == {"error": "point_not_marked_point",
+                                   "index": index, "type": kind}
+    # the genus is read first, and keeps its code
+    with pytest.raises(DomainError) as err:
+        MarkedSurface(-1, points)
+    assert err.value.code == "bad_genus"
+
+
+def test_points_given_as_a_list_are_held_as_a_tuple():
+    surf = MarkedSurface(1, [MarkedPoint("x"), MarkedPoint("y", 3)])
+    assert surf.points == (MarkedPoint("x"), MarkedPoint("y", 3))
+    assert type(surf.points) is tuple
+    same = MarkedSurface(1, (MarkedPoint("x"), MarkedPoint("y", 3)))
+    assert surf == same and hash(surf) == hash(same)
+
+
 @pytest.mark.parametrize("call,payload", [
     (lambda: standard_surface(1.5, 1), {"error": "bad_genus", "genus": 1.5}),
     (lambda: standard_surface(True, 1), {"error": "bad_genus", "genus": True}),
