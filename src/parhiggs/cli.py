@@ -119,7 +119,8 @@ def _load_json(text: str, what: str, cls):
                           detail=str(exc)) from exc
 
 
-_SP_NAME = re.compile(r"^sp(\d+)$")
+# matched with re.match, whose cache compiles the pattern on first use
+_SP_NAME = r"^sp(\d+)$"
 
 # --mode -> the CountMode's (variant, parity)
 _MODES = {
@@ -142,7 +143,7 @@ _FAMILIES_WITH_N = {"sp2n": "sp2nr", "su": "sunn",
 def _parse_group(name: str, n: int | None) -> GroupDescriptor:
     from . import components as comp
     text = name.lower()
-    match = _SP_NAME.match(text)
+    match = re.match(_SP_NAME, text)
     if match:
         value = int(match.group(1))
         if value % 2 != 0 or value < 2:

@@ -26,7 +26,7 @@ Modes:
 from __future__ import annotations
 
 from itertools import islice, product
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .exact_core import (DomainError, all_bits, check_cap, exact_int,
                          frozen_value)
@@ -387,7 +387,7 @@ def _materialize(factors: tuple[str, ...], z: _Sizes, parity: str | None
 # the case table
 
 
-class _Entry(NamedTuple):
+class _Entry:
     """The case analysis of one group row in one mode.
 
     ``cases`` are (label, factors) pairs in their published order; a case's
@@ -396,9 +396,12 @@ class _Entry(NamedTuple):
     cases).  No cases means no maximal objects.
     """
 
-    cases: tuple[tuple[str, tuple[str, ...]], ...]
-    total: Callable[[_Sizes], int] | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ("cases", "total", "notes")
+
+    def __init__(self, cases: tuple[tuple[str, tuple[str, ...]], ...],
+                 total: Callable[[_Sizes], int] | None = None,
+                 notes: tuple[str, ...] = ()):
+        self.cases, self.total, self.notes = cases, total, notes
 
 
 _SP2, _SP4, _SP2N = "Sp(2,R)=SL(2,R)", "Sp(4,R)", "Sp(2n,R), for n>=3"

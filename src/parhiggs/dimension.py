@@ -70,7 +70,8 @@ class LieGroupData:
             raise DomainError("complex_dimension_odd", name=self.name)
 
 
-_NAME_RE = re.compile(r"^(SL|Sp|SO)\((\d+)(?:,(\d+|R))?\)(?:,R)?$")
+# matched with re.match, whose cache compiles the pattern on first use
+_NAME_RE = r"^(SL|Sp|SO)\((\d+)(?:,(\d+|R))?\)(?:,R)?$"
 
 
 def lie_catalog(name: str) -> LieGroupData:
@@ -80,7 +81,7 @@ def lie_catalog(name: str) -> LieGroupData:
     SO(n,n): 1,3,..,2n-3 together with n-1.
     """
     text = name.replace(" ", "")
-    match = _NAME_RE.match(text)
+    match = re.match(_NAME_RE, text)
     if not match:
         raise DomainError("unknown_group_name", name=name)
     family, first, second = match.group(1), int(match.group(2)), match.group(3)

@@ -79,6 +79,37 @@ def _value_hash(self) -> int:
     return hash(_field_values(self))
 
 
+def _generated_init(cls: type):
+    """The straight-line ``__init__`` of the frozen value class ``cls``."""
+    env = {"_set": object.__setattr__}
+    params, body = [], []
+    for name, required in cls._value_fields:
+        if not required:
+            env[f"_d_{name}"] = cls.__dict__[name]
+        params.append(name if required else f"{name}=_d_{name}")
+        body.append(f"    _set(self, {name!r}, {name})\n")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
+    return env["__init__"]
+
+
+class _InitOnFirstUse:
+    """A value class's ``__init__`` until it is first looked up: then the
+    function is generated, replaces this descriptor on the class and is
+    returned, bound to the instance where there is one."""
+
+    __slots__ = ("cls",)
+
+    def __init__(self, cls: type):
+        self.cls = cls
+
+    def __get__(self, instance, owner=None):
+        init = _generated_init(self.cls)
+        self.cls.__init__ = init
+        return init if instance is None else init.__get__(instance, owner)
+
+
 def frozen_value(cls: type) -> type:
     """Make ``cls`` a frozen value class over its annotated fields, in order.
 
@@ -87,7 +118,9 @@ def frozen_value(cls: type) -> type:
     and ``dis`` into every process that imports it:
     - ``__init__`` takes the fields in order, a field with a class-level
       default as an optional argument, and ends by calling
-      ``__post_init__`` where there is one;
+      ``__post_init__`` where there is one.  It is generated when it is
+      first looked up (the first construction, or ``inspect.signature``),
+      not here, so importing the package compiles nothing;
     - the repr is ``Name(field=value, ...)``; equality holds between values
       of one class with equal field tuples, and the hash is that tuple's;
     - assigning or deleting an attribute raises FrozenFieldError.
@@ -95,20 +128,10 @@ def frozen_value(cls: type) -> type:
     class may declare ``__slots__`` naming its fields.
     """
     slots = cls.__dict__.get("__slots__", ())
-    env = {"_set": object.__setattr__}
-    params, body, fields = [], [], []
-    for name in cls.__annotations__:
-        required = name in slots or name not in cls.__dict__
-        if not required:
-            env[f"_d_{name}"] = cls.__dict__[name]
-        params.append(name if required else f"{name}=_d_{name}")
-        body.append(f"    _set(self, {name!r}, {name})\n")
-        fields.append((name, required))
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
-    cls.__init__ = env["__init__"]
-    cls._value_fields = tuple(fields)
+    cls._value_fields = tuple(
+        (name, name in slots or name not in cls.__dict__)
+        for name in cls.__annotations__)
+    cls.__init__ = _InitOnFirstUse(cls)
     cls.__repr__, cls.__eq__, cls.__hash__ = _value_repr, _value_eq, _value_hash
     cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
     return cls

@@ -22,9 +22,8 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .codec import REQUIRED, JsonShapeError, object_reader
-from .exact_core import (DomainError, EMPTY_MAPPING, all_bits, check_cap,
-                         exact_int, frozen_value, rat, rational_sum,
-                         trusted_value)
+from .exact_core import (DomainError, EMPTY_MAPPING, check_cap, exact_int,
+                         frozen_value, rat, rational_sum, trusted_value)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -66,8 +65,13 @@ class VLineBundle:
     isotropy: Mapping[str, int] = EMPTY_MAPPING
 
     def __post_init__(self):
+        try:
+            items = self.isotropy.items()
+        except AttributeError:
+            raise DomainError("isotropy_not_mapping",
+                              type=type(self.isotropy).__name__) from None
         clean = {}
-        for lbl, b in self.isotropy.items():
+        for lbl, b in items:
             if exact_int(b, "bad_isotropy", label=lbl, residue=b):
                 clean[lbl] = b
         if any(b < 0 for b in clean.values()):
@@ -185,7 +189,9 @@ class Z2Character:
     """Additive Z2 character: values on a_1,b_1,..,a_g,b_g and on sigma_1..s.
 
     The single surface relation forces the sigma values to sum to 0 mod 2.
-    A direct construction checks both rules; z2_character_enumerate checks
+    A direct construction keeps both vectors as tuples, refuses a value that
+    is not exactly the int 0 or 1 (character_value_not_bit; a bool or a
+    float is not a bit) and checks the sum; z2_character_enumerate checks
     them once per factor and fills the two slots of each character itself
     (slotted, so an enumeration's characters are small and quick to make).
     """
@@ -195,10 +201,23 @@ class Z2Character:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        if not all_bits(self.ab + self.sigma):
-            raise DomainError("character_value_not_bit")
-        if sum(self.sigma) % 2:
-            raise DomainError("sigma_parity_violated", sigma=list(self.sigma))
+        try:
+            ab = tuple(self.ab)
+        except TypeError:
+            raise DomainError("ab_not_sequence",
+                              type=type(self.ab).__name__) from None
+        try:
+            sigma = tuple(self.sigma)
+        except TypeError:
+            raise DomainError("sigma_not_sequence",
+                              type=type(self.sigma).__name__) from None
+        for v in ab + sigma:
+            if exact_int(v, "character_value_not_bit", 0) > 1:
+                raise DomainError("character_value_not_bit")
+        if sum(sigma) % 2:
+            raise DomainError("sigma_parity_violated", sigma=list(sigma))
+        object.__setattr__(self, "ab", ab)
+        object.__setattr__(self, "sigma", sigma)
 
 
 def z2_character_count(surf: MarkedSurface) -> int:
@@ -301,7 +320,11 @@ class LocalChart:
 
     def __post_init__(self):
         exact_int(self.m, "bad_chart_order", 1, m=self.m)
-        ks = list(self.exponents)
+        try:
+            ks = list(self.exponents)
+        except TypeError:
+            raise DomainError("exponents_not_sequence",
+                              type=type(self.exponents).__name__) from None
         for k in ks:
             exact_int(k, "exponent_out_of_range", 0, exponents=ks, m=self.m)
         if not ks or max(ks) > self.m:

@@ -82,10 +82,15 @@ class ParabolicLineBundle:
 
     def __post_init__(self):
         exact_int(self.degree, "bad_degree", degree=self.degree)
+        try:
+            items = self.weight_at.items()
+        except AttributeError:
+            raise DomainError("weight_at_not_mapping",
+                              type=type(self.weight_at).__name__) from None
         # rational_sum's loop, fused with the weight check: a second pass
         # through it is slower per construction, which verdicts repeat
         clean, num, den = {}, self.degree, 1
-        for lbl, w in self.weight_at.items():
+        for lbl, w in items:
             w = clean[lbl] = _check_weight(w)
             p, q = w.numerator, w.denominator
             if den % q:
@@ -112,7 +117,12 @@ class ParabolicBundle:
     def __post_init__(self):
         exact_int(self.rank, "bad_rank", 0, rank=self.rank)
         exact_int(self.degree, "bad_degree", degree=self.degree)
-        object.__setattr__(self, "flag_at", dict(self.flag_at))
+        try:
+            flags = dict(self.flag_at)
+        except (TypeError, ValueError):
+            raise DomainError("flag_at_not_mapping",
+                              type=type(self.flag_at).__name__) from None
+        object.__setattr__(self, "flag_at", flags)
         for lbl, fl in self.flag_at.items():
             if type(fl) is not ParabolicFlag:
                 raise DomainError("flag_not_parabolic_flag", label=lbl,

@@ -47,7 +47,12 @@ class MarkedSurface:
 
     def __post_init__(self):
         exact_int(self.genus, "bad_genus", 0, genus=self.genus)
-        points, labels = tuple(self.points), []
+        try:
+            points = tuple(self.points)
+        except TypeError:
+            raise DomainError("points_not_sequence",
+                              type=type(self.points).__name__) from None
+        labels = []
         for i, p in enumerate(points):
             if type(p) is not MarkedPoint:
                 raise DomainError("point_not_marked_point", index=i,

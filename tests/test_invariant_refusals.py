@@ -4,8 +4,11 @@ Each row is one direct construction and what it must give: acceptance, a
 ``DomainError`` with its code and full payload, or a ``TypeError`` for an
 input that is not a sequence of bits at all.  The rows pin which rule wins
 when an input breaks several (a missing and a forbidden field: the first
-field in declaration order), and how odd values read as bits (``True`` and
-``1.0`` are bits; an unhashable entry or a character of a string is not).
+field in declaration order), and how odd values read as bits.  In an
+``InvariantTuple``, ``True`` and ``1.0`` are bits, and an unhashable entry
+or a character of a string is not; a ``Z2Character`` takes exactly the
+ints 0 and 1, keeps both vectors as tuples, and refuses a vector that is
+not a sequence with a code naming it.
 """
 
 import pytest
@@ -95,7 +98,7 @@ CHARACTER_ROWS = [
     (((0, 1), (1, 0, 1)), OK),
     (((), ()), OK),
     (((), (1, 1)), OK),
-    (((True, 0), (1.0, 1)), OK),
+    (((True, 0), (1.0, 1)), ("character_value_not_bit", {})),  # not ints
     (([0, 1], [1, 1]), OK),
     # values
     (((2,), ()), ("character_value_not_bit", {})),
@@ -110,13 +113,22 @@ CHARACTER_ROWS = [
     # sigma parity
     (((0, 1), (1, 0, 0)), ("sigma_parity_violated", {"sigma": [1, 0, 0]})),
     (((), (1,)), ("sigma_parity_violated", {"sigma": [1]})),
-    (((), (True, 1, 1.0)), ("sigma_parity_violated", {"sigma": [1, 1, 1]})),
-    # not two sequences of one kind
-    (([0], (1, 1)), TypeError),
-    (((0,), [1, 1]), TypeError),
-    ((5, ()), TypeError),
-    (((0,), None), TypeError),
-    (("01", ()), TypeError),
+    (((), (True, 1, 1.0)), ("character_value_not_bit", {})),
+    # a list and a tuple together are read alike
+    (([0], (1, 1)), OK),
+    (((0,), [1, 1]), OK),
+    # not a sequence: the vector is named
+    ((5, ()), ("ab_not_sequence", {"type": "int"})),
+    (((0,), None), ("sigma_not_sequence", {"type": "NoneType"})),
+    (("01", ()), ("character_value_not_bit", {})),
+    # only the ints 0 and 1 are bits: not a bool or a float
+    (((True, 0), (1, 1)), ("character_value_not_bit", {})),
+    (((1, 0), (1.0, 1)), ("character_value_not_bit", {})),
+    (((0.0,), ()), ("character_value_not_bit", {})),
+    (((), (False, 0)), ("character_value_not_bit", {})),
+    (((), (1, 1, 1)), ("sigma_parity_violated", {"sigma": [1, 1, 1]})),
+    (((), [1]), ("sigma_parity_violated", {"sigma": [1]})),
+    ((None, 5), ("ab_not_sequence", {"type": "NoneType"})),
 ]
 
 
@@ -150,4 +162,12 @@ def test_z2_character_refusals(ab, sigma, want):
 def test_accepted_odd_bits_compare_equal_to_plain_bits():
     assert InvariantTuple("w1_w2", w1=(True, False), w2=(1.0,)) == \
         InvariantTuple("w1_w2", w1=(1, 0), w2=(1,))
-    assert Z2Character((True, 0), (1.0, 1)) == Z2Character((1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("ab, sigma", [([0, 1], [1, 1]), ((0, 1), [1, 1]),
+                                       (iter([0, 1]), (x for x in (1, 1)))])
+def test_a_character_keeps_its_vectors_as_tuples(ab, sigma):
+    c = Z2Character(ab, sigma)
+    assert type(c.ab) is tuple and type(c.sigma) is tuple
+    assert c == Z2Character((0, 1), (1, 1))
+    assert hash(c) == hash(Z2Character((0, 1), (1, 1)))
