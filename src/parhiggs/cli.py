@@ -23,7 +23,8 @@ import sys
 from typing import TYPE_CHECKING, Callable
 
 from .codec import JsonShapeError, from_json, to_json
-from .exact_core import DomainError, exact_int, frozen_value, rational_sum
+from .exact_core import (DomainError, exact_int, frozen_value, rational_sum,
+                         read_container)
 from .surface import (
     MarkedPoint,
     MarkedSurface,
@@ -574,8 +575,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
+        argv = sys.argv[1:] if argv is None else \
+            read_container(argv, list, "argv_not_sequence")
         args = _build_parser(argv).parse_args(argv)
         cap = _resolve_cap(args)
         output = _COMMANDS[args.command][2](args, cap)

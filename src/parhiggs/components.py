@@ -29,7 +29,7 @@ from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
 from .exact_core import (DomainError, all_bits, check_cap, exact_int,
-                         frozen_value)
+                         frozen_value, read_container)
 from .surface import require_hyperbolic, standard_surface
 
 __all__ = [
@@ -702,7 +702,7 @@ def tables_markdown(tables: tuple[ComponentTable, ...], g: int, s: int) -> str:
     standard_surface(g, s)  # refuses a g or s that is not an exact int
     lines = [f"# Connected-component tables at genus {g}, marked points {s}",
              ""]
-    for table in tables:
+    for table in read_container(tables, iter, "tables_not_sequence"):
         lines.append(f"## {table.title}")
         lines.append("")
         lines.append("| Lie group G | minimum components | "

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .exact_core import DomainError, exact_int, frozen_value
+from .exact_core import DomainError, exact_int, frozen_value, read_container
 from .surface import h0_twisted_power, require_hyperbolic, standard_surface
 
 __all__ = [
@@ -55,7 +55,8 @@ class LieGroupData:
     is_complex: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
+        object.__setattr__(self, "exponents", read_container(
+            self.exponents, tuple, "exponents_not_sequence"))
         exact_int(self.real_dimension, "bad_lie_data", 1, name=self.name)
         exact_int(self.rank, "bad_lie_data", 0, name=self.name)
         for m in self.exponents:
@@ -194,7 +195,8 @@ def dim_strongly_parabolic_gl(n: int, g: int, s: int,
     if n < 1:
         raise DomainError("rank_not_positive", n=n)
     require_hyperbolic(standard_surface(g, s))
-    mults = [tuple(m) for m in multiplicities]
+    mults = [tuple(m) for m in read_container(multiplicities, iter,
+                                              "multiplicities_not_sequence")]
     if len(mults) != s:
         raise DomainError("bad_multiplicities", expected_points=s,
                           got=len(mults))

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import methodcaller
 from types import MappingProxyType
 from typing import Iterable
 
@@ -19,6 +20,8 @@ __all__ = [
     "frozen_value",
     "trusted_value",
     "exact_int",
+    "read_container",
+    "ITEMS",
     "check_cap",
     "all_bits",
     "rational_sum",
@@ -157,6 +160,25 @@ def exact_int(value, code: str, low: int | None = None, /, **info) -> int:
     return value
 
 
+def read_container(value, read, code: str, /):
+    """``read(value)``, the container a field or parameter is read as
+    (``tuple``, ``list``, ``dict``, ``iter``, ``len`` or ``ITEMS``), else
+    DomainError(code, type=<the type name of value>) where read raises
+    TypeError, ValueError or AttributeError: the one check of that rule,
+    each caller naming its own code.  A DomainError raised while reading,
+    such as one from a generator's own items, passes unchanged."""
+    try:
+        return read(value)
+    except DomainError:
+        raise
+    except (TypeError, ValueError, AttributeError):
+        raise DomainError(code, type=type(value).__name__) from None
+
+
+# read_container's reader of a mapping: its items, read without a copy
+ITEMS = methodcaller("items")
+
+
 def check_cap(needed: int, cap: int | None) -> None:
     """Refuse a request for more than cap items before any is built."""
     exact_int(needed, "bad_item_count", 0, needed=needed)
@@ -184,9 +206,10 @@ def rational_sum(values: Iterable[Fraction | int]) -> Fraction:
     The numerators are summed as integers over the running lcm of the
     denominators and reduced once, at the end.  An empty sum is Fraction(0),
     never the int 0: the JSON writer prints a Fraction as "0" and an int as 0.
+    A ``values`` that is not iterable is refused (values_not_sequence).
     """
     num, den = 0, 1
-    for v in values:
+    for v in read_container(values, iter, "values_not_sequence"):
         q = v.denominator
         if den % q:
             step = lcm(den, q) // den

@@ -22,8 +22,9 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .codec import REQUIRED, JsonShapeError, object_reader
-from .exact_core import (DomainError, EMPTY_MAPPING, check_cap, exact_int,
-                         frozen_value, rat, rational_sum, trusted_value)
+from .exact_core import (DomainError, EMPTY_MAPPING, ITEMS, check_cap,
+                         exact_int, frozen_value, rat, rational_sum,
+                         read_container, trusted_value)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -59,23 +60,20 @@ __all__ = [
 @frozen_value
 class VLineBundle:
     """Seifert data: desingularized degree plus isotropy residues per point.
-    A zero residue is dropped: the point is then not listed."""
+    A zero residue is dropped: the point is then not listed.  The degree is
+    checked after the residues (bad_degree)."""
 
     desing_degree: int
     isotropy: Mapping[str, int] = EMPTY_MAPPING
 
     def __post_init__(self):
-        try:
-            items = self.isotropy.items()
-        except AttributeError:
-            raise DomainError("isotropy_not_mapping",
-                              type=type(self.isotropy).__name__) from None
         clean = {}
-        for lbl, b in items:
+        for lbl, b in read_container(self.isotropy, ITEMS, "isotropy_not_mapping"):
             if exact_int(b, "bad_isotropy", label=lbl, residue=b):
                 clean[lbl] = b
         if any(b < 0 for b in clean.values()):
             raise DomainError("negative_isotropy", isotropy=dict(clean))
+        exact_int(self.desing_degree, "bad_degree", degree=self.desing_degree)
         object.__setattr__(self, "isotropy", clean)
 
     def residue(self, label: str) -> int:
@@ -201,16 +199,8 @@ class Z2Character:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            ab = tuple(self.ab)
-        except TypeError:
-            raise DomainError("ab_not_sequence",
-                              type=type(self.ab).__name__) from None
-        try:
-            sigma = tuple(self.sigma)
-        except TypeError:
-            raise DomainError("sigma_not_sequence",
-                              type=type(self.sigma).__name__) from None
+        ab = read_container(self.ab, tuple, "ab_not_sequence")
+        sigma = read_container(self.sigma, tuple, "sigma_not_sequence")
         for v in ab + sigma:
             if exact_int(v, "character_value_not_bit", 0) > 1:
                 raise DomainError("character_value_not_bit")
@@ -320,11 +310,7 @@ class LocalChart:
 
     def __post_init__(self):
         exact_int(self.m, "bad_chart_order", 1, m=self.m)
-        try:
-            ks = list(self.exponents)
-        except TypeError:
-            raise DomainError("exponents_not_sequence",
-                              type=type(self.exponents).__name__) from None
+        ks = read_container(self.exponents, list, "exponents_not_sequence")
         for k in ks:
             exact_int(k, "exponent_out_of_range", 0, exponents=ks, m=self.m)
         if not ks or max(ks) > self.m:
@@ -411,16 +397,29 @@ class LaurentMatrix:
         _check_degrees(rows, lo, hi)
 
 
+def _window_ends(window) -> tuple:
+    """The window's ends, read as a tuple; a window that is no sequence, or
+    whose length is not 2, is refused with bad_window.  The ends' types and
+    order are _check_frame's to check."""
+    ends = read_container(window, tuple, "bad_window")
+    if len(ends) != 2:
+        raise DomainError("bad_window", window=list(ends))
+    return ends
+
+
 def _check_frame(n: int, rows, window, form: str) -> tuple[int, int]:
     """The window (lo, hi) of an n x n matrix, after the checks every Laurent
     matrix gets, in this order: the form, the window (two int ends, lo <= hi;
-    anything else is refused with bad_window) and the shape."""
+    anything else is refused with bad_window), the entries (a sequence, else
+    entries_not_sequence) and the shape."""
     if form not in _FORMS:
         raise DomainError("bad_form_flag", form=form)
-    lo, hi = shown = list(window)
+    lo, hi = _window_ends(window)
+    shown = [lo, hi]
     exact_int(lo, "bad_window", window=shown)
     exact_int(hi, "bad_window", lo, window=shown)
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if read_container(rows, len, "entries_not_sequence") != n or \
+            any(len(r) != n for r in rows):
         raise DomainError("bad_matrix_shape", n=n)
     return lo, hi
 
@@ -442,7 +441,7 @@ def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
     """Build from sparse {(i,j): [(deg, coef), ...]} terms, each entry normalized."""
     exact_int(n, "bad_matrix_shape", n=n)  # before range(n) reads it
     rows = [[() for _ in range(n)] for _ in range(n)]
-    for (i, j), ts in terms.items():
+    for (i, j), ts in read_container(terms, ITEMS, "terms_not_mapping"):
         if not (0 <= i < n and 0 <= j < n):
             raise DomainError("entry_out_of_range", entry=[i, j], n=n)
         rows[i][j] = _canonical_terms(ts)
@@ -523,12 +522,11 @@ def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
     exact_int(m, "bad_chart_order", 1, m=m)
     if higgs.form != "dw/w":
         raise DomainError("wrong_form", form=higgs.form, expected="dw/w")
-    if len(weights) != higgs.n:
-        raise DomainError("size_mismatch", matrix=higgs.n, weights=len(weights))
+    size = read_container(weights, len, "weights_not_sequence")
+    if size != higgs.n:
+        raise DomainError("size_mismatch", matrix=higgs.n, weights=size)
     ks = _weights_to_exponents(m, weights)
-    if window is None:
-        window = (-1, 8 * m)
-    lo, hi = window
+    lo, hi = window = (-1, 8 * m) if window is None else _window_ends(window)
     rows = []
     for i, (ki, entries) in enumerate(zip(ks, higgs.entries)):
         row = []
@@ -567,9 +565,7 @@ def orb_to_par_local(chart: LocalChart, mat: LaurentMatrix,
         raise DomainError("exponent_equals_order", m=m)
     if mat.n != chart.n:
         raise DomainError("size_mismatch", matrix=mat.n, chart=chart.n)
-    if window is None:
-        window = (-1, 8)
-    lo, hi = window
+    lo, hi = window = (-1, 8) if window is None else _window_ends(window)
     rows = []
     for ki, entries in zip(k, mat.entries):
         row = []

@@ -10,8 +10,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .exact_core import (DomainError, EMPTY_MAPPING, exact_int, frozen_value,
-                         rat, rat_from_str, rational_sum, trusted_value)
+from .exact_core import (DomainError, EMPTY_MAPPING, ITEMS, exact_int,
+                         frozen_value, rat, rat_from_str, rational_sum,
+                         read_container, trusted_value)
 from .surface import MarkedSurface
 
 __all__ = [
@@ -47,13 +48,17 @@ class ParabolicFlag:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.multiplicities) != len(self.weights) or not self.multiplicities:
+        ks = read_container(self.multiplicities, tuple,
+                            "multiplicities_not_sequence")
+        ws = read_container(self.weights, tuple, "weights_not_sequence")
+        if len(ks) != len(ws) or not ks:
             raise DomainError("bad_flag_shape")
-        for k in self.multiplicities:
+        for k in ks:
             exact_int(k, "bad_flag_multiplicity", 1, mult=self.multiplicities)
-        ws = [_check_weight(w) for w in self.weights]
+        ws = [_check_weight(w) for w in ws]
         if any(a >= b for a, b in zip(ws, ws[1:])):
             raise DomainError("flag_weights_not_increasing", weights=ws)
+        object.__setattr__(self, "multiplicities", ks)
         object.__setattr__(self, "weights", tuple(ws))
 
     @property
@@ -82,11 +87,7 @@ class ParabolicLineBundle:
 
     def __post_init__(self):
         exact_int(self.degree, "bad_degree", degree=self.degree)
-        try:
-            items = self.weight_at.items()
-        except AttributeError:
-            raise DomainError("weight_at_not_mapping",
-                              type=type(self.weight_at).__name__) from None
+        items = read_container(self.weight_at, ITEMS, "weight_at_not_mapping")
         # rational_sum's loop, fused with the weight check: a second pass
         # through it is slower per construction, which verdicts repeat
         clean, num, den = {}, self.degree, 1
@@ -117,12 +118,8 @@ class ParabolicBundle:
     def __post_init__(self):
         exact_int(self.rank, "bad_rank", 0, rank=self.rank)
         exact_int(self.degree, "bad_degree", degree=self.degree)
-        try:
-            flags = dict(self.flag_at)
-        except (TypeError, ValueError):
-            raise DomainError("flag_at_not_mapping",
-                              type=type(self.flag_at).__name__) from None
-        object.__setattr__(self, "flag_at", flags)
+        object.__setattr__(self, "flag_at", read_container(
+            self.flag_at, dict, "flag_at_not_mapping"))
         for lbl, fl in self.flag_at.items():
             if type(fl) is not ParabolicFlag:
                 raise DomainError("flag_not_parabolic_flag", label=lbl,

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .codec import from_json
 from .exact_core import (DomainError, exact_int, frozen_value, rat, rational_sum,
-                         trusted_value)
+                         read_container, trusted_value)
 from .parbun import ParabolicLineBundle, _pardegs_over_lcm, par_dual, pardeg
 from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface
 
@@ -48,13 +48,33 @@ __all__ = [
 Arrow = tuple[int, int]   # (dst, src)
 
 
-def _check_line_summands(summands) -> None:
-    """Refuse a summand that is not a parabolic line bundle: the models'
-    ranks and pardeg tables count one per summand."""
+def _arrow_set(arrows, n: int, code: str) -> frozenset[Arrow]:
+    """The arrows, read as a tuple (else ``code``) and frozen once each is
+    checked: a pair (dst, src) of exact ints in 0..n-1.  Anything else is
+    refused with arrow_out_of_range, the arrow as a list where it is a
+    tuple or a list, and n.  A set given is frozen itself, not its tuple,
+    so the frozenset, and its repr, are what the set would give."""
+    pairs = read_container(arrows, tuple, code)
+    for a in pairs:
+        i, j = a if type(a) is tuple and len(a) == 2 else (None, None)
+        if (type(i) is not int or type(j) is not int
+                or not (0 <= i < n and 0 <= j < n)):
+            raise DomainError("arrow_out_of_range", n=n, arrow=list(a)
+                              if isinstance(a, (tuple, list)) else a)
+    return frozenset(arrows if isinstance(arrows, (set, frozenset)) else pairs)
+
+
+def _check_parts(surface, summands) -> None:
+    """Refuse a summand that is not a parabolic line bundle, then a surface
+    that is not a MarkedSurface: the models' ranks and pardeg tables count
+    one summand each, over the surface's points."""
     for i, l in enumerate(summands):
         if type(l) is not ParabolicLineBundle:
             raise DomainError("summand_not_line_bundle", index=i,
                               type=type(l).__name__)
+    if type(surface) is not MarkedSurface:
+        raise DomainError("surface_not_marked_surface",
+                          type=type(surface).__name__)
 
 
 @frozen_value
@@ -73,13 +93,11 @@ class DecomposableHiggsModel:
     _table = None
 
     def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(self.summands))
-        object.__setattr__(self, "arrows", frozenset(self.arrows))
-        n = len(self.summands)
-        for (i, j) in self.arrows:
-            if not (0 <= i < n and 0 <= j < n):
-                raise DomainError("arrow_out_of_range", arrow=[i, j], n=n)
-        _check_line_summands(self.summands)
+        summands = read_container(self.summands, tuple, "summands_not_sequence")
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "arrows", _arrow_set(
+            self.arrows, len(summands), "arrows_not_sequence"))
+        _check_parts(self.surface, summands)
 
     @property
     def n(self) -> int:
@@ -119,17 +137,17 @@ class SpTripleModel:
     _duals = _table = None
 
     def __post_init__(self):
-        object.__setattr__(self, "v_summands", tuple(self.v_summands))
-        object.__setattr__(self, "beta_arrows", frozenset(self.beta_arrows))
-        object.__setattr__(self, "gamma_arrows", frozenset(self.gamma_arrows))
-        n = len(self.v_summands)
-        for name, pat in (("beta", self.beta_arrows), ("gamma", self.gamma_arrows)):
+        v = read_container(self.v_summands, tuple, "v_summands_not_sequence")
+        object.__setattr__(self, "v_summands", v)
+        for name, field, code in (
+                ("beta", "beta_arrows", "beta_arrows_not_sequence"),
+                ("gamma", "gamma_arrows", "gamma_arrows_not_sequence")):
+            pat = _arrow_set(getattr(self, field), len(v), code)
             for (i, j) in pat:
-                if not (0 <= i < n and 0 <= j < n):
-                    raise DomainError("arrow_out_of_range", arrow=[i, j], n=n)
                 if (j, i) not in pat:
                     raise DomainError("asymmetric_support", which=name, arrow=[i, j])
-        _check_line_summands(self.v_summands)
+            object.__setattr__(self, field, pat)
+        _check_parts(self.surface, v)
 
     @property
     def n(self) -> int:
@@ -454,7 +472,8 @@ def _index_weights(n: int, index_steps: Sequence[Sequence[int]],
     ending in all n indices, one weight per step, each a Fraction or an int
     (else bad_filtration_weight), weights strictly increasing.
     """
-    steps = [tuple(sorted(set(st))) for st in index_steps]
+    steps = [tuple(sorted(set(st))) for st in
+             read_container(index_steps, iter, "index_steps_not_sequence")]
     if not steps or steps[-1] != tuple(range(n)):
         raise DomainError("filtration_must_end_full", n=n)
     for prev, cur in zip(steps, steps[1:]):
@@ -462,7 +481,8 @@ def _index_weights(n: int, index_steps: Sequence[Sequence[int]],
             raise DomainError("filtration_not_nested")
     if any(not st or any(k < 0 or k >= n for k in st) for st in steps):
         raise DomainError("bad_index_step", n=n)
-    lam = [_exact_rational(w, "bad_filtration_weight", weight=w) for w in weights]
+    lam = [_exact_rational(w, "bad_filtration_weight", weight=w)
+           for w in read_container(weights, iter, "weights_not_sequence")]
     if len(lam) != len(steps):
         raise DomainError("bad_filtration_shape")
     if any(a >= b for a, b in zip(lam, lam[1:])):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_core import DomainError, exact_int, frozen_value
+from .exact_core import DomainError, exact_int, frozen_value, read_container
 
 __all__ = [
     "MarkedPoint",
@@ -47,11 +47,7 @@ class MarkedSurface:
 
     def __post_init__(self):
         exact_int(self.genus, "bad_genus", 0, genus=self.genus)
-        try:
-            points = tuple(self.points)
-        except TypeError:
-            raise DomainError("points_not_sequence",
-                              type=type(self.points).__name__) from None
+        points = read_container(self.points, tuple, "points_not_sequence")
         labels = []
         for i, p in enumerate(points):
             if type(p) is not MarkedPoint:

@@ -7,7 +7,7 @@ auditable instances of one calculation rather than three hard-coded triples.
 
 from __future__ import annotations
 
-from .exact_core import DomainError, exact_int, frozen_value
+from .exact_core import DomainError, exact_int, frozen_value, read_container
 from .surface import standard_surface
 
 __all__ = [
@@ -44,7 +44,7 @@ class VCohRanks:
 
 
 def _triple(name, t) -> Triple:
-    t = tuple(t)
+    t = read_container(t, tuple, f"{name}_not_sequence")
     for x in t:
         exact_int(x, "bad_rank_triple", 0, which=name, value=list(t))
     if len(t) != 3:

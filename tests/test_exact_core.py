@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
-from parhiggs.exact_core import (DomainError, check_cap, exact_int, rat,
-                                 rat_from_str, rational_sum)
+from parhiggs.exact_core import (ITEMS, DomainError, check_cap, exact_int, rat,
+                                 rat_from_str, rational_sum, read_container)
 
 
 def test_rational_serialization_round_trip():
@@ -94,6 +94,29 @@ def test_exact_int_returns_an_int_and_refuses_with_the_callers_payload():
             exact_int(value, "bad_x", low, x=value, value="kept")
         assert err.value.payload() == {"error": "bad_x", "x": value,
                                        "value": "kept"}
+
+
+def test_read_container_returns_what_read_gives_or_refuses_with_the_type():
+    assert read_container([1, 2], tuple, "bad_x") == (1, 2)
+    assert list(read_container({"a": 1}, ITEMS, "bad_x")) == [("a", 1)]
+    assert read_container([("a", 1)], dict, "bad_x") == {"a": 1}
+    assert read_container("ab", len, "bad_x") == 2
+    for value, read in ((5, tuple), (None, iter), ("junk", dict),
+                        ([("a", 1)], ITEMS), (object(), len)):
+        with pytest.raises(DomainError) as err:
+            read_container(value, read, "bad_x")
+        assert err.value.payload() == {"error": "bad_x",
+                                       "type": type(value).__name__}
+
+
+def test_read_container_passes_a_refusal_raised_while_reading():
+    # a DomainError is a ValueError, which a failed read would otherwise be
+    def items():
+        yield 1
+        raise DomainError("bad_item", item=2)
+    with pytest.raises(DomainError) as err:
+        read_container(items(), tuple, "bad_x")
+    assert err.value.payload() == {"error": "bad_item", "item": 2}
 
 
 def test_check_cap_refuses_a_count_that_is_not_an_exact_int():

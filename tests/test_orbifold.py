@@ -74,6 +74,20 @@ def test_isotropy_residue_must_be_an_int(residue):
                                  "residue": residue}
 
 
+@pytest.mark.parametrize("degree", [1.5, True, F(2), "0", None])
+def test_desingularized_degree_must_be_an_int(degree):
+    with pytest.raises(DomainError) as e:
+        VLineBundle(degree, {"x1": 1})
+    assert e.value.payload() == {"error": "bad_degree", "degree": degree}
+    # checked after the residues, so their refusals keep their place
+    for isotropy, code in ((5, "isotropy_not_mapping"),
+                           ({"x1": 0.5}, "bad_isotropy"),
+                           ({"x1": -1}, "negative_isotropy")):
+        with pytest.raises(DomainError) as e:
+            VLineBundle(degree, isotropy)
+        assert e.value.code == code
+
+
 def test_vline_tensor_wrap_rule():
     surf = standard_surface(0, 1)
     one = VLineBundle(0, {"x1": 1})
@@ -397,6 +411,61 @@ def test_window_ends_must_be_ints(window):
         with pytest.raises(DomainError) as e:
             build()
         assert e.value.payload() == {"error": "bad_window", "window": list(window)}
+
+
+OTHER_LENGTHS = [(0, 1, 2), (0,), (), [0, 1, 2]]
+
+
+def _refuses_window(build, window):
+    with pytest.raises(DomainError) as e:
+        build(window)
+    assert e.value.payload() == {"error": "bad_window", "window": list(window)}
+
+
+@pytest.mark.parametrize("window", OTHER_LENGTHS)
+def test_laurent_matrix_refuses_a_window_of_another_length(window):
+    _refuses_window(lambda w: laurent_matrix(1, {}, w, "dw/w"), window)
+
+
+@pytest.mark.parametrize("window", OTHER_LENGTHS)
+def test_laurent_constructor_refuses_a_window_of_another_length(window):
+    _refuses_window(lambda w: LaurentMatrix(1, (((),),), w, "dw/w"), window)
+
+
+@pytest.mark.parametrize("window", OTHER_LENGTHS)
+def test_par_to_orb_refuses_a_window_of_another_length(window):
+    psi = laurent_matrix(1, {(0, 0): [(1, F(1))]}, (-1, 8), "dw/w")
+    _refuses_window(lambda w: par_to_orb_local(2, [F(0)], psi, w), window)
+
+
+@pytest.mark.parametrize("window", OTHER_LENGTHS)
+def test_orb_to_par_refuses_a_window_of_another_length(window):
+    z = laurent_matrix(1, {(0, 0): [(2, F(1))]}, (-1, 8), "dz/z")
+    _refuses_window(lambda w: orb_to_par_local(LocalChart(2, (0,)), z, w), window)
+
+
+def test_containers_are_read_after_the_checks_that_came_first():
+    psi = laurent_matrix(1, {}, (-1, 8), "dw/w")
+    z = laurent_matrix(1, {}, (-1, 8), "dz/z")
+    for build, code in (
+            (lambda: LaurentMatrix(1, 5, (0, 0), "dt"), "bad_form_flag"),
+            (lambda: LaurentMatrix(1, 5, (5, 2), "dw/w"), "bad_window"),
+            (lambda: LaurentMatrix(1, 5, (0, 1), "dw/w"), "entries_not_sequence"),
+            (lambda: laurent_matrix(True, 5, (0, 1), "dw/w"), "bad_matrix_shape"),
+            (lambda: par_to_orb_local(0, 5, psi), "bad_chart_order"),
+            (lambda: par_to_orb_local(2, 5, z), "wrong_form"),
+            (lambda: par_to_orb_local(2, 5, psi), "weights_not_sequence"),
+            (lambda: par_to_orb_local(2, [F(1, 3)], psi, 5),
+             "weight_not_in_denominator")):
+        with pytest.raises(DomainError) as e:
+            build()
+        assert e.value.code == code
+
+
+def test_a_window_that_is_no_sequence_is_refused_by_its_own_rule():
+    with pytest.raises(DomainError) as e:
+        laurent_matrix(1, {}, 5, "dw/w")
+    assert e.value.payload() == {"error": "bad_window", "type": "int"}
 
 
 def _outcome(build):

@@ -345,6 +345,13 @@ def test_flag_multiplicity_below_one_is_refused():
                                        "mult": mult}
 
 
+def test_a_flag_keeps_its_multiplicities_and_weights_as_tuples():
+    flag = ParabolicFlag([1, 1], iter([0, H]))
+    assert flag == ParabolicFlag((1, 1), (Fraction(0), H))
+    assert type(flag.multiplicities) is tuple and type(flag.weights) is tuple
+    hash(flag)
+
+
 def test_rank_zero_bundle_has_no_slope():
     surf = standard_surface(1, 1)
     assert pardeg(ParabolicBundle(0, 0), surf) == 0

@@ -203,6 +203,9 @@ OWN_INT_RULES = {
     "orbifold._clean_terms": "a term's degree and coefficient are one rule, "
                              "refused together as bad_term",
     "parbun._check_weight": "a weight is a Fraction, an int or a \"p/q\" string",
+    "stability._arrow_set": "an arrow's shape and its two ends are one rule, "
+                            "refused together as arrow_out_of_range; it runs "
+                            "for each arrow of every model built, so inline",
     "vcoh.v_cohomology_ranks": "an ordering pre-check: it refuses a negative "
                                "g or s < 1 only once both are ints",
 }
@@ -230,3 +233,34 @@ def test_the_exact_int_rule_is_written_only_in_exact_core():
             if any(_is_int_type_test(node) for node in ast.walk(top)):
                 found.add(f"{mod}.{getattr(top, 'name', top.lineno)}")
     assert found == set(OWN_INT_RULES)
+
+
+def _text(node: ast.AST) -> str:
+    """The literal text of a str constant or an f-string's literal parts."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_text(v) for v in node.values)
+    return ""
+
+
+def _raises_container_code(handler: ast.ExceptHandler) -> bool:
+    """Whether the handler raises an error whose first argument, the code,
+    ends in _not_sequence or _not_mapping."""
+    return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and node.exc.args
+               and _text(node.exc.args[0]).endswith(("_not_sequence",
+                                                     "_not_mapping"))
+               for node in ast.walk(handler))
+
+
+def test_the_container_rule_is_written_only_in_exact_core():
+    """One owner: outside ``exact_core`` (whose ``read_container`` every
+    caller uses with its own code), no ``except`` handler turns a failed
+    read into a *_not_sequence or *_not_mapping refusal."""
+    found = {f"{mod}.{getattr(top, 'name', top.lineno)}"
+             for mod, tree in TREES.items() if mod != "exact_core"
+             for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.ExceptHandler)
+             and _raises_container_code(node)}
+    assert found == set()

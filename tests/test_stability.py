@@ -97,6 +97,77 @@ def test_models_refuse_a_summand_that_is_not_a_line_bundle(build):
                                  "index": 1, "type": "ParabolicBundle"}
 
 
+_TWO = (ParabolicLineBundle(0), ParabolicLineBundle(0))
+
+MODELS = {
+    "decomposable": lambda surf, summands, arrows:
+        DecomposableHiggsModel(surf, summands, arrows),
+    "beta": lambda surf, summands, arrows: SpTripleModel(surf, summands, arrows),
+    "gamma": lambda surf, summands, arrows:
+        SpTripleModel(surf, summands, frozenset(), arrows),
+}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("arrows,arrow", [
+    ({(0.0, 0)}, [0.0, 0]),
+    ({(True, 1), (1, True)}, [True, 1]),
+    ({(1, F(0))}, [1, F(0)]),
+    ({(0, 0, 1)}, [0, 0, 1]),
+    ({(0,)}, [0]),
+    ([[0, 1], [1, 0]], [0, 1]),
+    ([5], 5),
+    ([(-1, 0)], [-1, 0]),
+    ([(0, 2)], [0, 2]),
+])
+def test_an_arrow_is_a_pair_of_exact_ints_in_range(model, arrows, arrow):
+    """Both models read their arrows by one rule, and refuse what it does not
+    take with the arrow as a list and n, before anything is frozen."""
+    with pytest.raises(DomainError) as e:
+        MODELS[model](standard_surface(2, 1), _TWO, arrows)
+    payload = e.value.payload()
+    assert payload == {"error": "arrow_out_of_range", "arrow": arrow, "n": 2}
+    assert repr(payload["arrow"]) == repr(arrow)  # True is not 1, nor 0.0 0
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_arrows_given_as_a_list_or_a_generator_are_read(model):
+    surf = standard_surface(2, 1)
+    want = MODELS[model](surf, _TWO, frozenset({(0, 1), (1, 0)}))
+    assert MODELS[model](surf, _TWO, [(0, 1), (1, 0)]) == want
+    assert MODELS[model](surf, _TWO, (a for a in ((1, 0), (0, 1)))) == want
+
+
+def test_a_triple_checks_each_support_by_range_then_symmetry():
+    surf = standard_surface(2, 1)
+    with pytest.raises(DomainError) as e:
+        SpTripleModel(surf, _TWO, {(0, 1)}, {(0, 5)})
+    assert e.value.payload() == {"error": "asymmetric_support", "which": "beta",
+                                 "arrow": [0, 1]}
+    with pytest.raises(DomainError) as e:
+        SpTripleModel(surf, _TWO, {(0, 1), (5, 5)})
+    assert e.value.payload() == {"error": "arrow_out_of_range", "arrow": [5, 5],
+                                 "n": 2}
+
+
+@pytest.mark.parametrize("surface", [5, "s", None, standard_surface])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_models_refuse_a_surface_that_is_not_a_marked_surface(model, surface):
+    with pytest.raises(DomainError) as e:
+        MODELS[model](surface, _TWO, frozenset())
+    assert e.value.payload() == {"error": "surface_not_marked_surface",
+                                 "type": type(surface).__name__}
+
+
+def test_the_surface_is_checked_after_every_other_part():
+    with pytest.raises(DomainError) as e:
+        DecomposableHiggsModel(5, (ParabolicLineBundle(0), 7), {(0, 2)})
+    assert e.value.code == "arrow_out_of_range"
+    with pytest.raises(DomainError) as e:
+        SpTripleModel("s", (ParabolicLineBundle(0), 7))
+    assert e.value.code == "summand_not_line_bundle"
+
+
 # ------------------------------------------------------------- verdicts ----
 
 def test_verdict_of_the_empty_model_is_refused():
