@@ -49,19 +49,21 @@ Arrow = tuple[int, int]   # (dst, src)
 
 
 def _arrow_set(arrows, n: int, code: str) -> frozenset[Arrow]:
-    """The arrows, read as a tuple (else ``code``) and frozen once each is
-    checked: a pair (dst, src) of exact ints in 0..n-1.  Anything else is
-    refused with arrow_out_of_range, the arrow as a list where it is a
-    tuple or a list, and n.  A set given is frozen itself, not its tuple,
-    so the frozenset, and its repr, are what the set would give."""
-    pairs = read_container(arrows, tuple, code)
+    """The arrows as a frozenset, each checked before it is frozen: a pair
+    (dst, src) of exact ints in 0..n-1.  Anything else is refused with
+    arrow_out_of_range, the arrow as a list where it is a tuple or a list,
+    and n.  A set is read and frozen as it is, so the frozenset, and its
+    repr, are the set's; any other value is read as a tuple (else
+    ``code``)."""
+    pairs = arrows if isinstance(arrows, (set, frozenset)) else \
+        read_container(arrows, tuple, code)
     for a in pairs:
         i, j = a if type(a) is tuple and len(a) == 2 else (None, None)
         if (type(i) is not int or type(j) is not int
                 or not (0 <= i < n and 0 <= j < n)):
             raise DomainError("arrow_out_of_range", n=n, arrow=list(a)
                               if isinstance(a, (tuple, list)) else a)
-    return frozenset(arrows if isinstance(arrows, (set, frozenset)) else pairs)
+    return frozenset(pairs)
 
 
 def _check_parts(surface, summands) -> None:
@@ -415,6 +417,8 @@ def hitchin_model(k: int, g: int, s: int) -> DecomposableHiggsModel:
     root of K(D), pardeg g-1+s/2), twisted so every summand carries weight 1/2
     at each point for k even and weight 0 for k odd; arrows are the
     superdiagonal constants plus the bottom-row differentials a_2..a_k.
+    The model is built from parts made here, each checked where it is made
+    (line bundles, arrows in range), so not checked again.
     """
     exact_int(k, "bad_hitchin_rank", 2, k=k)
     surf = require_hyperbolic(standard_surface(g, s))
@@ -428,7 +432,8 @@ def hitchin_model(k: int, g: int, s: int) -> DecomposableHiggsModel:
         for i in range(k))
     arrows = {(i, i + 1) for i in range(k - 1)}
     arrows |= {(k - 1, j) for j in range(k - 1)}
-    return DecomposableHiggsModel(surf, summands, frozenset(arrows))
+    return trusted_value(DecomposableHiggsModel, surface=surf,
+                         summands=summands, arrows=frozenset(arrows))
 
 
 def hitchin_sp_triple(k: int, g: int, s: int) -> SpTripleModel:

@@ -625,6 +625,13 @@ def _same_model(a, b, alpha):
         alpha_stability_check_gl(b, alpha)
 
 
+@pytest.mark.parametrize("k", range(2, 13))
+def test_a_hitchin_model_equals_its_constructor_twin(k):
+    m = hitchin_model(k, 1, 2)
+    twin = DecomposableHiggsModel(m.surface, list(m.summands), set(m.arrows))
+    _same_model(m, twin, F(1, 2))
+
+
 def _same_triple(a, b, alpha):
     assert a == b and (repr(a), to_json(a)) == (repr(b), to_json(b))
     assert toledo(a) == toledo(b) and type(toledo(a)) is F
