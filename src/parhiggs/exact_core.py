@@ -9,7 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import methodcaller
 from types import MappingProxyType
 from typing import Iterable
 
@@ -21,7 +20,7 @@ __all__ = [
     "trusted_value",
     "exact_int",
     "read_container",
-    "ITEMS",
+    "mapping_items",
     "check_cap",
     "all_bits",
     "rational_sum",
@@ -162,8 +161,8 @@ def exact_int(value, code: str, low: int | None = None, /, **info) -> int:
 
 def read_container(value, read, code: str, /):
     """``read(value)``, the container a field or parameter is read as
-    (``tuple``, ``list``, ``dict``, ``iter``, ``len`` or ``ITEMS``), else
-    DomainError(code, type=<the type name of value>) where read raises
+    (``tuple``, ``list``, ``dict``, ``iter``, ``len`` or ``mapping_items``),
+    else DomainError(code, type=<the type name of value>) where read raises
     TypeError, ValueError or AttributeError: the one check of that rule,
     each caller naming its own code.  A DomainError raised while reading,
     such as one from a generator's own items, passes unchanged."""
@@ -175,8 +174,9 @@ def read_container(value, read, code: str, /):
         raise DomainError(code, type=type(value).__name__) from None
 
 
-# read_container's reader of a mapping: its items, read without a copy
-ITEMS = methodcaller("items")
+def mapping_items(mapping):
+    """``mapping.items()``: read_container's reader of a mapping, no copy."""
+    return mapping.items()
 
 
 def check_cap(needed: int, cap: int | None) -> None:

@@ -22,8 +22,8 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .codec import REQUIRED, JsonShapeError, object_reader
-from .exact_core import (DomainError, EMPTY_MAPPING, ITEMS, check_cap,
-                         exact_int, frozen_value, rat, rational_sum,
+from .exact_core import (DomainError, EMPTY_MAPPING, check_cap, exact_int,
+                         frozen_value, mapping_items, rat, rational_sum,
                          read_container, trusted_value)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
@@ -68,7 +68,8 @@ class VLineBundle:
 
     def __post_init__(self):
         clean = {}
-        for lbl, b in read_container(self.isotropy, ITEMS, "isotropy_not_mapping"):
+        for lbl, b in read_container(self.isotropy, mapping_items,
+                                      "isotropy_not_mapping"):
             if exact_int(b, "bad_isotropy", label=lbl, residue=b):
                 clean[lbl] = b
         if any(b < 0 for b in clean.values()):
@@ -441,7 +442,7 @@ def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
     """Build from sparse {(i,j): [(deg, coef), ...]} terms, each entry normalized."""
     exact_int(n, "bad_matrix_shape", n=n)  # before range(n) reads it
     rows = [[() for _ in range(n)] for _ in range(n)]
-    for (i, j), ts in read_container(terms, ITEMS, "terms_not_mapping"):
+    for (i, j), ts in read_container(terms, mapping_items, "terms_not_mapping"):
         if not (0 <= i < n and 0 <= j < n):
             raise DomainError("entry_out_of_range", entry=[i, j], n=n)
         rows[i][j] = _canonical_terms(ts)

@@ -10,8 +10,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .exact_core import (DomainError, EMPTY_MAPPING, ITEMS, exact_int,
-                         frozen_value, rat, rat_from_str, rational_sum,
+from .exact_core import (DomainError, EMPTY_MAPPING, exact_int, frozen_value,
+                         mapping_items, rat, rat_from_str, rational_sum,
                          read_container, trusted_value)
 from .surface import MarkedSurface
 
@@ -87,7 +87,8 @@ class ParabolicLineBundle:
 
     def __post_init__(self):
         exact_int(self.degree, "bad_degree", degree=self.degree)
-        items = read_container(self.weight_at, ITEMS, "weight_at_not_mapping")
+        items = read_container(self.weight_at, mapping_items,
+                               "weight_at_not_mapping")
         # rational_sum's loop, fused with the weight check: a second pass
         # through it is slower per construction, which verdicts repeat
         clean, num, den = {}, self.degree, 1

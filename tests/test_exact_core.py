@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
-from parhiggs.exact_core import (ITEMS, DomainError, check_cap, exact_int, rat,
-                                 rat_from_str, rational_sum, read_container)
+from parhiggs.exact_core import (DomainError, check_cap, exact_int,
+                                 mapping_items, rat, rat_from_str, rational_sum,
+                                 read_container)
 
 
 def test_rational_serialization_round_trip():
@@ -98,11 +99,11 @@ def test_exact_int_returns_an_int_and_refuses_with_the_callers_payload():
 
 def test_read_container_returns_what_read_gives_or_refuses_with_the_type():
     assert read_container([1, 2], tuple, "bad_x") == (1, 2)
-    assert list(read_container({"a": 1}, ITEMS, "bad_x")) == [("a", 1)]
+    assert list(read_container({"a": 1}, mapping_items, "bad_x")) == [("a", 1)]
     assert read_container([("a", 1)], dict, "bad_x") == {"a": 1}
     assert read_container("ab", len, "bad_x") == 2
     for value, read in ((5, tuple), (None, iter), ("junk", dict),
-                        ([("a", 1)], ITEMS), (object(), len)):
+                        ([("a", 1)], mapping_items), (object(), len)):
         with pytest.raises(DomainError) as err:
             read_container(value, read, "bad_x")
         assert err.value.payload() == {"error": "bad_x",

@@ -205,7 +205,7 @@ def _parameters() -> dict:
                 if not hasattr(fn, "_value_fields"):
                     continue  # an enum-like holder, not a value class
             elif not inspect.isfunction(inspect.unwrap(fn)):
-                continue  # a constant, or a reader such as ITEMS
+                continue  # a constant such as EMPTY_MAPPING
             hints = get_type_hints(fn)
             params = inspect.signature(fn).parameters
             ints = [p for p in params if hints.get(p) is int]
