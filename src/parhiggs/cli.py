@@ -23,7 +23,7 @@ import sys
 from typing import TYPE_CHECKING, Callable
 
 from .codec import JsonShapeError, from_json, to_json
-from .exact_core import (DomainError, exact_int, frozen_value, rational_sum,
+from .exact_core import (DomainError, exact_cap, frozen_value, rational_sum,
                          read_container)
 from .surface import (
     MarkedPoint,
@@ -173,7 +173,7 @@ def _resolve_cap(args) -> int:
             cap = int(text)
         except ValueError:
             raise DomainError("bad_cap", cap=text) from None
-    return exact_int(cap, "bad_cap", 1, cap=cap)
+    return exact_cap(cap)
 
 
 # --------------------------------------------------------------------------

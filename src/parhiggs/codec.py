@@ -15,6 +15,12 @@ straight-line function (``object_reader``), as ``frozen_value`` generates
 its ``__init__``: a value class's reader is that function over its fields,
 and a caller with its own object shape, such as the Laurent-matrix JSON of
 ``orbifold``, declares the shape's fields to it.
+
+A value class's reader ends in the class's static ``_from_json_fields``
+where it has one, in its constructor otherwise.  The hook takes the fields
+in order, each already of its declared type, checks only what that type
+cannot say (ranges, cross-field rules) and builds the value without its
+constructor, so JSON input is checked once.
 """
 
 from __future__ import annotations
@@ -118,9 +124,10 @@ def decoder(tp):
         return _SCALARS[tp]
     if hasattr(tp, "_value_fields"):  # each field under its JSON key
         hints = get_type_hints(tp)
+        build = tp._from_json_fields if hasattr(tp, "_from_json_fields") else tp
         return object_reader([(_KEYS.get(name, name), hints[name],
                                REQUIRED if required else tp.__dict__[name])
-                              for name, required in tp._value_fields], tp)
+                              for name, required in tp._value_fields], build)
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType and len(args) == 2 and args[1] is type(None):
         inner = decoder(args[0])

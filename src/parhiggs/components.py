@@ -71,7 +71,8 @@ class GroupDescriptor:
 
     ``n`` is the family parameter: Sp(2n,R), SU(n,n), SO*(2n), SO0(2,n).
     SO*(2n) requires n even; SO0(2,n) requires n >= 3.  ``split`` groups
-    carry only a display name and are accepted by :func:`teichmuller_count`.
+    carry only a display name and are accepted by :func:`teichmuller_count`;
+    they, like E7, take no n (group_takes_no_rank).
     """
 
     family: str
@@ -81,10 +82,9 @@ class GroupDescriptor:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise DomainError("unknown_group_family", family=self.family)
-        if self.family == "split":
-            if not self.name:
-                raise DomainError("split_group_needs_name")
-        elif self.family == "E7minus25":
+        if self.family == "split" and not self.name:
+            raise DomainError("split_group_needs_name")
+        if self.family in ("split", "E7minus25"):
             if self.n is not None:
                 raise DomainError("group_takes_no_rank", family=self.family)
         else:
@@ -698,11 +698,16 @@ def emit_tables(g: int, s: int) -> tuple[ComponentTable, ComponentTable,
 
 
 def tables_markdown(tables: tuple[ComponentTable, ...], g: int, s: int) -> str:
-    """Render the tables as Markdown (deterministic byte-for-byte)."""
+    """Render the tables as Markdown (deterministic byte-for-byte); an item
+    that is not a ComponentTable is refused (table_not_component_table)."""
     standard_surface(g, s)  # refuses a g or s that is not an exact int
     lines = [f"# Connected-component tables at genus {g}, marked points {s}",
              ""]
-    for table in read_container(tables, iter, "tables_not_sequence"):
+    for i, table in enumerate(read_container(tables, iter,
+                                             "tables_not_sequence")):
+        if type(table) is not ComponentTable:
+            raise DomainError("table_not_component_table", index=i,
+                              type=type(table).__name__)
         lines.append(f"## {table.title}")
         lines.append("")
         lines.append("| Lie group G | minimum components | "

@@ -187,7 +187,8 @@ def dim_strongly_parabolic_gl(n: int, g: int, s: int,
     """dim of the strongly parabolic moduli: 2(g-1)n^2 + 2 + 2*sum f_x.
 
     ``multiplicities`` gives the flag-step multiplicities k_1..k_r at each
-    marked point (summing to n); the flag contributes
+    marked point (summing to n; a point's steps that are not a sequence are
+    refused with bad_multiplicities); the flag contributes
     f_x = (n^2 - sum k_i^2)/2, which vanishes for the trivial flag (n,) and
     is maximal for the full flag (1,..,1).
     """
@@ -195,8 +196,8 @@ def dim_strongly_parabolic_gl(n: int, g: int, s: int,
     if n < 1:
         raise DomainError("rank_not_positive", n=n)
     require_hyperbolic(standard_surface(g, s))
-    mults = [tuple(m) for m in read_container(multiplicities, iter,
-                                              "multiplicities_not_sequence")]
+    mults = [read_container(m, tuple, "bad_multiplicities") for m in
+             read_container(multiplicities, iter, "multiplicities_not_sequence")]
     if len(mults) != s:
         raise DomainError("bad_multiplicities", expected_points=s,
                           got=len(mults))
@@ -247,11 +248,14 @@ def teichmuller_dimension(gdata: LieGroupData, g: int, s: int,
     One summand per exponent m_i: the component is built from sections of
     K^{m_i+1} xi^{m_i}, of complex dimension (2m_i+1)(g-1) + m_i*s each, so
     the real dimension is 2(g-1)dim_R G + 2s*sum(m_i).  Supplying ``rk_m_c``
-    adds the statement's alternative reading as ``statement_real``.
+    adds the statement's alternative reading as ``statement_real``; one
+    that is not an exact int is refused (bad_rk_m_c).
     """
     if not gdata.is_split:
         raise DomainError("not_split", group=gdata.name)
     surface = require_hyperbolic(standard_surface(g, s))
+    if rk_m_c is not None:
+        exact_int(rk_m_c, "bad_rk_m_c", rk_m_c=rk_m_c)
     summands = []
     total_c = 0
     for m in gdata.exponents:

@@ -21,6 +21,7 @@ __all__ = [
     "exact_int",
     "read_container",
     "mapping_items",
+    "exact_cap",
     "check_cap",
     "all_bits",
     "rational_sum",
@@ -179,10 +180,18 @@ def mapping_items(mapping):
     return mapping.items()
 
 
+def exact_cap(cap: int) -> int:
+    """``cap`` if it is an exact int >= 1, else DomainError("bad_cap",
+    cap=cap): the one check of an enumeration cap, for check_cap and the
+    CLI's --cap."""
+    return exact_int(cap, "bad_cap", 1, cap=cap)
+
+
 def check_cap(needed: int, cap: int | None) -> None:
-    """Refuse a request for more than cap items before any is built."""
+    """Refuse a request for more than cap items before any is built; a cap
+    that is neither None nor an exact int >= 1 is refused (bad_cap)."""
     exact_int(needed, "bad_item_count", 0, needed=needed)
-    if cap is not None and needed > cap:
+    if cap is not None and needed > exact_cap(cap):
         raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
 
 

@@ -398,13 +398,17 @@ class LaurentMatrix:
         _check_degrees(rows, lo, hi)
 
 
-def _window_ends(window) -> tuple:
-    """The window's ends, read as a tuple; a window that is no sequence, or
-    whose length is not 2, is refused with bad_window.  The ends' types and
-    order are _check_frame's to check."""
+def _window_ends(window) -> tuple[int, int]:
+    """The window's two ends, each an exact int; a window that is no
+    sequence, whose length is not 2 or whose ends are not exact ints is
+    refused with bad_window.  Their order is _check_frame's to check."""
     ends = read_container(window, tuple, "bad_window")
+    shown = list(ends)
     if len(ends) != 2:
-        raise DomainError("bad_window", window=list(ends))
+        raise DomainError("bad_window", window=shown)
+    lo, hi = ends
+    exact_int(lo, "bad_window", window=shown)
+    exact_int(hi, "bad_window", window=shown)
     return ends
 
 
@@ -416,9 +420,8 @@ def _check_frame(n: int, rows, window, form: str) -> tuple[int, int]:
     if form not in _FORMS:
         raise DomainError("bad_form_flag", form=form)
     lo, hi = _window_ends(window)
-    shown = [lo, hi]
-    exact_int(lo, "bad_window", window=shown)
-    exact_int(hi, "bad_window", lo, window=shown)
+    if lo > hi:
+        raise DomainError("bad_window", window=[lo, hi])
     if read_container(rows, len, "entries_not_sequence") != n or \
             any(len(r) != n for r in rows):
         raise DomainError("bad_matrix_shape", n=n)
@@ -439,12 +442,20 @@ def _check_degrees(rows, lo: int, hi: int) -> None:
 
 def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
                    window: tuple[int, int], form: str) -> LaurentMatrix:
-    """Build from sparse {(i,j): [(deg, coef), ...]} terms, each entry normalized."""
+    """Build from sparse {(i,j): [(deg, coef), ...]} terms, each entry
+    normalized.  A key that is not a pair (i, j) of exact ints in 0..n-1 is
+    refused (entry_out_of_range, the key as a list where it is a tuple)."""
     exact_int(n, "bad_matrix_shape", n=n)  # before range(n) reads it
     rows = [[() for _ in range(n)] for _ in range(n)]
-    for (i, j), ts in read_container(terms, mapping_items, "terms_not_mapping"):
-        if not (0 <= i < n and 0 <= j < n):
-            raise DomainError("entry_out_of_range", entry=[i, j], n=n)
+    for key, ts in read_container(terms, mapping_items, "terms_not_mapping"):
+        try:
+            i, j = key
+        except (TypeError, ValueError):  # not a pair
+            i = j = None
+        if (type(i) is not int or type(j) is not int
+                or not (0 <= i < n and 0 <= j < n)):
+            raise DomainError("entry_out_of_range", n=n, entry=list(key)
+                              if type(key) is tuple else key)
         rows[i][j] = _canonical_terms(ts)
     return _mapped(n, tuple(tuple(r) for r in rows), window, form)
 

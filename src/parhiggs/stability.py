@@ -66,6 +66,21 @@ def _arrow_set(arrows, n: int, code: str) -> frozenset[Arrow]:
     return frozenset(pairs)
 
 
+def _supports(n: int, beta, gamma) -> list[frozenset[Arrow]]:
+    """[beta, gamma]: a triple's two supports, checked in that order, each
+    an arrow set over its n summands whose every arrow (i, j) has its
+    mirror (j, i) (else asymmetric_support)."""
+    out = []
+    for name, arrows, code in (("beta", beta, "beta_arrows_not_sequence"),
+                               ("gamma", gamma, "gamma_arrows_not_sequence")):
+        pat = _arrow_set(arrows, n, code)
+        for (i, j) in pat:
+            if (j, i) not in pat:
+                raise DomainError("asymmetric_support", which=name, arrow=[i, j])
+        out.append(pat)
+    return out
+
+
 def _check_parts(surface, summands) -> None:
     """Refuse a summand that is not a parabolic line bundle, then a surface
     that is not a MarkedSurface: the models' ranks and pardeg tables count
@@ -100,6 +115,16 @@ class DecomposableHiggsModel:
         object.__setattr__(self, "arrows", _arrow_set(
             self.arrows, len(summands), "arrows_not_sequence"))
         _check_parts(self.surface, summands)
+
+    @staticmethod
+    def _from_json_fields(surface: MarkedSurface,
+                          summands: tuple[ParabolicLineBundle, ...],
+                          arrows: frozenset[Arrow]) -> DecomposableHiggsModel:
+        """The model the codec has read as a surface, a tuple of line
+        bundles and a frozenset of int pairs, after the arrows' range."""
+        return trusted_value(DecomposableHiggsModel, surface=surface,
+                             summands=summands, arrows=_arrow_set(
+                                 arrows, len(summands), "arrows_not_sequence"))
 
     @property
     def n(self) -> int:
@@ -141,15 +166,24 @@ class SpTripleModel:
     def __post_init__(self):
         v = read_container(self.v_summands, tuple, "v_summands_not_sequence")
         object.__setattr__(self, "v_summands", v)
-        for name, field, code in (
-                ("beta", "beta_arrows", "beta_arrows_not_sequence"),
-                ("gamma", "gamma_arrows", "gamma_arrows_not_sequence")):
-            pat = _arrow_set(getattr(self, field), len(v), code)
-            for (i, j) in pat:
-                if (j, i) not in pat:
-                    raise DomainError("asymmetric_support", which=name, arrow=[i, j])
-            object.__setattr__(self, field, pat)
+        beta, gamma = _supports(len(v), self.beta_arrows, self.gamma_arrows)
+        object.__setattr__(self, "beta_arrows", beta)
+        object.__setattr__(self, "gamma_arrows", gamma)
         _check_parts(self.surface, v)
+
+    @staticmethod
+    def _from_json_fields(surface: MarkedSurface,
+                          v_summands: tuple[ParabolicLineBundle, ...],
+                          beta_arrows: frozenset[Arrow],
+                          gamma_arrows: frozenset[Arrow]) -> SpTripleModel:
+        """The triple the codec has read as a surface, a tuple of line
+        bundles and two frozensets of int pairs, after each support's range
+        and symmetry."""
+        beta, gamma = _supports(len(v_summands), beta_arrows,
+                                 gamma_arrows)
+        return trusted_value(SpTripleModel, surface=surface,
+                             v_summands=v_summands, beta_arrows=beta,
+                             gamma_arrows=gamma)
 
     @property
     def n(self) -> int:
@@ -473,12 +507,17 @@ def _index_weights(n: int, index_steps: Sequence[Sequence[int]],
                    weights: Sequence[Fraction]) -> list[Fraction]:
     """la_{a(k)} for each index k, a(k) the first step that holds k.
 
-    Checks the weighted coordinate filtration first: nested nonempty steps
-    ending in all n indices, one weight per step, each a Fraction or an int
-    (else bad_filtration_weight), weights strictly increasing.
+    Checks the weighted coordinate filtration first: each step a collection
+    of exact ints (else bad_index_step), nested nonempty steps ending in all
+    n indices, one weight per step, each a Fraction or an int (else
+    bad_filtration_weight), weights strictly increasing.
     """
-    steps = [tuple(sorted(set(st))) for st in
-             read_container(index_steps, iter, "index_steps_not_sequence")]
+    steps = []
+    for st in read_container(index_steps, iter, "index_steps_not_sequence"):
+        st = read_container(st, set, "bad_index_step")
+        for k in st:
+            exact_int(k, "bad_index_step", n=n)
+        steps.append(tuple(sorted(st)))
     if not steps or steps[-1] != tuple(range(n)):
         raise DomainError("filtration_must_end_full", n=n)
     for prev, cur in zip(steps, steps[1:]):

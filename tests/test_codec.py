@@ -1,9 +1,11 @@
 """The JSON codec: round trips, strictness on input, and schema validity."""
 
+import ast
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import jsonschema
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
+import parhiggs
+from parhiggs import cli
 from parhiggs.cli import _dump
 from parhiggs.codec import JsonShapeError, decoder, from_json, to_json
 from parhiggs.components import (
@@ -126,6 +130,132 @@ def test_round_trip(cls, values, data):
     x = data.draw(values)
     text = json.dumps(to_json(x))
     assert from_json(cls, json.loads(text)) == x
+
+
+# -------------------------------------------- JSON input checked once ----
+
+# the JSON keys that may be left out, where their value is empty
+_OPTIONAL_KEYS = {"points", "weights", "flags", "arrows", "beta", "gamma"}
+
+
+def _without_empty(obj):
+    """obj with every optional key whose value is empty left out."""
+    if isinstance(obj, list):
+        return [_without_empty(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _without_empty(v) for k, v in obj.items()
+                if not (k in _OPTIONAL_KEYS and v in ([], {}))}
+    return obj
+
+
+def _twin(value):
+    """value rebuilt through the constructors, from its own parts."""
+    if hasattr(value, "_value_fields"):
+        return type(value)(*[_twin(getattr(value, name))
+                             for name, _ in value._value_fields])
+    if isinstance(value, tuple):
+        return tuple([_twin(v) for v in value])
+    if isinstance(value, dict):
+        return {k: _twin(v) for k, v in value.items()}
+    return value
+
+
+def _state(value):
+    """Everything value holds, its kept values too, with each type."""
+    if hasattr(value, "_value_fields"):
+        return type(value), {k: _state(v) for k, v in vars(value).items()}
+    if isinstance(value, tuple):
+        return tuple, tuple([_state(v) for v in value])
+    if isinstance(value, dict):
+        return type(value), {k: _state(v) for k, v in value.items()}
+    return type(value), value
+
+
+TWINS = [
+    (MarkedSurface, SURFACES),
+    (ParabolicLineBundle, LINES),
+    (ParabolicBundle, BUNDLES),
+    (DecomposableHiggsModel, MODELS),
+    (SpTripleModel, TRIPLES),
+]
+
+
+@pytest.mark.parametrize("cls,values", TWINS,
+                         ids=[cls.__name__ for cls, _ in TWINS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_value_read_from_json_is_its_constructor_twin(cls, values, data):
+    """The reader builds through each class's hook, not its constructor;
+    the value is the one the constructors build from the same parts, in
+    equality, repr, JSON and every kept value (_pardeg_pair, _labels,
+    _label_set), and a model's or triple's _table and _duals stay unfilled."""
+    x = data.draw(values)
+    obj = json.loads(json.dumps(to_json(x)))
+    for given_obj in (obj, _without_empty(obj)):
+        read = from_json(cls, given_obj)
+        twin = _twin(read)
+        assert read == twin == x
+        assert repr(read) == repr(twin)
+        assert to_json(read) == to_json(twin) == obj
+        assert _state(read) == _state(twin)
+        assert not {"_table", "_duals"} & set(vars(read))
+
+
+VALUE_CLASSES = {v for mod in vars(parhiggs).values()
+                 if isinstance(mod, type(parhiggs))
+                 for v in vars(mod).values()
+                 if isinstance(v, type) and hasattr(v, "_value_fields")}
+
+
+def test_reading_a_triple_or_a_model_runs_no_value_class_init(monkeypatch):
+    triple = hitchin_sp_triple(4, 2, 2)
+    flag = ParabolicFlag((1, 1), (Fraction(0), Fraction(1, 2)))
+    cases = [(SpTripleModel, triple),
+             (DecomposableHiggsModel, triple.to_decomposable()),
+             (ParabolicBundle, ParabolicBundle(2, 1, {"x1": flag}))]
+    calls = []
+    for cls in VALUE_CLASSES:
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, **kwargs:
+                            calls.append(type(self).__name__))
+    for cls, value in cases:
+        assert from_json(cls, json.loads(json.dumps(to_json(value)))) == value
+    assert calls == []
+
+
+def _load_json_types() -> list:
+    """The types cli passes to _load_json, read from its source."""
+    names = {k: v for mod in (cli, parhiggs.parbun, parhiggs.stability)
+             for k, v in vars(mod).items()}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    return [eval(ast.unparse(node.args[2]), names) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+            == "_load_json"]
+
+
+def _reachable(tp, seen: set) -> set:
+    """The value classes tp reads, through its fields and type arguments."""
+    if hasattr(tp, "_value_fields") and tp not in seen:
+        seen.add(tp)
+        for hint in get_type_hints(tp).values():
+            _reachable(hint, seen)
+    for arg in get_args(tp):
+        _reachable(arg, seen)
+    return seen
+
+
+def test_every_value_class_the_cli_reads_from_json_has_a_build_hook():
+    """A value class read from JSON builds through its own
+    _from_json_fields, so a new one cannot fall back to a second type pass
+    in its constructor unnoticed."""
+    reached = set()
+    for tp in _load_json_types():
+        _reachable(tp, reached)
+    assert sorted(cls.__name__ for cls in reached) == [
+        "DecomposableHiggsModel", "MarkedPoint", "MarkedSurface",
+        "ParabolicBundle", "ParabolicFlag", "ParabolicLineBundle",
+        "SpTripleModel"]
+    assert [cls.__name__ for cls in reached
+            if "_from_json_fields" not in vars(cls)] == []
 
 
 def test_reports_round_trip():

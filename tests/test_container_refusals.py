@@ -5,17 +5,21 @@ a value that cannot be read as that container is refused there with a
 ``DomainError`` whose code names the field and whose payload names the type
 given, not with a bare ``TypeError``, ``ValueError`` or ``AttributeError``.
 Every check before that read keeps its place, so an earlier refusal keeps
-its code.
+its code.  So is an item read from a container that is not what the
+function reads it as.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from parhiggs.components import emit_tables, tables_markdown
+from parhiggs.dimension import dim_strongly_parabolic_gl
 from parhiggs.exact_core import DomainError
-from parhiggs.orbifold import LocalChart, VLineBundle
+from parhiggs.orbifold import LocalChart, VLineBundle, laurent_matrix
 from parhiggs.parbun import ParabolicBundle, ParabolicLineBundle, trivial_flag
-from parhiggs.surface import MarkedPoint, MarkedSurface
+from parhiggs.stability import DecomposableHiggsModel, sp_filtration_degree
+from parhiggs.surface import MarkedPoint, MarkedSurface, standard_surface
 
 REFUSED = [
     (MarkedSurface, (1, 5), {"error": "points_not_sequence", "type": "int"}),
@@ -73,3 +77,38 @@ def test_every_container_kind_read_today_is_still_read():
     assert VLineBundle(0, {"x1": 1}).isotropy == {"x1": 1}
     assert ParabolicLineBundle(0, {"x1": "1/2"}).weight_at == \
         {"x1": Fraction(1, 2)}
+
+
+_LINE = ParabolicLineBundle(0)
+_MODEL = DecomposableHiggsModel(standard_surface(2, 1), (_LINE, _LINE))
+
+ITEMS = [
+    (lambda: dim_strongly_parabolic_gl(2, 2, 1, [5]),
+     {"error": "bad_multiplicities", "type": "int"}),
+    (lambda: sp_filtration_degree(_MODEL, [5, [0, 1]], [0, 1], 0),
+     {"error": "bad_index_step", "type": "int"}),
+    (lambda: sp_filtration_degree(_MODEL, [["a"], [0, 1]], [0, 1], 0),
+     {"error": "bad_index_step", "n": 2}),
+    (lambda: sp_filtration_degree(_MODEL, [[0, 1.0], [0, 1]], [0, 1], 0),
+     {"error": "bad_index_step", "n": 2}),
+    (lambda: tables_markdown([5], 2, 1),
+     {"error": "table_not_component_table", "index": 0, "type": "int"}),
+    (lambda: tables_markdown([*emit_tables(2, 1), "t"], 2, 1),
+     {"error": "table_not_component_table", "index": 3, "type": "str"}),
+    (lambda: laurent_matrix(1, {5: []}, (0, 1), "dw/w"),
+     {"error": "entry_out_of_range", "entry": 5, "n": 1}),
+    (lambda: laurent_matrix(1, {("a", 0): []}, (0, 1), "dw/w"),
+     {"error": "entry_out_of_range", "entry": ["a", 0], "n": 1}),
+    (lambda: laurent_matrix(2, {(True, 0): []}, (0, 1), "dw/w"),
+     {"error": "entry_out_of_range", "entry": [True, 0], "n": 2}),
+    (lambda: laurent_matrix(1, {(0, 0, 0): []}, (0, 1), "dw/w"),
+     {"error": "entry_out_of_range", "entry": [0, 0, 0], "n": 1}),
+]
+
+
+@pytest.mark.parametrize("call,payload", ITEMS,
+                         ids=[f"{p['error']}-{i}" for i, (_, p) in enumerate(ITEMS)])
+def test_an_item_of_the_wrong_kind_is_refused(call, payload):
+    with pytest.raises(DomainError) as e:
+        call()
+    assert e.value.payload() == payload

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
-from parhiggs.exact_core import (DomainError, check_cap, exact_int,
+from parhiggs.exact_core import (DomainError, check_cap, exact_cap, exact_int,
                                  mapping_items, rat, rat_from_str, rational_sum,
                                  read_container)
 
@@ -131,3 +131,12 @@ def test_check_cap_refuses_a_count_that_is_not_an_exact_int():
         with pytest.raises(DomainError) as err:
             check_cap(needed, None)
         assert err.value.payload() == {"error": "bad_item_count", "needed": needed}
+
+
+@pytest.mark.parametrize("cap", [1.5, True, Fraction(2), "10", 0, -3, 1e9])
+def test_a_cap_that_is_not_an_exact_int_of_at_least_one_is_refused(cap):
+    for check in (lambda: check_cap(1, cap), lambda: exact_cap(cap)):
+        with pytest.raises(DomainError) as err:
+            check()
+        assert err.value.payload() == {"error": "bad_cap", "cap": cap}
+    assert exact_cap(10) == 10

@@ -4,8 +4,9 @@ it cannot read.
 The sweep walks each module's ``__all__`` (the list test_public_surface.py
 reads) and resolves the annotations of every function and every value class
 (a class's fields are its constructor's parameters) with
-``typing.get_type_hints``.  A parameter annotated ``int`` is given 1.5,
-``True`` and ``Fraction(2)``; one annotated as a container (a tuple, list,
+``typing.get_type_hints``.  A parameter annotated ``int`` or ``int | None``
+is given 1.5, ``True`` and ``Fraction(2)``, and one annotated ``int | None``
+must still accept None; one annotated as a container (a tuple, list,
 frozenset, dict, Sequence, Mapping or Iterable, alone or ``| None``) is given
 5, ``None`` (unless ``None`` is its default) and ``object()``.  ``VALID``
 holds one call of each callable that succeeds; each probe changes one
@@ -30,7 +31,8 @@ from parhiggs.components import (CountMode, emit_tables, so0_2n, split_group,
                                  sp2nr)
 from parhiggs.dimension import complex_group_data, lie_catalog
 from parhiggs.exact_core import DomainError
-from parhiggs.orbifold import LocalChart, laurent_matrix, laurent_to_json
+from parhiggs.orbifold import (LocalChart, VLineBundle, laurent_matrix,
+                               laurent_to_json)
 from parhiggs.parbun import ParabolicLineBundle, trivial_flag
 from parhiggs.stability import DecomposableHiggsModel
 from parhiggs.surface import MarkedPoint, standard_surface
@@ -43,6 +45,8 @@ _REPORT = ("a report the library builds from values it has already checked; "
 
 # name -> reason it is not swept
 EXEMPT = {
+    "exact_core.exact_int": "the exact-int rule itself; its low is each "
+                            "caller's own constant and positional-only",
     "exact_core.rat": "the interned constructor every exact rational of the "
                       "package is built by; a check on its cached hit path would "
                       "slow every verdict, and its callers pass ints they made",
@@ -78,6 +82,7 @@ VALID = {
     "components.sunn": dict(n=2),
     "components.so_star_2n": dict(n=2),
     "components.so0_2n": dict(n=3),
+    "components.GroupDescriptor": dict(family="split", name="SL(3,R)"),
     "components.count_components": dict(group=sp2nr(2), g=2, s=1,
                                         mode=CountMode.max_union()),
     "components.enumerate_invariants_sp": dict(n=1, g=1, s=1,
@@ -99,6 +104,7 @@ VALID = {
     "dimension.teichmuller_dimension": dict(gdata=lie_catalog("Sp(4,R)"), g=2, s=1),
     "dimension.sl_kr_parabolic_dimension": dict(k=3, g=2, s=1),
     "dimension.full_flag_multiplicities": dict(n=2, s=1),
+    "exact_core.exact_cap": dict(cap=10),
     "exact_core.check_cap": dict(needed=1, cap=10),
     "exact_core.rational_sum": dict(values=[F(1, 2), 1]),
     "orbifold.VLineBundle": dict(desing_degree=0, isotropy={"x1": 1}),
@@ -112,6 +118,8 @@ VALID = {
     "orbifold.orb_to_par_local": dict(chart=LocalChart(2, (0,)),
                                       mat=laurent_matrix(1, {}, (-1, 8), "dz/z")),
     "orbifold.laurent_to_json": dict(mat=_MAT, m=2),
+    "orbifold.square_root_types": dict(l=VLineBundle(2), surf=_SURF),
+    "orbifold.z2_character_enumerate": dict(surf=_SURF),
     "orbifold.laurent_from_json": dict(obj=laurent_to_json(_MAT, 2)),
     "parbun.ParabolicFlag": dict(multiplicities=(1, 1), weights=(F(0), F(1, 2))),
     "parbun.ParabolicLineBundle": dict(degree=0, weight_at={"x1": F(1, 2)}),
@@ -186,6 +194,11 @@ INT_PROBES = (1.5, True, Fraction(2))
 CONTAINER_PROBES = (5, None, object())
 
 
+def _is_int(hint) -> bool:
+    """Whether hint is int, alone or in a union with None."""
+    return hint is int or hint == int | None
+
+
 def _is_container(hint) -> bool:
     """Whether hint is a container type, alone or in a union with None."""
     kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
@@ -194,8 +207,8 @@ def _is_container(hint) -> bool:
 
 def _parameters() -> dict:
     """name -> (callable, its int parameters, its container parameters with
-    their defaults), over every function and value class in the __all__ of
-    every module."""
+    their defaults, its int parameters that may be None), over every
+    function and value class in the __all__ of every module."""
     out = {}
     for stem in MODULES:
         mod = importlib.import_module(f"parhiggs.{stem}")
@@ -208,19 +221,22 @@ def _parameters() -> dict:
                 continue  # a constant such as EMPTY_MAPPING
             hints = get_type_hints(fn)
             params = inspect.signature(fn).parameters
-            ints = [p for p in params if hints.get(p) is int]
+            ints = [p for p in params if _is_int(hints.get(p))]
             containers = {p: params[p].default for p in params
                           if p in hints and _is_container(hints[p])}
             if ints or containers:
-                out[f"{stem}.{name}"] = (fn, ints, containers)
+                out[f"{stem}.{name}"] = (fn, ints, containers,
+                                         [p for p in ints if hints[p] is not int])
     return out
 
 
 SURFACE = _parameters()
-PROBES = [(name, param, bad) for name, (_, ints, _) in SURFACE.items()
+PROBES = [(name, param, bad) for name, (_, ints, _, _) in SURFACE.items()
           if name not in EXEMPT for param in ints for bad in INT_PROBES]
+OPTIONAL_INTS = [(name, param) for name, (*_, optional) in SURFACE.items()
+                 if name not in EXEMPT for param in optional]
 CONTAINER_CASES = [(name, param, bad)
-                   for name, (_, _, containers) in SURFACE.items()
+                   for name, (_, _, containers, _) in SURFACE.items()
                    if name not in EXEMPT
                    for param, default in containers.items()
                    for bad in CONTAINER_PROBES
@@ -264,6 +280,24 @@ def test_valid_call_succeeds(name):
 def test_int_parameter_refuses_a_value_that_is_not_an_exact_int(
         name, param, bad, capsys):
     _refusal(name, param, bad, capsys)
+
+
+def test_the_optional_ints_are_swept():
+    assert sorted(OPTIONAL_INTS) == [
+        ("components.GroupDescriptor", "n"),
+        ("components.count_components", "cap"),
+        ("components.enumerate_invariants_sp", "cap"),
+        ("components.s1_reduction_report", "cap"),
+        ("dimension.teichmuller_dimension", "rk_m_c"),
+        ("exact_core.check_cap", "cap"),
+        ("orbifold.square_root_types", "cap"),
+        ("orbifold.z2_character_enumerate", "cap")]
+
+
+@pytest.mark.parametrize("name,param", OPTIONAL_INTS,
+                         ids=[f"{n}-{p}" for n, p in OPTIONAL_INTS])
+def test_optional_int_parameter_accepts_none(name, param):
+    SURFACE[name][0](**dict(VALID[name], **{param: None}))
 
 
 @pytest.mark.parametrize("name,param,bad", CONTAINER_CASES,

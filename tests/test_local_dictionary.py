@@ -142,6 +142,17 @@ def test_local_maps_check_a_reversed_window(terms):
     assert e.value.payload() == _err("bad_window", window=[5, 1])
 
 
+@pytest.mark.parametrize("window", [("a", 3), (0, "b"), (0.5, 3), (0, True)])
+def test_a_window_end_that_is_not_an_int_is_refused_before_any_term(window):
+    with pytest.raises(DomainError) as e:
+        par_to_orb_local(2, [F(0)], _w(1, {(0, 0): [(1, F(1))]}), window)
+    assert e.value.payload() == _err("bad_window", window=list(window))
+    with pytest.raises(DomainError) as e:
+        orb_to_par_local(LocalChart(2, (0,)), _z(1, {(0, 0): [(2, F(1))]}),
+                         window)
+    assert e.value.payload() == _err("bad_window", window=list(window))
+
+
 @pytest.mark.parametrize("m", [F(2), 2.0, True])
 @pytest.mark.parametrize("terms", [None, {(0, 0): [(1, F(1))]}])
 def test_a_chart_order_that_is_not_an_int_is_refused(m, terms):

@@ -198,6 +198,9 @@ OWN_INT_RULES = {
     "codec._rational": "a JSON reader: it refuses with the key path of "
                        "JsonShapeError, and takes a string too",
     "codec.decoder": "a JSON reader of int tuples, refusing with JsonShapeError",
+    "orbifold.laurent_matrix": "an entry's key and its two indices are one "
+                               "rule, refused together as entry_out_of_range, "
+                               "as stability._arrow_set refuses an arrow",
     "orbifold._is_canonical": "a predicate over a whole term: it refuses "
                               "nothing, and a miss sends the terms to _clean_terms",
     "orbifold._clean_terms": "a term's degree and coefficient are one rule, "
