@@ -603,5 +603,20 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> int:
+    """``main`` over ``sys.argv``, for the ``parhiggs`` command and
+    ``python -m parhiggs.cli``.  A reader that closes stdout early (``|
+    head``) ends the run with exit code 1 and no traceback, as the Python
+    documentation's note on SIGPIPE does it."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe is found here, inside the try
+    except BrokenPipeError:
+        # the exit's own flush would raise again: stdout goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -16,11 +16,13 @@ its ``__init__``: a value class's reader is that function over its fields,
 and a caller with its own object shape, such as the Laurent-matrix JSON of
 ``orbifold``, declares the shape's fields to it.
 
-A value class's reader ends in the class's static ``_from_json_fields``
-where it has one, in its constructor otherwise.  The hook takes the fields
-in order, each already of its declared type, checks only what that type
-cannot say (ranges, cross-field rules) and builds the value without its
-constructor, so JSON input is checked once.
+A value class with a ``_rules`` method (each one the CLI reads from JSON)
+is built from the fields, each already of its declared type, by its
+store-only ``_store`` (``exact_core.frozen_value``); its ``_rules()`` then
+checks what that type cannot say (ranges, cross-field rules) and fills its
+kept values.  Its constructor runs its type rules and the same ``_rules``,
+so JSON input is type-checked once and each rule is called from one place.
+Any other value class's reader ends in its constructor.
 """
 
 from __future__ import annotations
@@ -124,10 +126,11 @@ def decoder(tp):
         return _SCALARS[tp]
     if hasattr(tp, "_value_fields"):  # each field under its JSON key
         hints = get_type_hints(tp)
-        build = tp._from_json_fields if hasattr(tp, "_from_json_fields") else tp
+        rules = hasattr(tp, "_rules")
         return object_reader([(_KEYS.get(name, name), hints[name],
                                REQUIRED if required else tp.__dict__[name])
-                              for name, required in tp._value_fields], build)
+                              for name, required in tp._value_fields],
+                             tp._store if rules else tp, rules)
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType and len(args) == 2 and args[1] is type(None):
         inner = decoder(args[0])
@@ -155,7 +158,7 @@ def decoder(tp):
     raise TypeError(f"no JSON form for {tp!r}")
 
 
-def object_reader(fields, build=None):
+def object_reader(fields, build=None, rules=False):
     """A reader of one JSON object shape, generated as one function.
 
     ``fields`` lists (JSON key, type or reader, default) in read order, the
@@ -165,7 +168,9 @@ def object_reader(fields, build=None):
     key prefixed to its path.  A missing key with a default takes the
     default; one without is refused.  Unknown keys are refused after every
     field is read; the values are then passed to ``build`` as positional
-    arguments, or returned as a tuple when ``build`` is None.
+    arguments, or returned as a tuple when ``build`` is None.  With
+    ``rules``, the built value's ``_rules()`` is called before it is
+    returned.
     """
     env = {"_build": build, "_Err": JsonShapeError, "_rat": rat_from_str}
     body = ["if type(obj) is not dict:", "    raise _Err('an object')",
@@ -193,7 +198,10 @@ def object_reader(fields, build=None):
             body += ["    " + line for line in check]
     known = "an object with keys among " + ", ".join(sorted(k for k, _, _ in fields))
     values = ", ".join(f"v{i}" for i in range(len(fields)))
-    body += ["if n != len(obj):", f"    raise _Err({known!r})",
-             f"return _build({values})" if build else f"return ({values},)"]
+    body += ["if n != len(obj):", f"    raise _Err({known!r})"]
+    if rules:
+        body += [f"value = _build({values})", "value._rules()", "return value"]
+    else:
+        body.append(f"return _build({values})" if build else f"return ({values},)")
     exec("def read(obj):\n" + "".join(f"    {line}\n" for line in body), env)
     return env["read"]

@@ -263,8 +263,6 @@ def teichmuller_dimension(gdata: LieGroupData, g: int, s: int,
         total_c += h0
         summands.append(DimSummand(f"exponent_{m}", h0, 2 * h0))
     real = 2 * total_c
-    assert real == 2 * (g - 1) * gdata.real_dimension + \
-        2 * s * sum(gdata.exponents)
     statement = None
     notes: tuple[str, ...] = ()
     if rk_m_c is not None:

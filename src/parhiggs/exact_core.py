@@ -17,7 +17,6 @@ __all__ = [
     "FrozenFieldError",
     "EMPTY_MAPPING",
     "frozen_value",
-    "trusted_value",
     "exact_int",
     "read_container",
     "mapping_items",
@@ -82,35 +81,44 @@ def _value_hash(self) -> int:
     return hash(_field_values(self))
 
 
-def _generated_init(cls: type):
-    """The straight-line ``__init__`` of the frozen value class ``cls``."""
-    env = {"_set": object.__setattr__}
-    params, body = [], []
+def _generate(cls: type) -> None:
+    """Put the straight-line ``__init__`` and ``_store`` of the frozen value
+    class ``cls`` on it, both compiled from one source."""
+    env = {"_set": object.__setattr__, "_new": object.__new__, "_cls": cls}
+    slots = cls.__dict__.get("__slots__", ())
+    params, sets = [], []
     for name, required in cls._value_fields:
         if not required:
             env[f"_d_{name}"] = cls.__dict__[name]
         params.append(name if required else f"{name}=_d_{name}")
-        body.append(f"    _set(self, {name!r}, {name})\n")
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
-    return env["__init__"]
+        if name in slots:  # the slot's own setter, quicker than _set
+            env[f"_s_{name}"] = cls.__dict__[name].__set__
+            sets.append(f"    _s_{name}(self, {name})\n")
+        else:
+            sets.append(f"    _set(self, {name!r}, {name})\n")
+    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    fields = ", ".join(name for name, _ in cls._value_fields)
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(sets)}{post}"
+         f"def _store({fields}):\n    self = _new(_cls)\n{''.join(sets)}"
+         "    return self\n", env)
+    cls.__init__ = env["__init__"]
+    cls._store = staticmethod(env["_store"])
 
 
 class _InitOnFirstUse:
-    """A value class's ``__init__`` until it is first looked up: then the
-    function is generated, replaces this descriptor on the class and is
-    returned, bound to the instance where there is one."""
+    """A value class's ``__init__`` or ``_store`` until one of them is first
+    looked up: then both are generated and replace their descriptors on the
+    class, and the one looked up is returned, bound to the instance where
+    there is one."""
 
-    __slots__ = ("cls",)
+    __slots__ = ("cls", "name")
 
-    def __init__(self, cls: type):
-        self.cls = cls
+    def __init__(self, cls: type, name: str):
+        self.cls, self.name = cls, name
 
     def __get__(self, instance, owner=None):
-        init = _generated_init(self.cls)
-        self.cls.__init__ = init
-        return init if instance is None else init.__get__(instance, owner)
+        _generate(self.cls)
+        return getattr(self.cls if instance is None else instance, self.name)
 
 
 def frozen_value(cls: type) -> type:
@@ -121,8 +129,15 @@ def frozen_value(cls: type) -> type:
     and ``dis`` into every process that imports it:
     - ``__init__`` takes the fields in order, a field with a class-level
       default as an optional argument, and ends by calling
-      ``__post_init__`` where there is one.  It is generated when it is
-      first looked up (the first construction, or ``inspect.signature``),
+      ``__post_init__`` where there is one;
+    - ``cls._store(*fields)`` is the store-only builder: it takes every
+      field in order and sets each as ``__init__`` does, calling nothing,
+      so the value has the layout ``__init__`` gives it.  The JSON reader
+      follows it with the class's ``_rules()``; a function that builds a
+      value from parts it has checked itself stores them with it, and sets
+      any value the class keeps outside its fields after it;
+    - both are generated, from one source, when either is first looked up
+      (the first construction, ``inspect.signature`` or the first store),
       not here, so importing the package compiles nothing;
     - the repr is ``Name(field=value, ...)``; equality holds between values
       of one class with equal field tuples, and the hash is that tuple's;
@@ -134,21 +149,11 @@ def frozen_value(cls: type) -> type:
     cls._value_fields = tuple(
         (name, name in slots or name not in cls.__dict__)
         for name in cls.__annotations__)
-    cls.__init__ = _InitOnFirstUse(cls)
+    cls.__init__ = _InitOnFirstUse(cls, "__init__")
+    cls._store = _InitOnFirstUse(cls, "_store")
     cls.__repr__, cls.__eq__, cls.__hash__ = _value_repr, _value_eq, _value_hash
     cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
     return cls
-
-
-def trusted_value(cls: type, /, **attrs):
-    """A value of the ``frozen_value`` class ``cls`` holding ``attrs``, built
-    without ``__init__`` or ``__post_init__``: the caller has checked and
-    normalized every field as the constructor would.  Names that are not
-    fields are kept outside what equality, repr and JSON read.  Not for a
-    class with ``__slots__``."""
-    value = object.__new__(cls)
-    value.__dict__.update(attrs)
-    return value
 
 
 def exact_int(value, code: str, low: int | None = None, /, **info) -> int:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 from .codec import REQUIRED, JsonShapeError, object_reader
 from .exact_core import (DomainError, EMPTY_MAPPING, check_cap, exact_int,
                          frozen_value, mapping_items, rat, rational_sum,
-                         read_container, trusted_value)
+                         read_container)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -173,10 +173,9 @@ def square_root_types(l: VLineBundle, surf: MarkedSurface,
     mult = torsion_multiplicity(surf)
     if l.isotropy:
         return SquareRootFamily((), mult)
-    d, labels = l.desing_degree, surf.labels()
+    d, labels, store = l.desing_degree, surf.labels(), VLineBundle._store
     return SquareRootFamily(tuple(
-        trusted_value(VLineBundle, desing_degree=(d - sum(rho)) // 2,
-                      isotropy={x: 1 for x, r in zip(labels, rho) if r})
+        store((d - sum(rho)) // 2, {x: 1 for x, r in zip(labels, rho) if r})
         for rho in itertools.product((0, 1), repeat=len(labels))
         if sum(rho) % 2 == d % 2), mult)
 
@@ -191,8 +190,9 @@ class Z2Character:
     A direct construction keeps both vectors as tuples, refuses a value that
     is not exactly the int 0 or 1 (character_value_not_bit; a bool or a
     float is not a bit) and checks the sum; z2_character_enumerate checks
-    them once per factor and fills the two slots of each character itself
-    (slotted, so an enumeration's characters are small and quick to make).
+    them once per factor and stores each character's two slots with
+    ``_store`` (slotted, so an enumeration's characters are small and quick
+    to make).
     """
 
     __slots__ = ("ab", "sigma")
@@ -234,16 +234,10 @@ def z2_character_enumerate(surf: MarkedSurface, cap: int | None = None
     # Each factor is checked where it is made: ab and sig hold int bits from
     # product((0, 1)), and sig has even parity, so no character needs the
     # constructor's check of every value.
-    new, set_ab, set_sigma = (object.__new__, Z2Character.ab.__set__,
-                              Z2Character.sigma.__set__)
-    out = []
-    for ab in itertools.product((0, 1), repeat=2 * surf.genus):
-        for sig in sigmas:
-            c = new(Z2Character)
-            set_ab(c, ab)
-            set_sigma(c, sig)
-            out.append(c)
-    return out
+    store = Z2Character._store
+    return [store(ab, sig)
+            for ab in itertools.product((0, 1), repeat=2 * surf.genus)
+            for sig in sigmas]
 
 
 @frozen_value
@@ -346,19 +340,23 @@ def _is_canonical(terms) -> bool:
     return True
 
 
-def _canonical_terms(terms) -> tuple[Term, ...]:
-    """One entry's terms, read once: kept as given (as a tuple) when they are
-    canonical, else normalized by _clean_terms."""
-    terms = tuple(terms)
+def _canonical_terms(terms: tuple) -> tuple[Term, ...]:
+    """One entry's terms, a tuple: kept as given when they are canonical,
+    else normalized by _clean_terms."""
     return terms if _is_canonical(terms) else _clean_terms(terms)
 
 
 def _clean_terms(terms) -> tuple[Term, ...]:
-    """Terms summed by degree, sorted, zeros dropped.  A degree that is not
-    an int, or a coefficient that is a float or no rational at all, is
-    refused (bad_term)."""
+    """Terms summed by degree, sorted, zeros dropped.  A term that is not a
+    (degree, coefficient) pair, a degree that is not an int, or a
+    coefficient that is a float or no rational at all, is refused
+    (bad_term)."""
     acc: dict[int, Fraction] = {}
-    for d, c in terms:
+    for t in terms:
+        try:
+            d, c = t
+        except (TypeError, ValueError):  # not a pair
+            raise DomainError("bad_term", term=t) from None
         if type(d) is not int or type(c) is float:
             raise DomainError("bad_term", degree=d, coef=c)
         if type(c) is not Fraction:
@@ -444,7 +442,9 @@ def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
                    window: tuple[int, int], form: str) -> LaurentMatrix:
     """Build from sparse {(i,j): [(deg, coef), ...]} terms, each entry
     normalized.  A key that is not a pair (i, j) of exact ints in 0..n-1 is
-    refused (entry_out_of_range, the key as a list where it is a tuple)."""
+    refused (entry_out_of_range, the key as a list where it is a tuple), an
+    entry whose terms are no sequence (entry_not_sequence) and a term that
+    is not a (degree, coefficient) pair (bad_term)."""
     exact_int(n, "bad_matrix_shape", n=n)  # before range(n) reads it
     rows = [[() for _ in range(n)] for _ in range(n)]
     for key, ts in read_container(terms, mapping_items, "terms_not_mapping"):
@@ -456,7 +456,8 @@ def laurent_matrix(n: int, terms: Mapping[tuple[int, int], Sequence[Term]],
                 or not (0 <= i < n and 0 <= j < n)):
             raise DomainError("entry_out_of_range", n=n, entry=list(key)
                               if type(key) is tuple else key)
-        rows[i][j] = _canonical_terms(ts)
+        rows[i][j] = _canonical_terms(
+            read_container(ts, tuple, "entry_not_sequence"))
     return _mapped(n, tuple(tuple(r) for r in rows), window, form)
 
 
@@ -517,8 +518,7 @@ def _weights_to_exponents(m: int, weights: Sequence[Fraction]) -> list[int]:
 def _mapped(n: int, rows, window, form: str) -> LaurentMatrix:
     lo, hi = _check_frame(n, rows, window, form)
     _check_degrees(rows, lo, hi)
-    return trusted_value(LaurentMatrix, n=n, entries=rows, window=(lo, hi),
-                         form=form)
+    return LaurentMatrix._store(n, rows, (lo, hi), form)
 
 
 def par_to_orb_local(m: int, weights: Sequence[Fraction], higgs: LaurentMatrix,
@@ -623,7 +623,8 @@ def _read_entries(obj, read_term) -> tuple[tuple[tuple[Term, ...], ...], ...]:
         for e in row:
             if type(e) is not list:
                 raise JsonShapeError("a list")
-            out.append(_canonical_terms([read_term(t) for t in e]) if e else ())
+            out.append(_canonical_terms(tuple([read_term(t) for t in e]))
+                       if e else ())
         rows.append(tuple(out))
     return tuple(rows)
 

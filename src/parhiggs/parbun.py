@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 from .exact_core import (DomainError, EMPTY_MAPPING, exact_int, frozen_value,
                          mapping_items, rat, rat_from_str, rational_sum,
-                         read_container, trusted_value)
+                         read_container)
 from .surface import MarkedSurface
 
 __all__ = [
@@ -51,18 +51,24 @@ class ParabolicFlag:
         ks = read_container(self.multiplicities, tuple,
                             "multiplicities_not_sequence")
         ws = read_container(self.weights, tuple, "weights_not_sequence")
-        ws = _flag_weights(ks, ws, self.multiplicities)
         object.__setattr__(self, "multiplicities", ks)
         object.__setattr__(self, "weights", ws)
+        ParabolicFlag._rules(self)
 
-    @staticmethod
-    def _from_json_fields(multiplicities: tuple[int, ...],
-                          weights: tuple[Fraction, ...]) -> ParabolicFlag:
-        """The flag the codec has read as a tuple of ints and a tuple of
-        Fractions, after the flag's shape and ranges."""
-        weights = _flag_weights(multiplicities, weights, multiplicities)
-        return trusted_value(ParabolicFlag, multiplicities=multiplicities,
-                             weights=weights)
+    def _rules(self):
+        """The shape: one multiplicity per weight, at least one
+        (bad_flag_shape); then each multiplicity an exact int >= 1
+        (bad_flag_multiplicity), each weight read by _check_weight and their
+        strict increase (flag_weights_not_increasing)."""
+        ks = self.multiplicities
+        if len(ks) != len(self.weights) or not ks:
+            raise DomainError("bad_flag_shape")
+        for k in ks:
+            exact_int(k, "bad_flag_multiplicity", 1, mult=ks)
+        ws = [_check_weight(w) for w in self.weights]
+        if any(a >= b for a, b in zip(ws, ws[1:])):
+            raise DomainError("flag_weights_not_increasing", weights=ws)
+        object.__setattr__(self, "weights", tuple(ws))
 
     @property
     def rank(self) -> int:
@@ -70,22 +76,6 @@ class ParabolicFlag:
 
     def weight_sum(self) -> Fraction:
         return rational_sum([k * a for k, a in zip(self.multiplicities, self.weights)])
-
-
-def _flag_weights(ks: tuple, ws: tuple, mult) -> tuple[Fraction, ...]:
-    """A flag's weights, each read by _check_weight, after its shape: one
-    multiplicity per weight, at least one (bad_flag_shape), then each
-    multiplicity an exact int >= 1 (bad_flag_multiplicity, with ``mult``
-    as given), then the weights, then their strict increase
-    (flag_weights_not_increasing)."""
-    if len(ks) != len(ws) or not ks:
-        raise DomainError("bad_flag_shape")
-    for k in ks:
-        exact_int(k, "bad_flag_multiplicity", 1, mult=mult)
-    ws = [_check_weight(w) for w in ws]
-    if any(a >= b for a, b in zip(ws, ws[1:])):
-        raise DomainError("flag_weights_not_increasing", weights=ws)
-    return tuple(ws)
 
 
 def trivial_flag(rank: int) -> ParabolicFlag:
@@ -106,42 +96,28 @@ class ParabolicLineBundle:
 
     def __post_init__(self):
         exact_int(self.degree, "bad_degree", degree=self.degree)
-        items = read_container(self.weight_at, mapping_items,
-                               "weight_at_not_mapping")
-        clean, pair = _weights_and_pardeg(self.degree, items)
-        object.__setattr__(self, "weight_at", clean)
-        object.__setattr__(self, "_pardeg_pair", pair)
+        read_container(self.weight_at, mapping_items, "weight_at_not_mapping")
+        ParabolicLineBundle._rules(self)
 
-    @staticmethod
-    def _from_json_fields(degree: int, weight_at: dict[str, Fraction]
-                          ) -> ParabolicLineBundle:
-        """The line bundle the codec has read as an int degree and a dict of
-        Fractions, after each weight's range."""
-        clean, pair = _weights_and_pardeg(degree, weight_at.items())
-        return trusted_value(ParabolicLineBundle, degree=degree,
-                             weight_at=clean, _pardeg_pair=pair)
+    def _rules(self):
+        """The weights as a new dict, each read by _check_weight, and the
+        pardeg, degree plus their sum, as a reduced (numerator, denominator)
+        pair of ints: rational_sum's loop, fused with the weight check, as
+        a second pass is slower per construction, which verdicts repeat."""
+        clean, num, den = {}, self.degree, 1
+        for lbl, w in self.weight_at.items():
+            w = clean[lbl] = _check_weight(w)
+            p, q = w.numerator, w.denominator
+            if den % q:
+                step = lcm(den, q) // den
+                num, den = num * step, den * step
+            num += p * (den // q)
+        g = gcd(num, den)
+        object.__setattr__(self, "weight_at", clean)
+        object.__setattr__(self, "_pardeg_pair", (num // g, den // g))
 
     def weight(self, label: str) -> Fraction:
         return self.weight_at.get(label, Fraction(0))
-
-
-def _weights_and_pardeg(degree: int, items
-                        ) -> tuple[dict[str, Fraction], tuple[int, int]]:
-    """(weights, pardeg): the (label, weight) items as a new dict, each
-    weight read by _check_weight, and degree plus their sum as a reduced
-    (numerator, denominator) pair of ints.  rational_sum's loop, fused with
-    the weight check: a second pass is slower per construction, which
-    verdicts repeat."""
-    clean, num, den = {}, degree, 1
-    for lbl, w in items:
-        w = clean[lbl] = _check_weight(w)
-        p, q = w.numerator, w.denominator
-        if den % q:
-            step = lcm(den, q) // den
-            num, den = num * step, den * step
-        num += p * (den // q)
-    g = gcd(num, den)
-    return clean, (num // g, den // g)
 
 
 @frozen_value
@@ -154,28 +130,23 @@ class ParabolicBundle:
     flag_at: Mapping[str, ParabolicFlag] = EMPTY_MAPPING
 
     def __post_init__(self):
-        _check_rank(self.rank)
+        _check_rank(self.rank)  # refused before the degree, then in _rules
         exact_int(self.degree, "bad_degree", degree=self.degree)
-        object.__setattr__(self, "flag_at", read_container(
-            self.flag_at, dict, "flag_at_not_mapping"))
-        for lbl, fl in self.flag_at.items():
+        ParabolicBundle._rules(self)
+
+    def _rules(self):
+        """The rank, then the flags, copied into a dict of their own (else
+        flag_at_not_mapping), each in turn a ParabolicFlag of this rank."""
+        _check_rank(self.rank)
+        flags = read_container(self.flag_at, dict, "flag_at_not_mapping")
+        for lbl, fl in flags.items():
             if type(fl) is not ParabolicFlag:
                 raise DomainError("flag_not_parabolic_flag", label=lbl,
                                   type=type(fl).__name__)
-            _check_flag_rank(lbl, fl, self.rank)
-
-    @staticmethod
-    def _from_json_fields(rank: int, degree: int,
-                          flag_at: dict[str, ParabolicFlag]) -> ParabolicBundle:
-        """The bundle the codec has read as two ints and a dict of flags,
-        after the rank's range and each flag's rank."""
-        _check_rank(rank)
-        for lbl, fl in flag_at.items():
-            _check_flag_rank(lbl, fl, rank)
-        # a copy, as the constructor makes: a missing key gives the
-        # read-only default
-        return trusted_value(ParabolicBundle, rank=rank, degree=degree,
-                             flag_at=dict(flag_at))
+            if fl.rank != self.rank:
+                raise DomainError("flag_rank_mismatch", label=lbl,
+                                  flag_rank=fl.rank, rank=self.rank)
+        object.__setattr__(self, "flag_at", flags)
 
     def flag(self, label: str) -> ParabolicFlag:
         if self.rank == 0:
@@ -185,12 +156,6 @@ class ParabolicBundle:
 
 def _check_rank(rank) -> None:
     exact_int(rank, "bad_rank", 0, rank=rank)
-
-
-def _check_flag_rank(label: str, flag: ParabolicFlag, rank: int) -> None:
-    if flag.rank != rank:
-        raise DomainError("flag_rank_mismatch", label=label,
-                          flag_rank=flag.rank, rank=rank)
 
 
 def _check_points(b, surf: MarkedSurface) -> None:
@@ -248,8 +213,9 @@ def par_dual(b: ParabolicBundle | ParabolicLineBundle):
                 shift += 1
             weights[x] = a
         num, den = b._pardeg_pair
-        return trusted_value(ParabolicLineBundle, degree=-b.degree - shift,
-                             weight_at=weights, _pardeg_pair=(-num, den))
+        dual = ParabolicLineBundle._store(-b.degree - shift, weights)
+        object.__setattr__(dual, "_pardeg_pair", (-num, den))
+        return dual
     shift = 0
     flags = {}
     for lbl, fl in b.flag_at.items():

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .codec import from_json
 from .exact_core import (DomainError, exact_int, frozen_value, rat, rational_sum,
-                         read_container, trusted_value)
+                         read_container)
 from .parbun import ParabolicLineBundle, _pardegs_over_lcm, par_dual, pardeg
 from .surface import MarkedSurface, deg_kd, require_hyperbolic, standard_surface
 
@@ -112,19 +112,13 @@ class DecomposableHiggsModel:
     def __post_init__(self):
         summands = read_container(self.summands, tuple, "summands_not_sequence")
         object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "arrows", _arrow_set(
-            self.arrows, len(summands), "arrows_not_sequence"))
+        DecomposableHiggsModel._rules(self)
         _check_parts(self.surface, summands)
 
-    @staticmethod
-    def _from_json_fields(surface: MarkedSurface,
-                          summands: tuple[ParabolicLineBundle, ...],
-                          arrows: frozenset[Arrow]) -> DecomposableHiggsModel:
-        """The model the codec has read as a surface, a tuple of line
-        bundles and a frozenset of int pairs, after the arrows' range."""
-        return trusted_value(DecomposableHiggsModel, surface=surface,
-                             summands=summands, arrows=_arrow_set(
-                                 arrows, len(summands), "arrows_not_sequence"))
+    def _rules(self):
+        """The arrows, read by _arrow_set over the summands."""
+        object.__setattr__(self, "arrows", _arrow_set(
+            self.arrows, len(self.summands), "arrows_not_sequence"))
 
     @property
     def n(self) -> int:
@@ -166,24 +160,14 @@ class SpTripleModel:
     def __post_init__(self):
         v = read_container(self.v_summands, tuple, "v_summands_not_sequence")
         object.__setattr__(self, "v_summands", v)
-        beta, gamma = _supports(len(v), self.beta_arrows, self.gamma_arrows)
-        object.__setattr__(self, "beta_arrows", beta)
-        object.__setattr__(self, "gamma_arrows", gamma)
+        SpTripleModel._rules(self)
         _check_parts(self.surface, v)
 
-    @staticmethod
-    def _from_json_fields(surface: MarkedSurface,
-                          v_summands: tuple[ParabolicLineBundle, ...],
-                          beta_arrows: frozenset[Arrow],
-                          gamma_arrows: frozenset[Arrow]) -> SpTripleModel:
-        """The triple the codec has read as a surface, a tuple of line
-        bundles and two frozensets of int pairs, after each support's range
-        and symmetry."""
-        beta, gamma = _supports(len(v_summands), beta_arrows,
-                                 gamma_arrows)
-        return trusted_value(SpTripleModel, surface=surface,
-                             v_summands=v_summands, beta_arrows=beta,
-                             gamma_arrows=gamma)
+    def _rules(self):
+        beta, gamma = _supports(len(self.v_summands), self.beta_arrows,
+                                self.gamma_arrows)
+        object.__setattr__(self, "beta_arrows", beta)
+        object.__setattr__(self, "gamma_arrows", gamma)
 
     @property
     def n(self) -> int:
@@ -212,9 +196,8 @@ class SpTripleModel:
         n = self.n
         arrows = {(i, n + j) for (i, j) in self.beta_arrows}
         arrows |= {(n + i, j) for (i, j) in self.gamma_arrows}
-        return trusted_value(DecomposableHiggsModel, surface=self.surface,
-                             summands=self.v_summands + self._v_duals(),
-                             arrows=frozenset(arrows))
+        return DecomposableHiggsModel._store(
+            self.surface, self.v_summands + self._v_duals(), frozenset(arrows))
 
 
 # ------------------------------------------------------------ stability ----
@@ -434,12 +417,13 @@ def sp_dual(m: SpTripleModel) -> SpTripleModel:
 
     The dual keeps V as its duals and, when m's pardegs are already kept,
     their negations as its own: pardeg L^dual = -pardeg L."""
-    table = m._table
-    return trusted_value(SpTripleModel, surface=m.surface,
-                         v_summands=m._v_duals(), beta_arrows=m.gamma_arrows,
-                         gamma_arrows=m.beta_arrows, _duals=m.v_summands,
-                         _table=None if table is None
-                         else (table[0], [-x for x in table[1]]))
+    dual = SpTripleModel._store(m.surface, m._v_duals(), m.gamma_arrows,
+                                m.beta_arrows)
+    object.__setattr__(dual, "_duals", m.v_summands)
+    if m._table is not None:
+        den, nums = m._table
+        object.__setattr__(dual, "_table", (den, [-x for x in nums]))
+    return dual
 
 
 # ------------------------------------------------------- Hitchin family ----
@@ -466,8 +450,7 @@ def hitchin_model(k: int, g: int, s: int) -> DecomposableHiggsModel:
         for i in range(k))
     arrows = {(i, i + 1) for i in range(k - 1)}
     arrows |= {(k - 1, j) for j in range(k - 1)}
-    return trusted_value(DecomposableHiggsModel, surface=surf,
-                         summands=summands, arrows=frozenset(arrows))
+    return DecomposableHiggsModel._store(surf, summands, frozenset(arrows))
 
 
 def hitchin_sp_triple(k: int, g: int, s: int) -> SpTripleModel:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_core import (DomainError, exact_int, frozen_value, read_container,
-                         trusted_value)
+from .exact_core import DomainError, exact_int, frozen_value, read_container
 
 __all__ = [
     "MarkedPoint",
@@ -29,33 +28,15 @@ class MarkedPoint:
     def __post_init__(self):
         if type(self.label) is not str:
             raise DomainError("bad_label", label=self.label)
-        _check_order(self.label, self.order)
+        MarkedPoint._rules(self)
 
-    @staticmethod
-    def _from_json_fields(label: str, order: int) -> MarkedPoint:
-        """The point the codec has read as a str label and an int order,
-        after the order's range."""
-        _check_order(label, order)
-        return trusted_value(MarkedPoint, label=label, order=order)
-
-
-def _check_order(label, order) -> None:
-    exact_int(order, "bad_isotropy_order", 1, label=label, order=order)
+    def _rules(self):
+        exact_int(self.order, "bad_isotropy_order", 1, label=self.label,
+                  order=self.order)
 
 
 def _check_genus(genus) -> None:
     exact_int(genus, "bad_genus", 0, genus=genus)
-
-
-def _point_labels(points: tuple[MarkedPoint, ...]
-                  ) -> tuple[tuple[str, ...], frozenset[str]]:
-    """The labels of the points, as a tuple and as a frozenset; a label
-    given twice is refused (duplicate_point_labels)."""
-    labels = tuple([p.label for p in points])
-    label_set = frozenset(labels)
-    if len(label_set) != len(labels):
-        raise DomainError("duplicate_point_labels", labels=list(labels))
-    return labels, label_set
 
 
 @frozen_value
@@ -72,26 +53,25 @@ class MarkedSurface:
     points: tuple[MarkedPoint, ...] = ()
 
     def __post_init__(self):
-        _check_genus(self.genus)
+        _check_genus(self.genus)  # refused before the points, then in _rules
         points = read_container(self.points, tuple, "points_not_sequence")
         for i, p in enumerate(points):
             if type(p) is not MarkedPoint:
                 raise DomainError("point_not_marked_point", index=i,
                                   type=type(p).__name__)
         object.__setattr__(self, "points", points)
-        labels, label_set = _point_labels(points)
+        MarkedSurface._rules(self)
+
+    def _rules(self):
+        """The genus, then the labels: a label given twice is refused
+        (duplicate_point_labels)."""
+        _check_genus(self.genus)
+        labels = tuple([p.label for p in self.points])
+        label_set = frozenset(labels)
+        if len(label_set) != len(labels):
+            raise DomainError("duplicate_point_labels", labels=list(labels))
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_label_set", label_set)
-
-    @staticmethod
-    def _from_json_fields(genus: int, points: tuple[MarkedPoint, ...]
-                          ) -> MarkedSurface:
-        """The surface the codec has read as an int genus and a tuple of
-        points, after the genus's range and the labels' uniqueness."""
-        _check_genus(genus)
-        labels, label_set = _point_labels(points)
-        return trusted_value(MarkedSurface, genus=genus, points=points,
-                             _labels=labels, _label_set=label_set)
 
     @property
     def s(self) -> int:

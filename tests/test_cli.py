@@ -723,6 +723,22 @@ def test_hitchin_above_rank_limit_is_refused_promptly():
     assert payload == {"error": "rank_too_large", "n": 40, "limit": 20}
 
 
+def test_a_reader_closing_stdout_early_gets_no_traceback():
+    # the child blocks on a full pipe until the reader closes it after ten
+    # bytes, as `parhiggs characters ... | head -c 10` does
+    with subprocess.Popen(
+            [sys.executable, "-m", "parhiggs.cli", "characters", "--g", "6",
+             "--s", "2", "--enumerate"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                     PYTHONDONTWRITEBYTECODE="1")) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and stderr == ""
+
+
 def _limit_address_space():
     # a regression that materializes past the cap fails with MemoryError
     # instead of exhausting the host

@@ -185,10 +185,11 @@ TWINS = [
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_value_read_from_json_is_its_constructor_twin(cls, values, data):
-    """The reader builds through each class's hook, not its constructor;
-    the value is the one the constructors build from the same parts, in
-    equality, repr, JSON and every kept value (_pardeg_pair, _labels,
-    _label_set), and a model's or triple's _table and _duals stay unfilled."""
+    """The reader stores each class's fields and calls its _rules, not its
+    constructor; the value is the one the constructors build from the same
+    parts, in equality, repr, JSON and every kept value (_pardeg_pair,
+    _labels, _label_set), and a model's or triple's _table and _duals stay
+    unfilled."""
     x = data.draw(values)
     obj = json.loads(json.dumps(to_json(x)))
     for given_obj in (obj, _without_empty(obj)):
@@ -244,9 +245,9 @@ def _reachable(tp, seen: set) -> set:
 
 
 def test_every_value_class_the_cli_reads_from_json_has_a_build_hook():
-    """A value class read from JSON builds through its own
-    _from_json_fields, so a new one cannot fall back to a second type pass
-    in its constructor unnoticed."""
+    """A value class read from JSON is stored and then checked by its own
+    _rules, so a new one cannot fall back to a second type pass in its
+    constructor unnoticed."""
     reached = set()
     for tp in _load_json_types():
         _reachable(tp, reached)
@@ -255,7 +256,7 @@ def test_every_value_class_the_cli_reads_from_json_has_a_build_hook():
         "ParabolicBundle", "ParabolicFlag", "ParabolicLineBundle",
         "SpTripleModel"]
     assert [cls.__name__ for cls in reached
-            if "_from_json_fields" not in vars(cls)] == []
+            if "_rules" not in vars(cls)] == []
 
 
 def test_reports_round_trip():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
 from parhiggs.dimension import (
@@ -200,6 +202,28 @@ def test_teichmuller_riemann_roch_identity_across_catalog():
                 2 * sum(h0_twisted_power(surface, m) for m in data.exponents)
             assert report.real_dimension == \
                 2 * (g - 1) * data.real_dimension + 2 * s * sum(data.exponents)
+
+
+# every split group lie_catalog names: SL(n,R) for n >= 2, Sp(2n,R) for
+# n >= 1, SO(n+1,n) for n >= 2 and SO(n,n) for n >= 3
+SPLIT_NAMES = st.one_of(
+    st.integers(2, 9).map(lambda n: f"SL({n},R)"),
+    st.integers(1, 8).map(lambda n: f"Sp({2 * n},R)"),
+    st.integers(2, 8).map(lambda n: f"SO({n + 1},{n})"),
+    st.integers(3, 8).map(lambda n: f"SO({n},{n})"))
+HYPERBOLIC = st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(
+    lambda gs: 2 * gs[0] - 2 + gs[1] > 0)
+
+
+@given(name=SPLIT_NAMES, gs=HYPERBOLIC)
+def test_teichmuller_real_dimension_is_the_riemann_roch_sum(name, gs):
+    """The Riemann-Roch identity the summands add up to, for every split
+    group over every hyperbolic (g, s): 2(g-1) dim G + 2s sum(exponents)."""
+    g, s = gs
+    data = lie_catalog(name)
+    assert data.is_split
+    assert teichmuller_dimension(data, g, s).real_dimension == \
+        2 * (g - 1) * data.real_dimension + 2 * s * sum(data.exponents)
 
 
 def test_teichmuller_statement_reading_tension():

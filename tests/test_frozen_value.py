@@ -15,7 +15,9 @@ hashable or is the one read-only ``EMPTY_MAPPING``.
 import dataclasses
 import importlib
 import inspect
+import json
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -23,6 +25,7 @@ from typing import Any
 import pytest
 
 from parhiggs.cli import CommandOutput
+from parhiggs.codec import from_json, to_json
 from parhiggs.components import (
     CaseCount,
     ComponentCountReport,
@@ -39,7 +42,6 @@ from parhiggs.exact_core import (
     DomainError,
     FrozenFieldError,
     frozen_value,
-    trusted_value,
 )
 from parhiggs.orbifold import (
     LaurentMatrix,
@@ -53,6 +55,7 @@ from parhiggs.parbun import (
     ParabolicBundle,
     ParabolicFlag,
     ParabolicLineBundle,
+    par_dual,
     trivial_flag,
 )
 from parhiggs.stability import (
@@ -306,7 +309,7 @@ def test_z2_character_keeps_its_slots():
     assert fresh == c and hash(fresh) == hash(c)
 
 
-def test_a_trusted_value_skips_the_constructor_and_hides_other_names():
+def test_a_stored_value_skips_the_constructor_and_hides_other_names():
     checked = []
 
     @frozen_value
@@ -317,13 +320,47 @@ def test_a_trusted_value_skips_the_constructor_and_hides_other_names():
         def __post_init__(self):
             checked.append(self.a)
 
-    v = trusted_value(Pair, a=1, b=(2,), _kept=[3])
+    v = Pair._store(1, (2,))
+    object.__setattr__(v, "_kept", [3])
     assert checked == [] and v._kept == [3]
     built = Pair(1, (2,))
     assert checked == [1]
     assert v == built and repr(v) == repr(built) and hash(v) == hash(built)
     with pytest.raises(FrozenFieldError):
         v.a = 2
+
+
+def _bytes_per_value(build, n: int = 5000) -> float:
+    """The memory that n values from build() hold, per value, traced by
+    tracemalloc.  The list that keeps them is made before tracing starts,
+    and the free lists of small tuples and of dicts are emptied first, so
+    that every object a value keeps is allocated, and counted, while
+    tracing."""
+    build()
+    values = [None] * n
+    drained = [[(i,), (i, i), (i, i, i)] for i in range(3000)]
+    drained.append([{} for _ in range(200)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            values[i] = build()
+        return (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+
+
+def test_stored_and_read_values_are_no_larger_than_constructed_ones():
+    """A one-weight line bundle read from JSON (store, then _rules) or made
+    by par_dual (store, then its pardeg pair) keeps its fields inline, as
+    one the constructor builds does.  An instance dict of its own would add
+    about 140 bytes; 16 are allowed for the measure's slack."""
+    line = ParabolicLineBundle(0, {"x1": H})
+    obj = json.loads(json.dumps(to_json(line)))
+    built = _bytes_per_value(lambda: ParabolicLineBundle(0, {"x1": H}))
+    read = _bytes_per_value(lambda: from_json(ParabolicLineBundle, obj))
+    dual = _bytes_per_value(lambda: par_dual(line))
+    assert max(read, dual) <= built + 16, (built, read, dual)
 
 
 ROWS = [(cls, args, payload) for cls, rows in REFUSALS.items()

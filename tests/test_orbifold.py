@@ -347,6 +347,24 @@ def test_laurent_matrix_refuses_inexact_terms(term):
                                  "coef": term[1]}
 
 
+def test_laurent_matrix_refuses_an_entry_that_is_no_sequence():
+    with pytest.raises(DomainError) as e:
+        laurent_matrix(1, {(0, 0): 5}, (0, 1), "dw/w")
+    assert e.value.payload() == {"error": "entry_not_sequence", "type": "int"}
+
+
+def test_laurent_matrix_refuses_a_term_that_is_no_pair():
+    with pytest.raises(DomainError) as e:
+        laurent_matrix(1, {(0, 0): [5]}, (0, 1), "dw/w")
+    assert e.value.payload() == {"error": "bad_term", "term": 5}
+
+
+def test_laurent_matrix_refuses_a_term_of_three_parts():
+    with pytest.raises(DomainError) as e:
+        laurent_matrix(1, {(0, 0): [(0, F(1), 3)]}, (0, 1), "dw/w")
+    assert e.value.payload() == {"error": "bad_term", "term": (0, F(1), 3)}
+
+
 @pytest.mark.parametrize("entry", [
     ((3, F(1)), (2, F(1))),          # unsorted
     ((2, F(1)), (2, F(2))),          # duplicate degree

@@ -267,3 +267,47 @@ def test_the_container_rule_is_written_only_in_exact_core():
              if isinstance(node, ast.ExceptHandler)
              and _raises_container_code(node)}
     assert found == set()
+
+
+def _is_instance_dict(node: ast.AST) -> bool:
+    """``x.__dict__`` or ``vars(x)``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__") or (
+        isinstance(node, ast.Call) and _called_name(node.func) == "vars"
+        and len(node.args) == 1)
+
+
+# the dict methods that change the dict they are called on
+_DICT_WRITERS = {"update", "setdefault", "pop", "popitem", "clear",
+                 "__setitem__", "__delitem__"}
+
+
+def _writes_a_dict(node: ast.AST) -> bool:
+    """An assignment to, or a deletion of, ``x.__dict__`` or one of its
+    keys, or a call of a changing method on it (or on ``vars(x)``)."""
+    if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+        return isinstance(node.ctx, (ast.Store, ast.Del))
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.ctx, (ast.Store, ast.Del)) and \
+            _is_instance_dict(node.value)
+    return (isinstance(node, ast.Attribute) and node.attr in _DICT_WRITERS
+            and _is_instance_dict(node.value))
+
+
+def test_no_module_writes_an_instance_dict():
+    """A value keeps its fields where its generated ``__init__`` or
+    ``_store`` puts them, by ``object.__setattr__``: writing its dict
+    instead gives every value a full dict of its own."""
+    found = [f"{mod}:{node.lineno}" for mod, tree in TREES.items()
+             for node in ast.walk(tree) if _writes_a_dict(node)]
+    assert found == []
+
+
+def test_only_exact_core_makes_a_value_without_its_builders():
+    """Outside ``exact_core``, whose generated ``__init__`` and ``_store``
+    make every value, no module reads ``__new__`` (``object.__new__`` or a
+    class's own), so a value is always built with a layout the builders
+    give it."""
+    found = [f"{mod}:{node.lineno}" for mod, tree in TREES.items()
+             if mod != "exact_core" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert found == []
