@@ -7,8 +7,8 @@ structures with a bounded degree, and square-root classes at the maximal
 degree.  One case table holds, per group row and mode, the published cases as
 products of those factors, plus the published total.  Counts read it: a
 case's closed form is the product of its factor sizes, and its enumerated
-count builds and checks each invariant tuple in turn without keeping it
-(the enumeration cap is checked against the case sizes first).  The three
+count stores each invariant tuple from checked parts and keeps none (the
+enumeration cap is checked against the case sizes first).  The three
 summary tables print the published totals.  All counts are lower bounds
 ("minimum components"); exactness is not claimed.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
-from .exact_core import (DomainError, all_bits, check_cap, exact_int,
+from .exact_core import (DomainError, check_cap, exact_bits, exact_int,
                          frozen_value, read_container)
 from .surface import require_hyperbolic, standard_surface
 
@@ -232,7 +232,8 @@ class InvariantTuple:
     ``w1_w2``: a pair of Z_2-vectors (w1 of length 2g+s-1, w2 of length s);
     ``parabolic_degree``: a parabolic structure bit-vector (length s) plus a
     sub-maximal degree; ``square_root``: an index into the square-root family
-    at the maximal degree.
+    at the maximal degree.  Vectors are kept as tuples of bits (exact_bits);
+    a degree or a root index is an exact int >= 0.
     """
 
     kind: str
@@ -245,24 +246,21 @@ class InvariantTuple:
     def __post_init__(self):
         if self.kind not in _TUPLE_KINDS:
             raise DomainError("unknown_invariant_kind", kind=self.kind)
-        w1, w2, par, degree, root = (self.w1, self.w2, self.parabolic,
-                                     self.degree, self.root_index)
-        shape = _TUPLE_SHAPES[self.kind]
-        if (w1 is not None, w2 is not None, par is not None,
-                degree is not None, root is not None) != shape:
-            for name, required in zip(_TUPLE_FIELDS, shape):
-                if (getattr(self, name) is None) == required:
-                    raise DomainError("invariant_field_missing" if required
-                                      else "invariant_field_forbidden",
-                                      kind=self.kind, field=name)
-        for vec in (w1, w2, par):
-            if vec is not None and not all_bits(vec):
-                raise DomainError("invariant_bits_not_binary", kind=self.kind)
-        if degree is not None and degree < 0:
-            raise DomainError("invariant_degree_negative", degree=degree)
-        if root is not None and root < 0:
-            raise DomainError("invariant_root_index_negative",
-                              root_index=root)
+        for name, required in zip(_TUPLE_FIELDS, _TUPLE_SHAPES[self.kind]):
+            if (getattr(self, name) is None) == required:
+                raise DomainError("invariant_field_missing" if required
+                                  else "invariant_field_forbidden",
+                                  kind=self.kind, field=name)
+        for name in _TUPLE_FIELDS[:3]:  # the bit vectors
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, exact_bits(
+                    getattr(self, name), "invariant_bits_not_binary",
+                    f"{name}_not_sequence", kind=self.kind))
+        degree, root = self.degree, self.root_index
+        if degree is not None:
+            exact_int(degree, "invariant_degree_negative", 0, degree=degree)
+        if root is not None:
+            exact_int(root, "invariant_root_index_negative", 0, root_index=root)
 
 
 # --------------------------------------------------------------------------
@@ -368,18 +366,21 @@ def _materialize(factors: tuple[str, ...], z: _Sizes, parity: str | None
 
     Two factors give an ``InvariantTuple``: w1 x w2 (or the fixed weight
     vector), or a parabolic structure x a degree.  One factor gives root
-    indices as ``square_root`` tuples and any other values bare.
+    indices as ``square_root`` tuples and any other values bare.  Tuples
+    are stored from their checked parts: bits from ``product((0, 1))`` or
+    _alpha_bits, degrees and root indices from ``range``.
     """
+    store = InvariantTuple._store
     first = _factor_values(factors[0], z, parity)
     if len(factors) == 2:
         second = tuple(_factor_values(factors[1], z, parity))
         if factors[1] in _DEGREE_FACTORS:
-            return (InvariantTuple("parabolic_degree", parabolic=p, degree=d)
+            return (store("parabolic_degree", None, None, p, d, None)
                     for p in first for d in second)
-        return (InvariantTuple("w1_w2", w1=a, w2=b)
+        return (store("w1_w2", a, b, None, None, None)
                 for a in first for b in second)
     if factors[0] in _ROOT_FACTORS:
-        return (InvariantTuple("square_root", root_index=i) for i in first)
+        return (store("square_root", None, None, None, None, i) for i in first)
     return iter(first)
 
 
@@ -576,11 +577,11 @@ def count_components(group: GroupDescriptor, g: int, s: int, mode: CountMode,
     """Count connected components (lower bound) per group, mode and (g, s).
 
     The per-case breakdown follows the published case analysis; enumerated
-    counts come from building and checking each invariant tuple in turn,
-    none of which is kept, and closed forms from the products of the factor
-    sizes.  ``match`` compares the enumerated total with the published one.
-    ``cap`` bounds the enumeration and is checked against the case sizes
-    before any tuple is built.
+    counts come from storing each invariant tuple in turn from checked
+    parts, none of which is kept, and closed forms from the products of the
+    factor sizes.  ``match`` compares the enumerated total with the
+    published one.  ``cap`` bounds the enumeration and is checked against
+    the case sizes before any tuple is built.
     """
     row = _row(group)
     if mode.variant.startswith("nonparabolic") and s != 1:

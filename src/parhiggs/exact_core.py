@@ -22,7 +22,7 @@ __all__ = [
     "mapping_items",
     "exact_cap",
     "check_cap",
-    "all_bits",
+    "exact_bits",
     "rational_sum",
     "rat",
     "rat_from_str",
@@ -200,18 +200,16 @@ def check_cap(needed: int, cap: int | None) -> None:
         raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
 
 
-_BITS = frozenset((0, 1))
-
-
-def all_bits(values) -> bool:
-    """Whether every value equals 0 or 1, by one set inclusion.
-
-    An unhashable value is not a bit; a non-iterable raises TypeError.
-    """
-    try:
-        return _BITS.issuperset(values)
-    except TypeError:  # an unhashable value, or no iterable at all
-        return all(v in (0, 1) for v in values)
+def exact_bits(values, code: str, container_code: str, /, **info) -> tuple:
+    """``values`` read as a tuple (read_container, container_code) whose
+    items are each exactly the int 0 or 1, else DomainError(code, **info):
+    the one check of the bit rule, each caller naming its own codes.  A
+    bool or a float is not a bit."""
+    bits = read_container(values, tuple, container_code)
+    for v in bits:
+        if type(v) is not int or not 0 <= v <= 1:
+            raise DomainError(code, **info)
+    return bits
 
 
 def rational_sum(values: Iterable[Fraction | int]) -> Fraction:
@@ -250,15 +248,17 @@ def rat(p: int, q: int) -> Fraction:
 def rat_from_str(s: str | int) -> Fraction:
     """Parse "p/q" or a bare integer string into an exact rational.
 
-    The last 1,024 results are kept, keyed by value and type (so ``True``
-    and ``1`` are parsed apart), and one shared ``Fraction`` is returned for
-    a repeated value; a ``Fraction`` is immutable.  A refusal is not kept:
-    a bad value raises bad_rational on every call.  An unhashable argument,
-    which is neither a string nor an integer, raises TypeError.
+    Only a ``str`` or an ``int`` is read; any other type (a bool, a float,
+    a Fraction) is refused with bad_rational, as is a malformed string, on
+    every call.  The last 1,024 results are kept, keyed by value and type,
+    and one shared ``Fraction`` is returned for a repeated value; a
+    ``Fraction`` is immutable.  An unhashable argument raises TypeError.
     """
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
+    if type(s) is not str:
+        raise DomainError("bad_rational", value=str(s))
     try:
-        return Fraction(str(s).strip())
+        return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError("bad_rational", value=str(s)) from exc

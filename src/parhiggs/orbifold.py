@@ -22,9 +22,9 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .codec import REQUIRED, JsonShapeError, object_reader
-from .exact_core import (DomainError, EMPTY_MAPPING, check_cap, exact_int,
-                         frozen_value, mapping_items, rat, rational_sum,
-                         read_container)
+from .exact_core import (DomainError, EMPTY_MAPPING, check_cap, exact_bits,
+                         exact_int, frozen_value, mapping_items, rat,
+                         rational_sum, read_container)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -188,9 +188,9 @@ class Z2Character:
 
     The single surface relation forces the sigma values to sum to 0 mod 2.
     A direct construction keeps both vectors as tuples, refuses a value that
-    is not exactly the int 0 or 1 (character_value_not_bit; a bool or a
-    float is not a bit) and checks the sum; z2_character_enumerate checks
-    them once per factor and stores each character's two slots with
+    is not exactly the int 0 or 1 (exact_bits, character_value_not_bit; a
+    bool or a float is not a bit) and checks the sum; z2_character_enumerate
+    checks them once per factor and stores each character's two slots with
     ``_store`` (slotted, so an enumeration's characters are small and quick
     to make).
     """
@@ -200,11 +200,9 @@ class Z2Character:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        ab = read_container(self.ab, tuple, "ab_not_sequence")
-        sigma = read_container(self.sigma, tuple, "sigma_not_sequence")
-        for v in ab + sigma:
-            if exact_int(v, "character_value_not_bit", 0) > 1:
-                raise DomainError("character_value_not_bit")
+        ab = exact_bits(self.ab, "character_value_not_bit", "ab_not_sequence")
+        sigma = exact_bits(self.sigma, "character_value_not_bit",
+                           "sigma_not_sequence")
         if sum(sigma) % 2:
             raise DomainError("sigma_parity_violated", sigma=list(sigma))
         object.__setattr__(self, "ab", ab)
@@ -349,7 +347,7 @@ def _canonical_terms(terms: tuple) -> tuple[Term, ...]:
 def _clean_terms(terms) -> tuple[Term, ...]:
     """Terms summed by degree, sorted, zeros dropped.  A term that is not a
     (degree, coefficient) pair, a degree that is not an int, or a
-    coefficient that is a float or no rational at all, is refused
+    coefficient that is a float, a bool or no rational at all, is refused
     (bad_term)."""
     acc: dict[int, Fraction] = {}
     for t in terms:
@@ -357,7 +355,7 @@ def _clean_terms(terms) -> tuple[Term, ...]:
             d, c = t
         except (TypeError, ValueError):  # not a pair
             raise DomainError("bad_term", term=t) from None
-        if type(d) is not int or type(c) is float:
+        if type(d) is not int or type(c) in (float, bool):
             raise DomainError("bad_term", degree=d, coef=c)
         if type(c) is not Fraction:
             try:

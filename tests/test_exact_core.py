@@ -30,12 +30,16 @@ def test_rat_from_str_cache_matches_the_plain_function():
         except DomainError as err:
             return "error", err.payload()
 
-    for value in (" 3/4 ", "-4", "7", 7, True, "1/0", "x"):
+    for value in (" 3/4 ", "-4", "7", 7, True, "1/0", "x", 0.5,
+                  Fraction(1, 3), 1e300):
         want = outcome(plain, value)
         assert outcome(rat_from_str, value) == outcome(rat_from_str, value) == want
         assert type(want[1]) is (Fraction if want[0] == "value" else dict)
     assert rat_from_str(" 3/4 ") == Fraction(3, 4)
-    assert rat_from_str(True) == 1
+    for value in (True, 0.5, Fraction(1, 3), 1e300):
+        with pytest.raises(DomainError) as e:
+            rat_from_str(value)
+        assert e.value.payload() == {"error": "bad_rational", "value": str(value)}
     assert rat_from_str.cache_info().maxsize == 1024
 
 

@@ -50,11 +50,11 @@ EXEMPT = {
     "exact_core.rat": "the interned constructor every exact rational of the "
                       "package is built by; a check on its cached hit path would "
                       "slow every verdict, and its callers pass ints they made",
-    "components.InvariantTuple": "component-grid's hot path: count_components "
-                                 "builds every tuple it counts and drops it, so "
-                                 "a check per field would slow every count until "
-                                 "the counts stop building them (ROADMAP item 1 "
-                                 "Step B)",
+    "components.InvariantTuple": "its optional fields are required or "
+                                 "forbidden by kind, which the sweep's None "
+                                 "check cannot express; "
+                                 "test_invariant_refusals.py probes each "
+                                 "field instead",
     "components.CaseCount": _REPORT,
     "components.ComponentCountReport": _REPORT,
     "components.ComponentTable": _REPORT,

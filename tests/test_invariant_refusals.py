@@ -1,15 +1,17 @@
 """Refusal table of the enumerated invariants: InvariantTuple and Z2Character.
 
-Each row is one direct construction and what it must give: acceptance, a
-``DomainError`` with its code and full payload, or a ``TypeError`` for an
-input that is not a sequence of bits at all.  The rows pin which rule wins
-when an input breaks several (a missing and a forbidden field: the first
-field in declaration order), and how odd values read as bits.  In an
-``InvariantTuple``, ``True`` and ``1.0`` are bits, and an unhashable entry
-or a character of a string is not; a ``Z2Character`` takes exactly the
-ints 0 and 1, keeps both vectors as tuples, and refuses a vector that is
-not a sequence with a code naming it.
+Each row is one direct construction and what it must give: acceptance or
+a ``DomainError`` with its code and full payload.  The rows pin which rule
+wins when an input breaks several (a missing and a forbidden field: the
+first field in declaration order), and how odd values read as bits.  Both
+classes share one bit rule (``exact_core.exact_bits``): a bit is exactly
+the int 0 or 1, so ``True``, ``1.0``, an unhashable entry and a character
+of a string are not; both keep their vectors as tuples, and refuse a
+vector that is not a sequence with a code naming it.  An invariant tuple's
+degree and root index are exact ints >= 0.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -32,13 +34,17 @@ def _bits(kind):
     return ("invariant_bits_not_binary", {"kind": kind})
 
 
+def _not_sequence(field, type_name):
+    return (f"{field}_not_sequence", {"type": type_name})
+
+
 TUPLE_ROWS = [
     # accepted
     (("w1_w2",), dict(w1=(0, 1), w2=(1,)), OK),
     (("w1_w2",), dict(w1=(), w2=()), OK),
     (("parabolic_degree",), dict(parabolic=(1, 0), degree=0), OK),
     (("square_root",), dict(root_index=0), OK),
-    (("w1_w2",), dict(w1=(True, False), w2=(1.0,)), OK),
+    (("w1_w2",), dict(w1=(True, False), w2=(1.0,)), _bits("w1_w2")),
     (("w1_w2",), dict(w1=[0, 1], w2=(0,)), OK),
     # unknown kind, hashable or not
     (("w1",), dict(w1=(0,), w2=(0,)), ("unknown_invariant_kind", {"kind": "w1"})),
@@ -76,6 +82,7 @@ TUPLE_ROWS = [
     (("w1_w2",), dict(w1=(0,), w2=({},)), _bits("w1_w2")),
     (("w1_w2",), dict(w1="01", w2=(0,)), _bits("w1_w2")),
     (("w1_w2",), dict(w1=(None,), w2=(0,)), _bits("w1_w2")),
+    (("w1_w2",), dict(w1=[1, 0], w2=[True]), _bits("w1_w2")),
     # the bits are checked before the degree
     (("parabolic_degree",), dict(parabolic=(2,), degree=-1),
      _bits("parabolic_degree")),
@@ -86,10 +93,30 @@ TUPLE_ROWS = [
      ("invariant_degree_negative", {"degree": -7})),
     (("square_root",), dict(root_index=-1),
      ("invariant_root_index_negative", {"root_index": -1})),
-    # not a vector of bits at all
-    (("w1_w2",), dict(w1=5, w2=(0,)), TypeError),
-    (("w1_w2",), dict(w1=(0,), w2=object()), TypeError),
-    (("parabolic_degree",), dict(parabolic=(1,), degree="1"), TypeError),
+    # a degree or a root index that is not an exact int
+    (("parabolic_degree",), dict(parabolic=(1,), degree=1.5),
+     ("invariant_degree_negative", {"degree": 1.5})),
+    (("parabolic_degree",), dict(parabolic=(1,), degree=True),
+     ("invariant_degree_negative", {"degree": True})),
+    (("parabolic_degree",), dict(parabolic=(1,), degree=Fraction(2)),
+     ("invariant_degree_negative", {"degree": Fraction(2)})),
+    (("square_root",), dict(root_index=1.5),
+     ("invariant_root_index_negative", {"root_index": 1.5})),
+    (("square_root",), dict(root_index=True),
+     ("invariant_root_index_negative", {"root_index": True})),
+    (("square_root",), dict(root_index=Fraction(2)),
+     ("invariant_root_index_negative", {"root_index": Fraction(2)})),
+    # not a vector of bits at all (the vector is named), or a string degree
+    (("w1_w2",), dict(w1=5, w2=(0,)), _not_sequence("w1", "int")),
+    (("w1_w2",), dict(w1=(0,), w2=object()), _not_sequence("w2", "object")),
+    (("parabolic_degree",), dict(parabolic=(1,), degree="1"),
+     ("invariant_degree_negative", {"degree": "1"})),
+    (("w1_w2",), dict(w1=object(), w2=(0,)), _not_sequence("w1", "object")),
+    (("w1_w2",), dict(w1=(0,), w2=5), _not_sequence("w2", "int")),
+    (("parabolic_degree",), dict(parabolic=5, degree=0),
+     _not_sequence("parabolic", "int")),
+    (("parabolic_degree",), dict(parabolic=object(), degree=0),
+     _not_sequence("parabolic", "object")),
 ]
 
 
@@ -135,9 +162,6 @@ CHARACTER_ROWS = [
 def _check(build, want):
     if want is OK:
         build()
-    elif want is TypeError:
-        with pytest.raises(TypeError):
-            build()
     else:
         code, payload = want
         with pytest.raises(DomainError) as e:
@@ -159,9 +183,15 @@ def test_z2_character_refusals(ab, sigma, want):
     _check(lambda: Z2Character(ab, sigma), want)
 
 
-def test_accepted_odd_bits_compare_equal_to_plain_bits():
-    assert InvariantTuple("w1_w2", w1=(True, False), w2=(1.0,)) == \
-        InvariantTuple("w1_w2", w1=(1, 0), w2=(1,))
+@pytest.mark.parametrize("kwargs, twin", [
+    (dict(w1=[1, 0], w2=[1]), dict(w1=(1, 0), w2=(1,))),
+    (dict(w1=iter([1, 0]), w2=(1,)), dict(w1=(1, 0), w2=(1,))),
+    (dict(w1=(), w2=[0, 1]), dict(w1=(), w2=(0, 1))),
+])
+def test_a_list_built_tuple_equals_and_hashes_like_its_tuple_twin(kwargs, twin):
+    t, want = InvariantTuple("w1_w2", **kwargs), InvariantTuple("w1_w2", **twin)
+    assert type(t.w1) is tuple and type(t.w2) is tuple
+    assert t == want and hash(t) == hash(want) and repr(t) == repr(want)
 
 
 @pytest.mark.parametrize("ab, sigma", [([0, 1], [1, 1]), ((0, 1), [1, 1]),

@@ -336,10 +336,10 @@ def test_laurent_matrix_normalization():
 
 @pytest.mark.parametrize("term", [
     (1.7, F(1)), (F(3, 2), F(1)), (F(2), F(1)), ("2", F(1)), (True, F(1)),
-    (2, 0.1), (2, 1.0), (2, "x"), (2, None), (2, [1]), (2, "1/0"),
+    (2, 0.1), (2, 1.0), (2, "x"), (2, None), (2, [1]), (2, "1/0"), (2, True),
 ], ids=["float-degree", "rational-degree", "fraction-degree", "string-degree",
         "bool-degree", "float-coef", "integral-float-coef", "unreadable-coef",
-        "none-coef", "list-coef", "zero-denominator-coef"])
+        "none-coef", "list-coef", "zero-denominator-coef", "bool-coef"])
 def test_laurent_matrix_refuses_inexact_terms(term):
     with pytest.raises(DomainError) as e:
         laurent_matrix(1, {(0, 0): [(1, F(1)), term]}, (-1, 8), "dw/w")

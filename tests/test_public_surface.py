@@ -311,3 +311,22 @@ def test_only_exact_core_makes_a_value_without_its_builders():
              if mod != "exact_core" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "__new__"]
     assert found == []
+
+
+def test_only_the_module_that_owns_a_class_stores_it():
+    """``X._store`` skips every rule of X, so only the module that owns
+    those rules may call it: outside ``exact_core``, which generates
+    ``_store``, and ``codec``, which stores any JSON-read class and then
+    runs its ``_rules()``, every ``X._store`` names a class defined in the
+    same module."""
+    found = []
+    for mod, tree in TREES.items():
+        if mod in ("exact_core", "codec"):
+            continue
+        classes = {node.name for node in tree.body
+                   if isinstance(node, ast.ClassDef)}
+        found += [f"{mod}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_store"
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in classes)]
+    assert found == []
