@@ -9,10 +9,10 @@ object in its own ``_json_shape(obj)`` method.
 Reading is driven by the value class's field types and refuses what JSON
 would only coerce: integers must be JSON integers, strings JSON strings,
 rationals "p/q" strings or integers.  A key may be missing only where its
-field has a class-level default; unknown keys are refused.  Each type has
-one reader, built once.  Every JSON object is read by one generated,
-straight-line function (``object_reader``), as ``frozen_value`` generates
-its ``__init__``: a value class's reader is that function over its fields,
+field has a default in ``_value_fields``; unknown keys are refused.  Each
+type has one reader, built once.  Every JSON object is read by one
+generated, straight-line function (``object_reader``), as ``frozen_value``
+generates its ``__init__``: a value class's reader is that function over its fields,
 and a caller with its own object shape, such as the Laurent-matrix JSON of
 ``orbifold``, declares the shape's fields to it.
 
@@ -33,10 +33,9 @@ from functools import cache
 from types import FunctionType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .exact_core import DomainError, rat_from_str
+from .exact_core import REQUIRED, DomainError, rat_from_str
 
-__all__ = ["JsonShapeError", "REQUIRED", "to_json", "from_json", "decoder",
-           "object_reader"]
+__all__ = ["JsonShapeError", "to_json", "from_json", "decoder", "object_reader"]
 
 # field name -> JSON key, where they differ
 _KEYS = {"weight_at": "weights", "flag_at": "flags", "multiplicities": "mult",
@@ -107,9 +106,6 @@ def _rational(obj) -> Fraction:
     return rat_from_str(obj)
 
 
-# object_reader's default of a field whose key must be given
-REQUIRED = object()
-
 # a field of these types (and of Fraction) is checked in place by
 # object_reader's generated function
 _INLINE = {int: "an integer", str: "a string"}
@@ -127,9 +123,8 @@ def decoder(tp):
     if hasattr(tp, "_value_fields"):  # each field under its JSON key
         hints = get_type_hints(tp)
         rules = hasattr(tp, "_rules")
-        return object_reader([(_KEYS.get(name, name), hints[name],
-                               REQUIRED if required else tp.__dict__[name])
-                              for name, required in tp._value_fields],
+        return object_reader([(_KEYS.get(name, name), hints[name], default)
+                              for name, default in tp._value_fields],
                              tp._store if rules else tp, rules)
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType and len(args) == 2 and args[1] is type(None):

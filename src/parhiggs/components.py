@@ -305,6 +305,7 @@ class ComponentCountReport:
 
 def _require_marked(g: int, s: int) -> None:
     if s == 0:
+        exact_int(s, "bad_marked_points", s=s)  # a bool or a float zero
         raise DomainError("needs_marked_points", g=g, s=s)
     require_hyperbolic(standard_surface(g, s))
 

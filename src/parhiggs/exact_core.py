@@ -6,6 +6,7 @@ No floating point anywhere: weights and degrees are `fractions.Fraction`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -15,6 +16,7 @@ from typing import Iterable
 __all__ = [
     "DomainError",
     "FrozenFieldError",
+    "REQUIRED",
     "EMPTY_MAPPING",
     "frozen_value",
     "exact_int",
@@ -47,6 +49,9 @@ class DomainError(ValueError):
 class FrozenFieldError(AttributeError):
     """An assignment to, or a deletion of, an attribute of a frozen value."""
 
+
+# The default in ``_value_fields`` of a field that must be given.
+REQUIRED = object()
 
 # The default of a mapping field: read-only, so one object serves every
 # class; each class copies the mapping it is given.
@@ -84,18 +89,14 @@ def _value_hash(self) -> int:
 def _generate(cls: type) -> None:
     """Put the straight-line ``__init__`` and ``_store`` of the frozen value
     class ``cls`` on it, both compiled from one source."""
-    env = {"_set": object.__setattr__, "_new": object.__new__, "_cls": cls}
-    slots = cls.__dict__.get("__slots__", ())
+    env = {"_new": object.__new__, "_cls": cls}
     params, sets = [], []
-    for name, required in cls._value_fields:
-        if not required:
-            env[f"_d_{name}"] = cls.__dict__[name]
-        params.append(name if required else f"{name}=_d_{name}")
-        if name in slots:  # the slot's own setter, quicker than _set
-            env[f"_s_{name}"] = cls.__dict__[name].__set__
-            sets.append(f"    _s_{name}(self, {name})\n")
-        else:
-            sets.append(f"    _set(self, {name!r}, {name})\n")
+    for name, default in cls._value_fields:
+        if default is not REQUIRED:
+            env[f"_d_{name}"] = default
+        params.append(name if default is REQUIRED else f"{name}=_d_{name}")
+        env[f"_s_{name}"] = getattr(cls, name).__set__  # the field's slot
+        sets.append(f"    _s_{name}(self, {name})\n")
     post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
     fields = ", ".join(name for name, _ in cls._value_fields)
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(sets)}{post}"
@@ -124,35 +125,40 @@ class _InitOnFirstUse:
 def frozen_value(cls: type) -> type:
     """Make ``cls`` a frozen value class over its annotated fields, in order.
 
-    This is the standard library's frozen dataclass, cut down to what the
-    value classes use, without its module, which loads ``inspect``, ``ast``
-    and ``dis`` into every process that imports it:
-    - ``__init__`` takes the fields in order, a field with a class-level
-      default as an optional argument, and ends by calling
-      ``__post_init__`` where there is one;
+    This is the standard library's frozen dataclass with slots, cut down to
+    what the value classes use, without its module, which loads
+    ``inspect``, ``ast`` and ``dis`` into every process that imports it:
+    - ``cls._value_fields`` is the fields as (name, default) pairs, REQUIRED
+      where there is no default: the one record of every default;
+    - the class is built again without its defaults, as
+      ``dataclass(slots=True)`` does: its ``__slots__`` are the fields, then
+      the kept values it names in its own ``__slots__``, unset until filled;
+    - ``__init__`` takes the fields in order, a field with a default as an
+      optional argument, and ends by calling ``__post_init__`` where there
+      is one;
     - ``cls._store(*fields)`` is the store-only builder: it takes every
-      field in order and sets each as ``__init__`` does, calling nothing,
-      so the value has the layout ``__init__`` gives it.  The JSON reader
-      follows it with the class's ``_rules()``; a function that builds a
-      value from parts it has checked itself stores them with it, and sets
-      any value the class keeps outside its fields after it;
+      field in order and sets each as ``__init__`` does, calling nothing.
+      The JSON reader follows it with the class's ``_rules()``; a function
+      that builds a value from parts it has checked itself stores them with
+      it, and fills any kept value after it;
     - both are generated, from one source, when either is first looked up
       (the first construction, ``inspect.signature`` or the first store),
       not here, so importing the package compiles nothing;
     - the repr is ``Name(field=value, ...)``; equality holds between values
       of one class with equal field tuples, and the hash is that tuple's;
     - assigning or deleting an attribute raises FrozenFieldError.
-    ``cls._value_fields`` lists the fields as (name, required) pairs.  A
-    class may declare ``__slots__`` naming its fields.
     """
-    slots = cls.__dict__.get("__slots__", ())
-    cls._value_fields = tuple(
-        (name, name in slots or name not in cls.__dict__)
-        for name in cls.__annotations__)
+    kept = cls.__dict__.get("__slots__", ())
+    ns = {k: v for k, v in cls.__dict__.items()
+          if k not in kept and k not in ("__slots__", "__dict__", "__weakref__")}
+    fields = tuple((name, ns.pop(name, REQUIRED)) for name in cls.__annotations__)
+    ns.update(__slots__=(*(name for name, _ in fields), *kept),
+              __qualname__=cls.__qualname__, _value_fields=fields,
+              __repr__=_value_repr, __eq__=_value_eq, __hash__=_value_hash,
+              __setattr__=_refuse_assignment, __delattr__=_refuse_deletion)
+    cls = type(cls)(cls.__name__, cls.__bases__, ns)
     cls.__init__ = _InitOnFirstUse(cls, "__init__")
     cls._store = _InitOnFirstUse(cls, "_store")
-    cls.__repr__, cls.__eq__, cls.__hash__ = _value_repr, _value_eq, _value_hash
-    cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
     return cls
 
 
@@ -244,21 +250,28 @@ def rat(p: int, q: int) -> Fraction:
     return Fraction(p, q)
 
 
+# the "p/q" or integer spelling rat_from_str reads (schemas' "rational"
+# form with any denominator), a string so that import compiles nothing
+_RATIONAL = "-?[0-9]+(/[0-9]+)?"
+
+
 @lru_cache(maxsize=1024, typed=True)
 def rat_from_str(s: str | int) -> Fraction:
     """Parse "p/q" or a bare integer string into an exact rational.
 
-    Only a ``str`` or an ``int`` is read; any other type (a bool, a float,
-    a Fraction) is refused with bad_rational, as is a malformed string, on
-    every call.  The last 1,024 results are kept, keyed by value and type,
-    and one shared ``Fraction`` is returned for a repeated value; a
-    ``Fraction`` is immutable.  An unhashable argument raises TypeError.
+    Only a ``str`` or an ``int`` is read.  A string, once stripped, must be
+    ASCII digits spelled p, -p, p/q or -p/q with q nonzero: a decimal point,
+    an exponent, an underscore or a plus sign is refused with bad_rational,
+    as is any other type (a bool, a float, a Fraction), on every call.  The
+    last 1,024 results are kept, keyed by value and type, and one shared
+    ``Fraction`` is returned for a repeated value; a ``Fraction`` is
+    immutable.  An unhashable argument raises TypeError.
     """
     if type(s) is int:
         return Fraction(s)
-    if type(s) is not str:
+    if type(s) is not str or not re.fullmatch(_RATIONAL, s.strip()):
         raise DomainError("bad_rational", value=str(s))
     try:
         return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise DomainError("bad_rational", value=str(s)) from exc

@@ -21,10 +21,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
 
-from .codec import REQUIRED, JsonShapeError, object_reader
-from .exact_core import (DomainError, EMPTY_MAPPING, check_cap, exact_bits,
-                         exact_int, frozen_value, mapping_items, rat,
-                         rational_sum, read_container)
+from .codec import JsonShapeError, object_reader
+from .exact_core import (REQUIRED, DomainError, EMPTY_MAPPING, check_cap,
+                         exact_bits, exact_int, frozen_value, mapping_items,
+                         rat, rational_sum, read_container)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -190,12 +190,9 @@ class Z2Character:
     A direct construction keeps both vectors as tuples, refuses a value that
     is not exactly the int 0 or 1 (exact_bits, character_value_not_bit; a
     bool or a float is not a bit) and checks the sum; z2_character_enumerate
-    checks them once per factor and stores each character's two slots with
-    ``_store`` (slotted, so an enumeration's characters are small and quick
-    to make).
+    checks them once per factor and stores each character with ``_store``.
     """
 
-    __slots__ = ("ab", "sigma")
     ab: tuple[int, ...]
     sigma: tuple[int, ...]
 

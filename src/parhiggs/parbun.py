@@ -91,6 +91,7 @@ class ParabolicLineBundle:
     JSON read; ``weight_at`` is not to be mutated.
     """
 
+    __slots__ = ("_pardeg_pair",)
     degree: int
     weight_at: Mapping[str, Fraction] = EMPTY_MAPPING
 

@@ -103,11 +103,10 @@ class DecomposableHiggsModel:
     the verdict and the alpha check.  ``summands`` is not to be mutated.
     """
 
+    __slots__ = ("_table",)
     surface: MarkedSurface
     summands: tuple[ParabolicLineBundle, ...]
     arrows: frozenset[Arrow] = frozenset()
-    # a kept value, not a field; an instance holds its own once filled
-    _table = None
 
     def __post_init__(self):
         summands = read_container(self.summands, tuple, "summands_not_sequence")
@@ -150,12 +149,11 @@ class SpTripleModel:
     ``v_summands`` is not to be mutated.
     """
 
+    __slots__ = ("_duals", "_table")
     surface: MarkedSurface
     v_summands: tuple[ParabolicLineBundle, ...]
     beta_arrows: frozenset[Arrow] = frozenset()
     gamma_arrows: frozenset[Arrow] = frozenset()
-    # kept values, not fields; an instance holds its own once filled
-    _duals = _table = None
 
     def __post_init__(self):
         v = read_container(self.v_summands, tuple, "v_summands_not_sequence")
@@ -174,14 +172,14 @@ class SpTripleModel:
         return len(self.v_summands)
 
     def _v_duals(self) -> tuple[ParabolicLineBundle, ...]:
-        duals = self._duals
+        duals = getattr(self, "_duals", None)
         if duals is None:
             duals = tuple(par_dual(v) for v in self.v_summands)
             object.__setattr__(self, "_duals", duals)
         return duals
 
     def _pardeg_table(self) -> tuple[int, list[int]]:
-        table = self._table
+        table = getattr(self, "_table", None)
         if table is None:
             table = _pardegs_over_lcm(self.v_summands, self.surface)
             object.__setattr__(self, "_table", table)
@@ -269,7 +267,7 @@ def _closed_table(m: DecomposableHiggsModel
     denominator, kept by m, and the closed sets with their sums of nums.
     Ranks above MAX_VERDICT_RANK are refused first, with rank_too_large."""
     _check_rank(m, MAX_VERDICT_RANK)
-    table = m._table
+    table = getattr(m, "_table", None)
     if table is None:
         table = _pardegs_over_lcm(m.summands, m.surface)
         object.__setattr__(m, "_table", table)
@@ -420,8 +418,9 @@ def sp_dual(m: SpTripleModel) -> SpTripleModel:
     dual = SpTripleModel._store(m.surface, m._v_duals(), m.gamma_arrows,
                                 m.beta_arrows)
     object.__setattr__(dual, "_duals", m.v_summands)
-    if m._table is not None:
-        den, nums = m._table
+    table = getattr(m, "_table", None)
+    if table is not None:
+        den, nums = table
         object.__setattr__(dual, "_table", (den, [-x for x in nums]))
     return dual
 

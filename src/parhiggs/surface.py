@@ -49,6 +49,7 @@ class MarkedSurface:
     equality, repr and JSON read.
     """
 
+    __slots__ = ("_labels", "_label_set")
     genus: int
     points: tuple[MarkedPoint, ...] = ()
 

@@ -6,6 +6,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
 from parhiggs.components import (
@@ -30,6 +32,9 @@ from parhiggs.components import (
 )
 from parhiggs.components import _factor_sizes
 from parhiggs.exact_core import DomainError
+from parhiggs.orbifold import (VLineBundle, square_root_count,
+                               torsion_multiplicity, z2_character_count)
+from parhiggs.surface import standard_surface
 from parhiggs.vcoh import v_cohomology_ranks
 from test_cli import REPO_ROOT, _limit_address_space
 
@@ -134,6 +139,32 @@ def test_sp_family_totals_across_grid():
             spn = count_components(sp2nr(n), g, s, MAX)
             assert spn.total_enumerated == (2 ** s + 1) * big
         assert sp4.match and spn.match
+
+
+@settings(max_examples=40, deadline=None)
+@given(gs=st.sampled_from([(g, s) for g in range(5) for s in range(1, 5)
+                           if 2 * g - 2 + s > 0]))
+def test_sp4_cases_agree_with_the_orbifold_counts_and_the_cap(gs):
+    """Sp(4,R)'s square-root case is the square roots of the trivial
+    V-line times the torsion choices, the Z2 character count and the
+    Teichmuller count; its nonzero-w1 case is (2^(2g+s-1) - 1) * 2^s; and
+    the cap refuses a count exactly when it is below the enumerated total."""
+    g, s = gs
+    surface = standard_surface(g, s)
+    with pytest.raises(DomainError) as e:
+        count_components(sp2nr(2), g, s, MAX, cap=1)
+    total = e.value.payload()["needed"]
+    report = count_components(sp2nr(2), g, s, MAX, cap=total)
+    assert report.total_enumerated == total
+    cases = {c.label: c.enumerated for c in report.cases}
+    assert cases["square_roots"] == \
+        square_root_count(VLineBundle(0), surface) * torsion_multiplicity(surface) \
+        == z2_character_count(surface) == teichmuller_count(sp2nr(2), g, s)
+    assert cases["w1_nonzero_pairs"] == (2 ** (2 * g + s - 1) - 1) * 2 ** s
+    with pytest.raises(DomainError) as e:
+        count_components(sp2nr(2), g, s, MAX, cap=total - 1)
+    assert e.value.payload() == {"error": "enumeration_cap_exceeded",
+                                 "needed": total, "cap": total - 1}
 
 
 def test_sp4_symbolic_identity_across_grid():

@@ -5,14 +5,16 @@ The sweep walks each module's ``__all__`` (the list test_public_surface.py
 reads) and resolves the annotations of every function and every value class
 (a class's fields are its constructor's parameters) with
 ``typing.get_type_hints``.  A parameter annotated ``int`` or ``int | None``
-is given 1.5, ``True`` and ``Fraction(2)``, and one annotated ``int | None``
-must still accept None; one annotated as a container (a tuple, list,
+is given 1.5, ``True``, ``Fraction(2)``, ``False`` and 0.0, and one annotated
+``int | None`` must still accept None; one annotated as a container (a tuple, list,
 frozenset, dict, Sequence, Mapping or Iterable, alone or ``| None``) is given
 5, ``None`` (unless ``None`` is its default) and ``object()``.  ``VALID``
 holds one call of each callable that succeeds; each probe changes one
 argument of it.  The call must raise DomainError, never another exception
 and never return.  ``cli.main`` catches the DomainError: it must print the
-error object and return 2.  A container's refusal carries the code
+error object and return 2.  A genus (``g``, ``genus``) is refused with
+bad_genus, and a marked-point count (``s``, and ``strubel_count``'s ``m``)
+with bad_marked_points.  A container's refusal carries the code
 ``CONTAINER_CODES`` names and the type given.
 """
 
@@ -190,7 +192,7 @@ CONTAINER_CODES = {
 
 _CONTAINERS = {tuple, list, frozenset, dict, abc.Sequence, abc.Mapping,
                abc.Iterable}
-INT_PROBES = (1.5, True, Fraction(2))
+INT_PROBES = (1.5, True, Fraction(2), False, 0.0)
 CONTAINER_PROBES = (5, None, object())
 
 
@@ -279,7 +281,11 @@ def test_valid_call_succeeds(name):
                          ids=[f"{n}-{p}-{b!r}" for n, p, b in PROBES])
 def test_int_parameter_refuses_a_value_that_is_not_an_exact_int(
         name, param, bad, capsys):
-    _refusal(name, param, bad, capsys)
+    payload = _refusal(name, param, bad, capsys)
+    if param in ("g", "genus"):
+        assert payload["error"] == "bad_genus"
+    elif param == "s" or (name, param) == ("components.strubel_count", "m"):
+        assert payload["error"] == "bad_marked_points"
 
 
 def test_the_optional_ints_are_swept():

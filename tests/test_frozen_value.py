@@ -8,8 +8,9 @@ same arguments.  They must agree on the constructor's signature, the repr,
 ``==`` and ``!=`` (within a class and across classes), the hash (or its
 ``TypeError`` where a field holds a dict), refused assignment and deletion,
 a copy per instance of a mapping field, and the refusal codes of
-``__post_init__``.  Every optional field has a class-level default that is
-hashable or is the one read-only ``EMPTY_MAPPING``.
+``__post_init__``.  Every optional field has a default in ``_value_fields``
+that is hashable or is the one read-only ``EMPTY_MAPPING``.  Every value
+class is slotted.
 """
 
 import dataclasses
@@ -39,6 +40,7 @@ from parhiggs.components import (
 from parhiggs.dimension import DimReport, DimSummand, LieGroupData
 from parhiggs.exact_core import (
     EMPTY_MAPPING,
+    REQUIRED,
     DomainError,
     FrozenFieldError,
     frozen_value,
@@ -184,13 +186,13 @@ def _twin(cls):
     cls.  A dataclass takes no mapping as a default, so the twin of an
     ``EMPTY_MAPPING`` default is a new dict per instance."""
     specs = []
-    for name, required in cls._value_fields:
-        if required:
+    for name, default in cls._value_fields:
+        if default is REQUIRED:
             specs.append((name, Any))
-        elif cls.__dict__[name] is EMPTY_MAPPING:
+        elif default is EMPTY_MAPPING:
             specs.append((name, Any, dataclasses.field(default_factory=dict)))
         else:
-            specs.append((name, Any, dataclasses.field(default=cls.__dict__[name])))
+            specs.append((name, Any, dataclasses.field(default=default)))
     namespace = {}
     if hasattr(cls, "__post_init__"):
         namespace["__post_init__"] = cls.__post_init__
@@ -290,13 +292,35 @@ def _hashable(value) -> bool:
 
 def test_every_optional_field_has_a_hashable_class_default():
     """The constructor and the JSON reader take a missing field's default
-    from the class, so one default object serves every instance: it must
-    not be one that an instance could change."""
+    from ``_value_fields``, so one default object serves every instance: it
+    must not be one that an instance could change."""
     loose = [f"{cls.__name__}.{name}" for cls in SAMPLES
-             for name, required in cls._value_fields if not required
-             and not (name in cls.__dict__ and (cls.__dict__[name] is EMPTY_MAPPING
-                                                or _hashable(cls.__dict__[name])))]
+             for name, default in cls._value_fields if default is not REQUIRED
+             and not (default is EMPTY_MAPPING or _hashable(default))]
     assert loose == []
+
+
+# class -> the kept values it names in its own __slots__
+KEPT = {MarkedSurface: ("_labels", "_label_set"),
+        ParabolicLineBundle: ("_pardeg_pair",),
+        DecomposableHiggsModel: ("_table",), SpTripleModel: ("_duals", "_table")}
+JSON_READ = {MarkedPoint, MarkedSurface, ParabolicFlag, ParabolicLineBundle,
+             ParabolicBundle, DecomposableHiggsModel, SpTripleModel}
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_every_value_class_is_slotted(cls):
+    """The slots are the fields in order, then the declared kept values;
+    no value, however it is built, has an instance dict."""
+    fields = tuple(name for name, _ in cls._value_fields)
+    assert cls.__slots__ == fields + KEPT.get(cls, ())
+    for args in SAMPLES[cls]:
+        built = cls(*args)
+        values = [built, cls._store(*[getattr(built, name) for name in fields])]
+        if cls in JSON_READ:
+            values.append(from_json(cls, json.loads(json.dumps(to_json(built)))))
+        for value in values:
+            assert value == built and not hasattr(value, "__dict__")
 
 
 def test_z2_character_keeps_its_slots():
@@ -314,6 +338,7 @@ def test_a_stored_value_skips_the_constructor_and_hides_other_names():
 
     @frozen_value
     class Pair:
+        __slots__ = ("_kept",)
         a: int
         b: tuple = ()
 
@@ -361,6 +386,14 @@ def test_stored_and_read_values_are_no_larger_than_constructed_ones():
     read = _bytes_per_value(lambda: from_json(ParabolicLineBundle, obj))
     dual = _bytes_per_value(lambda: par_dual(line))
     assert max(read, dual) <= built + 16, (built, read, dual)
+    assert max(built, read, dual) <= 343, (built, read, dual)
+
+
+def test_a_stored_invariant_tuple_keeps_its_fields_in_slots():
+    """Six slots and no instance dict: an instance dict would add about
+    48 bytes to each stored tuple."""
+    w1, w2, store = (0, 1, 1), (1,), InvariantTuple._store
+    assert _bytes_per_value(lambda: store("w1_w2", w1, w2, None, None, None)) <= 96
 
 
 ROWS = [(cls, args, payload) for cls, rows in REFUSALS.items()

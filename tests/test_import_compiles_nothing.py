@@ -68,6 +68,7 @@ def test_the_first_construction_generates_init_once():
 
 SIGNATURES = """
 import inspect
+from parhiggs.exact_core import REQUIRED
 for name in sorted(sys.modules):
     mod = sys.modules[name]
     if not name.startswith("parhiggs."):
@@ -76,8 +77,10 @@ for name in sorted(sys.modules):
                 and v.__module__ == name and "_value_fields" in v.__dict__]:
         assert type(cls.__dict__["__init__"]).__name__ == "_InitOnFirstUse"
         params = inspect.signature(cls).parameters.values()
-        got = [(p.name, p.default is p.empty) for p in params]
-        assert got == list(cls._value_fields), (cls, got)
+        got = [(p.name, REQUIRED if p.default is p.empty else p.default)
+               for p in params]
+        assert [name for name, _ in got] == [name for name, _ in cls._value_fields]
+        assert all(a is b for (_, a), (_, b) in zip(got, cls._value_fields)), cls
         assert type(cls.__dict__["__init__"]).__name__ == "function"
         print(cls.__name__)
 """
