@@ -86,6 +86,10 @@ def _value_hash(self) -> int:
     return hash(_field_values(self))
 
 
+def _value_reduce(self) -> tuple:
+    return type(self), _field_values(self)
+
+
 def _generate(cls: type) -> None:
     """Put the straight-line ``__init__`` and ``_store`` of the frozen value
     class ``cls`` on it, both compiled from one source."""
@@ -146,7 +150,10 @@ def frozen_value(cls: type) -> type:
       not here, so importing the package compiles nothing;
     - the repr is ``Name(field=value, ...)``; equality holds between values
       of one class with equal field tuples, and the hash is that tuple's;
-    - assigning or deleting an attribute raises FrozenFieldError.
+    - assigning or deleting an attribute raises FrozenFieldError;
+    - copy, deepcopy and pickle rebuild a value through ``__init__`` from
+      its fields, so its rules run and its kept values fill again.  There
+      is no ``__weakref__`` slot, as in ``dataclass(slots=True)``.
     """
     kept = cls.__dict__.get("__slots__", ())
     ns = {k: v for k, v in cls.__dict__.items()
@@ -155,6 +162,7 @@ def frozen_value(cls: type) -> type:
     ns.update(__slots__=(*(name for name, _ in fields), *kept),
               __qualname__=cls.__qualname__, _value_fields=fields,
               __repr__=_value_repr, __eq__=_value_eq, __hash__=_value_hash,
+              __reduce__=_value_reduce,
               __setattr__=_refuse_assignment, __delattr__=_refuse_deletion)
     cls = type(cls)(cls.__name__, cls.__bases__, ns)
     cls.__init__ = _InitOnFirstUse(cls, "__init__")
@@ -261,11 +269,12 @@ def rat_from_str(s: str | int) -> Fraction:
 
     Only a ``str`` or an ``int`` is read.  A string, once stripped, must be
     ASCII digits spelled p, -p, p/q or -p/q with q nonzero: a decimal point,
-    an exponent, an underscore or a plus sign is refused with bad_rational,
-    as is any other type (a bool, a float, a Fraction), on every call.  The
-    last 1,024 results are kept, keyed by value and type, and one shared
-    ``Fraction`` is returned for a repeated value; a ``Fraction`` is
-    immutable.  An unhashable argument raises TypeError.
+    an exponent, an underscore, a plus sign or more digits than ``int()``
+    reads is refused with bad_rational, as is any other type (a bool, a
+    float, a Fraction), on every call.  The last 1,024 results are kept,
+    keyed by value and type, and one shared ``Fraction`` is returned for a
+    repeated value; a ``Fraction`` is immutable.  An unhashable argument
+    raises TypeError.
     """
     if type(s) is int:
         return Fraction(s)
@@ -273,5 +282,5 @@ def rat_from_str(s: str | int) -> Fraction:
         raise DomainError("bad_rational", value=str(s))
     try:
         return Fraction(s.strip())
-    except ZeroDivisionError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise DomainError("bad_rational", value=str(s)) from exc

@@ -485,6 +485,9 @@ ERROR_CASES = [
     ("line-bool-degree",
      ["pardeg", "--g", "1", "--s", "1", "--line", '{"degree": true}'],
      "bad_json_argument"),
+    ("line-weight-of-5000-digits",
+     ["pardeg", "--g", "1", "--s", "1", "--line",
+      json.dumps({"degree": 0, "weights": {"x1": "1" * 5000}})], "bad_rational"),
     ("triple-short-arrow",
      ["stability", "--triple",
       json.dumps(dict(json.loads(TRIPLE_JSON), beta=[[0]]))],

@@ -30,7 +30,8 @@ def test_rat_from_str_cache_matches_the_plain_function():
         except DomainError as err:
             return "error", err.payload()
 
-    malformed = ("0.5", "1e-3", " 1_000 ", "+1/2", "\u0661/\u0662")
+    malformed = ("0.5", "1e-3", " 1_000 ", "+1/2", "\u0661/\u0662",
+                 "1" * 5000, "1/" + "1" * 5000)
     for value in (" 3/4 ", "-4", "7", 7, True, "1/0", "x", 0.5,
                   Fraction(1, 3), 1e300, *malformed):
         want = outcome(plain, value)

@@ -10,13 +10,15 @@ same arguments.  They must agree on the constructor's signature, the repr,
 a copy per instance of a mapping field, and the refusal codes of
 ``__post_init__``.  Every optional field has a default in ``_value_fields``
 that is hashable or is the one read-only ``EMPTY_MAPPING``.  Every value
-class is slotted.
+class is slotted, and copy, deepcopy and pickle give back an equal value.
 """
 
+import copy
 import dataclasses
 import importlib
 import inspect
 import json
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -308,29 +310,45 @@ JSON_READ = {MarkedPoint, MarkedSurface, ParabolicFlag, ParabolicLineBundle,
              ParabolicBundle, DecomposableHiggsModel, SpTripleModel}
 
 
+def _built_every_way(cls, args) -> list:
+    """The value of ``args`` built by the constructor, by ``_store`` and,
+    for a JSON-read class, by the JSON reader."""
+    built = cls(*args)
+    values = [built, cls._store(*[getattr(built, name)
+                                  for name, _ in cls._value_fields])]
+    if cls in JSON_READ:
+        values.append(from_json(cls, json.loads(json.dumps(to_json(built)))))
+    return values
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_every_value_class_is_slotted(cls):
     """The slots are the fields in order, then the declared kept values;
-    no value, however it is built, has an instance dict."""
+    no value, however it is built, has an instance dict, and each is equal
+    to and hashes like the constructed one."""
     fields = tuple(name for name, _ in cls._value_fields)
     assert cls.__slots__ == fields + KEPT.get(cls, ())
     for args in SAMPLES[cls]:
-        built = cls(*args)
-        values = [built, cls._store(*[getattr(built, name) for name in fields])]
-        if cls in JSON_READ:
-            values.append(from_json(cls, json.loads(json.dumps(to_json(built)))))
-        for value in values:
+        built, *others = _built_every_way(cls, args)
+        for value in (built, *others):
             assert value == built and not hasattr(value, "__dict__")
+            if _hashable(built):
+                assert hash(value) == hash(built)
 
 
-def test_z2_character_keeps_its_slots():
-    c = Z2Character((0, 1), (1, 1))
-    assert Z2Character.__slots__ == ("ab", "sigma")
-    assert not hasattr(c, "__dict__")
-    fresh = object.__new__(Z2Character)
-    Z2Character.ab.__set__(fresh, (0, 1))
-    Z2Character.sigma.__set__(fresh, (1, 1))
-    assert fresh == c and hash(fresh) == hash(c)
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_copy_deepcopy_and_pickle_give_an_equal_value(cls):
+    """A slotted value has no instance dict to restore, so each is rebuilt
+    from its fields; however the value was built, the result is an equal,
+    slotted value of the same class."""
+    for args in SAMPLES[cls]:
+        for value in _built_every_way(cls, args):
+            again = [copy.copy(value), copy.deepcopy(value)]
+            again += [pickle.loads(pickle.dumps(value, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for other in again:
+                assert type(other) is cls and other == value
+                assert not hasattr(other, "__dict__")
 
 
 def test_a_stored_value_skips_the_constructor_and_hides_other_names():

@@ -406,9 +406,11 @@ def test_bundle_ranks_degrees_and_multiplicities_must_be_ints(call, payload):
     assert err.value.payload() == payload
 
 
-@pytest.mark.parametrize("spelled", ["1/0", "half", "1/2/3", "", "0.5", "1e-3",
-                                     " 1_000 ", "+1/2", "\u0661/\u0662"],
-                         ids=repr)
+@pytest.mark.parametrize("spelled", [
+    "1/0", "half", "1/2/3", "", "0.5", "1e-3", " 1_000 ", "+1/2", "\u0661/\u0662",
+    # more digits than int() reads: sys.int_max_str_digits
+    pytest.param("1" * 5000, id="5000-digits"),
+    pytest.param("1/" + "1" * 5000, id="1/5000-digits")], ids=repr)
 def test_malformed_weight_string_is_refused_as_a_rational(spelled):
     with pytest.raises(DomainError) as err:
         ParabolicLineBundle(0, {"x1": spelled})
