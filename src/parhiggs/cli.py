@@ -112,10 +112,18 @@ def _build_surface(g: int, s: int, orders_text: str | None) -> MarkedSurface:
 
 
 def _load_json(text: str, what: str, cls):
-    """The --what argument read as an instance of cls."""
+    """The --what argument read as an instance of cls.  Text that is no
+    JSON, or holds an int with more digits than ``int()`` reads, is refused
+    with bad_json_argument, as is a document of the wrong shape; the
+    reader's own refusals pass unchanged."""
     try:
-        return from_json(cls, json.loads(text))
-    except (json.JSONDecodeError, JsonShapeError) as exc:
+        doc = json.loads(text)    # JSONDecodeError is a ValueError
+    except ValueError as exc:
+        raise DomainError("bad_json_argument", field=what,
+                          detail=str(exc)) from exc
+    try:
+        return from_json(cls, doc)
+    except JsonShapeError as exc:
         raise DomainError("bad_json_argument", field=what,
                           detail=str(exc)) from exc
 
@@ -384,9 +392,10 @@ def _cmd_orbifold(args, cap) -> CommandOutput:
         "pic_identity_component":
             pic_v_structure(surface).identity_component_label(),
     }
+    # a (g, s) whose counts could not be printed is refused, not made null
+    mult = torsion_multiplicity(surface)
     try:
-        payload["square_root_total"] = (square_root_count(vline, surface)
-                                        * torsion_multiplicity(surface))
+        payload["square_root_total"] = square_root_count(vline, surface) * mult
     except DomainError:
         payload["square_root_total"] = None
     return CommandOutput(payload)

@@ -28,8 +28,8 @@ from __future__ import annotations
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
-from .exact_core import (DomainError, check_cap, exact_bits, exact_int,
-                         frozen_value, read_container)
+from .exact_core import (DomainError, _check_printable_counts, check_cap,
+                         exact_bits, exact_int, frozen_value, read_container)
 from .surface import require_hyperbolic, standard_surface
 
 __all__ = [
@@ -319,7 +319,9 @@ _Sizes = dict[str, int]
 
 def _factor_sizes(g: int, s: int) -> _Sizes:
     """Number of values of each factor at (g, s), from h1 = dim H^1_V =
-    2g+s-1 and h2 = dim H^2_V = s (plus g and s themselves)."""
+    2g+s-1 and h2 = dim H^2_V = s (plus g and s themselves).  A (g, s)
+    whose counts could not be printed is refused first."""
+    _check_printable_counts(g, s)
     h1, h2 = 2 * g + s - 1, s
     big, tor = 1 << h1, 1 << (h1 - h2 + 1)
     return {

@@ -7,6 +7,7 @@ No floating point anywhere: weights and degrees are `fractions.Fraction`.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -31,13 +32,26 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too long to print>"
+
+
 class DomainError(ValueError):
-    """Contract violation carrying a machine-readable code plus payload."""
+    """Contract violation carrying a machine-readable code plus payload.
+
+    Building one never raises: a value that ``str()`` cannot print, an int
+    with more digits than sys.get_int_max_str_digits() or a value holding
+    one, is shown in the message by its bit length or its type."""
 
     def __init__(self, code: str, **info):
         self.code = code
         self.info = info
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(info.items()))
+        detail = ", ".join(f"{k}={_shown(v)}" for k, v in sorted(info.items()))
         super().__init__(f"{code}({detail})" if detail else code)
 
     def payload(self) -> dict:
@@ -212,6 +226,17 @@ def check_cap(needed: int, cap: int | None) -> None:
     exact_int(needed, "bad_item_count", 0, needed=needed)
     if cap is not None and needed > exact_cap(cap):
         raise DomainError("enumeration_cap_exceeded", needed=needed, cap=cap)
+
+
+def _check_printable_counts(g: int, s: int) -> None:
+    """Refuse (count_too_long, with the digit limit) a genus g and a number
+    s of marked points whose counts could have more digits than ``str()``
+    prints, sys.get_int_max_str_digits() (0: no limit), before any count is
+    built.  Every count at (g, s) is below 2^(2g+2s+2), whose digits number
+    at most (2g+2s+2) log10(2) + 1; 30103/100000 exceeds log10(2)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (2 * g + 2 * s + 2) * 30103 // 100000 + 1 > limit:
+        raise DomainError("count_too_long", limit=limit)
 
 
 def exact_bits(values, code: str, container_code: str, /, **info) -> tuple:

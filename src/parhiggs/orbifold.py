@@ -22,9 +22,10 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .codec import JsonShapeError, object_reader
-from .exact_core import (REQUIRED, DomainError, EMPTY_MAPPING, check_cap,
-                         exact_bits, exact_int, frozen_value, mapping_items,
-                         rat, rational_sum, read_container)
+from .exact_core import (REQUIRED, DomainError, EMPTY_MAPPING,
+                         _check_printable_counts, check_cap, exact_bits,
+                         exact_int, frozen_value, mapping_items, rat,
+                         rational_sum, read_container)
 from .parbun import ParabolicLineBundle, _check_weight
 from .surface import MarkedSurface
 
@@ -136,7 +137,9 @@ class SquareRootFamily:
 
 def torsion_multiplicity(surf: MarkedSurface) -> int:
     """2^{2g}: the holomorphic choices the degree-0 Picard group adds to
-    each square-root type."""
+    each square-root type.  Like every count here, refused (count_too_long)
+    at a (g, s) whose counts could not be printed."""
+    _check_printable_counts(surf.genus, surf.s)
     return 2 ** (2 * surf.genus)
 
 
@@ -153,6 +156,7 @@ def square_root_count(l: VLineBundle, surf: MarkedSurface) -> int:
     for p in surf.points:
         if p.order != 2:
             raise DomainError("orders_not_two", label=p.label, order=p.order)
+    _check_printable_counts(surf.genus, surf.s)
     if l.isotropy:
         return 0
     if surf.points:
@@ -208,6 +212,7 @@ class Z2Character:
 
 def z2_character_count(surf: MarkedSurface) -> int:
     """2^{2g} times 2^{s'-1} where s' counts the even-order points."""
+    _check_printable_counts(surf.genus, surf.s)
     s_even = sum(1 for p in surf.points if p.order % 2 == 0)
     return 2 ** (2 * surf.genus) * (2 ** (s_even - 1) if s_even else 1)
 

@@ -15,7 +15,6 @@ bounds, and the Hitchin-family builders.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Sequence
 
 from .codec import from_json
@@ -97,13 +96,8 @@ def _check_parts(surface, summands) -> None:
 @frozen_value
 class DecomposableHiggsModel:
     """A direct sum of parabolic line bundles with the Higgs field's arrows.
+    ``summands`` is not to be mutated."""
 
-    The summands' pardegs over their common denominator are kept outside
-    the fields that equality, repr and JSON read, filled on first use, for
-    the verdict and the alpha check.  ``summands`` is not to be mutated.
-    """
-
-    __slots__ = ("_table",)
     surface: MarkedSurface
     summands: tuple[ParabolicLineBundle, ...]
     arrows: frozenset[Arrow] = frozenset()
@@ -264,14 +258,10 @@ def _closed_sets(m: DecomposableHiggsModel, nums: Sequence[int]
 def _closed_table(m: DecomposableHiggsModel
                   ) -> tuple[int, list[int], list[int], list[int]]:
     """(den, nums, masks, sums): the summands' pardegs over their common
-    denominator, kept by m, and the closed sets with their sums of nums.
-    Ranks above MAX_VERDICT_RANK are refused first, with rank_too_large."""
+    denominator and the closed sets with their sums of nums.  Ranks above
+    MAX_VERDICT_RANK are refused first, with rank_too_large."""
     _check_rank(m, MAX_VERDICT_RANK)
-    table = getattr(m, "_table", None)
-    if table is None:
-        table = _pardegs_over_lcm(m.summands, m.surface)
-        object.__setattr__(m, "_table", table)
-    den, nums = table
+    den, nums = _pardegs_over_lcm(m.summands, m.surface)
     return (den, nums, *_closed_sets(m, nums))
 
 
@@ -329,11 +319,11 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
 
     stable: every invariant subset has strictly smaller parabolic slope;
     unstable: a subset beats the total slope (witness = first maximizer);
-    polystable: the arrow graph splits into standalone-stable pieces of equal
-    slope; strictly_semistable: equality occurs without that splitting
-    (witness = first subset of equal slope).  Ranks above MAX_VERDICT_RANK
-    are refused with rank_too_large, as in invariant_subsets and
-    alpha_stability_check_gl.
+    polystable: the arrow graph splits into k >= 2 standalone-stable pieces
+    of equal slope; strictly_semistable: equality occurs without that
+    splitting (witness = first subset of equal slope).  Ranks above
+    MAX_VERDICT_RANK are refused with rank_too_large, as in
+    invariant_subsets and alpha_stability_check_gl.
     """
     if m.n == 0:
         raise DomainError("empty_model")
@@ -342,8 +332,9 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
     total = sums[-1]
     mu = rat(total, den * n)
     # Slopes compared by cross-multiplying.  best: the first maximizer above
-    # mu so far; ties: the subsets of slope mu while none is above it.
-    best, ties = None, []
+    # mu so far; tie and ties: the first subset of slope mu and their count,
+    # while none is above it.
+    best, tie, ties = None, None, 0
     best_sum, best_size = total, n
     for t in range(1, len(masks) - 1):      # the proper nonempty ones
         mask, x = masks[t], sums[t]
@@ -352,21 +343,22 @@ def stability_verdict(m: DecomposableHiggsModel) -> StabilityReport:
         if gap > 0 or (gap == 0 and best is not None and _lex_before(mask, best)):
             best, best_sum, best_size = mask, x, size
         elif gap == 0 and best is None:
-            ties.append(mask)
+            ties += 1
+            if tie is None or _lex_before(mask, tie):
+                tie = mask
     if best is not None:
         return StabilityReport("unstable", _mask_tuple(best), mu)
-    if not ties:
+    if tie is None:
         return StabilityReport("stable", None, mu)
-    # Nothing beats mu, so a tie meets each component in a closed set of
-    # slope mu; a piece is stable alone iff no tie cuts it properly.  The
-    # undirected components are the reach classes of the arrows taken both
-    # ways; each is a union of arrow classes, so closed itself.
+    # The undirected components are the reach classes of the arrows taken
+    # both ways; each is a union of arrow classes, so closed itself.  When
+    # all k of them have slope mu, their 2^k - 2 proper unions are ties, and
+    # any other tie cuts a piece properly, so it is not stable alone.
     comps = set(_reach(n, m.arrows | {(j, i) for (i, j) in m.arrows}))
-    if len(comps) > 1 and all(n * sum(nums[k] for k in _mask_tuple(c))
-                              == total * c.bit_count() for c in comps):
-        if all(t & c in (0, c) for t in ties for c in comps):
-            return StabilityReport("polystable", None, mu)
-    tie = reduce(lambda a, b: b if _lex_before(b, a) else a, ties)
+    if len(comps) > 1 and ties == (1 << len(comps)) - 2 and all(
+            n * sum(nums[k] for k in _mask_tuple(c)) == total * c.bit_count()
+            for c in comps):
+        return StabilityReport("polystable", None, mu)
     return StabilityReport("strictly_semistable", _mask_tuple(tie), mu)
 
 

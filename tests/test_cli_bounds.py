@@ -1,10 +1,12 @@
 """Every command line ends, in bounded time, in one schema-valid JSON object.
 
 Hypothesis draws argvs for every subcommand from the options its argparse
-definition in ``cli._COMMANDS`` adds: ints from -2 to 64, small JSON
-documents (at most 8 summands) and mutated or truncated ones, comma lists
-of ints, group and catalog names, with ``--format json`` and a ``--cap``
-from 1 to 10^4.  Each argv runs in-process under a 5 s alarm, so an
+definition in ``cli._COMMANDS`` adds: ints from -2 to 64, and for
+``--g`` also 8000 and 10^6, whose counts have more digits than ``str()``
+prints; small JSON documents (at most 8 summands) and mutated or truncated
+ones, whose leaves may be 5,000-digit integers, more digits than
+``int()`` reads; comma lists of ints, group and catalog names, with
+``--format json`` and a ``--cap`` from 1 to 10^4.  Each argv runs in-process under a 5 s alarm, so an
 enumeration that the cap does not bound fails the test instead of hanging
 it.  It must exit 0 or 2 and print one JSON object valid against the
 subcommand's schema, or against the error schema on exit 2.
@@ -17,7 +19,7 @@ import json
 import signal
 import time
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parhiggs.cli import _COMMANDS, main
@@ -55,6 +57,8 @@ def run_bounded(argv: list[str]) -> tuple[int, str]:
 # ---------------------------------------------------------- strategies ----
 
 SMALL_INTS = st.one_of(st.integers(-2, 4), st.integers(-2, 64))
+# not for --s, --n or --k: those sizes build lists
+GENERA = st.one_of(SMALL_INTS, st.sampled_from([8000, 10 ** 6]))
 INT_LISTS = st.one_of(
     st.lists(st.one_of(st.just(2), SMALL_INTS), max_size=8).map(
         lambda xs: ",".join(map(str, xs))),
@@ -76,9 +80,12 @@ DOCS = {
     "--flags": [[[1, 1], [2]], [[2]], [[1, 1]]],
 }
 ANY_DOC = st.sampled_from([doc for docs in DOCS.values() for doc in docs])
+# json.dumps cannot print an int of 5,000 digits, so a leaf holds this
+# marker, which json_texts replaces by the digits
+LONG_INT = "<5,000-digit int>"
 LEAVES = st.one_of(st.integers(-2, 64),
                    st.sampled_from(["1/2", "0", "-1/3", "x", "", 1.5, True, None,
-                                    [], {}, [0, 1], {"x1": "1/2"}]))
+                                    [], {}, [0, 1], {"x1": "1/2"}, LONG_INT]))
 
 
 def _paths(doc, path=()):
@@ -114,7 +121,7 @@ def json_texts(draw, docs):
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         path = draw(st.sampled_from(list(_paths(doc))))
         doc = _replaced(doc, path, draw(LEAVES))
-    text = json.dumps(doc)
+    text = json.dumps(doc).replace(json.dumps(LONG_INT), "7" * 5000)
     if draw(st.integers(0, 9)) == 0:
         text = text[:draw(st.integers(0, len(text) - 1))]
     return text
@@ -144,7 +151,8 @@ def argvs(draw):
         elif action.choices is not None:
             argv += [option, draw(st.sampled_from(sorted(action.choices)))]
         else:
-            value = SMALL_INTS.map(str) if action.type is int else \
+            ints = GENERA if option == "--g" else SMALL_INTS
+            value = ints.map(str) if action.type is int else \
                 TEXTS[option] if option in TEXTS else json_texts(DOCS[option])
             argv += [option, draw(value)]
     cap = draw(st.integers(1, 10 ** 4))
@@ -155,6 +163,15 @@ def argvs(draw):
 
 @settings(max_examples=800, deadline=None)
 @given(argv=argvs())
+@example(argv=["components", "--group", "sp4", "--g", "1000000", "--s", "1"])
+@example(argv=["s1-report", "--group", "sp4", "--g", "8000"])
+@example(argv=["tables", "--g", "8000", "--s", "1"])
+@example(argv=["characters", "--g", "8000", "--s", "1"])
+@example(argv=["orbifold", "--g", "8000", "--s", "1", "--desing-degree", "0"])
+@example(argv=["components", "--group", "sp4", "--g", "8000", "--s", "1",
+               "--mode", "nonparabolic"])
+@example(argv=["pardeg", "--g", "1", "--s", "1",
+               "--line", '{"degree": %s}' % ("1" * 5001)])
 def test_every_argv_ends_in_one_schema_valid_object(argv):
     code, out = run_bounded(argv)
     assert code in (0, 2)

@@ -30,7 +30,8 @@ from parhiggs.components import (
     tables_markdown,
     teichmuller_count,
 )
-from parhiggs.components import _factor_sizes
+from parhiggs.components import (_CLOSED_SURFACE, _TABLE, _closed_forms,
+                                 _factor_sizes)
 from parhiggs.exact_core import DomainError
 from parhiggs.orbifold import (VLineBundle, square_root_count,
                                torsion_multiplicity, z2_character_count)
@@ -317,6 +318,40 @@ def test_s1_reduction_report_honours_cap():
     assert e.value.payload() == {"error": "enumeration_cap_exceeded",
                                  "needed": 52, "cap": 10}
     assert s1_reduction_report(sp2nr(2), 2, cap=52).parabolic_count == 52
+
+
+def test_every_count_is_below_the_bound_of_the_print_check():
+    """The check that refuses a (g, s) whose counts could not be printed
+    reads the digits of 2^(2g+2s+2): every count made there is below it."""
+    for g in range(5):
+        for s in range(1, 6):
+            if 2 * g - 2 + s <= 0:
+                continue
+            z, surf = _factor_sizes(g, s), standard_surface(g, s)
+            counts = [count(z) for count in _CLOSED_SURFACE.values()]
+            for entry in _TABLE.values():
+                sizes, total = _closed_forms(entry, z)
+                counts += [*sizes, sum(sizes), total]
+            counts += [z2_character_count(surf), torsion_multiplicity(surf)
+                       * square_root_count(VLineBundle(0), surf)]
+            assert max(counts) < 1 << (2 * g + 2 * s + 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_components(sp2nr(2), 10 ** 6, 1, MAX, cap=10),
+    lambda: count_components(sp2nr(2), 8000, 1, CountMode("nonparabolic_s1")),
+    lambda: s1_reduction_report(sp2nr(2), 8000),
+    lambda: emit_tables(8000, 1),
+    lambda: teichmuller_count(split_group("SL(3,R)"), 8000, 1),
+    lambda: z2_character_count(standard_surface(8000, 1)),
+    lambda: torsion_multiplicity(standard_surface(8000, 1)),
+    lambda: square_root_count(VLineBundle(0), standard_surface(1, 8000)),
+], ids=range(8))
+def test_counts_that_could_not_be_printed_are_refused(call):
+    with pytest.raises(DomainError) as e:
+        call()
+    assert e.value.payload() == {"error": "count_too_long",
+                                 "limit": sys.get_int_max_str_digits()}
 
 
 def test_factor_sizes_follow_v_cohomology_ranks():

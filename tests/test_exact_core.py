@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parhiggs.codec import to_json
-from parhiggs.exact_core import (DomainError, check_cap, exact_cap, exact_int,
-                                 mapping_items, rat, rat_from_str, rational_sum,
-                                 read_container)
+from parhiggs.exact_core import (DomainError, _check_printable_counts,
+                                 check_cap, exact_cap, exact_int, mapping_items,
+                                 rat, rat_from_str, rational_sum, read_container)
 
 
 def test_rational_serialization_round_trip():
@@ -137,6 +138,32 @@ def test_check_cap_refuses_a_count_that_is_not_an_exact_int():
         with pytest.raises(DomainError) as err:
             check_cap(needed, None)
         assert err.value.payload() == {"error": "bad_item_count", "needed": needed}
+
+
+def test_a_refusal_holding_a_value_too_long_to_print_is_built():
+    """str() refuses an int of more digits than sys.get_int_max_str_digits():
+    the message shows it by its bit length, or a value holding one by its
+    type, and the payload keeps the value."""
+    huge = 10 ** 5000
+    with pytest.raises(DomainError) as err:
+        check_cap(huge, 10)
+    assert err.value.payload() == {"error": "enumeration_cap_exceeded",
+                                   "needed": huge, "cap": 10}
+    assert str(err.value) == ("enumeration_cap_exceeded(cap=10, "
+                              f"needed=<int of {huge.bit_length()} bits>)")
+    assert str(DomainError("x", value=[huge])) == \
+        "x(value=<list too long to print>)"
+
+
+def test_counts_are_refused_past_the_digits_str_prints(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    _check_printable_counts(7000, 1)        # 2^14004 has 4,216 digits
+    for g, s in ((8000, 1), (1, 8000), (10 ** 5000, 1)):
+        with pytest.raises(DomainError) as err:
+            _check_printable_counts(g, s)
+        assert err.value.payload() == {"error": "count_too_long", "limit": 4300}
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    _check_printable_counts(10 ** 6, 10 ** 6)
 
 
 @pytest.mark.parametrize("cap", [1.5, True, Fraction(2), "10", 0, -3, 1e9])

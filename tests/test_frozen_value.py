@@ -305,7 +305,7 @@ def test_every_optional_field_has_a_hashable_class_default():
 # class -> the kept values it names in its own __slots__
 KEPT = {MarkedSurface: ("_labels", "_label_set"),
         ParabolicLineBundle: ("_pardeg_pair",),
-        DecomposableHiggsModel: ("_table",), SpTripleModel: ("_duals", "_table")}
+        SpTripleModel: ("_duals", "_table")}
 JSON_READ = {MarkedPoint, MarkedSurface, ParabolicFlag, ParabolicLineBundle,
              ParabolicBundle, DecomposableHiggsModel, SpTripleModel}
 

@@ -329,6 +329,45 @@ def test_split_verdicts_match_brute_force(oracles):
     assert {"polystable", "strictly_semistable"} <= seen
 
 
+@st.composite
+def split_models(draw):
+    """2-5 blocks of 1-3 summands, each block's degrees summing to 0, so
+    every block has the total slope, and its arrows, drawn at one density
+    in quarters, inside it."""
+    g, s = draw(st.sampled_from(HYP))
+    density = draw(st.integers(0, 4))
+    degrees, arrows = [], set()
+    for size in draw(st.lists(st.integers(1, 3), min_size=2, max_size=5)):
+        block = range(len(degrees), len(degrees) + size)
+        ds = draw(st.lists(st.integers(-2, 2), min_size=size - 1,
+                           max_size=size - 1))
+        degrees += ds + [-sum(ds)]
+        arrows |= {(i, j) for i in block for j in block
+                   if i != j and draw(st.integers(0, 3)) < density}
+    return DecomposableHiggsModel(
+        standard_surface(g, s), tuple(ParabolicLineBundle(d) for d in degrees),
+        frozenset(arrows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_models())
+def test_split_model_tie_counts_match_brute_force(oracles, m):
+    """Polystability is read from the count of ties: 2^k - 2 for k
+    components of the total slope, more when a tie cuts a component."""
+    r = stability_verdict(m)
+    assert (r.verdict, r.witness, r.slope) == \
+        brute_verdict(oracles, m.pardegs(), m.arrows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, (1 << 12) - 1), st.integers(1, (1 << 12) - 1))
+       .filter(lambda ab: ab[0] != ab[1]))
+def test_lex_before_orders_masks_as_their_index_tuples(ab):
+    a, b = ab
+    assert stability._lex_before(a, b) == \
+        (stability._mask_tuple(a) < stability._mask_tuple(b))
+
+
 def test_alpha_check_matches_reduction_degrees(oracles):
     """The closed form against the old route: every invariant two-step
     reduction through sp_filtration_degree at alpha = 0, first failure
@@ -441,6 +480,15 @@ def test_rank_at_limit_still_gets_a_verdict():
     assert stability_verdict(m).verdict == "stable"
 
 
+def test_no_arrow_model_at_the_rank_limit_is_polystable():
+    """Every proper nonempty subset is a tie: 2^n - 2 of them, the proper
+    unions of the n one-summand components."""
+    surf = standard_surface(2, 1)
+    m = DecomposableHiggsModel(surf, lines(surf, *[(0, 0)] * MAX_VERDICT_RANK))
+    r = stability_verdict(m)
+    assert (r.verdict, r.witness, r.slope) == ("polystable", None, F(0))
+
+
 # ---------------------------------------------------- closed-set table ----
 
 def test_closed_sets_are_the_oracle_closures_with_their_sums(oracles):
@@ -502,6 +550,13 @@ def test_milnor_wood_refuses_a_negative_rank_first():
         with pytest.raises(DomainError) as e:
             milnor_wood_bound(n, g, s)
         assert e.value.payload() == {"error": "negative_rank", "n": n}
+
+
+def test_milnor_wood_refuses_a_rank_too_long_to_print():
+    """The refusal is built although str() cannot print its rank."""
+    with pytest.raises(DomainError) as e:
+        milnor_wood_bound(-10 ** 5000, 2, 1)
+    assert e.value.payload() == {"error": "negative_rank", "n": -10 ** 5000}
 
 
 def test_general_interval_no_hyperbolicity_check():
@@ -674,9 +729,9 @@ def _direct_table(lines, surf):
 
 def _check_model_from_pardegs(m, alpha):
     """The verdict's slope and the alpha check agree with the model's
-    pardegs, and the table the model keeps is those pardegs over their lcm."""
+    pardegs, and the verdict's table is those pardegs over their lcm."""
     report = stability_verdict(m)
-    assert m._table == _direct_table(m.summands, m.surface)
+    assert stability._closed_table(m)[:2] == _direct_table(m.summands, m.surface)
     pds = m.pardegs()
     assert report.slope == sum(pds, F(0)) / m.n and type(report.slope) is F
     total = sum(pds, F(0))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parhiggs.codec import from_json, to_json
 from parhiggs.components import (
@@ -281,3 +283,20 @@ def test_standard_surface_cache_matches_the_plain_function():
     assert _outcome(standard_surface, True, 1) == ("error", {"error": "bad_genus",
                                                              "genus": True})
     assert _standard_surface.cache_info().maxsize == 128
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8))
+def test_standard_surface_degrees_and_sections(g, s):
+    """The standard surface is kept and labelled x1..xs; deg K(D) is
+    2g - 2 + s, hyperbolic exactly when positive; and there H^1 of
+    K^{m+1} xi^m vanishes, so Riemann-Roch gives its sections."""
+    surf = standard_surface(g, s)
+    assert standard_surface(g, s) is surf
+    assert surf.labels() == tuple(f"x{i}" for i in range(1, s + 1))
+    assert deg_kd(surf) == 2 * g - 2 + s
+    assert surf.is_hyperbolic() == (2 * g - 2 + s > 0)
+    if surf.is_hyperbolic():
+        for m in range(1, 6):
+            assert h0_twisted_power(surf, m) == \
+                (m + 1) * (2 * g - 2) + m * s - g + 1

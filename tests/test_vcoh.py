@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parhiggs.exact_core import DomainError
 from parhiggs.orbifold import z2_character_count
@@ -110,3 +112,19 @@ def test_surface_arguments_are_refused_with_the_surface_codes(g, s, payload):
     with pytest.raises(DomainError) as err:
         v_cohomology_ranks(g, s, "order2")
     assert err.value.payload() == payload
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 8))
+def test_the_ranks_of_each_mode(oracles, g, s):
+    """order2 is the Mayer-Vietoris gluing of tools/oracles.py, with the
+    Euler characteristic 2 - 2g of the closed surface; punctured has that of
+    the open one, 2 - 2g - s; odd_order states the order2 ranks."""
+    order2, _ = v_cohomology_ranks(g, s, "order2")
+    punctured, _ = v_cohomology_ranks(g, s, "punctured")
+    odd, _ = v_cohomology_ranks(g, s, "odd_order")
+    assert order2.astuple() == (1, 2 * g + s - 1, s) == oracles.mv_order2(g, s)
+    assert order2.euler() == 2 - 2 * g
+    assert punctured.astuple() == (1, 2 * g + s - 1, 0)
+    assert punctured.euler() == 2 - 2 * g - s
+    assert odd.astuple() == order2.astuple()
